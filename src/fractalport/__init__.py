@@ -8,7 +8,6 @@ from fractalport.backtest import (
     BacktestConfig,
     BacktestReport,
     WindowResult,
-    accrue_costs,
     compute_metrics,
     max_drawdown,
     position_sizing,
@@ -36,14 +35,11 @@ from fractalport.fbm import (
     rescale_volatility,
 )
 from fractalport.io import (
-    UniverseFile,
     ingest_prices,
     report_to_dict,
     report_to_json,
-    universe_info,
     write_prices_wide,
 )
-from fractalport.kernels import KERNEL_BACKEND
 from fractalport.optimizer import (
     PortfolioWeights,
     RescaledCovariance,

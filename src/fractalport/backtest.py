@@ -42,7 +42,6 @@ __all__ = [
     "BacktestReport",
     "max_drawdown",
     "position_sizing",
-    "accrue_costs",
     "run_walk_forward",
     "compute_metrics",
 ]
@@ -199,28 +198,6 @@ def _mark_window(
         equity[t] = equity[t - 1] + pnl - cost
         costs[t - 1] = cost
     return equity, costs
-
-
-def accrue_costs(
-    positions: Mapping[str, int],
-    prices: Mapping[str, np.ndarray],
-    cfg: BacktestConfig,
-    start_equity: float,
-) -> np.ndarray:
-    """Commission and financing charges per test day for fixed positions.
-
-    ``prices`` maps each held symbol to its closes over the window,
-    including the entry boundary close as the first element.
-    """
-    symbols = sorted(positions)
-    share_vec = np.array([positions[s] for s in symbols], dtype=np.float64)
-    if symbols:
-        price_mat = np.column_stack([np.asarray(prices[s], dtype=np.float64) for s in symbols])
-    else:
-        n_rows = len(next(iter(prices.values()))) if prices else 1
-        price_mat = np.zeros((n_rows, 0))
-    _, costs = _mark_window(share_vec, price_mat, cfg, start_equity)
-    return costs
 
 
 def _optimize_window(returns, cfg: BacktestConfig):

@@ -3,7 +3,8 @@
 Subcommands: ``hurst`` (exponent of one series), ``select`` (spread
 selection over a date range), ``backtest`` (walk-forward report) and
 ``make-fixture`` (synthetic universe CSV). Exit codes: 0 success,
-2 configuration error, 3 data error, 4 numerical error.
+2 configuration error, 3 data error (including a file that cannot be
+read or written), 4 numerical error.
 """
 from __future__ import annotations
 
@@ -77,8 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bt.add_argument("--no-reinvest", action="store_true")
     p_bt.add_argument("--output", required=True, help="report JSON path")
     p_bt.add_argument("--equity-csv", default=None, help="optional daily equity CSV")
-    # Reserved for fixture workflows; the pipeline itself is deterministic.
-    p_bt.add_argument("--seed", type=int, default=None)
 
     p_fix = sub.add_parser("make-fixture", help="generate a synthetic universe CSV")
     p_fix.add_argument("--out", required=True, help="output wide-format CSV")
@@ -266,7 +265,7 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except DataError as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericalError as exc:

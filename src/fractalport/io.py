@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 from typing import Sequence
@@ -22,9 +21,7 @@ from fractalport.spreads import PriceSeries
 
 __all__ = [
     "SCHEMA_VERSION",
-    "UniverseFile",
     "ingest_prices",
-    "universe_info",
     "write_prices_wide",
     "report_to_dict",
     "report_to_json",
@@ -32,26 +29,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-
-
-@dataclass(frozen=True)
-class UniverseFile:
-    """Summary of a parsed price file."""
-
-    path: str
-    symbols: tuple[str, ...]
-    date_range: tuple[str, str]
-
-
-def universe_info(path) -> UniverseFile:
-    """Parse a price CSV and summarize its symbols and date coverage."""
-    series = ingest_prices(path)
-    all_dates = sorted({d for s in series for d in s.dates})
-    return UniverseFile(
-        path=str(path),
-        symbols=tuple(s.symbol for s in series),
-        date_range=(all_dates[0], all_dates[-1]),
-    )
 
 
 def _parse_date(raw: str, line_no: int) -> str:

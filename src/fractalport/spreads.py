@@ -139,15 +139,12 @@ def _check_aligned(ri: ReturnSeries, rj: ReturnSeries) -> None:
         raise AlignmentError(f"{ri.symbol}/{rj.symbol}: return dates differ")
 
 
-def hedge_ratio(ri: ReturnSeries, rj: ReturnSeries, method: str = "ols") -> float:
+def hedge_ratio(ri: ReturnSeries, rj: ReturnSeries) -> float:
     """Hedge ratio chi (ratio of market betas) of asset i over asset j.
 
-    Estimated from one-day increments of the normalized returns. The "ols"
-    method regresses the increments of r_i on those of r_j, which equals
-    the beta ratio under a single-factor model and is numerically stable.
-    The literal "mean-ratio" of average increments is kept as an
-    alternative for fidelity checks but blows up when the denominator
-    mean is near zero.
+    Estimated from one-day increments of the normalized returns: the OLS
+    slope of the increments of r_i on those of r_j, which equals the beta
+    ratio under a single-factor model and is numerically stable.
 
     A non-positive result signals an invertedly-related pair; callers
     skip such pairs rather than treating this as an error.
@@ -159,22 +156,13 @@ def hedge_ratio(ri: ReturnSeries, rj: ReturnSeries, method: str = "ols") -> floa
         )
     di = np.diff(ri.returns)
     dj = np.diff(rj.returns)
-    if method == "ols":
-        var_j = float(np.var(dj))
-        if var_j < HEDGE_VARIANCE_EPS:
-            raise DegeneratePairError(
-                f"{rj.symbol}: return-increment variance below {HEDGE_VARIANCE_EPS}"
-            )
-        cov = float(np.mean((di - di.mean()) * (dj - dj.mean())))
-        return cov / var_j
-    if method == "mean-ratio":
-        denom = float(np.mean(dj))
-        if abs(denom) < HEDGE_VARIANCE_EPS:
-            raise DegeneratePairError(
-                f"{rj.symbol}: mean return increment below {HEDGE_VARIANCE_EPS}"
-            )
-        return float(np.mean(di)) / denom
-    raise ParameterError(f"unknown hedge-ratio method {method!r}")
+    var_j = float(np.var(dj))
+    if var_j < HEDGE_VARIANCE_EPS:
+        raise DegeneratePairError(
+            f"{rj.symbol}: return-increment variance below {HEDGE_VARIANCE_EPS}"
+        )
+    cov = float(np.mean((di - di.mean()) * (dj - dj.mean())))
+    return cov / var_j
 
 
 def _make_spread(long_symbol, short_symbol, chi, deltas, dates) -> SpreadSeries:

@@ -7,7 +7,7 @@ import pytest
 from fractalport.backtest import (
     BacktestConfig,
     WindowResult,
-    accrue_costs,
+    _mark_window,
     compute_metrics,
     max_drawdown,
     position_sizing,
@@ -71,15 +71,15 @@ class TestAccrueCosts:
     def test_commission_per_side(self):
         # 200 shares in and out at $0.005/share: $1 + $1
         cfg = BacktestConfig(benchmark_symbol="SPY", overnight_rate_annual=0.0)
-        prices = {"X": np.full(6, 100.0)}
-        costs = accrue_costs({"X": 200}, prices, cfg, 100_000.0)
+        prices = np.full((6, 1), 100.0)
+        _, costs = _mark_window(np.array([200.0]), prices, cfg, 100_000.0)
         assert costs[0] == pytest.approx(1.0)
         assert costs[-1] == pytest.approx(1.0)
         assert costs.sum() == pytest.approx(2.0)
 
     def test_zero_positions_zero_costs(self):
         cfg = BacktestConfig(benchmark_symbol="SPY")
-        costs = accrue_costs({}, {"X": np.full(6, 100.0)}, cfg, 100_000.0)
+        _, costs = _mark_window(np.zeros(0), np.zeros((6, 0)), cfg, 100_000.0)
         assert np.all(costs == 0.0)
 
     def test_financing_hand_accrual(self):
@@ -87,9 +87,9 @@ class TestAccrueCosts:
         # financed base = short value + borrowing above equity
         cfg = BacktestConfig(benchmark_symbol="SPY", commission_per_share=0.0)
         n_days = 252
-        prices = {"L": np.full(n_days + 1, 100.0), "S": np.full(n_days + 1, 100.0)}
-        positions = {"L": 1000, "S": -1000}
-        costs = accrue_costs(positions, prices, cfg, 100_000.0)
+        prices = np.full((n_days + 1, 2), 100.0)
+        positions = np.array([1000.0, -1000.0])
+        _, costs = _mark_window(positions, prices, cfg, 100_000.0)
         # independent accrual loop
         equity, expected = 100_000.0, []
         for _ in range(n_days):

@@ -122,14 +122,6 @@ class TestIngestWide:
             assert back[p.symbol].dates == p.dates
             np.testing.assert_array_equal(back[p.symbol].prices, p.prices)
 
-    def test_universe_info(self, fixture_csv, universe):
-        from fractalport.io import universe_info
-
-        info = universe_info(fixture_csv)
-        assert set(info.symbols) == {p.symbol for p in universe.prices} | {"MKT"}
-        assert info.date_range[0] == universe.prices[0].dates[0]
-        assert info.date_range[1] == universe.prices[0].dates[-1]
-
 
 class TestCmdHurst:
     def test_symbol_json(self, fixture_csv, capsys):
@@ -249,3 +241,20 @@ class TestCmdMakeFixture:
         assert main(["make-fixture", "--out", str(a), "--days", "200", "--seed", "9"]) == 0
         assert main(["make-fixture", "--out", str(b), "--days", "200", "--seed", "9"]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["backtest", "--benchmark", "MKT", "--output", "r.json", "--prices"],
+        ["select", "--start", "2015-01-02", "--end", "2015-06-30", "--prices"],
+        ["hurst", "--column", "x", "--input"],
+    ],
+    ids=["backtest", "select", "hurst"],
+)
+def test_missing_input_file_exits_3(args, tmp_path, capsys):
+    missing = tmp_path / "nonexistent.csv"
+    assert main(args + [str(missing)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:")
+    assert str(missing) in err

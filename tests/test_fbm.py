@@ -9,11 +9,32 @@ from fractalport.errors import (
     ParameterError,
     ValidationError,
 )
-from fractalport.fbm import estimate_hurst, generate_fbm, rescale_volatility, window_ladder
+from fractalport.fbm import (
+    cover_amplitudes,
+    estimate_hurst,
+    generate_fbm,
+    rescale_volatility,
+    window_ladder,
+)
 
 
 def loglog_slope(xs, ys):
     return np.polyfit(np.log(xs), np.log(ys), 1)[0]
+
+
+def reference_cover(x, window_sizes):
+    """Per-window loop over complete windows: the oracle for cover_amplitudes."""
+    sums, counts = [], []
+    for d in window_sizes:
+        n_windows = (len(x) - 1) // d
+        total = 0.0
+        for w in range(n_windows):
+            a = w * d
+            samples = (x[a], x[a + d // 2], x[a + d])
+            total += max(samples) - min(samples)
+        sums.append(total)
+        counts.append(n_windows)
+    return np.array(sums), np.array(counts)
 
 
 class TestGenerateFbm:
@@ -63,6 +84,50 @@ class TestGenerateFbm:
     def test_parameter_errors(self, h, n, sigma):
         with pytest.raises(ParameterError):
             generate_fbm(h, n, sigma, 0)
+
+
+class TestCoverAmplitudes:
+    def test_hand_computed_single_scale(self):
+        # x spans 4 increments; d=2 -> windows {x0,x1,x2} and {x2,x3,x4}
+        x = np.array([0.0, 3.0, 1.0, -2.0, 5.0])
+        sums, counts = cover_amplitudes(x, np.array([2], dtype=np.int64))
+        assert counts.tolist() == [2]
+        # window 1: max 3, min 0 -> 3; window 2: max 5, min -2 -> 7
+        assert sums[0] == pytest.approx(10.0)
+
+    def test_partial_tail_excluded(self):
+        x = np.array([0.0, 1.0, 0.0, 10.0])  # 3 increments, d=2 -> 1 complete window
+        sums, counts = cover_amplitudes(x, np.array([2], dtype=np.int64))
+        assert counts.tolist() == [1]
+        assert sums[0] == pytest.approx(1.0)
+
+    def test_midpoint_seen(self):
+        # interior spike at the window midpoint must count
+        x = np.array([0.0, 0.0, 9.0, 0.0, 0.0])
+        sums, _ = cover_amplitudes(x, np.array([4], dtype=np.int64))
+        assert sums[0] == pytest.approx(9.0)
+
+    def test_multiple_scales_counts(self):
+        x = np.zeros(65)
+        sums, counts = cover_amplitudes(x, np.array([16, 8, 4, 2], dtype=np.int64))
+        assert counts.tolist() == [4, 8, 16, 32]
+        assert np.all(sums == 0.0)
+
+    def test_matches_per_window_loop(self):
+        rng = np.random.default_rng(7)
+        # fixed lengths cover exact fits (65, 1025) and partial tails
+        lengths = [64, 65, 100, 127, 513, 1000, 1025] + rng.integers(64, 1026, 13).tolist()
+        for n in lengths:
+            x = np.cumsum(rng.standard_normal(n)) * rng.uniform(0.01, 100.0)
+            # the estimator's ladder, odd sizes for the d // 2 midpoint,
+            # random sizes, and one size too large for a complete window
+            sizes = np.concatenate(
+                [window_ladder(n), [3, 5, 7], rng.integers(2, n // 2, 3), [n]]
+            ).astype(np.int64)
+            sums, counts = cover_amplitudes(x, sizes)
+            ref_sums, ref_counts = reference_cover(x, sizes)
+            assert np.array_equal(counts, ref_counts), n
+            np.testing.assert_allclose(sums, ref_sums, rtol=1e-12)
 
 
 class TestEstimateHurst:

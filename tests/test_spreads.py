@@ -128,17 +128,6 @@ class TestHedgeRatio:
         with pytest.raises(InsufficientDataError):
             hedge_ratio(r1, r2)
 
-    def test_mean_ratio_method(self):
-        # increments of rj sum to a clean positive mean
-        ri = make_returns("A", np.linspace(0.0, 0.03, 64))
-        rj = make_returns("B", np.linspace(0.0, 0.01, 64))
-        assert hedge_ratio(ri, rj, method="mean-ratio") == pytest.approx(3.0, rel=1e-9)
-
-    def test_unknown_method(self):
-        r = make_returns("A", np.linspace(0, 0.01, 64))
-        with pytest.raises(ParameterError):
-            hedge_ratio(r, r, method="theil-sen")
-
 
 class TestBuildSpread:
     def test_perfect_hedge(self):
