@@ -16,7 +16,6 @@ from fractalport.backtest import (
 from fractalport.errors import (
     AlignmentError,
     DataError,
-    DegeneratePairError,
     DegenerateSeriesError,
     DegenerateVolatilityError,
     EmptyPortfolioError,
@@ -31,6 +30,7 @@ from fractalport.errors import (
 from fractalport.fbm import (
     HurstEstimate,
     estimate_hurst,
+    fit_hurst,
     generate_fbm,
     rescale_volatility,
 )
@@ -60,11 +60,12 @@ from fractalport.selection import (
 from fractalport.spreads import (
     PriceSeries,
     ReturnSeries,
+    SpreadRows,
     SpreadSeries,
-    build_spread,
     compute_returns,
-    flip_spread,
-    hedge_ratio,
+    hedge_ratios,
+    pair_spreads,
+    return_matrix,
 )
 from fractalport.synthetic import SyntheticUniverse, make_synthetic_universe
 

@@ -71,6 +71,9 @@ class BacktestConfig:
             )
         if self.test_days < 1:
             raise ParameterError(f"test window must be positive, got {self.test_days}")
+        for name in ("leverage", "initial_capital", "commission_per_share", "overnight_rate_annual"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.leverage > 0:
             raise ParameterError(f"leverage must be positive, got {self.leverage}")
         if not self.initial_capital > 0:

@@ -14,7 +14,6 @@ __all__ = [
     "InsufficientDataError",
     "NumericalError",
     "DegenerateSeriesError",
-    "DegeneratePairError",
     "DegenerateVolatilityError",
     "SingularMatrixError",
     "EmptyPortfolioError",
@@ -55,10 +54,6 @@ class NumericalError(FractalPortError):
 
 class DegenerateSeriesError(NumericalError):
     """Series has no amplitude variation at any scale (e.g. constant)."""
-
-
-class DegeneratePairError(NumericalError):
-    """Hedge-ratio regressor has (near-)zero variance."""
 
 
 class DegenerateVolatilityError(NumericalError):

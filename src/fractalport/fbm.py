@@ -27,6 +27,7 @@ __all__ = [
     "cover_amplitudes",
     "generate_fbm",
     "estimate_hurst",
+    "fit_hurst",
     "rescale_volatility",
 ]
 
@@ -52,14 +53,10 @@ class HurstEstimate:
     clamped: bool = False
 
 
-def _as_path(values, min_len: int = 2) -> np.ndarray:
+def _as_path(values) -> np.ndarray:
     x = np.ascontiguousarray(values, dtype=np.float64)
     if x.ndim != 1:
         raise ParameterError("series must be one-dimensional")
-    if x.size < min_len:
-        raise InsufficientDataError(
-            f"series has {x.size} samples, need at least {min_len}"
-        )
     if not np.isfinite(x).all():
         raise ValidationError("series contains non-finite values")
     return x
@@ -140,7 +137,7 @@ def window_ladder(n: int) -> np.ndarray:
 
 
 def cover_amplitudes(x, window_sizes):
-    """Total cover amplitude per window size.
+    """Total cover amplitude per window size, for every row of ``x``.
 
     For each window size d the series is cut into complete consecutive
     windows spanning d increments each, and the window amplitude is the
@@ -149,13 +146,17 @@ def cover_amplitudes(x, window_sizes):
     discretization deficit identical across scales, which is what makes
     the log-log slope an unbiased scaling estimate.
 
-    Returns (sums, counts): per window size, the summed amplitudes over
-    complete windows and the number of complete windows.
+    ``x`` holds one series along its last axis; a (rows x n) matrix is
+    one series per row, read through strided views of the whole matrix.
+
+    Returns (sums, counts): per series and window size the summed
+    amplitudes over complete windows (shape ``x.shape[:-1] + (sizes,)``),
+    and per window size the number of complete windows.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     d_arr = np.asarray(window_sizes, dtype=np.int64)
-    n_incr = x.size - 1
-    sums = np.zeros(d_arr.size, dtype=np.float64)
+    n_incr = x.shape[-1] - 1
+    sums = np.zeros(x.shape[:-1] + (d_arr.size,), dtype=np.float64)
     counts = np.zeros(d_arr.size, dtype=np.int64)
     for k, d in enumerate(d_arr):
         d = int(d)
@@ -163,55 +164,87 @@ def cover_amplitudes(x, window_sizes):
         counts[k] = nf
         if nf == 0:
             continue
-        left = x[0 : nf * d : d]
-        mid = x[d // 2 : nf * d : d]
-        right = x[d : nf * d + 1 : d]
+        left = x[..., 0 : nf * d : d]
+        mid = x[..., d // 2 : nf * d : d]
+        right = x[..., d : nf * d + 1 : d]
         hi = np.maximum(np.maximum(left, mid), right)
         lo = np.minimum(np.minimum(left, mid), right)
-        sums[k] = float(np.sum(hi - lo))
+        sums[..., k] = np.sum(hi - lo, axis=-1)
     return sums, counts
 
 
-def estimate_hurst(s) -> HurstEstimate:
-    """Minimal-cover Hurst estimate of a sample path.
+def fit_hurst(paths):
+    """Minimal-cover Hurst fit of every row of a (rows x n) path matrix.
 
     V(d) = total window amplitude at window size d, rescaled to full
     coverage of the series; log V is regressed on log d with weights
     proportional to the number of complete windows at each scale (the
     sparse top scales carry less information). The cover dimension is
     D = 1 - slope and H = 2 - D; ``h_err`` is the standard error of the
-    fitted slope.
+    fitted slope. Scales without amplitude get zero weight.
+
+    Every sum is an elementwise product summed along the row, so a row's
+    result does not depend on the other rows: one path gives the same
+    bits alone as inside a block.
+
+    Returns (h, h_err, n_scales, clamped), one entry per row. A fit
+    outside (0, 1) is clamped into ``_HURST_CLAMP`` and flagged. A row
+    with fewer than 3 scales of positive amplitude is degenerate: its
+    ``n_scales`` is below 3 and its ``h`` and ``h_err`` are NaN.
     """
-    x = _as_path(s, MIN_HURST_LENGTH)
-    n = x.size
+    paths = np.asarray(paths, dtype=np.float64)
+    n = paths.shape[1]
+    if n < MIN_HURST_LENGTH:
+        raise InsufficientDataError(
+            f"series has {n} samples, need at least {MIN_HURST_LENGTH}"
+        )
     sizes = window_ladder(n)
-    sums, counts = cover_amplitudes(x, sizes)
+    # Ladder sizes are at most n/4, so every scale has complete windows.
+    sums, counts = cover_amplitudes(paths, sizes)
+    keep = sums > 0.0
+    n_scales = keep.sum(axis=1)
+    fitted = n_scales >= 3
+    keep = keep[fitted]
     # Rescale complete-window totals to the full series span, so partial
     # coverage at scales that do not divide n-1 cannot tilt the fit.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v = sums * ((n - 1) / (counts * sizes))
-    keep = (sums > 0.0) & (counts > 0)
-    if int(keep.sum()) < 3:
+    v = sums[fitted] * ((n - 1) / (counts * sizes))
+    log_d = np.log(sizes.astype(np.float64))
+    log_v = np.log(np.where(keep, v, 1.0))
+    wgt = np.where(keep, counts.astype(np.float64), 0.0)
+    wgt /= wgt.sum(axis=1, keepdims=True)
+    xb = np.sum(wgt * log_d, axis=1, keepdims=True)
+    yb = np.sum(wgt * log_v, axis=1, keepdims=True)
+    dx = log_d - xb
+    sxx = np.sum(wgt * dx**2, axis=1, keepdims=True)
+    slope = np.sum(wgt * (dx * (log_v - yb)), axis=1, keepdims=True) / sxx
+    resid = log_v - (yb + slope * dx)
+    se = np.sqrt(
+        np.sum(wgt * resid**2, axis=1, keepdims=True) / (n_scales[fitted, None] - 2) / sxx
+    )
+    dimension = 1.0 - slope[:, 0]
+    h_fit = 2.0 - dimension
+    clamped_fit = ~((0.0 < h_fit) & (h_fit < 1.0))
+    h = np.full(n_scales.size, np.nan)
+    h_err = np.full(n_scales.size, np.nan)
+    clamped = np.zeros(n_scales.size, dtype=bool)
+    h[fitted] = np.where(clamped_fit, np.clip(h_fit, *_HURST_CLAMP), h_fit)
+    h_err[fitted] = se[:, 0]
+    clamped[fitted] = clamped_fit
+    return h, h_err, n_scales, clamped
+
+
+def estimate_hurst(s) -> HurstEstimate:
+    """Minimal-cover Hurst estimate of one sample path: the one-row case of
+    ``fit_hurst``, with a typed error for a degenerate series."""
+    x = _as_path(s)
+    h, h_err, n_scales, clamped = fit_hurst(x[np.newaxis])
+    if n_scales[0] < 3:
         raise DegenerateSeriesError(
             "series has no amplitude variation at enough scales"
         )
-    log_d = np.log(sizes[keep].astype(np.float64))
-    log_v = np.log(v[keep])
-    wgt = counts[keep].astype(np.float64)
-    wgt /= wgt.sum()
-    xb = float(wgt @ log_d)
-    yb = float(wgt @ log_v)
-    sxx = float(wgt @ (log_d - xb) ** 2)
-    slope = float(wgt @ ((log_d - xb) * (log_v - yb))) / sxx
-    resid = log_v - (yb + slope * (log_d - xb))
-    m_scales = int(keep.sum())
-    se = float(np.sqrt((wgt @ resid**2) / (m_scales - 2) / sxx))
-    dimension = 1.0 - slope
-    h = 2.0 - dimension
-    clamped = not 0.0 < h < 1.0
-    if clamped:
-        h = min(max(h, _HURST_CLAMP[0]), _HURST_CLAMP[1])
-    return HurstEstimate(h=h, h_err=se, n_scales=m_scales, clamped=clamped)
+    return HurstEstimate(
+        h=float(h[0]), h_err=float(h_err[0]), n_scales=int(n_scales[0]), clamped=bool(clamped[0])
+    )
 
 
 def rescale_volatility(theta_daily: float, h: float, n_days: int) -> float:

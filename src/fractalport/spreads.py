@@ -10,12 +10,12 @@ assets' market betas the common market term cancels.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from fractalport.errors import (
     AlignmentError,
-    DegeneratePairError,
     InsufficientDataError,
     ParameterError,
     ValidationError,
@@ -25,10 +25,11 @@ __all__ = [
     "PriceSeries",
     "ReturnSeries",
     "SpreadSeries",
+    "SpreadRows",
     "compute_returns",
-    "hedge_ratio",
-    "build_spread",
-    "flip_spread",
+    "return_matrix",
+    "hedge_ratios",
+    "pair_spreads",
 ]
 
 # Variance floor below which the hedge regression is meaningless.
@@ -134,61 +135,73 @@ def compute_returns(p: PriceSeries, entry_index: int = 0) -> ReturnSeries:
     )
 
 
-def _check_aligned(ri: ReturnSeries, rj: ReturnSeries) -> None:
-    if ri.dates != rj.dates:
-        raise AlignmentError(f"{ri.symbol}/{rj.symbol}: return dates differ")
+def return_matrix(universe: Sequence[ReturnSeries]) -> np.ndarray:
+    """Returns of date-aligned series stacked as one (assets x days) matrix."""
+    first = universe[0]
+    for r in universe[1:]:
+        if r.dates != first.dates:
+            raise AlignmentError(f"{first.symbol}/{r.symbol}: return dates differ")
+    return np.stack([r.returns for r in universe])
 
 
-def hedge_ratio(ri: ReturnSeries, rj: ReturnSeries) -> float:
-    """Hedge ratio chi (ratio of market betas) of asset i over asset j.
+def hedge_ratios(returns: np.ndarray, i, j) -> np.ndarray:
+    """Hedge ratio chi (ratio of market betas) of asset i[k] over asset j[k].
 
-    Estimated from one-day increments of the normalized returns: the OLS
-    slope of the increments of r_i on those of r_j, which equals the beta
-    ratio under a single-factor model and is numerically stable.
+    ``returns`` is an (assets x days) matrix; each pair is one row of the
+    computation. Estimated from one-day increments of the normalized
+    returns: the OLS slope of the increments of r_i on those of r_j, which
+    equals the beta ratio under a single-factor model and is numerically
+    stable. Each asset's increments are centred once and gathered per pair.
 
-    A non-positive result signals an invertedly-related pair; callers
-    skip such pairs rather than treating this as an error.
+    A pair whose regressor increments have variance below
+    ``HEDGE_VARIANCE_EPS`` has no hedge ratio and gets NaN. A non-positive
+    result signals an invertedly-related pair; callers skip both.
     """
-    _check_aligned(ri, rj)
-    if len(ri) < MIN_HEDGE_LENGTH:
+    if returns.shape[1] < MIN_HEDGE_LENGTH:
         raise InsufficientDataError(
-            f"need at least {MIN_HEDGE_LENGTH} overlapping returns, got {len(ri)}"
+            f"need at least {MIN_HEDGE_LENGTH} overlapping returns, got {returns.shape[1]}"
         )
-    di = np.diff(ri.returns)
-    dj = np.diff(rj.returns)
-    var_j = float(np.var(dj))
-    if var_j < HEDGE_VARIANCE_EPS:
-        raise DegeneratePairError(
-            f"{rj.symbol}: return-increment variance below {HEDGE_VARIANCE_EPS}"
-        )
-    cov = float(np.mean((di - di.mean()) * (dj - dj.mean())))
-    return cov / var_j
-
-
-def _make_spread(long_symbol, short_symbol, chi, deltas, dates) -> SpreadSeries:
-    deltas = np.asarray(deltas, dtype=np.float64)
-    return SpreadSeries(
-        long_symbol=long_symbol,
-        short_symbol=short_symbol,
-        chi=float(chi),
-        deltas=deltas,
-        mean_delta=float(np.mean(deltas)),
-        theta=float(np.std(deltas)),
-        dates=dates,
+    incr = np.diff(returns, axis=1)
+    var = np.var(incr, axis=1)
+    incr -= incr.mean(axis=1, keepdims=True)
+    cov = np.mean(incr[i] * incr[j], axis=1)
+    var_j = var[j]
+    return np.divide(
+        cov, var_j, out=np.full(cov.shape, np.nan), where=var_j >= HEDGE_VARIANCE_EPS
     )
 
 
-def build_spread(ri: ReturnSeries, rj: ReturnSeries, chi: float) -> SpreadSeries:
-    """Spread long ``ri`` and short ``chi`` units of ``rj``."""
-    if not chi > 0:
-        raise ParameterError(f"hedge ratio must be positive, got {chi}")
-    _check_aligned(ri, rj)
-    deltas = ri.returns - chi * rj.returns
-    return _make_spread(ri.symbol, rj.symbol, chi, deltas, ri.dates)
+class SpreadRows(NamedTuple):
+    """Spreads of a block of pairs, one row each: leg indices into the
+    return matrix, hedge ratio, daily deltas, their mean and their std."""
+
+    long: np.ndarray
+    short: np.ndarray
+    chi: np.ndarray
+    deltas: np.ndarray
+    mean: np.ndarray
+    theta: np.ndarray
 
 
-def flip_spread(s: SpreadSeries) -> SpreadSeries:
-    """The reversed spread (legs swapped): chi' = 1/chi, delta' = -delta/chi."""
-    return _make_spread(
-        s.short_symbol, s.long_symbol, 1.0 / s.chi, -s.deltas / s.chi, s.dates
+def pair_spreads(returns: np.ndarray, i, j, chi) -> SpreadRows:
+    """Spreads long asset i[k] and short chi[k] units of asset j[k].
+
+    Each spread is oriented so its mean daily return is non-negative: a
+    row with negative mean is reversed (legs swapped), chi' = 1/chi and
+    delta' = -delta/chi.
+    """
+    chi = np.array(chi, dtype=np.float64)
+    if not (chi > 0).all():
+        raise ParameterError("hedge ratios must be positive")
+    deltas = returns[i] - chi[:, None] * returns[j]
+    flip = deltas.mean(axis=1) < 0.0
+    deltas[flip] = -deltas[flip] / chi[flip, None]
+    chi[flip] = 1.0 / chi[flip]
+    return SpreadRows(
+        long=np.where(flip, j, i),
+        short=np.where(flip, i, j),
+        chi=chi,
+        deltas=deltas,
+        mean=deltas.mean(axis=1),
+        theta=deltas.std(axis=1),
     )

@@ -206,6 +206,25 @@ class TestCmdBacktest:
         assert main(args) == 2
         assert "train" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag,value,field",
+        [
+            ("--capital", "inf", "initial_capital"),
+            ("--leverage", "inf", "leverage"),
+            ("--commission-per-share", "nan", "commission_per_share"),
+            ("--overnight-rate", "nan", "overnight_rate_annual"),
+        ],
+    )
+    def test_non_finite_setting_exits_2(self, fixture_csv, tmp_path, capsys, flag, value, field):
+        args = [
+            "backtest", "--prices", str(fixture_csv), "--benchmark", "MKT",
+            flag, value, "--output", str(tmp_path / "r.json"),
+        ]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert f"{field} must be finite" in err
+
     def test_missing_benchmark_exits_3(self, fixture_csv, tmp_path, capsys):
         args = [
             "backtest", "--prices", str(fixture_csv), "--benchmark", "SPY",

@@ -12,6 +12,7 @@ from fractalport.errors import (
 from fractalport.fbm import (
     cover_amplitudes,
     estimate_hurst,
+    fit_hurst,
     generate_fbm,
     rescale_volatility,
     window_ladder,
@@ -128,6 +129,40 @@ class TestCoverAmplitudes:
             ref_sums, ref_counts = reference_cover(x, sizes)
             assert np.array_equal(counts, ref_counts), n
             np.testing.assert_allclose(sums, ref_sums, rtol=1e-12)
+            # a matrix is one series per row, each with the bits it has alone
+            matrix = np.stack([-x, x, 3.0 * x])
+            row_sums, row_counts = cover_amplitudes(matrix, sizes)
+            np.testing.assert_array_equal(row_counts, counts)
+            for row, got in zip(matrix, row_sums):
+                np.testing.assert_array_equal(got, cover_amplitudes(row, sizes)[0])
+
+
+class TestFitHurst:
+    def test_rows_match_one_row_calls(self):
+        # scalar and batched fits share one code path, so the bits agree
+        rng = np.random.default_rng(9)
+        paths = np.cumsum(rng.standard_normal((40, 257)), axis=1)
+        paths[3] = 1.5  # flat: degenerate
+        paths[4, :] = 0.0
+        paths[4, 129] = 1.0  # odd-index spike: only d = 2 samples it
+        paths[5] = np.arange(257.0)  # ramp: clamped at the top
+        h, h_err, n_scales, clamped = fit_hurst(paths)
+        for k, path in enumerate(paths):
+            one = fit_hurst(path[np.newaxis])
+            for batched, alone in zip((h, h_err, n_scales, clamped), one):
+                np.testing.assert_array_equal(batched[k], alone[0])
+            if n_scales[k] >= 3:
+                est = estimate_hurst(path)
+                assert (est.h, est.h_err, est.n_scales, est.clamped) == (
+                    h[k], h_err[k], n_scales[k], clamped[k]
+                )
+            else:
+                with pytest.raises(DegenerateSeriesError):
+                    estimate_hurst(path)
+        assert n_scales[3] == 0 and np.isnan(h[3]) and np.isnan(h_err[3])
+        assert n_scales[4] == 1 and np.isnan(h[4])
+        assert clamped[5] and h[5] == 0.99
+        assert not clamped[n_scales >= 3].all()
 
 
 class TestEstimateHurst:

@@ -123,7 +123,7 @@ class TestBuildGeneratingMatrix:
 
     def test_spread_path_prepends_zero(self):
         s = make_candidate("A", "B", 1.0, 0.3, 0.05).spread
-        path = spread_path(s)
+        path = spread_path(s.deltas)
         assert path[0] == 0.0
         assert path.size == s.deltas.size + 1
         np.testing.assert_allclose(np.diff(path), s.deltas, rtol=1e-15)

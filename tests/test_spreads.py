@@ -6,7 +6,6 @@ import pytest
 
 from fractalport.errors import (
     AlignmentError,
-    DegeneratePairError,
     InsufficientDataError,
     ParameterError,
     ValidationError,
@@ -14,10 +13,10 @@ from fractalport.errors import (
 from fractalport.spreads import (
     PriceSeries,
     ReturnSeries,
-    build_spread,
     compute_returns,
-    flip_spread,
-    hedge_ratio,
+    hedge_ratios,
+    pair_spreads,
+    return_matrix,
 )
 
 
@@ -85,18 +84,35 @@ class TestComputeReturns:
         )
 
 
+def pair(ri, rj):
+    """Return matrix of two aligned series and the index arrays of pair (0, 1)."""
+    return return_matrix([ri, rj]), np.array([0]), np.array([1])
+
+
+def hedge(ri, rj):
+    return float(hedge_ratios(*pair(ri, rj))[0])
+
+
+def spread(ri, rj, chi):
+    """The oriented spread long ``ri`` short ``chi`` units of ``rj``, as one row."""
+    returns, i, j = pair(ri, rj)
+    rows = pair_spreads(returns, i, j, [chi])
+    symbols = (ri.symbol, rj.symbol)
+    return rows, symbols[rows.long[0]], symbols[rows.short[0]]
+
+
 class TestHedgeRatio:
     def test_identical_series_unity(self):
         rng = np.random.default_rng(0)
         r = make_returns("A", 0.01 * rng.standard_normal(100))
-        assert hedge_ratio(r, r) == pytest.approx(1.0, rel=1e-12)
+        assert hedge(r, r) == pytest.approx(1.0, rel=1e-12)
 
     def test_exact_linear_relation(self):
         rng = np.random.default_rng(1)
         base = 0.01 * rng.standard_normal(100)
         ri = make_returns("A", base)
         rj = make_returns("B", 2.0 * base)
-        assert hedge_ratio(ri, rj) == pytest.approx(0.5, rel=1e-12)
+        assert hedge(ri, rj) == pytest.approx(0.5, rel=1e-12)
 
     def test_monte_carlo_beta_ratio(self):
         # known beta ratio 1.2/0.8 = 1.5, small idiosyncratic noise
@@ -106,42 +122,41 @@ class TestHedgeRatio:
             market = 0.01 * rng.standard_normal(2000)
             ri = make_returns("A", 1.2 * market + 0.001 * rng.standard_normal(2000))
             rj = make_returns("B", 0.8 * market + 0.001 * rng.standard_normal(2000))
-            hits.append(hedge_ratio(ri, rj))
+            hits.append(hedge(ri, rj))
         assert np.median(hits) == pytest.approx(1.5, abs=0.1)
 
     def test_degenerate_regressor(self):
         rng = np.random.default_rng(2)
         ri = make_returns("A", 0.01 * rng.standard_normal(64))
         rj = make_returns("B", np.zeros(64))
-        with pytest.raises(DegeneratePairError):
-            hedge_ratio(ri, rj)
+        assert np.isnan(hedge(ri, rj))
 
     def test_nonpositive_slope_is_signal_not_error(self):
         rng = np.random.default_rng(3)
         base = 0.01 * rng.standard_normal(100)
-        chi = hedge_ratio(make_returns("A", base), make_returns("B", -base))
+        chi = hedge(make_returns("A", base), make_returns("B", -base))
         assert chi < 0
 
     def test_too_short(self):
         r1 = make_returns("A", np.linspace(0, 0.01, 10))
         r2 = make_returns("B", np.linspace(0, 0.02, 10))
         with pytest.raises(InsufficientDataError):
-            hedge_ratio(r1, r2)
+            hedge(r1, r2)
 
 
 class TestBuildSpread:
     def test_perfect_hedge(self):
         ri = make_returns("A", np.full(40, 0.02))
         rj = make_returns("B", np.full(40, 0.01))
-        s = build_spread(ri, rj, 2.0)
+        s, _, _ = spread(ri, rj, 2.0)
         assert np.all(s.deltas == 0.0)
-        assert s.mean_delta == 0.0 and s.theta == 0.0
+        assert s.mean[0] == 0.0 and s.theta[0] == 0.0
 
     def test_unit_hedge(self):
         ri = make_returns("A", np.full(40, 0.02))
         rj = make_returns("B", np.full(40, 0.01))
-        s = build_spread(ri, rj, 1.0)
-        np.testing.assert_allclose(s.deltas, 0.01)
+        s, _, _ = spread(ri, rj, 1.0)
+        np.testing.assert_allclose(s.deltas[0], 0.01)
 
     def test_market_term_cancels_with_true_chi(self):
         # beta_i/beta_j = chi and independent drifts: corr(delta, market) ~ 0
@@ -150,8 +165,8 @@ class TestBuildSpread:
         market = 0.01 * rng.standard_normal(n)
         ri = make_returns("A", 1.2 * market + 0.0005 + 0.002 * rng.standard_normal(n))
         rj = make_returns("B", 0.8 * market + 0.0002 + 0.002 * rng.standard_normal(n))
-        s = build_spread(ri, rj, chi_true)
-        rho = np.corrcoef(s.deltas, market)[0, 1]
+        s, _, _ = spread(ri, rj, chi_true)
+        rho = np.corrcoef(s.deltas[0], market)[0, 1]
         assert abs(rho) < 3.0 / np.sqrt(n)
 
     def test_residual_increment_slope_vanishes_with_ols_chi(self):
@@ -159,9 +174,9 @@ class TestBuildSpread:
         market = 0.01 * rng.standard_normal(500)
         ri = make_returns("A", 1.1 * market + 0.003 * rng.standard_normal(500))
         rj = make_returns("B", 0.9 * market + 0.003 * rng.standard_normal(500))
-        chi = hedge_ratio(ri, rj)
-        s = build_spread(ri, rj, chi)
-        dd = np.diff(s.deltas)
+        chi = hedge(ri, rj)
+        s, _, _ = spread(ri, rj, chi)
+        dd = np.diff(s.deltas[0])
         dj = np.diff(rj.returns)
         slope = np.mean((dd - dd.mean()) * (dj - dj.mean())) / np.var(dj)
         assert abs(slope) < 1e-9
@@ -172,59 +187,65 @@ class TestBuildSpread:
             symbol="B", entry_price=100.0, returns=np.full(40, 0.01), dates=dates(40, start=2)
         )
         with pytest.raises(AlignmentError):
-            build_spread(ri, rj, 1.0)
+            return_matrix([ri, rj])
 
     def test_nonpositive_chi_rejected(self):
         ri = make_returns("A", np.full(40, 0.01))
         rj = make_returns("B", np.full(40, 0.01))
-        with pytest.raises(ParameterError):
-            build_spread(ri, rj, -1.0)
+        for chi in (-1.0, 0.0, np.nan):
+            with pytest.raises(ParameterError):
+                spread(ri, rj, chi)
 
 
 class TestFlipSpread:
     def test_power_of_two_algebra_exact(self):
-        ri = make_returns("A", np.array([0.04, 0.01]))
-        rj = make_returns("B", np.array([0.01, 0.01]))
-        s = build_spread(ri, rj, 2.0)  # deltas [0.02, -0.01]
-        np.testing.assert_array_equal(s.deltas, [0.02, -0.01])
-        f = flip_spread(s)
-        assert f.chi == 0.5
-        np.testing.assert_array_equal(f.deltas, [-0.01, 0.005])
-        assert (f.long_symbol, f.short_symbol) == ("B", "A")
+        ri = make_returns("A", np.array([0.0, 0.75]))
+        rj = make_returns("B", np.array([0.25, 0.25]))
+        # A - 2B = [-0.5, 0.25] has negative mean, so the spread is reversed
+        s, long, short = spread(ri, rj, 2.0)
+        assert s.chi[0] == 0.5
+        np.testing.assert_array_equal(s.deltas[0], [0.25, -0.125])
+        assert (long, short) == ("B", "A")
+        assert s.mean[0] == 0.0625
 
     def test_involution(self):
-        ri = make_returns("A", np.array([0.04, 0.01, -0.02, 0.03]))
-        rj = make_returns("B", np.array([0.01, 0.02, 0.01, -0.01]))
-        s = build_spread(ri, rj, 2.0)
-        back = flip_spread(flip_spread(s))
+        # (A, B, chi) and (B, A, 1/chi) are the two orientations of one spread
+        ri = make_returns("A", np.array([0.5, 0.125, -0.25, 0.625]))
+        rj = make_returns("B", np.array([0.125, 0.25, 0.125, -0.125]))
+        s, long, short = spread(ri, rj, 2.0)
+        assert (long, short) == ("A", "B")
+        back, long_b, short_b = spread(rj, ri, 0.5)
         np.testing.assert_array_equal(back.deltas, s.deltas)
-        assert back.chi == s.chi
-        assert back.pair() == s.pair()
+        assert back.chi[0] == s.chi[0]
+        assert (long_b, short_b) == (long, short)
 
     def test_involution_general_chi(self):
         rng = np.random.default_rng(12)
         ri = make_returns("A", 0.01 * rng.standard_normal(50))
         rj = make_returns("B", 0.01 * rng.standard_normal(50))
-        s = build_spread(ri, rj, 1.7)
-        back = flip_spread(flip_spread(s))
+        s, _, _ = spread(ri, rj, 1.7)
+        back, _, _ = spread(rj, ri, 1.0 / 1.7)
         np.testing.assert_allclose(back.deltas, s.deltas, rtol=1e-14)
-        assert back.chi == pytest.approx(s.chi, rel=1e-15)
+        assert back.chi[0] == pytest.approx(s.chi[0], rel=1e-15)
 
     def test_negative_mean_becomes_positive(self):
         rng = np.random.default_rng(13)
         deltas = 0.01 * rng.standard_normal(60) - 0.005
         ri = make_returns("A", deltas)
         rj = make_returns("B", np.zeros(60))
-        s = build_spread(ri, rj, 1.0)
-        assert s.mean_delta < 0
-        assert flip_spread(s).mean_delta > 0
+        assert deltas.mean() < 0
+        s, long, _ = spread(ri, rj, 1.0)
+        assert long == "B"
+        assert s.mean[0] > 0
 
     def test_preserves_t_statistic(self):
         rng = np.random.default_rng(14)
         ri = make_returns("A", 0.01 * rng.standard_normal(80) + 0.001)
         rj = make_returns("B", 0.005 * rng.standard_normal(80))
-        s = build_spread(ri, rj, 2.5)
-        f = flip_spread(s)
-        t_s = abs(s.mean_delta) / (s.theta / np.sqrt(s.deltas.size))
-        t_f = abs(f.mean_delta) / (f.theta / np.sqrt(f.deltas.size))
+        raw = rj.returns - ri.returns / 2.5
+        assert raw.mean() < 0
+        f, long, _ = spread(rj, ri, 1.0 / 2.5)
+        assert long == "A"
+        t_s = abs(raw.mean()) / (raw.std() / np.sqrt(raw.size))
+        t_f = abs(f.mean[0]) / (f.theta[0] / np.sqrt(f.deltas.shape[1]))
         assert t_f == pytest.approx(t_s, rel=1e-12)
