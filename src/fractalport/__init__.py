@@ -50,7 +50,7 @@ from fractalport.optimizer import (
     solve_weights,
 )
 from fractalport.selection import (
-    CandidateSpread,
+    Candidates,
     SelectionConfig,
     build_generating_matrix,
     fractal_kelly_weight,
@@ -61,7 +61,6 @@ from fractalport.spreads import (
     PriceSeries,
     ReturnSeries,
     SpreadRows,
-    SpreadSeries,
     compute_returns,
     hedge_ratios,
     pair_spreads,

@@ -32,7 +32,7 @@ from fractalport.optimizer import (
     solve_weights,
 )
 from fractalport.selection import SelectionConfig, build_generating_matrix, select_spreads
-from fractalport.spreads import PriceSeries, compute_returns
+from fractalport.spreads import PriceSeries, compute_returns, pair_spreads, return_matrix
 
 __all__ = [
     "TRADING_DAYS_PER_YEAR",
@@ -203,42 +203,35 @@ def _mark_window(
     return equity, costs
 
 
-def _optimize_window(returns, cfg: BacktestConfig):
+def _optimize_window(returns: np.ndarray, symbols, cfg: BacktestConfig):
     """Training-window pipeline: candidates, selection, weights, legs."""
     sel_cfg = SelectionConfig(horizon_days=cfg.test_days, hurst_cap=cfg.hurst_cap)
-    candidates = build_generating_matrix(returns, sel_cfg)
-    selected = select_spreads(candidates, sel_cfg)
-    if not selected:
+    sel = select_spreads(build_generating_matrix(returns, symbols, sel_cfg), sel_cfg)
+    if not sel:
         return None, (), {}
-    spreads = [c.spread for c in selected]
-    cov = covariance_matrix(spreads)
-    rescaled = rescale_covariance(cov, [c.hurst.h for c in selected], cfg.test_days)
-    labels = [f"{s.long_symbol}/{s.short_symbol}" for s in spreads]
-    raw = solve_weights(rescaled, [s.mean_delta for s in spreads], cfg.test_days, labels)
+    # each pair_spreads row depends only on its own inputs, so these are
+    # the same deltas the candidate table was built from
+    deltas = pair_spreads(returns, sel.i, sel.j, sel.hedge_chi).deltas
+    cov = covariance_matrix(deltas)
+    rescaled = rescale_covariance(cov, sel.h, cfg.test_days)
+    rows = sel.rows()
+    long, short = [r[0] for r in rows], [r[1] for r in rows]
+    labels = [f"{a}/{b}" for a, b in zip(long, short)]
+    raw = solve_weights(rescaled, sel.mean, cfg.test_days, labels)
     try:
         weights = apply_leverage(raw, cfg.leverage)
     except EmptyPortfolioError:
         return None, (), {}
-    legs = compose_legs(weights, spreads)
+    legs = compose_legs(weights, long, short, sel.chi)
     weights = PortfolioWeights(
         spread_weights=weights.spread_weights,
         leverage=weights.leverage,
         scale_k=weights.scale_k,
         asset_legs=legs,
     )
+    # Candidates.rows is in SelectedSpreadInfo's field order, weight last
     info = tuple(
-        SelectedSpreadInfo(
-            long_symbol=s.long_symbol,
-            short_symbol=s.short_symbol,
-            chi=s.chi,
-            hurst=c.hurst.h,
-            hurst_err=c.hurst.h_err,
-            kelly_weight=c.kelly_weight,
-            mean_delta=s.mean_delta,
-            theta=s.theta,
-            weight=float(w),
-        )
-        for c, s, w in zip(selected, spreads, weights.spread_weights)
+        SelectedSpreadInfo(*row, w) for row, w in zip(rows, weights.spread_weights.tolist())
     )
     return weights, info, legs
 
@@ -289,7 +282,7 @@ def run_walk_forward(
             )
             for s in symbols
         ]
-        weights, info, legs = _optimize_window(returns, cfg)
+        weights, info, legs = _optimize_window(return_matrix(returns), symbols, cfg)
         start_capital = chain_capital if cfg.reinvest else cfg.initial_capital
         if start_capital <= 0:
             raise NumericalError(f"capital exhausted before window {w}")

@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import sys
+from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ from fractalport.io import (
     write_prices_wide,
 )
 from fractalport.selection import SelectionConfig, build_generating_matrix, select_spreads
-from fractalport.spreads import PriceSeries, compute_returns
+from fractalport.spreads import PriceSeries, compute_returns, return_matrix
 from fractalport.synthetic import make_synthetic_universe
 
 __all__ = ["main"]
@@ -41,6 +42,18 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
+
+# Fields of each selected spread in ``select`` output, in ``Candidates.rows`` order.
+SELECT_KEYS = (
+    "long_symbol",
+    "short_symbol",
+    "chi",
+    "hurst",
+    "hurst_err",
+    "kelly_weight",
+    "mean_delta",
+    "theta",
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -58,8 +71,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_select = sub.add_parser("select", help="rank and select spreads on one window")
     p_select.add_argument("--prices", required=True, help="price CSV (long or wide)")
-    p_select.add_argument("--start", required=True, help="first date (ISO) of the window")
-    p_select.add_argument("--end", required=True, help="last date (ISO) of the window")
+    p_select.add_argument("--start", required=True, help="first date of the window, YYYY-MM-DD")
+    p_select.add_argument("--end", required=True, help="last date of the window, YYYY-MM-DD")
     p_select.add_argument("--horizon-days", type=int, default=126)
     p_select.add_argument("--hurst-cap", type=float, default=0.5)
     p_select.add_argument("--max-spreads", type=int, default=None)
@@ -132,16 +145,27 @@ def _read_column(path: str, column: str) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
+def _window_date(raw: str, flag: str) -> str:
+    """An ISO date option in the ``YYYY-MM-DD`` form the ingested dates use."""
+    try:
+        return date.fromisoformat(raw.strip()).isoformat()
+    except ValueError as exc:
+        raise ParameterError(f"{flag}: bad date {raw!r}: {exc}") from None
+
+
 def _cmd_select(args) -> int:
     cfg = SelectionConfig(
         horizon_days=args.horizon_days,
         hurst_cap=args.hurst_cap,
         max_spreads=args.max_spreads,
     )
+    start, end = _window_date(args.start, "--start"), _window_date(args.end, "--end")
+    if start > end:
+        raise ParameterError(f"--start {start} is after --end {end}")
     all_series = ingest_prices(args.prices)
     universe = []
     for p in all_series:
-        keep = [i for i, d in enumerate(p.dates) if args.start <= d <= args.end]
+        keep = [i for i, d in enumerate(p.dates) if start <= d <= end]
         if len(keep) < 2:
             continue
         window = PriceSeries(
@@ -151,29 +175,16 @@ def _cmd_select(args) -> int:
         )
         universe.append(compute_returns(window, entry_index=0))
     if len(universe) < 2:
-        raise DataError(
-            f"fewer than 2 symbols have data in [{args.start}, {args.end}]"
-        )
-    selected = select_spreads(build_generating_matrix(universe, cfg), cfg)
+        raise DataError(f"fewer than 2 symbols have data in [{start}, {end}]")
+    symbols = [r.symbol for r in universe]
+    sel = select_spreads(build_generating_matrix(return_matrix(universe), symbols, cfg), cfg)
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "start": args.start,
-        "end": args.end,
+        "start": start,
+        "end": end,
         "horizon_days": cfg.horizon_days,
         "hurst_cap": cfg.hurst_cap,
-        "spreads": [
-            {
-                "long_symbol": c.spread.long_symbol,
-                "short_symbol": c.spread.short_symbol,
-                "chi": c.spread.chi,
-                "hurst": c.hurst.h,
-                "hurst_err": c.hurst.h_err,
-                "kelly_weight": c.kelly_weight,
-                "mean_delta": c.spread.mean_delta,
-                "theta": c.spread.theta,
-            }
-            for c in selected
-        ],
+        "spreads": [dict(zip(SELECT_KEYS, row)) for row in sel.rows()],
     }
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.output:

@@ -16,12 +16,10 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from fractalport.errors import (
-    AlignmentError,
     EmptyPortfolioError,
     ParameterError,
     SingularMatrixError,
 )
-from fractalport.spreads import SpreadSeries
 
 __all__ = [
     "RescaledCovariance",
@@ -70,17 +68,11 @@ class PortfolioWeights:
         object.__setattr__(self, "asset_legs", dict(self.asset_legs))
 
 
-def covariance_matrix(spreads: Sequence[SpreadSeries]) -> np.ndarray:
-    """Sample covariance (divisor n) of the aligned daily spread returns."""
-    if len(spreads) < 1:
-        raise ParameterError("need at least one spread")
-    first = spreads[0]
-    for s in spreads[1:]:
-        if s.dates != first.dates:
-            raise AlignmentError(
-                f"spread {s.pair()} dates differ from {first.pair()}"
-            )
-    x = np.vstack([s.deltas for s in spreads])
+def covariance_matrix(deltas) -> np.ndarray:
+    """Sample covariance (divisor n) of daily spread returns, one spread per row."""
+    x = np.asarray(deltas, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] < 1:
+        raise ParameterError(f"need a (spreads x days) matrix, got shape {x.shape}")
     xc = x - x.mean(axis=1, keepdims=True)
     cov = (xc @ xc.T) / x.shape[1]
     return (cov + cov.T) / 2.0
@@ -183,7 +175,10 @@ def apply_leverage(raw: Sequence[float], leverage: float) -> PortfolioWeights:
 
 
 def compose_legs(
-    weights: PortfolioWeights, spreads: Sequence[SpreadSeries]
+    weights: PortfolioWeights,
+    long_symbols: Sequence[str],
+    short_symbols: Sequence[str],
+    chi: Sequence[float],
 ) -> dict[str, float]:
     """Per-symbol signed notional fractions from the spread weights.
 
@@ -191,12 +186,11 @@ def compose_legs(
     the 1:chi proportion with gross notional w: long leg +w/(1+chi), short
     leg -w*chi/(1+chi). Exposures of different spreads add per symbol.
     """
-    if weights.spread_weights.size != len(spreads):
-        raise ParameterError(
-            f"{weights.spread_weights.size} weights for {len(spreads)} spreads"
-        )
+    n = weights.spread_weights.size
+    if not n == len(long_symbols) == len(short_symbols) == len(chi):
+        raise ParameterError(f"{n} weights for legs and hedge ratios of other lengths")
     legs: dict[str, float] = {}
-    for w, s in zip(weights.spread_weights, spreads):
-        legs[s.long_symbol] = legs.get(s.long_symbol, 0.0) + w / (1.0 + s.chi)
-        legs[s.short_symbol] = legs.get(s.short_symbol, 0.0) - w * s.chi / (1.0 + s.chi)
+    for w, long, short, c in zip(weights.spread_weights, long_symbols, short_symbols, chi):
+        legs[long] = legs.get(long, 0.0) + w / (1.0 + c)
+        legs[short] = legs.get(short, 0.0) - w * c / (1.0 + c)
     return dict(sorted(legs.items()))

@@ -3,31 +3,26 @@
 Every unordered pair of universe assets yields (at most) one candidate:
 the spread is oriented so its mean daily return is positive, its Hurst
 exponent is estimated on the cumulative spread path, and the candidate is
-ranked by the horizon-adjusted Kelly weight. Selection then repeatedly
-takes the highest-ranked remaining candidate, keeps it only if the Hurst
-stability screen passes, and on acceptance retires both of its assets so
-every symbol appears in at most one selected spread.
+ranked by the horizon-adjusted Kelly weight. Candidates are held as one
+column table with a row per pair. Selection repeatedly takes the
+highest-ranked remaining candidate, keeps it only if the Hurst stability
+screen passes, and on acceptance retires both of its assets so every
+symbol appears in at most one selected spread.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, fields
+from typing import Optional
 
 import numpy as np
 
 from fractalport.errors import DegenerateVolatilityError, ParameterError
-from fractalport.fbm import HurstEstimate, fit_hurst
-from fractalport.spreads import (
-    ReturnSeries,
-    SpreadSeries,
-    hedge_ratios,
-    pair_spreads,
-    return_matrix,
-)
+from fractalport.fbm import fit_hurst
+from fractalport.spreads import hedge_ratios, pair_spreads
 
 __all__ = [
     "SelectionConfig",
-    "CandidateSpread",
+    "Candidates",
     "fractal_kelly_weight",
     "spread_path",
     "build_generating_matrix",
@@ -56,28 +51,69 @@ class SelectionConfig:
 
 
 @dataclass(frozen=True)
-class CandidateSpread:
-    spread: SpreadSeries
-    hurst: HurstEstimate
-    kelly_weight: float
+class Candidates:
+    """Candidate spreads of one window, one row per pair, as equal-length columns.
+
+    ``i``/``j`` index the legs in the (assets x days) return matrix and
+    ``hedge_chi`` is their hedge ratio as ``hedge_ratios`` returned it, so
+    ``pair_spreads(returns, i, j, hedge_chi)`` rebuilds the daily deltas.
+    ``long``/``short``/``chi`` are the oriented legs (indices into
+    ``symbols``) and hedge ratio; ``mean``/``theta`` are the mean and std of
+    the deltas, ``h``/``h_err`` the Hurst fit and ``kelly`` the weight.
+    """
+
+    symbols: tuple[str, ...]
+    i: np.ndarray
+    j: np.ndarray
+    long: np.ndarray
+    short: np.ndarray
+    hedge_chi: np.ndarray
+    chi: np.ndarray
+    mean: np.ndarray
+    theta: np.ndarray
+    h: np.ndarray
+    h_err: np.ndarray
+    kelly: np.ndarray
+
+    def __post_init__(self):
+        for f in fields(self)[1:]:
+            getattr(self, f.name).flags.writeable = False
+
+    def __len__(self) -> int:
+        return self.i.size
+
+    def rows(self) -> list[tuple]:
+        """Per row: long and short symbol, chi, h, h_err, kelly, mean, theta."""
+        legs = ([self.symbols[k] for k in c.tolist()] for c in (self.long, self.short))
+        columns = (self.chi, self.h, self.h_err, self.kelly, self.mean, self.theta)
+        return list(zip(*legs, *(c.tolist() for c in columns)))
+
+    def take(self, index) -> Candidates:
+        """The table of the rows at ``index``, in that order."""
+        return Candidates(
+            self.symbols, *(getattr(self, f.name)[index] for f in fields(self)[1:])
+        )
 
 
-def fractal_kelly_weight(mean_delta: float, theta: float, h: float, n_days: int) -> float:
+def fractal_kelly_weight(mean_delta, theta, h, n_days: int):
     """Growth-optimal weight over an N-day horizon with fractal volatility.
 
     mean_delta * N / (theta^2 * N^(2h)): the mean return accrues linearly
     with the horizon while the variance scales as N^(2h), so anti-persistent
     spreads (h < 0.5) gain weight as the horizon grows. At h = 0.5 this is
     the plain one-period Kelly ratio mean/theta^2 for any horizon.
+    Elementwise over arrays; scalars give a float.
     """
-    if not theta > 0.0:
+    mean_delta, theta, h = (np.asarray(v, dtype=np.float64) for v in (mean_delta, theta, h))
+    if not np.all(theta > 0.0):
         raise DegenerateVolatilityError(f"spread volatility must be positive, got {theta}")
-    if not 0.0 < h < 1.0:
+    if not np.all((0.0 < h) & (h < 1.0)):
         raise ParameterError(f"hurst exponent must lie in (0, 1), got {h}")
     if n_days < 1:
         raise ParameterError(f"horizon must be at least 1 day, got {n_days}")
     n = float(n_days)
-    return mean_delta * n / (theta * theta * n ** (2.0 * h))
+    weight = mean_delta * n / (theta * theta * n ** (2.0 * h))
+    return weight if weight.ndim else float(weight)
 
 
 def spread_path(deltas) -> np.ndarray:
@@ -91,24 +127,22 @@ def spread_path(deltas) -> np.ndarray:
     return path
 
 
-def build_generating_matrix(
-    universe: Sequence[ReturnSeries], cfg: SelectionConfig
-) -> list[CandidateSpread]:
-    """Candidates for every unordered asset pair of the universe.
+def build_generating_matrix(returns: np.ndarray, symbols, cfg: SelectionConfig) -> Candidates:
+    """Candidates for every unordered asset pair of the window.
 
-    Pairs run in ``itertools.combinations`` order, ``PAIR_BLOCK`` at a
-    time as rows of array operations. Pairs whose hedge ratio is
-    degenerate or non-positive are omitted, as are pairs whose spread is
-    too flat to size; spreads are oriented so the mean daily return is
-    non-negative.
+    ``returns`` is the window's (assets x days) matrix (``return_matrix``)
+    and ``symbols`` names its rows. Pairs run in ``itertools.combinations``
+    order, ``PAIR_BLOCK`` at a time as rows of array operations. Pairs
+    whose hedge ratio is degenerate or non-positive are omitted, as are
+    pairs with no usable Hurst fit or too flat to size; spreads are
+    oriented so the mean daily return is non-negative.
     """
-    if len(universe) < 2:
-        raise ParameterError(f"universe needs at least 2 assets, got {len(universe)}")
-    returns = return_matrix(universe)
-    symbols = [r.symbol for r in universe]
-    dates = universe[0].dates
-    first, second = np.triu_indices(len(universe), 1)
-    candidates: list[CandidateSpread] = []
+    n_assets = returns.shape[0]
+    if n_assets < 2:
+        raise ParameterError(f"universe needs at least 2 assets, got {n_assets}")
+    first, second = np.triu_indices(n_assets, 1)
+    # i, j, long, short are indices; the six columns after them are floats
+    blocks = [(first[:0],) * 4 + (np.empty(0),) * 6]
     for start in range(0, first.size, PAIR_BLOCK):
         i = first[start : start + PAIR_BLOCK]
         j = second[start : start + PAIR_BLOCK]
@@ -116,61 +150,42 @@ def build_generating_matrix(
         hedged = chi > 0.0  # NaN marks a degenerate hedge
         if not hedged.any():
             continue
-        rows = pair_spreads(returns, i[hedged], j[hedged], chi[hedged])
-        fit = fit_hurst(spread_path(rows.deltas))
-        columns = (rows.long, rows.short, rows.chi, rows.mean, rows.theta, *fit)
-        for k, (long, short, chi_k, mean, theta, h, h_err, n_scales, clamped) in enumerate(
-            zip(*(c.tolist() for c in columns))
-        ):
-            if n_scales < 3 or not theta > 0.0:
-                continue  # no Hurst fit, or a spread too flat to size
-            spread = SpreadSeries(
-                long_symbol=symbols[long],
-                short_symbol=symbols[short],
-                chi=chi_k,
-                deltas=rows.deltas[k],
-                mean_delta=mean,
-                theta=theta,
-                dates=dates,
-            )
-            hurst = HurstEstimate(h=h, h_err=h_err, n_scales=n_scales, clamped=clamped)
-            weight = fractal_kelly_weight(mean, theta, h, cfg.horizon_days)
-            candidates.append(CandidateSpread(spread=spread, hurst=hurst, kelly_weight=weight))
-    return candidates
+        i, j, chi = i[hedged], j[hedged], chi[hedged]
+        rows = pair_spreads(returns, i, j, chi)
+        h, h_err, n_scales, _ = fit_hurst(spread_path(rows.deltas))
+        keep = (n_scales >= 3) & (rows.theta > 0.0)  # a usable fit, sizable spread
+        columns = (i, j, rows.long, rows.short, chi, rows.chi, rows.mean, rows.theta, h, h_err)
+        blocks.append(tuple(c[keep] for c in columns))
+    columns = [np.concatenate(c) for c in zip(*blocks)]
+    mean, theta, h = columns[6:9]
+    kelly = fractal_kelly_weight(mean, theta, h, cfg.horizon_days)
+    return Candidates(tuple(symbols), *columns, kelly)
 
 
-def _accepts(c: CandidateSpread, cap: float) -> bool:
-    return (
-        c.hurst.h + c.hurst.h_err < cap
-        and c.hurst.h_err < c.hurst.h
-        and c.spread.mean_delta > 0.0
-    )
-
-
-def select_spreads(
-    candidates: Sequence[CandidateSpread], cfg: SelectionConfig
-) -> list[CandidateSpread]:
+def select_spreads(cands: Candidates, cfg: SelectionConfig) -> Candidates:
     """Greedy selection of disjoint spreads by descending Kelly weight.
 
     The top-weighted remaining candidate is accepted only if
-    h + h_err < hurst_cap and h_err < h; acceptance retires both of its
-    assets, rejection discards just that candidate. Ties in weight break
-    lexicographically on (long, short) symbols, so the result is
-    deterministic.
+    h + h_err < hurst_cap, h_err < h and its mean return is positive;
+    acceptance retires both of its assets, rejection discards just that
+    candidate. Ties in weight break lexicographically on the (long, short)
+    symbol strings, so the result is deterministic. A rejected row never
+    retires an asset, so the screen is applied to all rows up front.
     """
-    order = sorted(
-        candidates,
-        key=lambda c: (-c.kelly_weight, c.spread.long_symbol, c.spread.short_symbol),
+    rows = np.flatnonzero(
+        (cands.h + cands.h_err < cfg.hurst_cap) & (cands.h_err < cands.h) & (cands.mean > 0.0)
     )
-    used: set[str] = set()
-    picked: list[CandidateSpread] = []
-    for cand in order:
+    rank = np.empty(len(cands.symbols), dtype=np.intp)
+    rank[sorted(range(rank.size), key=cands.symbols.__getitem__)] = np.arange(rank.size)
+    long, short = cands.long[rows], cands.short[rows]
+    order = np.lexsort((rank[short], rank[long], -cands.kelly[rows]))
+    used: set[int] = set()
+    picked: list[int] = []
+    for row, a, b in zip(rows[order].tolist(), long[order].tolist(), short[order].tolist()):
         if cfg.max_spreads is not None and len(picked) >= cfg.max_spreads:
             break
-        if cand.spread.long_symbol in used or cand.spread.short_symbol in used:
+        if a in used or b in used:
             continue
-        if _accepts(cand, cfg.hurst_cap):
-            picked.append(cand)
-            used.add(cand.spread.long_symbol)
-            used.add(cand.spread.short_symbol)
-    return picked
+        picked.append(row)
+        used.update((a, b))
+    return cands.take(np.array(picked, dtype=np.intp))

@@ -24,7 +24,6 @@ from fractalport.errors import (
 __all__ = [
     "PriceSeries",
     "ReturnSeries",
-    "SpreadSeries",
     "SpreadRows",
     "compute_returns",
     "return_matrix",
@@ -96,30 +95,6 @@ class ReturnSeries:
 
     def __len__(self) -> int:
         return self.returns.size
-
-
-@dataclass(frozen=True)
-class SpreadSeries:
-    """Spread returns of a long/short pair: delta(t) = r_long - chi * r_short."""
-
-    long_symbol: str
-    short_symbol: str
-    chi: float
-    deltas: np.ndarray
-    mean_delta: float
-    theta: float
-    dates: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "dates", tuple(self.dates))
-        object.__setattr__(self, "deltas", _freeze(self.deltas))
-        if self.long_symbol == self.short_symbol:
-            raise ValidationError("spread legs must be distinct symbols")
-        if not self.chi > 0:
-            raise ValidationError(f"hedge ratio must be positive, got {self.chi}")
-
-    def pair(self) -> tuple[str, str]:
-        return (self.long_symbol, self.short_symbol)
 
 
 def compute_returns(p: PriceSeries, entry_index: int = 0) -> ReturnSeries:

@@ -5,13 +5,13 @@ criteria execute.
 """
 import json
 import time
-from datetime import date, timedelta
+from dataclasses import fields
 
 import numpy as np
 
 from fractalport.backtest import BacktestConfig, max_drawdown, run_walk_forward
 from fractalport.cli import main
-from fractalport.fbm import HurstEstimate, estimate_hurst, generate_fbm
+from fractalport.fbm import estimate_hurst, generate_fbm
 from fractalport.optimizer import (
     RIDGE_LAMBDA,
     apply_leverage,
@@ -19,12 +19,12 @@ from fractalport.optimizer import (
     solve_weights,
 )
 from fractalport.selection import (
-    CandidateSpread,
+    Candidates,
     SelectionConfig,
     fractal_kelly_weight,
     select_spreads,
 )
-from fractalport.spreads import PriceSeries, SpreadSeries
+from fractalport.spreads import PriceSeries
 
 
 def record(num, description, ok, detail=""):
@@ -80,39 +80,45 @@ def test_03_kelly_reduction_grid_search():
     record(3, "fractal Kelly at H=0.5 matches growth-curve grid search", ok, f"worst={worst:.4f}")
 
 
+# Columns of a candidate table after ``symbols``, in field order.
+COLUMNS = [f.name for f in fields(Candidates)][1:]
+
+
+def _table_rows(cands):
+    """Per-row tuples of every column, in ``COLUMNS`` order."""
+    return list(zip(*(getattr(cands, name).tolist() for name in COLUMNS)))
+
+
 def _random_candidates(rng, n_assets):
-    base = date(2022, 1, 1)
-    dts = tuple((base + timedelta(days=i)).isoformat() for i in range(40))
+    """Symbols, per-row tuples in ``COLUMNS`` order, and their table."""
     symbols = [f"S{i}" for i in range(n_assets)]
-    candidates = []
+    rows = []
     for i in range(n_assets):
         for j in range(i + 1, n_assets):
             if rng.uniform() < 0.25:
                 continue  # some pairs rejected upstream
             deltas = rng.normal(1e-4, 1e-3, 40)
-            spread = SpreadSeries(
-                long_symbol=symbols[i],
-                short_symbol=symbols[j],
-                chi=float(rng.uniform(0.5, 2.0)),
-                deltas=deltas,
-                mean_delta=float(rng.uniform(0.0, 2e-3)) + 1e-6,
-                theta=float(deltas.std()),
-                dates=dts,
-            )
+            chi = float(rng.uniform(0.5, 2.0))
+            mean = float(rng.uniform(0.0, 2e-3)) + 1e-6
+            theta = float(deltas.std())
             # discrete weight levels force ties to exercise tie-breaking
             kelly = float(rng.choice([1.0, 2.0, 3.0, rng.uniform(0, 10)]))
-            hurst = HurstEstimate(
-                h=float(rng.uniform(0.05, 0.65)),
-                h_err=float(rng.uniform(0.0, 0.2)),
-                n_scales=4,
-            )
-            candidates.append(CandidateSpread(spread=spread, hurst=hurst, kelly_weight=kelly))
-    return candidates
+            h = float(rng.uniform(0.05, 0.65))
+            h_err = float(rng.uniform(0.0, 0.2))
+            rows.append((i, j, i, j, chi, chi, mean, theta, h, h_err, kelly))
+    columns = [
+        np.array([r[k] for r in rows], dtype=np.intp if k < 4 else np.float64)
+        for k in range(len(COLUMNS))
+    ]
+    return symbols, rows, Candidates(tuple(symbols), *columns)
 
 
-def _brute_force_selection(candidates, cap, max_spreads=None):
+def _brute_force_selection(symbols, rows, cap, max_spreads=None):
     """Independent reimplementation: literal repeat-max scan with exclusion."""
-    remaining = list(candidates)
+    col = {name: k for k, name in enumerate(COLUMNS)}
+    long, short, kelly = col["long"], col["short"], col["kelly"]
+    h, h_err, mean = col["h"], col["h_err"], col["mean"]
+    remaining = list(rows)
     chosen = []
     while remaining:
         if max_spreads is not None and len(chosen) >= max_spreads:
@@ -122,25 +128,15 @@ def _brute_force_selection(candidates, cap, max_spreads=None):
             if best is None:
                 best = cand
                 continue
-            key_c = (cand.spread.long_symbol, cand.spread.short_symbol)
-            key_b = (best.spread.long_symbol, best.spread.short_symbol)
-            if cand.kelly_weight > best.kelly_weight or (
-                cand.kelly_weight == best.kelly_weight and key_c < key_b
-            ):
+            key_c = (symbols[cand[long]], symbols[cand[short]])
+            key_b = (symbols[best[long]], symbols[best[short]])
+            if cand[kelly] > best[kelly] or (cand[kelly] == best[kelly] and key_c < key_b):
                 best = cand
-        passes = (
-            best.hurst.h + best.hurst.h_err < cap
-            and best.hurst.h_err < best.hurst.h
-            and best.spread.mean_delta > 0.0
-        )
+        passes = best[h] + best[h_err] < cap and best[h_err] < best[h] and best[mean] > 0.0
         if passes:
             chosen.append(best)
-            used = {best.spread.long_symbol, best.spread.short_symbol}
-            remaining = [
-                c
-                for c in remaining
-                if not ({c.spread.long_symbol, c.spread.short_symbol} & used)
-            ]
+            used = {best[long], best[short]}
+            remaining = [c for c in remaining if not ({c[long], c[short]} & used)]
         else:
             remaining.remove(best)
     return chosen
@@ -152,10 +148,10 @@ def test_04_greedy_selection_matches_brute_force():
     mismatches = 0
     for trial in range(200):
         n_assets = int(rng.integers(2, 6))
-        candidates = _random_candidates(rng, n_assets)
+        symbols, rows, candidates = _random_candidates(rng, n_assets)
         got = select_spreads(candidates, cfg)
-        expected = _brute_force_selection(candidates, cfg.hurst_cap)
-        if [id(c) for c in got] != [id(c) for c in expected]:
+        expected = _brute_force_selection(symbols, rows, cfg.hurst_cap)
+        if _table_rows(got) != expected:
             mismatches += 1
     record(4, "greedy selection equals brute-force five-step oracle (200 trials)",
            mismatches == 0, f"mismatches={mismatches}")

@@ -169,6 +169,24 @@ class TestCmdSelect:
         ]
         assert main(args) == 3
 
+    @pytest.mark.parametrize(
+        "start,end",
+        [
+            ("2015-01-02", "2015-6-30"),
+            ("2015-1-2", "2015-06-30"),
+            ("2015-01-02", "2015-06-31"),
+            ("yesterday", "2015-06-30"),
+            ("2015-06-30", "2015-01-02"),
+        ],
+        ids=["unpadded_end", "unpadded_start", "no_such_day", "not_a_date", "reversed"],
+    )
+    def test_bad_window_exits_2(self, fixture_csv, capsys, start, end):
+        args = ["select", "--prices", str(fixture_csv), "--start", start, "--end", end]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error:")
+        assert captured.out == ""
+
     def test_bad_hurst_cap_exits_2(self, fixture_csv):
         args = [
             "select", "--prices", str(fixture_csv),

@@ -1,12 +1,9 @@
 """Covariance rescaling, weight solving, leverage and leg decomposition."""
-from datetime import date, timedelta
-
 import mpmath
 import numpy as np
 import pytest
 
 from fractalport.errors import (
-    AlignmentError,
     EmptyPortfolioError,
     ParameterError,
     SingularMatrixError,
@@ -20,39 +17,18 @@ from fractalport.optimizer import (
     rescale_covariance,
     solve_weights,
 )
-from fractalport.spreads import SpreadSeries
-
-
-def dates(n, start=0):
-    base = date(2021, 1, 1)
-    return tuple((base + timedelta(days=start + i)).isoformat() for i in range(n))
-
-
-def make_spread(long_sym, short_sym, deltas, chi=1.0, start=0):
-    deltas = np.asarray(deltas, dtype=np.float64)
-    return SpreadSeries(
-        long_symbol=long_sym,
-        short_symbol=short_sym,
-        chi=chi,
-        deltas=deltas,
-        mean_delta=float(deltas.mean()),
-        theta=float(deltas.std()),
-        dates=dates(deltas.size, start),
-    )
-
-
 class TestCovarianceMatrix:
     def test_single_spread_variance(self):
         rng = np.random.default_rng(0)
         d = 0.01 * rng.standard_normal(300)
-        c = covariance_matrix([make_spread("A", "B", d)])
+        c = covariance_matrix(d[None, :])
         assert c.shape == (1, 1)
         assert c[0, 0] == pytest.approx(np.var(d), rel=1e-12)
 
     def test_identical_spreads_rank_one(self):
         rng = np.random.default_rng(1)
         d = 0.01 * rng.standard_normal(300)
-        c = covariance_matrix([make_spread("A", "B", d), make_spread("C", "D", d)])
+        c = covariance_matrix(np.vstack([d, d]))
         assert c[0, 1] == pytest.approx(c[0, 0], rel=1e-12)
         assert c[1, 0] == pytest.approx(c[0, 0], rel=1e-12)
 
@@ -61,24 +37,25 @@ class TestCovarianceMatrix:
         rng = np.random.default_rng(2)
         v = 1e-4  # daily variance of each spread
         c = covariance_matrix(
-            [
-                make_spread("A", "B", np.sqrt(v) * rng.standard_normal(n)),
-                make_spread("C", "D", np.sqrt(v) * rng.standard_normal(n)),
-            ]
+            np.vstack(
+                [
+                    np.sqrt(v) * rng.standard_normal(n),
+                    np.sqrt(v) * rng.standard_normal(n),
+                ]
+            )
         )
         assert abs(c[0, 1]) < 3.0 * v / np.sqrt(n)
 
-    def test_misaligned_dates_rejected(self):
-        a = make_spread("A", "B", np.full(50, 0.01))
-        b = make_spread("C", "D", np.full(50, 0.01), start=1)
-        with pytest.raises(AlignmentError):
-            covariance_matrix([a, b])
-
     def test_symmetric(self):
         rng = np.random.default_rng(3)
-        spreads = [make_spread(f"L{i}", f"S{i}", 0.01 * rng.standard_normal(200)) for i in range(4)]
-        c = covariance_matrix(spreads)
+        c = covariance_matrix(0.01 * rng.standard_normal((4, 200)))
         np.testing.assert_array_equal(c, c.T)
+
+
+    def test_needs_spread_matrix(self):
+        for bad in (np.zeros((0, 50)), np.zeros(50)):
+            with pytest.raises(ParameterError):
+                covariance_matrix(bad)
 
 
 class TestRescaleCovariance:
@@ -157,7 +134,7 @@ class TestSolveWeights:
         # the always-on ridge keeps duplicated spreads solvable: the
         # duplicated pair shares the weight instead of blowing up
         d = 0.01 * np.random.default_rng(6).standard_normal(100)
-        c = covariance_matrix([make_spread("A", "B", d), make_spread("C", "D", d)])
+        c = covariance_matrix(np.vstack([d, d]))
         cr = rescale_covariance(c, [0.5] * 2, 126)
         w = solve_weights(cr, [1e-3, 1e-3], 126)
         assert np.all(np.isfinite(w))
@@ -211,43 +188,34 @@ class TestApplyLeverage:
 class TestComposeLegs:
     def test_equal_notional_pair(self):
         pw = apply_leverage([1.0], 1.0)
-        legs = compose_legs(pw, [make_spread("A", "B", np.full(40, 1e-3), chi=1.0)])
+        legs = compose_legs(pw, ["A"], ["B"], [1.0])
         assert legs["A"] == pytest.approx(0.5)
         assert legs["B"] == pytest.approx(-0.5)
 
     def test_one_to_chi_ratio(self):
         pw = apply_leverage([2.0], 2.0)
-        legs = compose_legs(pw, [make_spread("A", "B", np.full(40, 1e-3), chi=3.0)])
+        legs = compose_legs(pw, ["A"], ["B"], [3.0])
         assert legs["A"] == pytest.approx(0.5)
         assert legs["B"] == pytest.approx(-1.5)
 
     def test_disjoint_union(self):
         pw = apply_leverage([1.0, 1.0], 2.0)
-        legs = compose_legs(
-            pw,
-            [
-                make_spread("A", "B", np.full(40, 1e-3), chi=1.0),
-                make_spread("C", "D", np.full(40, 1e-3), chi=2.0),
-            ],
-        )
+        legs = compose_legs(pw, ["A", "C"], ["B", "D"], [1.0, 2.0])
         assert set(legs) == {"A", "B", "C", "D"}
         assert legs["C"] == pytest.approx(1.0 / 3.0)
         assert legs["D"] == pytest.approx(-2.0 / 3.0)
 
     def test_gross_notional_equals_leverage(self):
         rng = np.random.default_rng(8)
-        spreads = [
-            make_spread(f"L{i}", f"S{i}", 0.01 * rng.standard_normal(40), chi=float(rng.uniform(0.5, 3)))
-            for i in range(4)
-        ]
+        chi = rng.uniform(0.5, 3, 4)
         pw = apply_leverage(rng.uniform(0.1, 2, 4), 2.0)
-        legs = compose_legs(pw, spreads)
+        legs = compose_legs(pw, [f"L{i}" for i in range(4)], [f"S{i}" for i in range(4)], chi)
         assert sum(abs(v) for v in legs.values()) == pytest.approx(2.0, rel=1e-12)
 
     def test_weight_count_checked(self):
         pw = apply_leverage([1.0, 1.0], 2.0)
         with pytest.raises(ParameterError):
-            compose_legs(pw, [make_spread("A", "B", np.full(40, 1e-3))])
+            compose_legs(pw, ["A"], ["B"], [1.0])
 
 
 def test_portfolio_weights_immutable():

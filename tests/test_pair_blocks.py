@@ -6,6 +6,7 @@ least squares through BLAS dot products) and Kelly weight, pair by pair
 in ``itertools.combinations`` order. It lives only here.
 """
 import itertools
+from dataclasses import fields
 from datetime import date, timedelta
 
 import numpy as np
@@ -13,15 +14,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fractalport.backtest import BacktestConfig, _optimize_window
 from fractalport.errors import AlignmentError, InsufficientDataError
 from fractalport.fbm import MIN_HURST_LENGTH, cover_amplitudes, window_ladder
+from fractalport.optimizer import (
+    apply_leverage,
+    compose_legs,
+    covariance_matrix,
+    rescale_covariance,
+    solve_weights,
+)
 from fractalport.selection import (
     PAIR_BLOCK,
     SelectionConfig,
     build_generating_matrix,
     fractal_kelly_weight,
+    select_spreads,
 )
-from fractalport.spreads import HEDGE_VARIANCE_EPS, MIN_HEDGE_LENGTH, ReturnSeries
+from fractalport.spreads import (
+    HEDGE_VARIANCE_EPS,
+    MIN_HEDGE_LENGTH,
+    ReturnSeries,
+    pair_spreads,
+    return_matrix,
+)
 
 
 def dates(n, start=0):
@@ -34,6 +50,16 @@ def make_universe(returns, start=0):
         ReturnSeries(symbol=f"S{k}", entry_price=100.0, returns=row, dates=dates(row.size, start))
         for k, row in enumerate(np.asarray(returns, dtype=np.float64))
     ]
+
+
+def build(universe, cfg):
+    """The engine on a universe of return series, as its callers run it."""
+    returns = return_matrix(universe)
+    return returns, build_generating_matrix(returns, [r.symbol for r in universe], cfg)
+
+
+def pairs(cands):
+    return [(cands.symbols[a], cands.symbols[b]) for a, b in zip(cands.long, cands.short)]
 
 
 def reference_hurst(x):
@@ -111,24 +137,35 @@ class TestMatchesPerPairReference:
         returns[6] = returns[5] + 1.0 / 256.0
         universe = make_universe(returns)
         cfg = SelectionConfig()
-        got = build_generating_matrix(universe, cfg)
+        matrix, got = build(universe, cfg)
         want = reference_candidates(universe, cfg)
         if n_assets == 30:
             assert n_assets * (n_assets - 1) // 2 > PAIR_BLOCK
-        assert all(c.spread.pair() != ("S0", "S1") for c in got)
-        assert all({"S3"} & set(c.spread.pair()) == set() for c in got)
-        assert all(set(c.spread.pair()) not in ({"S2", "S4"}, {"S5", "S6"}) for c in got)
+        got_pairs = pairs(got)
+        assert ("S0", "S1") not in got_pairs
+        assert all("S3" not in pair for pair in got_pairs)
+        assert all(set(pair) not in ({"S2", "S4"}, {"S5", "S6"}) for pair in got_pairs)
         assert len(got) == len(want) > 0
-        for c, (long, short, chi, deltas, mean, theta, h, h_err, kelly) in zip(got, want):
-            assert c.spread.pair() == (long, short)
-            assert c.spread.chi == chi
-            np.testing.assert_array_equal(c.spread.deltas, deltas)
-            assert c.spread.mean_delta == mean
-            assert c.spread.theta == theta
-            assert c.hurst.h == pytest.approx(h, rel=1e-12)
-            assert c.hurst.h_err == pytest.approx(h_err, rel=1e-12)
-            assert c.kelly_weight == pytest.approx(kelly, rel=1e-12)
-            assert not c.spread.deltas.flags.writeable
+        assert not any(getattr(got, f.name).flags.writeable for f in fields(got)[1:])
+        deltas = pair_spreads(matrix, got.i, got.j, got.hedge_chi).deltas
+        for k, (long, short, chi, ref_deltas, mean, theta, h, h_err, kelly) in enumerate(want):
+            assert got_pairs[k] == (long, short)
+            assert got.chi[k] == chi
+            np.testing.assert_array_equal(deltas[k], ref_deltas)
+            assert got.mean[k] == mean
+            assert got.theta[k] == theta
+            assert got.h[k] == pytest.approx(h, rel=1e-12)
+            assert got.h_err[k] == pytest.approx(h_err, rel=1e-12)
+            assert got.kelly[k] == pytest.approx(kelly, rel=1e-12)
+        # the optimizer rebuilds only the selected rows' deltas: the same
+        # bits, for the selection and for any other subset of the rows
+        ref_deltas = {(long, short): d for long, short, _, d, *_ in want}
+        scattered = got.take(np.arange(len(got))[::-3])
+        assert len(scattered) > 0
+        for subset in (select_spreads(got, cfg), scattered):
+            recomputed = pair_spreads(matrix, subset.i, subset.j, subset.hedge_chi).deltas
+            for pair, row in zip(pairs(subset), recomputed):
+                np.testing.assert_array_equal(row, ref_deltas[pair])
 
     @pytest.mark.parametrize(
         "n_days,start_of_last,error",
@@ -145,20 +182,48 @@ class TestMatchesPerPairReference:
         with pytest.raises(error):
             reference_candidates(universe, SelectionConfig())
         with pytest.raises(error):
-            build_generating_matrix(universe, SelectionConfig())
+            build(universe, SelectionConfig())
 
     def test_all_pairs_dropped_is_not_an_error(self):
         # a short path raises only once some pair survives the hedge
         base = 0.01 * np.random.default_rng(8).standard_normal(40)
         universe = make_universe([base, -base])
         assert reference_candidates(universe, SelectionConfig()) == []
-        assert build_generating_matrix(universe, SelectionConfig()) == []
+        assert len(build(universe, SelectionConfig())[1]) == 0
 
 
-def candidate_bits(c):
-    s, hu = c.spread, c.hurst
-    return (s.pair(), s.chi, s.deltas.tobytes(), s.mean_delta, s.theta, s.dates,
-            hu.h, hu.h_err, hu.n_scales, hu.clamped, c.kelly_weight)
+def test_window_optimizer_on_reference_deltas():
+    # the training-window optimizer rebuilds the selected spreads from the
+    # table; its weights and legs must be those of the reference deltas
+    universe = make_universe(random_returns(np.random.default_rng(1), 12, 200))
+    cfg = BacktestConfig(test_days=126, benchmark_symbol="MKT")
+    symbols = [r.symbol for r in universe]
+    weights, info, legs = _optimize_window(return_matrix(universe), symbols, cfg)
+    assert len(info) > 1
+    want = {(c[0], c[1]): c for c in reference_candidates(universe, SelectionConfig(126))}
+    rows = [want[(s.long_symbol, s.short_symbol)] for s in info]
+    for s, (_, _, chi, _, mean, theta, h, h_err, _) in zip(info, rows):
+        assert (s.chi, s.mean_delta, s.theta) == (chi, mean, theta)
+    cov = covariance_matrix(np.vstack([r[3] for r in rows]))
+    cr = rescale_covariance(cov, [s.hurst for s in info], cfg.test_days)
+    mean = [s.mean_delta for s in info]
+    labels = [f"{r[0]}/{r[1]}" for r in rows]
+    expected = apply_leverage(solve_weights(cr, mean, cfg.test_days, labels), cfg.leverage)
+    np.testing.assert_array_equal(weights.spread_weights, expected.spread_weights)
+    long, short, chi = ([r[k] for r in rows] for k in range(3))
+    assert legs == compose_legs(expected, long, short, chi)
+
+
+def candidate_bits(matrix, cands):
+    """Per row: symbols, every float column and the rebuilt deltas' bytes."""
+    deltas = pair_spreads(matrix, cands.i, cands.j, cands.hedge_chi).deltas
+    floats = (
+        cands.hedge_chi, cands.chi, cands.mean, cands.theta, cands.h, cands.h_err, cands.kelly
+    )
+    return [
+        (pair, *values, row.tobytes())
+        for pair, *values, row in zip(pairs(cands), *(c.tolist() for c in floats), deltas)
+    ]
 
 
 @st.composite
@@ -182,16 +247,17 @@ def universes(draw):
 @given(universes())
 def test_rows_independent_and_oriented(universe):
     cfg = SelectionConfig()
-    got = {c.spread.pair(): c for c in build_generating_matrix(universe, cfg)}
+    matrix, got = build(universe, cfg)
+    bits = candidate_bits(matrix, got)
     by_symbol = {r.symbol: r for r in universe}
     for ri, rj in itertools.combinations(universe, 2):
-        alone = build_generating_matrix([ri, rj], cfg)
-        in_block = [c for key, c in got.items() if set(key) == {ri.symbol, rj.symbol}]
-        assert [candidate_bits(c) for c in alone] == [candidate_bits(c) for c in in_block]
-    for c in got.values():
-        s = c.spread
-        assert s.chi > 0.0
-        assert s.mean_delta >= 0.0
-        r_long, r_short = by_symbol[s.long_symbol].returns, by_symbol[s.short_symbol].returns
-        scale = np.abs(r_long) + s.chi * np.abs(r_short)
-        assert np.all(np.abs(s.deltas - (r_long - s.chi * r_short)) <= 1e-14 * scale)
+        alone = candidate_bits(*build([ri, rj], cfg))
+        in_block = [b for b in bits if set(b[0]) == {ri.symbol, rj.symbol}]
+        assert alone == in_block
+    assert np.all(got.chi > 0.0)
+    assert np.all(got.mean >= 0.0)
+    deltas = pair_spreads(matrix, got.i, got.j, got.hedge_chi).deltas
+    for (long, short), chi, row in zip(pairs(got), got.chi, deltas):
+        r_long, r_short = by_symbol[long].returns, by_symbol[short].returns
+        scale = np.abs(r_long) + chi * np.abs(r_short)
+        assert np.all(np.abs(row - (r_long - chi * r_short)) <= 1e-14 * scale)

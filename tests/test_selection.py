@@ -6,16 +6,15 @@ import numpy as np
 import pytest
 
 from fractalport.errors import DegenerateVolatilityError, ParameterError
-from fractalport.fbm import HurstEstimate
 from fractalport.selection import (
-    CandidateSpread,
+    Candidates,
     SelectionConfig,
     build_generating_matrix,
     fractal_kelly_weight,
     select_spreads,
     spread_path,
 )
-from fractalport.spreads import ReturnSeries, SpreadSeries
+from fractalport.spreads import ReturnSeries, return_matrix
 
 
 def dates(n):
@@ -28,20 +27,40 @@ def make_returns(symbol, values):
     return ReturnSeries(symbol=symbol, entry_price=100.0, returns=values, dates=dates(values.size))
 
 
-def make_candidate(long_sym, short_sym, kelly, h, h_err, mean_delta=0.001):
-    deltas = np.full(80, mean_delta)
-    deltas[::2] += 0.0005  # non-degenerate theta
-    spread = SpreadSeries(
-        long_symbol=long_sym,
-        short_symbol=short_sym,
-        chi=1.0,
-        deltas=deltas,
-        mean_delta=mean_delta,
-        theta=float(np.std(deltas)),
-        dates=dates(80),
+def make_candidates(rows, symbols=None):
+    """A candidate table from (long, short, kelly, h, h_err[, mean]) rows.
+
+    Every row has chi 1 and theta 0.0005, and mean 0.001 unless given.
+    ``symbols`` defaults to the symbols in order of first appearance.
+    """
+    if symbols is None:
+        symbols = tuple(dict.fromkeys(sym for r in rows for sym in r[:2]))
+    index = {sym: k for k, sym in enumerate(symbols)}
+    long = np.array([index[r[0]] for r in rows], dtype=np.intp)
+    short = np.array([index[r[1]] for r in rows], dtype=np.intp)
+    n = len(rows)
+    return Candidates(
+        symbols=tuple(symbols),
+        i=long,
+        j=short,
+        long=long,
+        short=short,
+        hedge_chi=np.ones(n),
+        chi=np.ones(n),
+        mean=np.array([r[5] if len(r) > 5 else 0.001 for r in rows], dtype=np.float64),
+        theta=np.full(n, 0.0005),
+        h=np.array([r[3] for r in rows], dtype=np.float64),
+        h_err=np.array([r[4] for r in rows], dtype=np.float64),
+        kelly=np.array([r[2] for r in rows], dtype=np.float64),
     )
-    hurst = HurstEstimate(h=h, h_err=h_err, n_scales=5)
-    return CandidateSpread(spread=spread, hurst=hurst, kelly_weight=kelly)
+
+
+def pairs(cands):
+    return [(cands.symbols[a], cands.symbols[b]) for a, b in zip(cands.long, cands.short)]
+
+
+def build(universe, cfg):
+    return build_generating_matrix(return_matrix(universe), [r.symbol for r in universe], cfg)
 
 
 class TestFractalKellyWeight:
@@ -90,136 +109,166 @@ class TestBuildGeneratingMatrix:
         return out
 
     def test_two_assets_at_most_one_candidate(self):
-        cands = build_generating_matrix(self._universe(2), SelectionConfig())
+        cands = build(self._universe(2), SelectionConfig())
         assert len(cands) <= 1
 
     def test_pair_count_upper_bound(self):
         # universe of 25 funds -> C(25,2) = 300 possible pairs
-        cands = build_generating_matrix(self._universe(25), SelectionConfig())
+        cands = build(self._universe(25), SelectionConfig())
         assert len(cands) <= 300
 
     def test_orientation_positive_mean(self):
-        cands = build_generating_matrix(self._universe(6, seed=3), SelectionConfig())
+        cands = build(self._universe(6, seed=3), SelectionConfig())
         assert cands, "expected at least one candidate"
-        assert all(c.spread.mean_delta >= 0.0 for c in cands)
+        assert np.all(cands.mean >= 0.0)
 
     def test_weight_consistent_with_components(self):
         cfg = SelectionConfig(horizon_days=126)
-        for c in build_generating_matrix(self._universe(5, seed=4), cfg):
-            expected = fractal_kelly_weight(
-                c.spread.mean_delta, c.spread.theta, c.hurst.h, cfg.horizon_days
-            )
-            assert c.kelly_weight == pytest.approx(expected, rel=1e-12)
+        cands = build(self._universe(5, seed=4), cfg)
+        assert len(cands)
+        for mean, theta, h, kelly in zip(cands.mean, cands.theta, cands.h, cands.kelly):
+            expected = fractal_kelly_weight(float(mean), float(theta), float(h), cfg.horizon_days)
+            assert kelly == pytest.approx(expected, rel=1e-12)
 
     def test_universe_too_small(self):
         with pytest.raises(ParameterError):
-            build_generating_matrix(self._universe(1), SelectionConfig())
+            build(self._universe(1), SelectionConfig())
 
     def test_degenerate_pairs_omitted(self):
         flat = make_returns("FLAT", np.zeros(200))
         universe = self._universe(3, seed=5) + [flat]
-        cands = build_generating_matrix(universe, SelectionConfig())
-        assert all("FLAT" not in (c.spread.long_symbol, c.spread.short_symbol) for c in cands)
+        cands = build(universe, SelectionConfig())
+        assert all("FLAT" not in pair for pair in pairs(cands))
 
     def test_spread_path_prepends_zero(self):
-        s = make_candidate("A", "B", 1.0, 0.3, 0.05).spread
-        path = spread_path(s.deltas)
+        deltas = np.full(80, 0.001)
+        deltas[::2] += 0.0005
+        path = spread_path(deltas)
         assert path[0] == 0.0
-        assert path.size == s.deltas.size + 1
-        np.testing.assert_allclose(np.diff(path), s.deltas, rtol=1e-15)
+        assert path.size == deltas.size + 1
+        np.testing.assert_allclose(np.diff(path), deltas, rtol=1e-15)
 
 
 class TestSelectSpreads:
     def test_single_candidate_accepted(self):
-        cands = [make_candidate("A", "B", 5.0, h=0.3, h_err=0.1)]
+        cands = make_candidates([("A", "B", 5.0, 0.3, 0.1)])
         assert len(select_spreads(cands, SelectionConfig())) == 1
 
+    def test_empty_table(self):
+        cands = make_candidates([], symbols=("A", "B"))
+        picked = select_spreads(cands, SelectionConfig())
+        assert len(picked) == 0 and picked.symbols == ("A", "B")
+
     def test_single_candidate_rejected_cap(self):
-        cands = [make_candidate("A", "B", 5.0, h=0.45, h_err=0.1)]
-        assert select_spreads(cands, SelectionConfig()) == []
+        cands = make_candidates([("A", "B", 5.0, 0.45, 0.1)])
+        assert len(select_spreads(cands, SelectionConfig())) == 0
 
     def test_error_must_be_below_h(self):
-        cands = [make_candidate("A", "B", 5.0, h=0.1, h_err=0.2)]  # 0.3 < 0.5 but err > h
-        assert select_spreads(cands, SelectionConfig()) == []
+        cands = make_candidates([("A", "B", 5.0, 0.1, 0.2)])  # 0.3 < 0.5 but err > h
+        assert len(select_spreads(cands, SelectionConfig())) == 0
+
+    def test_mean_must_be_positive(self):
+        cands = make_candidates([("A", "B", 0.0, 0.3, 0.05, 0.0), ("A", "C", 0.0, 0.3, 0.05)])
+        assert pairs(select_spreads(cands, SelectionConfig())) == [("A", "C")]
 
     def test_asset_exclusion(self):
-        cands = [
-            make_candidate("A", "B", 9.0, h=0.3, h_err=0.05),
-            make_candidate("A", "C", 8.0, h=0.3, h_err=0.05),
-            make_candidate("C", "D", 7.0, h=0.3, h_err=0.05),
-        ]
+        cands = make_candidates(
+            [
+                ("A", "B", 9.0, 0.3, 0.05),
+                ("A", "C", 8.0, 0.3, 0.05),
+                ("C", "D", 7.0, 0.3, 0.05),
+            ]
+        )
         picked = select_spreads(cands, SelectionConfig())
-        assert [(c.spread.long_symbol, c.spread.short_symbol) for c in picked] == [
-            ("A", "B"),
-            ("C", "D"),
-        ]
+        assert pairs(picked) == [("A", "B"), ("C", "D")]
 
     def test_rejection_does_not_block(self):
         # top-weight candidate fails the screen; next one still considered
-        cands = [
-            make_candidate("A", "B", 9.0, h=0.6, h_err=0.05),
-            make_candidate("A", "C", 8.0, h=0.3, h_err=0.05),
-        ]
+        cands = make_candidates(
+            [
+                ("A", "B", 9.0, 0.6, 0.05),
+                ("A", "C", 8.0, 0.3, 0.05),
+            ]
+        )
         picked = select_spreads(cands, SelectionConfig())
-        assert [(c.spread.long_symbol, c.spread.short_symbol) for c in picked] == [("A", "C")]
+        assert pairs(picked) == [("A", "C")]
 
     def test_acceptance_order_by_weight(self):
-        cands = [
-            make_candidate("A", "B", 1.0, h=0.3, h_err=0.05),
-            make_candidate("C", "D", 3.0, h=0.3, h_err=0.05),
-            make_candidate("E", "F", 2.0, h=0.3, h_err=0.05),
-        ]
+        cands = make_candidates(
+            [
+                ("A", "B", 1.0, 0.3, 0.05),
+                ("C", "D", 3.0, 0.3, 0.05),
+                ("E", "F", 2.0, 0.3, 0.05),
+            ]
+        )
         picked = select_spreads(cands, SelectionConfig())
-        assert [c.kelly_weight for c in picked] == [3.0, 2.0, 1.0]
+        assert picked.kelly.tolist() == [3.0, 2.0, 1.0]
 
     def test_tie_break_lexicographic(self):
-        cands = [
-            make_candidate("X", "Y", 2.0, h=0.3, h_err=0.05),
-            make_candidate("A", "B", 2.0, h=0.3, h_err=0.05),
-        ]
+        cands = make_candidates(
+            [
+                ("X", "Y", 2.0, 0.3, 0.05),
+                ("A", "B", 2.0, 0.3, 0.05),
+            ]
+        )
         picked = select_spreads(cands, SelectionConfig())
-        assert picked[0].spread.long_symbol == "A"
+        assert pairs(picked)[0][0] == "A"
+        # universe order is not symbol order: ties follow the symbols,
+        # first on the long leg, then on the short leg
+        cands = make_candidates(
+            [
+                ("Z", "A", 2.0, 0.3, 0.05),
+                ("M", "B", 2.0, 0.3, 0.05),
+                ("M", "A", 2.0, 0.3, 0.05),
+                ("B", "Z", 2.0, 0.3, 0.05),
+            ],
+            symbols=("Z", "A", "M", "B"),
+        )
+        picked = select_spreads(cands, SelectionConfig())
+        assert pairs(picked) == [("B", "Z"), ("M", "A")]
+        picked = select_spreads(cands.take([0, 1, 2]), SelectionConfig())
+        assert pairs(picked) == [("M", "A")]
 
     def test_max_spreads_cap(self):
-        cands = [
-            make_candidate("A", "B", 3.0, h=0.3, h_err=0.05),
-            make_candidate("C", "D", 2.0, h=0.3, h_err=0.05),
-        ]
+        cands = make_candidates(
+            [
+                ("A", "B", 3.0, 0.3, 0.05),
+                ("C", "D", 2.0, 0.3, 0.05),
+            ]
+        )
         picked = select_spreads(cands, SelectionConfig(max_spreads=1))
         assert len(picked) == 1
 
     def test_disjoint_symbols_property(self):
         rng = np.random.default_rng(0)
         symbols = [f"S{i}" for i in range(8)]
-        cands = []
+        rows = []
         for i in range(len(symbols)):
             for j in range(i + 1, len(symbols)):
-                cands.append(
-                    make_candidate(
+                rows.append(
+                    (
                         symbols[i],
                         symbols[j],
                         float(rng.uniform(0, 10)),
-                        h=float(rng.uniform(0.1, 0.6)),
-                        h_err=float(rng.uniform(0.01, 0.15)),
+                        float(rng.uniform(0.1, 0.6)),
+                        float(rng.uniform(0.01, 0.15)),
                     )
                 )
-        picked = select_spreads(cands, SelectionConfig())
-        seen = [s for c in picked for s in (c.spread.long_symbol, c.spread.short_symbol)]
+        picked = select_spreads(make_candidates(rows), SelectionConfig())
+        seen = [s for pair in pairs(picked) for s in pair]
         assert len(seen) == len(set(seen))
-        for c in picked:
-            assert c.hurst.h + c.hurst.h_err < 0.5
-            assert c.hurst.h_err < c.hurst.h
-            assert c.spread.mean_delta > 0
+        assert np.all(picked.h + picked.h_err < 0.5)
+        assert np.all(picked.h_err < picked.h)
+        assert np.all(picked.mean > 0)
 
     def test_deterministic(self):
         rng = np.random.default_rng(1)
-        cands = [
-            make_candidate(f"A{i}", f"B{i}", float(rng.uniform(0, 5)), 0.3, 0.05)
-            for i in range(6)
-        ]
+        cands = make_candidates(
+            [(f"A{i}", f"B{i}", float(rng.uniform(0, 5)), 0.3, 0.05) for i in range(6)]
+        )
         a = select_spreads(cands, SelectionConfig())
-        b = select_spreads(list(reversed(cands)), SelectionConfig())
-        assert [c.spread.pair() for c in a] == [c.spread.pair() for c in b]
+        b = select_spreads(cands.take(np.arange(len(cands))[::-1]), SelectionConfig())
+        assert pairs(a) == pairs(b)
 
     def test_hurst_cap_validated(self):
         with pytest.raises(ParameterError):
