@@ -59,12 +59,11 @@ from fractalport.selection import (
 )
 from fractalport.spreads import (
     PriceSeries,
-    ReturnSeries,
     SpreadRows,
-    compute_returns,
     hedge_ratios,
     pair_spreads,
-    return_matrix,
+    price_matrix,
+    window_returns,
 )
 from fractalport.synthetic import SyntheticUniverse, make_synthetic_universe
 

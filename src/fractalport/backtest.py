@@ -32,7 +32,7 @@ from fractalport.optimizer import (
     solve_weights,
 )
 from fractalport.selection import SelectionConfig, build_generating_matrix, select_spreads
-from fractalport.spreads import PriceSeries, compute_returns, pair_spreads, return_matrix
+from fractalport.spreads import PriceSeries, pair_spreads, price_matrix, window_returns
 
 __all__ = [
     "TRADING_DAYS_PER_YEAR",
@@ -260,12 +260,10 @@ def run_walk_forward(
             f"insufficient history: {len(dates)} common dates, "
             f"need at least {need} (train {cfg.train_days} + test {cfg.test_days})"
         )
-    aligned: dict[str, np.ndarray] = {}
-    for p in list(prices) + [benchmark]:
-        lookup = {d: i for i, d in enumerate(p.dates)}
-        aligned[p.symbol] = p.prices[[lookup[d] for d in dates]]
+    panel = price_matrix(prices, dates)
+    bench = price_matrix([benchmark], dates)[0]
     symbols = [p.symbol for p in prices]
-    bench = aligned[benchmark.symbol]
+    row_of = {s: k for k, s in enumerate(symbols)}
 
     n_windows = (len(dates) - cfg.train_days) // cfg.test_days
     windows: list[WindowResult] = []
@@ -274,27 +272,16 @@ def run_walk_forward(
         a = w * cfg.test_days
         b = a + cfg.train_days
         end = b + cfg.test_days
-        train_dates = dates[a:b]
-        returns = [
-            compute_returns(
-                PriceSeries(symbol=s, dates=train_dates, prices=aligned[s][a:b]),
-                entry_index=0,
-            )
-            for s in symbols
-        ]
-        weights, info, legs = _optimize_window(return_matrix(returns), symbols, cfg)
+        weights, info, legs = _optimize_window(window_returns(panel[:, a:b]), symbols, cfg)
         start_capital = chain_capital if cfg.reinvest else cfg.initial_capital
         if start_capital <= 0:
             raise NumericalError(f"capital exhausted before window {w}")
-        entry_prices = {s: float(aligned[s][b - 1]) for s in symbols}
+        entry_prices = dict(zip(symbols, panel[:, b - 1].tolist()))
         shares = position_sizing(legs, entry_prices, start_capital) if legs else {}
         held = sorted(shares)
         share_vec = np.array([shares[s] for s in held], dtype=np.float64)
-        price_mat = (
-            np.column_stack([aligned[s][b - 1 : end] for s in held])
-            if held
-            else np.zeros((cfg.test_days + 1, 0))
-        )
+        # a C-contiguous copy: _mark_window's dot products round by layout
+        price_mat = np.ascontiguousarray(panel[[row_of[s] for s in held], b - 1 : end].T)
         equity, daily_costs = _mark_window(share_vec, price_mat, cfg, start_capital)
         window_return = float(equity[-1] / equity[0] - 1.0)
         benchmark_return = float(bench[end - 1] / bench[b - 1] - 1.0)

@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import sys
+from bisect import bisect_left, bisect_right
 from datetime import date
 from pathlib import Path
 
@@ -33,7 +34,7 @@ from fractalport.io import (
     write_prices_wide,
 )
 from fractalport.selection import SelectionConfig, build_generating_matrix, select_spreads
-from fractalport.spreads import PriceSeries, compute_returns, return_matrix
+from fractalport.spreads import price_matrix, window_returns
 from fractalport.synthetic import make_synthetic_universe
 
 __all__ = ["main"]
@@ -162,22 +163,19 @@ def _cmd_select(args) -> int:
     start, end = _window_date(args.start, "--start"), _window_date(args.end, "--end")
     if start > end:
         raise ParameterError(f"--start {start} is after --end {end}")
-    all_series = ingest_prices(args.prices)
-    universe = []
-    for p in all_series:
-        keep = [i for i, d in enumerate(p.dates) if start <= d <= end]
-        if len(keep) < 2:
-            continue
-        window = PriceSeries(
-            symbol=p.symbol,
-            dates=tuple(p.dates[i] for i in keep),
-            prices=p.prices[keep],
-        )
-        universe.append(compute_returns(window, entry_index=0))
+    universe, spans = [], []
+    for p in ingest_prices(args.prices):
+        # dates increase strictly, so the window is one slice
+        span = p.dates[bisect_left(p.dates, start) : bisect_right(p.dates, end)]
+        if len(span) >= 2:
+            universe.append(p)
+            spans.append(span)
     if len(universe) < 2:
         raise DataError(f"fewer than 2 symbols have data in [{start}, {end}]")
-    symbols = [r.symbol for r in universe]
-    sel = select_spreads(build_generating_matrix(return_matrix(universe), symbols, cfg), cfg)
+    dates = sorted(set().union(*spans))
+    returns = window_returns(price_matrix(universe, dates))
+    symbols = [p.symbol for p in universe]
+    sel = select_spreads(build_generating_matrix(returns, symbols, cfg), cfg)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "start": start,

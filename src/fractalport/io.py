@@ -49,14 +49,8 @@ def _parse_price(raw: str, line_no: int) -> float:
 
 
 def _build_series(symbol: str, rows: dict[str, float]) -> PriceSeries:
-    if len(rows) < 2:
-        raise ValidationError(f"{symbol}: needs at least 2 price rows, got {len(rows)}")
     dates = tuple(sorted(rows))
-    prices = np.array([rows[d] for d in dates], dtype=np.float64)
-    for d, p in zip(dates, prices):
-        if not p > 0:
-            raise ValidationError(f"{symbol}: non-positive price {p} on {d}")
-    return PriceSeries(symbol=symbol, dates=dates, prices=prices)
+    return PriceSeries(symbol=symbol, dates=dates, prices=[rows[d] for d in dates])
 
 
 def ingest_prices(path) -> list[PriceSeries]:

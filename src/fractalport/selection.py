@@ -130,7 +130,7 @@ def spread_path(deltas) -> np.ndarray:
 def build_generating_matrix(returns: np.ndarray, symbols, cfg: SelectionConfig) -> Candidates:
     """Candidates for every unordered asset pair of the window.
 
-    ``returns`` is the window's (assets x days) matrix (``return_matrix``)
+    ``returns`` is the window's (assets x days) matrix (``window_returns``)
     and ``symbols`` names its rows. Pairs run in ``itertools.combinations``
     order, ``PAIR_BLOCK`` at a time as rows of array operations. Pairs
     whose hedge ratio is degenerate or non-positive are omitted, as are

@@ -6,6 +6,10 @@ spread return of x means a P&L of x per unit of entry capital. A spread
 long asset i and short chi units of asset j has daily return
 delta(t) = r_i(t) - chi * r_j(t); with chi equal to the ratio of the two
 assets' market betas the common market term cancels.
+
+All assets of a window share its dates, so a window's prices are a block
+of one date-aligned (assets x days) price matrix (``price_matrix``) and its
+returns come from that block (``window_returns``).
 """
 from __future__ import annotations
 
@@ -23,10 +27,9 @@ from fractalport.errors import (
 
 __all__ = [
     "PriceSeries",
-    "ReturnSeries",
     "SpreadRows",
-    "compute_returns",
-    "return_matrix",
+    "price_matrix",
+    "window_returns",
     "hedge_ratios",
     "pair_spreads",
 ]
@@ -60,9 +63,16 @@ class PriceSeries:
                 f"{self.symbol}: {len(self.dates)} dates vs {self.prices.size} prices"
             )
         if self.prices.size < 2:
-            raise ValidationError(f"{self.symbol}: need at least 2 prices")
-        if not np.isfinite(self.prices).all() or not (self.prices > 0).all():
-            raise ValidationError(f"{self.symbol}: prices must be finite and positive")
+            raise ValidationError(
+                f"{self.symbol}: need at least 2 prices, got {self.prices.size}"
+            )
+        bad = np.flatnonzero(~(np.isfinite(self.prices) & (self.prices > 0)))
+        if bad.size:
+            k = bad[0]
+            raise ValidationError(
+                f"{self.symbol}: price {self.prices[k]} on {self.dates[k]} "
+                "is not finite and positive"
+            )
         if any(a >= b for a, b in zip(self.dates, self.dates[1:])):
             raise ValidationError(f"{self.symbol}: dates must be strictly increasing")
 
@@ -70,53 +80,31 @@ class PriceSeries:
         return self.prices.size
 
 
-@dataclass(frozen=True)
-class ReturnSeries:
-    """Daily returns normalized by the entry price p0.
+def price_matrix(series: Sequence[PriceSeries], dates: Sequence[str]) -> np.ndarray:
+    """Prices of each series on ``dates``, one row per series.
 
-    ``returns[t] = (p(t) - p(t-1)) / p0``; ``dates`` are the dates of the
-    return observations (one fewer than the underlying prices).
+    Raises ``AlignmentError`` naming the first series without a price on
+    one of the dates, and the first such date.
     """
-
-    symbol: str
-    entry_price: float
-    returns: np.ndarray
-    dates: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "dates", tuple(self.dates))
-        object.__setattr__(self, "returns", _freeze(self.returns))
-        if len(self.dates) != self.returns.size:
-            raise ValidationError(f"{self.symbol}: dates/returns length mismatch")
-        if not np.isfinite(self.returns).all():
-            raise ValidationError(f"{self.symbol}: returns must be finite")
-        if not self.entry_price > 0:
-            raise ValidationError(f"{self.symbol}: entry price must be positive")
-
-    def __len__(self) -> int:
-        return self.returns.size
+    want = np.asarray(dates, dtype=str)
+    rows = np.empty((len(series), want.size))
+    for row, p in zip(rows, series):
+        have = np.asarray(p.dates, dtype=str)
+        at = np.searchsorted(have, want)
+        found = have[np.minimum(at, have.size - 1)] == want
+        if not found.all():
+            raise AlignmentError(f"{p.symbol}: no price on {want[np.argmin(found)]}")
+        row[:] = p.prices[at]
+    return rows
 
 
-def compute_returns(p: PriceSeries, entry_index: int = 0) -> ReturnSeries:
-    """Daily returns of ``p`` normalized by the price at ``entry_index``."""
-    if len(p) < 2:
-        raise InsufficientDataError(f"{p.symbol}: need at least 2 prices for returns")
-    if not 0 <= entry_index < len(p):
-        raise ParameterError(f"entry index {entry_index} outside series of length {len(p)}")
-    entry_price = float(p.prices[entry_index])
-    rets = np.diff(p.prices) / entry_price
-    return ReturnSeries(
-        symbol=p.symbol, entry_price=entry_price, returns=rets, dates=p.dates[1:]
-    )
+def window_returns(prices: np.ndarray) -> np.ndarray:
+    """Daily returns of each row of an (assets x days) price block,
+    normalized by the row's entry price: ``(p[t] - p[t-1]) / p[0]``.
 
-
-def return_matrix(universe: Sequence[ReturnSeries]) -> np.ndarray:
-    """Returns of date-aligned series stacked as one (assets x days) matrix."""
-    first = universe[0]
-    for r in universe[1:]:
-        if r.dates != first.dates:
-            raise AlignmentError(f"{first.symbol}/{r.symbol}: return dates differ")
-    return np.stack([r.returns for r in universe])
+    The result is a new C-contiguous (assets x days-1) matrix.
+    """
+    return np.diff(prices, axis=1) / prices[:, :1]
 
 
 def hedge_ratios(returns: np.ndarray, i, j) -> np.ndarray:

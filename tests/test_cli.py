@@ -10,6 +10,20 @@ from fractalport.fbm import generate_fbm
 from fractalport.io import ingest_prices, write_prices_wide
 
 
+def blank_cells(src, dst, blanks):
+    """Copy the wide CSV ``src`` to ``dst`` with the ``{date: [symbol, ...]}``
+    cells left empty."""
+    lines = src.read_text().splitlines()
+    header = lines[0].split(",")
+    out = [lines[0]]
+    for line in lines[1:]:
+        cells = line.split(",")
+        for sym in blanks.get(cells[0], ()):
+            cells[header.index(sym)] = ""
+        out.append(",".join(cells))
+    dst.write_text("\n".join(out) + "\n")
+    return dst
+
 
 class TestIngestLong:
     def test_three_rows_one_symbol(self, tmp_path):
@@ -161,6 +175,32 @@ class TestCmdSelect:
         assert doc["spreads"], "expected selected spreads on the fixture window"
         for s in doc["spreads"]:
             assert s["hurst"] + s["hurst_err"] < 0.5
+
+    def test_symbols_starting_on_different_days_exit_3(self, fixture_csv, tmp_path, capsys):
+        # A1 lacks the window's first day and every other symbol its second,
+        # so all return dates agree while the price dates do not
+        header = fixture_csv.read_text().split("\n", 1)[0].split(",")
+        others = [s for s in header[1:] if s != "A1"]
+        staggered = blank_cells(
+            fixture_csv,
+            tmp_path / "staggered.csv",
+            {"2015-01-02": ["A1"], "2015-01-05": others},
+        )
+        args = [
+            "select", "--prices", str(staggered), "--start", "2015-01-02", "--end", "2015-06-30",
+        ]
+        assert main(args) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "data error: A1: no price on 2015-01-02\n"
+        assert captured.out == ""
+
+    def test_missing_mid_window_day_names_symbol_and_date(self, fixture_csv, tmp_path, capsys):
+        gap = blank_cells(fixture_csv, tmp_path / "gap.csv", {"2015-03-02": ["B1"]})
+        args = ["select", "--prices", str(gap), "--start", "2015-01-02", "--end", "2015-06-30"]
+        assert main(args) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "data error: B1: no price on 2015-03-02\n"
+        assert captured.out == ""
 
     def test_bad_range_exits_3(self, fixture_csv, capsys):
         args = [

@@ -8,6 +8,7 @@ in ``itertools.combinations`` order. It lives only here.
 import itertools
 from dataclasses import fields
 from datetime import date, timedelta
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -34,9 +35,9 @@ from fractalport.selection import (
 from fractalport.spreads import (
     HEDGE_VARIANCE_EPS,
     MIN_HEDGE_LENGTH,
-    ReturnSeries,
+    PriceSeries,
     pair_spreads,
-    return_matrix,
+    price_matrix,
 )
 
 
@@ -45,16 +46,29 @@ def dates(n, start=0):
     return tuple((base + timedelta(days=start + i)).isoformat() for i in range(n))
 
 
+class Row(NamedTuple):
+    """One asset's window returns and the dates they fall on."""
+
+    symbol: str
+    returns: np.ndarray
+    dates: tuple
+
+
 def make_universe(returns, start=0):
     return [
-        ReturnSeries(symbol=f"S{k}", entry_price=100.0, returns=row, dates=dates(row.size, start))
+        Row(f"S{k}", row, dates(row.size, start))
         for k, row in enumerate(np.asarray(returns, dtype=np.float64))
     ]
 
 
+def return_rows(universe):
+    """The universe's returns as the (assets x days) matrix the engine takes."""
+    return np.stack([r.returns for r in universe])
+
+
 def build(universe, cfg):
-    """The engine on a universe of return series, as its callers run it."""
-    returns = return_matrix(universe)
+    """The engine on a universe of return rows, as its callers run it."""
+    returns = return_rows(universe)
     return returns, build_generating_matrix(returns, [r.symbol for r in universe], cfg)
 
 
@@ -95,8 +109,8 @@ def reference_candidates(universe, cfg):
     for ri, rj in itertools.combinations(universe, 2):
         if ri.dates != rj.dates:
             raise AlignmentError(f"{ri.symbol}/{rj.symbol}")
-        if len(ri) < MIN_HEDGE_LENGTH:
-            raise InsufficientDataError(f"{len(ri)} returns")
+        if ri.returns.size < MIN_HEDGE_LENGTH:
+            raise InsufficientDataError(f"{ri.returns.size} returns")
         di = np.diff(ri.returns)
         dj = np.diff(rj.returns)
         var_j = float(np.var(dj))
@@ -181,7 +195,10 @@ class TestMatchesPerPairReference:
         universe = make_universe(returns[:3]) + make_universe(returns[3:], start=start_of_last)
         with pytest.raises(error):
             reference_candidates(universe, SelectionConfig())
+        # the engine's callers first align the window's prices on its dates
+        prices = [PriceSeries(r.symbol, r.dates, np.full(n_days, 100.0)) for r in universe]
         with pytest.raises(error):
+            price_matrix(prices, universe[0].dates)
             build(universe, SelectionConfig())
 
     def test_all_pairs_dropped_is_not_an_error(self):
@@ -198,7 +215,7 @@ def test_window_optimizer_on_reference_deltas():
     universe = make_universe(random_returns(np.random.default_rng(1), 12, 200))
     cfg = BacktestConfig(test_days=126, benchmark_symbol="MKT")
     symbols = [r.symbol for r in universe]
-    weights, info, legs = _optimize_window(return_matrix(universe), symbols, cfg)
+    weights, info, legs = _optimize_window(return_rows(universe), symbols, cfg)
     assert len(info) > 1
     want = {(c[0], c[1]): c for c in reference_candidates(universe, SelectionConfig(126))}
     rows = [want[(s.long_symbol, s.short_symbol)] for s in info]

@@ -1,6 +1,4 @@
 """Fractal Kelly weights, the generating matrix and greedy selection."""
-from datetime import date, timedelta
-
 import mpmath
 import numpy as np
 import pytest
@@ -14,17 +12,6 @@ from fractalport.selection import (
     select_spreads,
     spread_path,
 )
-from fractalport.spreads import ReturnSeries, return_matrix
-
-
-def dates(n):
-    base = date(2021, 1, 1)
-    return tuple((base + timedelta(days=i)).isoformat() for i in range(n))
-
-
-def make_returns(symbol, values):
-    values = np.asarray(values, dtype=np.float64)
-    return ReturnSeries(symbol=symbol, entry_price=100.0, returns=values, dates=dates(values.size))
 
 
 def make_candidates(rows, symbols=None):
@@ -60,7 +47,8 @@ def pairs(cands):
 
 
 def build(universe, cfg):
-    return build_generating_matrix(return_matrix(universe), [r.symbol for r in universe], cfg)
+    """Candidates of a {symbol: returns row} universe."""
+    return build_generating_matrix(np.stack(list(universe.values())), list(universe), cfg)
 
 
 class TestFractalKellyWeight:
@@ -101,11 +89,11 @@ class TestBuildGeneratingMatrix:
     def _universe(self, n_assets, seed=0, n_days=200):
         rng = np.random.default_rng(seed)
         market = 0.01 * rng.standard_normal(n_days)
-        out = []
+        out = {}
         for k in range(n_assets):
             beta = 0.8 + 0.1 * k
             idio = 0.003 * rng.standard_normal(n_days)
-            out.append(make_returns(f"S{k}", beta * market + idio))
+            out[f"S{k}"] = beta * market + idio
         return out
 
     def test_two_assets_at_most_one_candidate(self):
@@ -135,8 +123,7 @@ class TestBuildGeneratingMatrix:
             build(self._universe(1), SelectionConfig())
 
     def test_degenerate_pairs_omitted(self):
-        flat = make_returns("FLAT", np.zeros(200))
-        universe = self._universe(3, seed=5) + [flat]
+        universe = {**self._universe(3, seed=5), "FLAT": np.zeros(200)}
         cands = build(universe, SelectionConfig())
         assert all("FLAT" not in pair for pair in pairs(cands))
 

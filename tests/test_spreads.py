@@ -1,8 +1,12 @@
 """Normalized returns, hedge ratios and spread construction."""
 from datetime import date, timedelta
+from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fractalport.errors import (
     AlignmentError,
@@ -12,11 +16,10 @@ from fractalport.errors import (
 )
 from fractalport.spreads import (
     PriceSeries,
-    ReturnSeries,
-    compute_returns,
     hedge_ratios,
     pair_spreads,
-    return_matrix,
+    price_matrix,
+    window_returns,
 )
 
 
@@ -25,17 +28,27 @@ def dates(n, start=0):
     return tuple((base + timedelta(days=start + i)).isoformat() for i in range(n))
 
 
-def make_returns(symbol, values, entry_price=100.0):
-    values = np.asarray(values, dtype=np.float64)
-    return ReturnSeries(
-        symbol=symbol, entry_price=entry_price, returns=values, dates=dates(values.size)
-    )
+class Row(NamedTuple):
+    """One asset's returns, labelled for the orientation checks."""
+
+    symbol: str
+    returns: np.ndarray
+
+
+def make_returns(symbol, values):
+    return Row(symbol, np.asarray(values, dtype=np.float64))
 
 
 class TestPriceSeries:
     def test_rejects_nonpositive_prices(self):
         with pytest.raises(ValidationError):
             PriceSeries(symbol="X", dates=dates(2), prices=np.array([100.0, 0.0]))
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_price_names_symbol_and_first_date(self, bad):
+        prices = np.array([100.0, 101.0, bad, bad])
+        with pytest.raises(ValidationError, match=f"^X: price {bad} on {dates(4)[2]} "):
+            PriceSeries(symbol="X", dates=dates(4), prices=prices)
 
     def test_rejects_unsorted_dates(self):
         with pytest.raises(ValidationError):
@@ -51,42 +64,80 @@ class TestPriceSeries:
             p.prices[0] = 5.0
 
 
-class TestComputeReturns:
+class TestWindowReturns:
     def test_basic_arithmetic(self):
-        p = PriceSeries(symbol="X", dates=dates(3), prices=np.array([100.0, 101.0, 100.0]))
-        r = compute_returns(p, entry_index=0)
-        np.testing.assert_allclose(r.returns, [0.01, -0.01])
-        assert r.entry_price == 100.0
-        assert r.dates == p.dates[1:]
+        r = window_returns(np.array([[100.0, 101.0, 100.0]]))
+        np.testing.assert_allclose(r, [[0.01, -0.01]])
+        assert r.shape == (1, 2)
 
     def test_constant_prices_zero_returns(self):
-        p = PriceSeries(symbol="X", dates=dates(5), prices=np.full(5, 42.0))
-        assert np.all(compute_returns(p).returns == 0.0)
+        assert np.all(window_returns(np.full((1, 5), 42.0)) == 0.0)
 
     def test_entry_price_in_denominator(self):
         # p0 from a different segment: 10-point move on entry price 200
-        p = PriceSeries(symbol="X", dates=dates(3), prices=np.array([200.0, 100.0, 110.0]))
-        r = compute_returns(p, entry_index=0)
-        assert r.returns[1] == pytest.approx(0.05)
-
-    def test_entry_index_out_of_range(self):
-        p = PriceSeries(symbol="X", dates=dates(2), prices=np.array([1.0, 2.0]))
-        with pytest.raises(ParameterError):
-            compute_returns(p, entry_index=2)
+        r = window_returns(np.array([[200.0, 100.0, 110.0]]))
+        assert r[0, 1] == pytest.approx(0.05)
 
     def test_linearity_in_prices(self):
         rng = np.random.default_rng(4)
         prices = 100.0 * np.cumprod(1 + 0.01 * rng.standard_normal(40))
-        p1 = PriceSeries(symbol="X", dates=dates(40), prices=prices)
-        p2 = PriceSeries(symbol="X", dates=dates(40), prices=3.0 * prices)
         np.testing.assert_allclose(
-            compute_returns(p1).returns, compute_returns(p2).returns, rtol=1e-11, atol=1e-15
+            window_returns(prices[None, :]),
+            window_returns(3.0 * prices[None, :]),
+            rtol=1e-11,
+            atol=1e-15,
         )
+
+
+@st.composite
+def price_blocks(draw):
+    n_assets = draw(st.integers(1, 6))
+    n_days = draw(st.integers(2, 40))
+    prices = draw(arrays(np.float64, (n_assets, n_days), elements=st.floats(1e-3, 1e6)))
+    a = draw(st.integers(0, n_days - 2))
+    b = draw(st.integers(a + 1, n_days))
+    return prices, a, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(price_blocks())
+def test_window_returns_match_per_row_reference(block):
+    prices, a, b = block
+    got = window_returns(prices[:, a:b])
+    # the reference: each row on its own, normalized by its price on day a
+    want = np.empty((prices.shape[0], b - a - 1))
+    for k in range(prices.shape[0]):
+        want[k] = np.diff(prices[k, a:b]) / prices[k, a]
+    assert got.flags.c_contiguous
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestPriceMatrix:
+    def test_rows_on_requested_dates(self):
+        days = dates(5)
+        x = PriceSeries(symbol="X", dates=days, prices=[1.0, 2.0, 3.0, 4.0, 5.0])
+        y = PriceSeries(symbol="Y", dates=days[1:], prices=[20.0, 30.0, 40.0, 50.0])
+        got = price_matrix([x, y], (days[1], days[3], days[4]))
+        np.testing.assert_array_equal(got, [[2.0, 4.0, 5.0], [20.0, 40.0, 50.0]])
+        assert got.flags.c_contiguous
+
+    @pytest.mark.parametrize("missing", [0, 2, 4], ids=["first", "middle", "last"])
+    def test_missing_date_names_symbol_and_date(self, missing):
+        x = PriceSeries(symbol="X", dates=dates(5), prices=np.full(5, 1.0))
+        days = dates(5)
+        y = PriceSeries(
+            symbol="Y",
+            dates=days[:missing] + days[missing + 1 :],
+            prices=np.full(4, 1.0),
+        )
+        with pytest.raises(AlignmentError, match=f"^Y: no price on {days[missing]}$"):
+            price_matrix([x, y], days)
 
 
 def pair(ri, rj):
     """Return matrix of two aligned series and the index arrays of pair (0, 1)."""
-    return return_matrix([ri, rj]), np.array([0]), np.array([1])
+    return np.stack([ri.returns, rj.returns]), np.array([0]), np.array([1])
 
 
 def hedge(ri, rj):
@@ -182,12 +233,10 @@ class TestBuildSpread:
         assert abs(slope) < 1e-9
 
     def test_alignment_required(self):
-        ri = make_returns("A", np.full(40, 0.01))
-        rj = ReturnSeries(
-            symbol="B", entry_price=100.0, returns=np.full(40, 0.01), dates=dates(40, start=2)
-        )
+        pi = PriceSeries(symbol="A", dates=dates(41), prices=np.full(41, 100.0))
+        pj = PriceSeries(symbol="B", dates=dates(41, start=2), prices=np.full(41, 100.0))
         with pytest.raises(AlignmentError):
-            return_matrix([ri, rj])
+            price_matrix([pi, pj], pi.dates)
 
     def test_nonpositive_chi_rejected(self):
         ri = make_returns("A", np.full(40, 0.01))
