@@ -58,11 +58,13 @@ from fractalport.selection import (
     spread_path,
 )
 from fractalport.spreads import (
+    PricePanel,
     PriceSeries,
     SpreadRows,
     hedge_ratios,
     pair_spreads,
-    price_matrix,
+    price_block,
+    price_panel,
     window_returns,
 )
 from fractalport.synthetic import SyntheticUniverse, make_synthetic_universe

@@ -13,11 +13,13 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from fractalport.errors import (
+    DataError,
     EmptyPortfolioError,
     NumericalError,
     ParameterError,
@@ -32,7 +34,7 @@ from fractalport.optimizer import (
     solve_weights,
 )
 from fractalport.selection import SelectionConfig, build_generating_matrix, select_spreads
-from fractalport.spreads import PriceSeries, pair_spreads, price_matrix, window_returns
+from fractalport.spreads import PricePanel, pair_spreads, price_block, window_returns
 
 __all__ = [
     "TRADING_DAYS_PER_YEAR",
@@ -236,33 +238,33 @@ def _optimize_window(returns: np.ndarray, symbols, cfg: BacktestConfig):
     return weights, info, legs
 
 
-def run_walk_forward(
-    prices: Sequence[PriceSeries], benchmark: PriceSeries, cfg: BacktestConfig
-) -> BacktestReport:
+def run_walk_forward(panel: PricePanel, cfg: BacktestConfig) -> BacktestReport:
     """Walk the history window by window and aggregate the report.
 
-    Each test window's positions are computed from its training window
-    alone and held, with fixed share counts, through the test window.
+    The panel's ``cfg.benchmark_symbol`` row is the benchmark and every
+    other row is traded. The run uses the dates on which all of them have
+    a price. Each test window's positions are computed from its training
+    window alone and held, with fixed share counts, through the test window.
     """
-    if len(prices) < 2:
-        raise ParameterError(f"universe needs at least 2 assets, got {len(prices)}")
-    if any(p.symbol == benchmark.symbol for p in prices):
-        raise ParameterError(
-            f"benchmark {benchmark.symbol!r} must not be part of the traded universe"
+    if cfg.benchmark_symbol not in panel.symbols:
+        raise DataError(
+            f"benchmark symbol {cfg.benchmark_symbol!r} has no prices; "
+            f"available: {list(panel.symbols)}"
         )
-    common = set(benchmark.dates)
-    for p in prices:
-        common &= set(p.dates)
-    dates = tuple(sorted(common))
+    is_bench = np.array([s == cfg.benchmark_symbol for s in panel.symbols])
+    symbols = list(compress(panel.symbols, ~is_bench))
+    if len(symbols) < 2:
+        raise ParameterError(f"universe needs at least 2 assets, got {len(symbols)}")
+    common = ~np.isnan(panel.prices).any(axis=0)
+    dates = tuple(compress(panel.dates, common))
     need = cfg.train_days + cfg.test_days
     if len(dates) < need:
         raise ParameterError(
             f"insufficient history: {len(dates)} common dates, "
             f"need at least {need} (train {cfg.train_days} + test {cfg.test_days})"
         )
-    panel = price_matrix(prices, dates)
-    bench = price_matrix([benchmark], dates)[0]
-    symbols = [p.symbol for p in prices]
+    prices = price_block(panel, ~is_bench, common)
+    bench = price_block(panel, is_bench, common)[0]
     row_of = {s: k for k, s in enumerate(symbols)}
 
     n_windows = (len(dates) - cfg.train_days) // cfg.test_days
@@ -272,16 +274,16 @@ def run_walk_forward(
         a = w * cfg.test_days
         b = a + cfg.train_days
         end = b + cfg.test_days
-        weights, info, legs = _optimize_window(window_returns(panel[:, a:b]), symbols, cfg)
+        weights, info, legs = _optimize_window(window_returns(prices[:, a:b]), symbols, cfg)
         start_capital = chain_capital if cfg.reinvest else cfg.initial_capital
         if start_capital <= 0:
             raise NumericalError(f"capital exhausted before window {w}")
-        entry_prices = dict(zip(symbols, panel[:, b - 1].tolist()))
+        entry_prices = dict(zip(symbols, prices[:, b - 1].tolist()))
         shares = position_sizing(legs, entry_prices, start_capital) if legs else {}
         held = sorted(shares)
         share_vec = np.array([shares[s] for s in held], dtype=np.float64)
         # a C-contiguous copy: _mark_window's dot products round by layout
-        price_mat = np.ascontiguousarray(panel[[row_of[s] for s in held], b - 1 : end].T)
+        price_mat = np.ascontiguousarray(prices[[row_of[s] for s in held], b - 1 : end].T)
         equity, daily_costs = _mark_window(share_vec, price_mat, cfg, start_capital)
         window_return = float(equity[-1] / equity[0] - 1.0)
         benchmark_return = float(bench[end - 1] / bench[b - 1] - 1.0)

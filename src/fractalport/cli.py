@@ -12,8 +12,8 @@ import argparse
 import csv
 import json
 import sys
-from bisect import bisect_left, bisect_right
 from datetime import date
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,7 @@ from fractalport.io import (
     write_prices_wide,
 )
 from fractalport.selection import SelectionConfig, build_generating_matrix, select_spreads
-from fractalport.spreads import price_matrix, window_returns
+from fractalport.spreads import price_block, window_returns
 from fractalport.synthetic import make_synthetic_universe
 
 __all__ = ["main"]
@@ -104,12 +104,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_hurst(args) -> int:
     if args.symbol:
-        series = {p.symbol: p for p in ingest_prices(args.input)}
-        if args.symbol not in series:
+        panel = ingest_prices(args.input)
+        if args.symbol not in panel.symbols:
             raise DataError(
-                f"symbol {args.symbol!r} not found; available: {sorted(series)}"
+                f"symbol {args.symbol!r} not found; available: {list(panel.symbols)}"
             )
-        values = series[args.symbol].prices
+        row = panel.prices[panel.symbols.index(args.symbol)]
+        values = row[~np.isnan(row)]
     else:
         values = _read_column(args.input, args.column)
     est = estimate_hurst(values)
@@ -163,18 +164,18 @@ def _cmd_select(args) -> int:
     start, end = _window_date(args.start, "--start"), _window_date(args.end, "--end")
     if start > end:
         raise ParameterError(f"--start {start} is after --end {end}")
-    universe, spans = [], []
-    for p in ingest_prices(args.prices):
-        # dates increase strictly, so the window is one slice
-        span = p.dates[bisect_left(p.dates, start) : bisect_right(p.dates, end)]
-        if len(span) >= 2:
-            universe.append(p)
-            spans.append(span)
-    if len(universe) < 2:
+    panel = ingest_prices(args.prices)
+    lo = np.searchsorted(panel.dates, start, "left")
+    hi = np.searchsorted(panel.dates, end, "right")
+    window = panel.prices[:, lo:hi]
+    # every symbol with at least 2 prices in the window, on each date any of them has
+    rows = (~np.isnan(window)).sum(axis=1) >= 2
+    if rows.sum() < 2:
         raise DataError(f"fewer than 2 symbols have data in [{start}, {end}]")
-    dates = sorted(set().union(*spans))
-    returns = window_returns(price_matrix(universe, dates))
-    symbols = [p.symbol for p in universe]
+    cols = np.zeros(len(panel.dates), dtype=bool)
+    cols[lo:hi] = ~np.isnan(window[rows]).all(axis=0)
+    returns = window_returns(price_block(panel, rows, cols))
+    symbols = list(compress(panel.symbols, rows))
     sel = select_spreads(build_generating_matrix(returns, symbols, cfg), cfg)
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -204,16 +205,7 @@ def _cmd_backtest(args) -> int:
         hurst_cap=args.hurst_cap,
         reinvest=not args.no_reinvest,
     )
-    all_series = ingest_prices(args.prices)
-    by_symbol = {p.symbol: p for p in all_series}
-    if cfg.benchmark_symbol not in by_symbol:
-        raise DataError(
-            f"benchmark symbol {cfg.benchmark_symbol!r} not in price file; "
-            f"available: {sorted(by_symbol)}"
-        )
-    benchmark = by_symbol[cfg.benchmark_symbol]
-    universe = [p for p in all_series if p.symbol != cfg.benchmark_symbol]
-    report = run_walk_forward(universe, benchmark, cfg)
+    report = run_walk_forward(ingest_prices(args.prices), cfg)
     Path(args.output).write_text(report_to_json(report, cfg))
     if args.equity_csv:
         write_equity_csv(args.equity_csv, report)

@@ -7,13 +7,15 @@ long asset i and short chi units of asset j has daily return
 delta(t) = r_i(t) - chi * r_j(t); with chi equal to the ratio of the two
 assets' market betas the common market term cancels.
 
-All assets of a window share its dates, so a window's prices are a block
-of one date-aligned (assets x days) price matrix (``price_matrix``) and its
-returns come from that block (``window_returns``).
+Prices arrive as one ``PricePanel``: every symbol's closes on the union
+of their dates, NaN where a symbol has none. All assets of a window share
+its dates, so a window's prices are a block of that matrix and its returns
+come from that block (``window_returns``).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -27,8 +29,10 @@ from fractalport.errors import (
 
 __all__ = [
     "PriceSeries",
+    "PricePanel",
     "SpreadRows",
-    "price_matrix",
+    "price_panel",
+    "price_block",
     "window_returns",
     "hedge_ratios",
     "pair_spreads",
@@ -73,29 +77,56 @@ class PriceSeries:
                 f"{self.symbol}: price {self.prices[k]} on {self.dates[k]} "
                 "is not finite and positive"
             )
-        if any(a >= b for a, b in zip(self.dates, self.dates[1:])):
+        # object elements compare as the str values; converting to a numpy
+        # string dtype would cost more than the comparison saves
+        days = np.array(self.dates, dtype=object)
+        if (days[1:] <= days[:-1]).any():
             raise ValidationError(f"{self.symbol}: dates must be strictly increasing")
 
-    def __len__(self) -> int:
-        return self.prices.size
 
+class PricePanel(NamedTuple):
+    """Closes of several symbols on the union of their dates.
 
-def price_matrix(series: Sequence[PriceSeries], dates: Sequence[str]) -> np.ndarray:
-    """Prices of each series on ``dates``, one row per series.
-
-    Raises ``AlignmentError`` naming the first series without a price on
-    one of the dates, and the first such date.
+    ``prices[k, t]`` is ``symbols[k]``'s close on ``dates[t]``, NaN where it
+    has none. Symbols and ISO dates are sorted, every date has at least one
+    price, and ``prices`` is a read-only C-contiguous float64 matrix.
     """
-    want = np.asarray(dates, dtype=str)
-    rows = np.empty((len(series), want.size))
-    for row, p in zip(rows, series):
-        have = np.asarray(p.dates, dtype=str)
-        at = np.searchsorted(have, want)
-        found = have[np.minimum(at, have.size - 1)] == want
-        if not found.all():
-            raise AlignmentError(f"{p.symbol}: no price on {want[np.argmin(found)]}")
-        row[:] = p.prices[at]
-    return rows
+
+    symbols: tuple[str, ...]
+    dates: tuple[str, ...]
+    prices: np.ndarray
+
+
+def price_panel(series: Sequence[PriceSeries]) -> PricePanel:
+    """The panel holding ``series``, the same one ``ingest_prices`` reads
+    from a CSV of them."""
+    ordered = sorted(series, key=lambda p: p.symbol)
+    symbols = tuple(p.symbol for p in ordered)
+    if len(set(symbols)) != len(symbols):
+        raise ValidationError(f"duplicate symbols: {list(symbols)}")
+    dates = tuple(sorted(set().union(*(p.dates for p in ordered))))
+    column = {d: t for t, d in enumerate(dates)}
+    prices = np.full((len(ordered), len(dates)), np.nan)
+    for row, p in zip(prices, ordered):
+        row[[column[d] for d in p.dates]] = p.prices
+    return PricePanel(symbols, dates, _freeze(prices))
+
+
+def price_block(panel: PricePanel, rows, cols) -> np.ndarray:
+    """The panel's ``rows`` on its ``cols`` dates (both boolean masks), as a
+    new C-contiguous matrix: reductions over it round by that layout.
+
+    Raises ``AlignmentError`` naming the first of these symbols without a
+    price on one of these dates, and the first such date.
+    """
+    block = panel.prices[rows].compress(cols, axis=1)
+    gaps = np.isnan(block)
+    if gaps.any():
+        k = int(np.argmax(gaps.any(axis=1)))
+        symbol = list(compress(panel.symbols, rows))[k]
+        day = list(compress(panel.dates, cols))[int(np.argmax(gaps[k]))]
+        raise AlignmentError(f"{symbol}: no price on {day}")
+    return block
 
 
 def window_returns(prices: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ from fractalport.selection import (
     fractal_kelly_weight,
     select_spreads,
 )
-from fractalport.spreads import PriceSeries
+from fractalport.spreads import PriceSeries, price_panel
 
 
 def record(num, description, ok, detail=""):
@@ -212,7 +212,7 @@ def test_07_no_lookahead(universe, backtest_cfg, report):
             mutated.append(PriceSeries(symbol=sym, dates=p.dates, prices=prices))
         else:
             mutated.append(p)
-    rep2 = run_walk_forward(mutated, universe.benchmark, backtest_cfg)
+    rep2 = run_walk_forward(price_panel(mutated + [universe.benchmark]), backtest_cfg)
     w1, w2 = report.windows[2], rep2.windows[2]
     identical = (
         w1.shares == w2.shares
@@ -244,7 +244,7 @@ def test_08_accounting_identity(universe, report):
 
 def test_09_synthetic_end_to_end(universe, backtest_cfg):
     t0 = time.time()
-    rep = run_walk_forward(universe.prices, universe.benchmark, backtest_cfg)
+    rep = run_walk_forward(price_panel(universe.prices + [universe.benchmark]), backtest_cfg)
     elapsed = time.time() - t0
     n = len(rep.windows)
     rates = []

@@ -14,7 +14,7 @@ from fractalport.backtest import (
     run_walk_forward,
 )
 from fractalport.errors import ParameterError
-from fractalport.spreads import PriceSeries
+from fractalport.spreads import PriceSeries, price_panel
 from fractalport.synthetic import make_synthetic_universe
 
 
@@ -31,7 +31,7 @@ def small_universe(n_days=630, seed=1):
 def small_run():
     u = small_universe()
     cfg = BacktestConfig(benchmark_symbol="MKT")
-    return u, cfg, run_walk_forward(u.prices, u.benchmark, cfg)
+    return u, cfg, run_walk_forward(price_panel(u.prices + [u.benchmark]), cfg)
 
 
 class TestMaxDrawdown:
@@ -134,7 +134,7 @@ class TestRunWalkForward:
         # five years of 1260 days gives 9
         assert len(rep.windows) == 4
         u2 = small_universe(n_days=1260)
-        rep2 = run_walk_forward(u2.prices, u2.benchmark, cfg)
+        rep2 = run_walk_forward(price_panel(u2.prices + [u2.benchmark]), cfg)
         assert len(rep2.windows) == 9
 
     def test_constant_prices_flat(self):
@@ -143,7 +143,9 @@ class TestRunWalkForward:
             for i, s in enumerate(["A", "B", "C"])
         ]
         bench = PriceSeries(symbol="SPY", dates=dates(300), prices=np.full(300, 100.0))
-        rep = run_walk_forward(series, bench, BacktestConfig(benchmark_symbol="SPY"))
+        rep = run_walk_forward(
+            price_panel(series + [bench]), BacktestConfig(benchmark_symbol="SPY")
+        )
         assert rep.cumulative_return == 0.0
         assert all(not w.shares for w in rep.windows)
         assert all(w.costs_paid == 0.0 for w in rep.windows)
@@ -155,11 +157,13 @@ class TestRunWalkForward:
         ]
         bench = PriceSeries(symbol="SPY", dates=dates(200), prices=np.full(200, 100.0))
         with pytest.raises(ParameterError):
-            run_walk_forward(series, bench, BacktestConfig(benchmark_symbol="SPY"))
+            run_walk_forward(
+                price_panel(series + [bench]), BacktestConfig(benchmark_symbol="SPY")
+            )
 
     def test_deterministic(self, small_run):
         u, cfg, rep = small_run
-        rep2 = run_walk_forward(u.prices, u.benchmark, cfg)
+        rep2 = run_walk_forward(price_panel(u.prices + [u.benchmark]), cfg)
         assert rep.single_returns == rep2.single_returns
         for w1, w2 in zip(rep.windows, rep2.windows):
             assert np.array_equal(w1.daily_equity, w2.daily_equity)
@@ -181,7 +185,7 @@ class TestRunWalkForward:
                 mutated.append(PriceSeries(symbol=sym, dates=p.dates, prices=prices))
             else:
                 mutated.append(p)
-        rep2 = run_walk_forward(mutated, u.benchmark, cfg)
+        rep2 = run_walk_forward(price_panel(mutated + [u.benchmark]), cfg)
         w1, w2 = rep.windows[1], rep2.windows[1]
         assert w1.shares == w2.shares
         assert np.array_equal(w1.weights.spread_weights, w2.weights.spread_weights)
@@ -211,7 +215,7 @@ class TestRunWalkForward:
     def test_no_reinvest_resets_capital(self):
         u = small_universe()
         cfg = BacktestConfig(benchmark_symbol="MKT", reinvest=False)
-        rep = run_walk_forward(u.prices, u.benchmark, cfg)
+        rep = run_walk_forward(price_panel(u.prices + [u.benchmark]), cfg)
         for w in rep.windows:
             assert w.daily_equity[0] == pytest.approx(100_000.0)
 

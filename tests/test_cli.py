@@ -6,8 +6,9 @@ import pytest
 
 from fractalport.cli import main
 from fractalport.errors import ParseError, ValidationError
-from fractalport.fbm import generate_fbm
+from fractalport.fbm import estimate_hurst, generate_fbm
 from fractalport.io import ingest_prices, write_prices_wide
+from fractalport.spreads import price_panel
 
 
 def blank_cells(src, dst, blanks):
@@ -32,10 +33,10 @@ class TestIngestLong:
             "date,symbol,adj_close\n"
             "2020-01-01,SPY,100.0\n2020-01-02,SPY,101.5\n2020-01-03,SPY,99.25\n"
         )
-        series = ingest_prices(f)
-        assert len(series) == 1
-        assert series[0].symbol == "SPY"
-        np.testing.assert_array_equal(series[0].prices, [100.0, 101.5, 99.25])
+        panel = ingest_prices(f)
+        assert panel.symbols == ("SPY",)
+        assert panel.dates == ("2020-01-01", "2020-01-02", "2020-01-03")
+        np.testing.assert_array_equal(panel.prices, [[100.0, 101.5, 99.25]])
 
     def test_interleaved_symbols_sorted(self, tmp_path):
         f = tmp_path / "p.csv"
@@ -43,9 +44,10 @@ class TestIngestLong:
             "date,symbol,adj_close\n"
             "2020-01-02,B,2.0\n2020-01-01,A,1.0\n2020-01-01,B,1.9\n2020-01-02,A,1.1\n"
         )
-        series = ingest_prices(f)
-        assert [s.symbol for s in series] == ["A", "B"]
-        assert series[1].dates == ("2020-01-01", "2020-01-02")
+        panel = ingest_prices(f)
+        assert panel.symbols == ("A", "B")
+        assert panel.dates == ("2020-01-01", "2020-01-02")
+        np.testing.assert_array_equal(panel.prices, [[1.0, 1.1], [1.9, 2.0]])
 
     def test_zero_price_names_date_and_symbol(self, tmp_path):
         f = tmp_path / "p.csv"
@@ -74,8 +76,9 @@ class TestIngestLong:
         f.write_text(
             "date,symbol,adj_close\n2020-01-01,A,1.0\n2020-01-02,A,\n2020-01-03,A,1.2\n"
         )
-        series = ingest_prices(f)
-        assert series[0].dates == ("2020-01-01", "2020-01-03")
+        panel = ingest_prices(f)
+        assert panel.dates == ("2020-01-01", "2020-01-03")
+        np.testing.assert_array_equal(panel.prices, [[1.0, 1.2]])
 
     def test_single_row_symbol_rejected(self, tmp_path):
         f = tmp_path / "p.csv"
@@ -88,8 +91,9 @@ class TestIngestWide:
     def test_wide_multi_symbol(self, tmp_path):
         f = tmp_path / "w.csv"
         f.write_text("date,AAA,BBB\n2020-01-01,1.0,2.0\n2020-01-02,1.1,2.2\n")
-        series = ingest_prices(f)
-        assert [s.symbol for s in series] == ["AAA", "BBB"]
+        panel = ingest_prices(f)
+        assert panel.symbols == ("AAA", "BBB")
+        np.testing.assert_array_equal(panel.prices, [[1.0, 1.1], [2.0, 2.2]])
 
     def test_wide_twenty_five_symbols(self, tmp_path):
         symbols = [f"S{i:02d}" for i in range(25)]
@@ -98,16 +102,18 @@ class TestIngestWide:
             rows.append(d + "," + ",".join("10.0" for _ in symbols))
         f = tmp_path / "w25.csv"
         f.write_text("\n".join(rows) + "\n")
-        assert len(ingest_prices(f)) == 25
+        panel = ingest_prices(f)
+        assert panel.symbols == tuple(symbols)
+        assert panel.prices.shape == (25, 3)
 
     def test_missing_cell_dropped_per_symbol(self, tmp_path):
         f = tmp_path / "w.csv"
         f.write_text(
             "date,AAA,BBB\n2020-01-01,1.0,2.0\n2020-01-02,,2.2\n2020-01-03,1.2,2.3\n"
         )
-        series = {s.symbol: s for s in ingest_prices(f)}
-        assert series["AAA"].dates == ("2020-01-01", "2020-01-03")
-        assert series["BBB"].dates == ("2020-01-01", "2020-01-02", "2020-01-03")
+        panel = ingest_prices(f)
+        assert panel.dates == ("2020-01-01", "2020-01-02", "2020-01-03")
+        np.testing.assert_array_equal(panel.prices, [[1.0, np.nan, 1.2], [2.0, 2.2, 2.3]])
 
     def test_duplicate_date_rejected(self, tmp_path):
         f = tmp_path / "w.csv"
@@ -130,11 +136,11 @@ class TestIngestWide:
     def test_round_trip_exact(self, tmp_path, universe):
         out = tmp_path / "roundtrip.csv"
         write_prices_wide(out, universe.prices)
-        back = {s.symbol: s for s in ingest_prices(out)}
-        assert set(back) == {p.symbol for p in universe.prices}
-        for p in universe.prices:
-            assert back[p.symbol].dates == p.dates
-            np.testing.assert_array_equal(back[p.symbol].prices, p.prices)
+        back = ingest_prices(out)
+        want = price_panel(universe.prices)
+        assert back.symbols == want.symbols == tuple(p.symbol for p in universe.prices)
+        assert back.dates == want.dates == universe.prices[0].dates
+        assert back.prices.tobytes() == want.prices.tobytes()
 
 
 class TestCmdHurst:
@@ -152,6 +158,21 @@ class TestCmdHurst:
         assert main(["hurst", "--input", str(f), "--column", "value"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert 0.15 < doc["h"] < 0.45
+
+    def test_symbol_with_blank_cells_uses_its_observed_prices(
+        self, fixture_csv, universe, tmp_path, capsys
+    ):
+        a1 = universe.prices[0]
+        assert a1.symbol == "A1"
+        gaps = (3, 64, 65, 700, 2519)
+        sparse = blank_cells(
+            fixture_csv, tmp_path / "sparse.csv", {a1.dates[t]: ["A1"] for t in gaps}
+        )
+        assert main(["hurst", "--input", str(sparse), "--symbol", "A1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        est = estimate_hurst(np.delete(a1.prices, gaps))
+        assert (doc["h"], doc["h_err"]) == (est.h, est.h_err)
+        assert doc["h"] != estimate_hurst(a1.prices).h  # the gaps matter
 
     def test_missing_symbol_exits_3(self, fixture_csv, capsys):
         assert main(["hurst", "--input", str(fixture_csv), "--symbol", "NOPE"]) == 3
@@ -291,6 +312,25 @@ class TestCmdBacktest:
         assert main(args) == 3
         assert "SPY" in capsys.readouterr().err
 
+    def test_late_listed_symbol_runs_on_common_dates(self, fixture_csv, universe, tmp_path):
+        # N2 lists 130 days late: the run must be the one on the CSV cut to
+        # the dates every symbol has
+        dates = universe.prices[0].dates
+        late = blank_cells(fixture_csv, tmp_path / "late.csv", {d: ["N2"] for d in dates[:130]})
+        lines = fixture_csv.read_text().splitlines()
+        cut = tmp_path / "cut.csv"
+        cut.write_text("\n".join(lines[:1] + lines[131:]) + "\n")
+        docs = []
+        for name, prices in (("late", late), ("cut", cut)):
+            out = tmp_path / f"{name}.json"
+            args = ["backtest", "--prices", str(prices), "--benchmark", "MKT", "--output", str(out)]
+            assert main(args) == 0
+            docs.append(out.read_bytes())
+        assert docs[0] == docs[1]
+        doc = json.loads(docs[0])
+        assert doc["windows"][0]["start_date"] == dates[130 + 125]
+        assert len(doc["windows"]) == (len(dates) - 130 - 126) // 126
+
     def test_byte_identical_reports(self, fixture_csv, tmp_path):
         outs = []
         for name in ("a.json", "b.json"):
@@ -308,9 +348,9 @@ class TestCmdMakeFixture:
     def test_fixture_generated_and_ingestable(self, tmp_path, capsys):
         out = tmp_path / "u.csv"
         assert main(["make-fixture", "--out", str(out), "--days", "300", "--seed", "5"]) == 0
-        series = ingest_prices(out)
-        assert len(series) == 11  # 10 assets + MKT benchmark
-        assert {s.symbol for s in series} >= {"A1", "B1", "MKT"}
+        panel = ingest_prices(out)
+        assert len(panel.symbols) == 11  # 10 assets + MKT benchmark
+        assert set(panel.symbols) >= {"A1", "B1", "MKT"}
         assert "planted pairs" in capsys.readouterr().out
 
     def test_deterministic_per_seed(self, tmp_path):

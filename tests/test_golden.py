@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from fractalport.backtest import BacktestConfig, run_walk_forward
+from fractalport.spreads import price_panel
 from fractalport.synthetic import make_synthetic_universe
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_seed3.json").read_text())
@@ -20,7 +21,8 @@ GOLDEN = json.loads((Path(__file__).parent / "golden_seed3.json").read_text())
 @pytest.fixture(scope="module")
 def golden_report():
     u = make_synthetic_universe(seed=3)
-    return run_walk_forward(u.prices, u.benchmark, BacktestConfig(benchmark_symbol="MKT"))
+    panel = price_panel(u.prices + [u.benchmark])
+    return run_walk_forward(panel, BacktestConfig(benchmark_symbol="MKT"))
 
 
 def test_windows_pinned(golden_report):

@@ -37,7 +37,8 @@ from fractalport.spreads import (
     MIN_HEDGE_LENGTH,
     PriceSeries,
     pair_spreads,
-    price_matrix,
+    price_block,
+    price_panel,
 )
 
 
@@ -196,9 +197,11 @@ class TestMatchesPerPairReference:
         with pytest.raises(error):
             reference_candidates(universe, SelectionConfig())
         # the engine's callers first align the window's prices on its dates
-        prices = [PriceSeries(r.symbol, r.dates, np.full(n_days, 100.0)) for r in universe]
+        panel = price_panel(
+            [PriceSeries(f"P{k}", r.dates, np.full(n_days, 100.0)) for k, r in enumerate(universe)]
+        )
         with pytest.raises(error):
-            price_matrix(prices, universe[0].dates)
+            price_block(panel, np.ones(4, dtype=bool), np.isin(panel.dates, universe[0].dates))
             build(universe, SelectionConfig())
 
     def test_all_pairs_dropped_is_not_an_error(self):

@@ -18,7 +18,8 @@ from fractalport.spreads import (
     PriceSeries,
     hedge_ratios,
     pair_spreads,
-    price_matrix,
+    price_block,
+    price_panel,
     window_returns,
 )
 
@@ -118,7 +119,10 @@ class TestPriceMatrix:
         days = dates(5)
         x = PriceSeries(symbol="X", dates=days, prices=[1.0, 2.0, 3.0, 4.0, 5.0])
         y = PriceSeries(symbol="Y", dates=days[1:], prices=[20.0, 30.0, 40.0, 50.0])
-        got = price_matrix([x, y], (days[1], days[3], days[4]))
+        panel = price_panel([y, x])
+        assert panel.symbols == ("X", "Y") and panel.dates == days
+        np.testing.assert_array_equal(panel.prices[1], [np.nan, 20.0, 30.0, 40.0, 50.0])
+        got = price_block(panel, [True, True], [False, True, False, True, True])
         np.testing.assert_array_equal(got, [[2.0, 4.0, 5.0], [20.0, 40.0, 50.0]])
         assert got.flags.c_contiguous
 
@@ -132,7 +136,12 @@ class TestPriceMatrix:
             prices=np.full(4, 1.0),
         )
         with pytest.raises(AlignmentError, match=f"^Y: no price on {days[missing]}$"):
-            price_matrix([x, y], days)
+            price_block(price_panel([x, y]), [True, True], np.ones(5, dtype=bool))
+
+    def test_panel_is_read_only(self):
+        panel = price_panel([PriceSeries(symbol="X", dates=dates(2), prices=[1.0, 2.0])])
+        with pytest.raises(ValueError):
+            panel.prices[0, 0] = 5.0
 
 
 def pair(ri, rj):
@@ -235,8 +244,9 @@ class TestBuildSpread:
     def test_alignment_required(self):
         pi = PriceSeries(symbol="A", dates=dates(41), prices=np.full(41, 100.0))
         pj = PriceSeries(symbol="B", dates=dates(41, start=2), prices=np.full(41, 100.0))
+        panel = price_panel([pi, pj])
         with pytest.raises(AlignmentError):
-            price_matrix([pi, pj], pi.dates)
+            price_block(panel, [True, True], np.isin(panel.dates, pi.dates))
 
     def test_nonpositive_chi_rejected(self):
         ri = make_returns("A", np.full(40, 0.01))
