@@ -2,10 +2,10 @@
 
 Two input layouts are auto-detected from the header: long format
 (``date,symbol,adj_close``) and wide format (``date,SYM1,SYM2,...``).
-Either is read into one ``PricePanel`` column by column: the file is read
-in batches of lines, each batch is split into fields at once, the date and
-symbol columns are factorised (each distinct date string is parsed once)
-and each price column is converted in one numpy call. Reports are emitted
+Either is read into one ``PricePanel`` column by column: one ``csv.reader``
+reads the file in batches of rows, each batch is transposed into columns,
+the date and symbol columns are factorised (each distinct date string is
+parsed once) and each price column is converted in one numpy call. Reports are emitted
 as JSON with a top-level ``schema_version``; time series go to CSV.
 """
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 from datetime import date
-from itertools import chain, compress, islice, repeat
+from itertools import compress, islice
 from pathlib import Path
 from typing import Sequence
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from fractalport.backtest import BacktestConfig, BacktestReport
 from fractalport.errors import ParseError, ValidationError
-from fractalport.spreads import PricePanel, PriceSeries
+from fractalport.spreads import PricePanel, PriceSeries, build_panel
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -34,12 +34,11 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-# Characters of whole lines read per batch. On the benchmark CSVs (2-core
-# VM) 64k and 256k read equally fast and 16k was slower on the wide 60-symbol
-# CSV (0.18 against 0.14 s), while the ingest's peak memory grows with the
-# batch: the 17 MB long CSV peaked at 72.6 MiB with this size, 76.8 MiB with
-# 256k and 89.5 MiB with 1M characters.
-READ_BATCH_CHARS = 1 << 16
+# Cells per batch: rows are read in batches of this many cells over the
+# header's width. Ingest alone on the benchmark CSVs (2-core VM): 1k cells
+# read the 60-symbol wide CSV slower (0.18 against 0.14 s), and 32k cells
+# raised the 17 MB long CSV's ingest peak to 77 from 71 MiB.
+READ_BATCH_CELLS = 1 << 12
 
 
 def ingest_prices(path) -> PricePanel:
@@ -71,44 +70,27 @@ def ingest_prices(path) -> PricePanel:
 def _row_batches(fh, width: int):
     """The file's non-blank records after the header, in batches.
 
-    Yields ``(columns, lines)``: ``width`` lists of the batch's raw fields,
-    and each row's line number. A batch without quote characters whose
-    lines all have ``width`` fields, none starting blank, is split with one
-    ``str.split``; any other batch goes through ``csv.reader`` line by line,
-    and from the first quote character on the rest of the file does.
+    Yields ``(columns, lines)``: ``width`` sequences of the batch's raw
+    fields, and each row's line number. One ``csv.reader`` reads the whole
+    file, so a quoted field may span lines; line numbers count records.
+
+    Faults are found batch by batch: a batch's column counts here, then its
+    dates, symbols and prices in the reader, each in file order; duplicates
+    and the per-symbol checks come after the last batch. Which fault a file
+    with several reports therefore depends on ``READ_BATCH_CELLS``.
     """
+    records = csv.reader(fh)
     line = 2
-    while batch := fh.readlines(READ_BATCH_CHARS):
-        text = ",".join(batch)
-        if '"' in text:
-            records = enumerate(csv.reader(chain(batch, fh)), line)
-            while chunk := list(islice(records, len(batch))):
-                yield _csv_rows(chunk, width)
-            return
-        if set(map(str.count, batch, repeat(","))) == {width - 1}:
-            # quote-free lines hold line breaks only at their ends
-            fields = text.replace("\n", "").replace("\r", "").split(",")
-            columns = [fields[k::width] for k in range(width)]
-            if all(map(str.strip, set(columns[0]))):
-                yield columns, range(line, line + len(batch))
-                line += len(batch)
-                continue
-        yield _csv_rows(enumerate(csv.reader(batch), line), width)
-        line += len(batch)
-
-
-def _csv_rows(records, width: int):
-    """Columns and line numbers of numbered ``csv.reader`` records, blank
-    ones skipped."""
-    rows, lines = [], []
-    for line, row in records:
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != width:
-            raise ParseError(f"line {line}: expected {width} columns, got {len(row)}")
-        rows.append(row)
-        lines.append(line)
-    return [list(c) for c in zip(*rows)] or [[]] * width, lines
+    while rows := list(islice(records, max(1, READ_BATCH_CELLS // width))):
+        lines = range(line, line + len(rows))
+        line += len(rows)
+        filled = list(map(str.strip, map("".join, rows)))
+        if not all(filled):  # blank records
+            lines, rows = list(compress(lines, filled)), list(compress(rows, filled))
+        if set(map(len, rows)) - {width}:
+            n, row = next((n, row) for n, row in zip(lines, rows) if len(row) != width)
+            raise ParseError(f"line {n}: expected {width} columns, got {len(row)}")
+        yield list(zip(*rows)) or [()] * width, lines
 
 
 def _factorise(raw, lines, codes: dict, labels: dict, canonical) -> np.ndarray:
@@ -189,7 +171,7 @@ def _read_long(batches) -> PricePanel:
         )
     # a symbol seen only with blank prices has no observations
     observed = ~np.isnan(prices).all(axis=1)
-    return _panel(tuple(compress(symbols, observed)), dates, prices[observed])
+    return build_panel(tuple(compress(symbols, observed)), dates, prices[observed])
 
 
 def _read_wide(batches, symbols: list[str]) -> PricePanel:
@@ -211,7 +193,7 @@ def _read_wide(batches, symbols: list[str]) -> PricePanel:
     dates, date_rank = _sorted_labels(days)
     prices = np.empty((len(symbols), len(dates)))
     prices[:, date_rank[d]] = np.concatenate(blocks, axis=1)
-    return _panel(tuple(sorted(symbols)), dates, prices)
+    return build_panel(tuple(sorted(symbols)), dates, prices)
 
 
 def _sorted_labels(labels: dict) -> tuple[tuple[str, ...], np.ndarray]:
@@ -235,33 +217,6 @@ def _line(spans, row: int) -> int:
         if row < len(kept):
             return lines[kept[row]]
         row -= len(kept)
-
-
-def _panel(symbols, dates, prices: np.ndarray) -> PricePanel:
-    """Drop dates without prices, check each symbol's prices, freeze.
-
-    The first failing symbol in sorted order is reported; a symbol with
-    fewer than 2 prices fails before a non-positive price is looked at.
-    """
-    observed = ~np.isnan(prices)
-    on_some = observed.any(axis=0)
-    if not on_some.all():
-        prices = prices.compress(on_some, axis=1)  # C-contiguous, unlike prices[:, on_some]
-        observed = observed[:, on_some]
-        dates = tuple(compress(dates, on_some))
-    count = observed.sum(axis=1)
-    non_positive = prices <= 0.0
-    bad = (count < 2) | non_positive.any(axis=1)
-    if bad.any():
-        k = int(np.argmax(bad))
-        if count[k] < 2:
-            raise ValidationError(f"{symbols[k]}: need at least 2 prices, got {count[k]}")
-        t = int(np.argmax(non_positive[k]))
-        raise ValidationError(
-            f"{symbols[k]}: price {prices[k, t]} on {dates[t]} is not finite and positive"
-        )
-    prices.flags.writeable = False
-    return PricePanel(tuple(symbols), tuple(dates), prices)
 
 
 def write_prices_wide(path, series: Sequence[PriceSeries]) -> None:

@@ -31,6 +31,7 @@ __all__ = [
     "PriceSeries",
     "PricePanel",
     "SpreadRows",
+    "build_panel",
     "price_panel",
     "price_block",
     "window_returns",
@@ -66,17 +67,8 @@ class PriceSeries:
             raise ValidationError(
                 f"{self.symbol}: {len(self.dates)} dates vs {self.prices.size} prices"
             )
-        if self.prices.size < 2:
-            raise ValidationError(
-                f"{self.symbol}: need at least 2 prices, got {self.prices.size}"
-            )
-        bad = np.flatnonzero(~(np.isfinite(self.prices) & (self.prices > 0)))
-        if bad.size:
-            k = bad[0]
-            raise ValidationError(
-                f"{self.symbol}: price {self.prices[k]} on {self.dates[k]} "
-                "is not finite and positive"
-            )
+        observed = np.ones((1, self.prices.size), dtype=bool)
+        _check_prices((self.symbol,), self.dates, self.prices[None], observed)
         # object elements compare as the str values; converting to a numpy
         # string dtype would cost more than the comparison saves
         days = np.array(self.dates, dtype=object)
@@ -97,6 +89,38 @@ class PricePanel(NamedTuple):
     prices: np.ndarray
 
 
+def build_panel(symbols, dates, prices: np.ndarray) -> PricePanel:
+    """The panel of ``prices`` (symbols x dates, NaN for a missing cell) on
+    sorted ``symbols`` and ``dates``: dates without prices are dropped, each
+    symbol's prices are checked as ``PriceSeries`` checks them, and the
+    matrix is frozen C-contiguous.
+    """
+    observed = ~np.isnan(prices)
+    on_some = observed.any(axis=0)
+    if not on_some.all():
+        prices = prices.compress(on_some, axis=1)  # C-contiguous, unlike prices[:, on_some]
+        observed = observed[:, on_some]
+        dates = tuple(compress(dates, on_some))
+    _check_prices(symbols, dates, prices, observed)
+    return PricePanel(tuple(symbols), tuple(dates), _freeze(prices))
+
+
+def _check_prices(symbols, dates, prices: np.ndarray, observed: np.ndarray) -> None:
+    """Reject the first symbol, in the given order, with fewer than 2
+    ``observed`` prices or, failing that, with one not finite and positive."""
+    count = observed.sum(axis=1)
+    bad_cell = observed & ~(np.isfinite(prices) & (prices > 0))
+    bad = (count < 2) | bad_cell.any(axis=1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if count[k] < 2:
+            raise ValidationError(f"{symbols[k]}: need at least 2 prices, got {count[k]}")
+        t = int(np.argmax(bad_cell[k]))
+        raise ValidationError(
+            f"{symbols[k]}: price {prices[k, t]} on {dates[t]} is not finite and positive"
+        )
+
+
 def price_panel(series: Sequence[PriceSeries]) -> PricePanel:
     """The panel holding ``series``, the same one ``ingest_prices`` reads
     from a CSV of them."""
@@ -109,7 +133,7 @@ def price_panel(series: Sequence[PriceSeries]) -> PricePanel:
     prices = np.full((len(ordered), len(dates)), np.nan)
     for row, p in zip(prices, ordered):
         row[[column[d] for d in p.dates]] = p.prices
-    return PricePanel(symbols, dates, _freeze(prices))
+    return build_panel(symbols, dates, prices)
 
 
 def price_block(panel: PricePanel, rows, cols) -> np.ndarray:

@@ -248,13 +248,13 @@ def csv_path(tmp_path_factory):
 
 
 @settings(max_examples=400, deadline=None)
-@given(price_files(), st.sampled_from([fio.READ_BATCH_CHARS, 64, 16]))
-def test_matches_reference(csv_path, case, batch_chars):
+@given(price_files(), st.sampled_from([fio.READ_BATCH_CELLS, 8, 3]))
+def test_matches_reference(csv_path, case, batch_cells):
     text, fault = case
     csv_path.write_bytes(text.encode())
     want = outcome(reference_ingest, csv_path)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fio, "READ_BATCH_CHARS", batch_chars)
+        mp.setattr(fio, "READ_BATCH_CELLS", batch_cells)
         got = outcome(ingest_prices, csv_path)
     assert got == want
     if fault is None:
@@ -279,7 +279,7 @@ def big_long_csv(path, n_days=400, quote_row=None, fault_row=None):
 
 @pytest.mark.parametrize("quote_row", [None, 5, 900], ids=["plain", "quote_early", "quote_late"])
 def test_many_batches_match_reference(tmp_path, monkeypatch, quote_row):
-    monkeypatch.setattr(fio, "READ_BATCH_CHARS", 512)
+    monkeypatch.setattr(fio, "READ_BATCH_CELLS", 30)
     path = big_long_csv(tmp_path / "big.csv", quote_row=quote_row)
     got = outcome(ingest_prices, path)
     assert got == outcome(reference_ingest, path)
@@ -288,7 +288,7 @@ def test_many_batches_match_reference(tmp_path, monkeypatch, quote_row):
 
 @pytest.mark.parametrize("fault_row", [3, 700, 1200])
 def test_fault_in_a_late_batch_names_its_line(tmp_path, monkeypatch, fault_row):
-    monkeypatch.setattr(fio, "READ_BATCH_CHARS", 512)
+    monkeypatch.setattr(fio, "READ_BATCH_CELLS", 30)
     path = big_long_csv(tmp_path / "big.csv", fault_row=fault_row)
     want = (ParseError, f"line {fault_row + 1}: expected 3 columns, got 4")
     assert outcome(ingest_prices, path) == outcome(reference_ingest, path) == want
@@ -297,7 +297,7 @@ def test_fault_in_a_late_batch_names_its_line(tmp_path, monkeypatch, fault_row):
 def test_quoted_record_across_lines_counts_once(tmp_path, monkeypatch):
     # a quoted symbol holding a line break is one record on two lines; line
     # numbers count records, as csv.reader does
-    monkeypatch.setattr(fio, "READ_BATCH_CHARS", 16)
+    monkeypatch.setattr(fio, "READ_BATCH_CELLS", 3)
     f = tmp_path / "q.csv"
     f.write_text(
         'date,symbol,adj_close\n2020-01-01,"X\nY",1.0\n2020-01-02,"X\nY",2.0\n'
@@ -312,6 +312,15 @@ def test_header_only_wide_names_first_symbol(tmp_path):
     f.write_text("date,BBB,AAA\n")
     assert outcome(ingest_prices, f) == (
         ValidationError, "AAA: need at least 2 prices, got 0"
+    ) == outcome(reference_ingest, f)
+
+
+def test_too_few_prices_reported_before_non_positive(tmp_path):
+    # A has one price and it is negative; B is fine
+    f = tmp_path / "w.csv"
+    f.write_text("date,B,A\n2020-01-01,1.0,-1.0\n2020-01-02,2.0,\n")
+    assert outcome(ingest_prices, f) == (
+        ValidationError, "A: need at least 2 prices, got 1"
     ) == outcome(reference_ingest, f)
 
 
