@@ -32,7 +32,6 @@ from fractalport.fbm import (
     estimate_hurst,
     fit_hurst,
     generate_fbm,
-    rescale_volatility,
 )
 from fractalport.io import (
     ingest_prices,
@@ -60,7 +59,7 @@ from fractalport.selection import (
 from fractalport.spreads import (
     PricePanel,
     PriceSeries,
-    SpreadRows,
+    hedge_increments,
     hedge_ratios,
     pair_spreads,
     price_block,

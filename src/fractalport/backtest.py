@@ -33,7 +33,13 @@ from fractalport.optimizer import (
     rescale_covariance,
     solve_weights,
 )
-from fractalport.selection import SelectionConfig, build_generating_matrix, select_spreads
+from fractalport.selection import (
+    PAIR_BLOCK,
+    Candidates,
+    SelectionConfig,
+    build_generating_matrix,
+    select_spreads,
+)
 from fractalport.spreads import PricePanel, pair_spreads, price_block, window_returns
 
 __all__ = [
@@ -205,10 +211,9 @@ def _mark_window(
     return equity, costs
 
 
-def _optimize_window(returns: np.ndarray, symbols, cfg: BacktestConfig):
-    """Training-window pipeline: candidates, selection, weights, legs."""
-    sel_cfg = SelectionConfig(horizon_days=cfg.test_days, hurst_cap=cfg.hurst_cap)
-    sel = select_spreads(build_generating_matrix(returns, symbols, sel_cfg), sel_cfg)
+def _optimize_window(returns: np.ndarray, sel: Candidates, cfg: BacktestConfig):
+    """Training-window pipeline after selection: weights and legs of the
+    spreads ``sel`` selected on the window's (assets x days) ``returns``."""
     if not sel:
         return None, (), {}
     # each pair_spreads row depends only on its own inputs, so these are
@@ -245,6 +250,10 @@ def run_walk_forward(panel: PricePanel, cfg: BacktestConfig) -> BacktestReport:
     other row is traded. The run uses the dates on which all of them have
     a price. Each test window's positions are computed from its training
     window alone and held, with fixed share counts, through the test window.
+
+    The candidates of consecutive training windows are built as one stack,
+    as many windows at a time as fill about one ``PAIR_BLOCK`` of pairs;
+    each window's rows of that table depend on its own returns only.
     """
     if cfg.benchmark_symbol not in panel.symbols:
         raise DataError(
@@ -266,6 +275,8 @@ def run_walk_forward(panel: PricePanel, cfg: BacktestConfig) -> BacktestReport:
     prices = price_block(panel, ~is_bench, common)
     bench = price_block(panel, is_bench, common)[0]
     row_of = {s: k for k, s in enumerate(symbols)}
+    sel_cfg = SelectionConfig(horizon_days=cfg.test_days, hurst_cap=cfg.hurst_cap)
+    group = max(1, PAIR_BLOCK // (len(symbols) * (len(symbols) - 1) // 2))
 
     n_windows = (len(dates) - cfg.train_days) // cfg.test_days
     windows: list[WindowResult] = []
@@ -274,7 +285,14 @@ def run_walk_forward(panel: PricePanel, cfg: BacktestConfig) -> BacktestReport:
         a = w * cfg.test_days
         b = a + cfg.train_days
         end = b + cfg.test_days
-        weights, info, legs = _optimize_window(window_returns(prices[:, a:b]), symbols, cfg)
+        k = w % group
+        if k == 0:
+            starts = range(a, min(w + group, n_windows) * cfg.test_days, cfg.test_days)
+            stack = np.stack([window_returns(prices[:, s : s + cfg.train_days]) for s in starts])
+            cands = build_generating_matrix(stack, symbols, sel_cfg)
+            bounds = np.searchsorted(cands.window, np.arange(len(starts) + 1)).tolist()
+        sel = select_spreads(cands.take(slice(bounds[k], bounds[k + 1])), sel_cfg)
+        weights, info, legs = _optimize_window(stack[k], sel, cfg)
         start_capital = chain_capital if cfg.reinvest else cfg.initial_capital
         if start_capital <= 0:
             raise NumericalError(f"capital exhausted before window {w}")

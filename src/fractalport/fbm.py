@@ -1,5 +1,5 @@
-"""Fractional Brownian motion: exact generator, minimal-cover Hurst
-estimation and horizon rescaling of volatility.
+"""Fractional Brownian motion: exact generator and minimal-cover Hurst
+estimation.
 
 The generator draws fractional Gaussian noise with its exact covariance
 (circulant embedding, Cholesky for very short series) so it can serve as
@@ -28,7 +28,6 @@ __all__ = [
     "generate_fbm",
     "estimate_hurst",
     "fit_hurst",
-    "rescale_volatility",
 ]
 
 # Below this length the ladder has fewer than 4 scales and the slope error
@@ -246,13 +245,3 @@ def estimate_hurst(s) -> HurstEstimate:
         h=float(h[0]), h_err=float(h_err[0]), n_scales=int(n_scales[0]), clamped=bool(clamped[0])
     )
 
-
-def rescale_volatility(theta_daily: float, h: float, n_days: int) -> float:
-    """N-day volatility from daily volatility: theta * N^h."""
-    if theta_daily < 0.0:
-        raise ParameterError(f"volatility must be non-negative, got {theta_daily}")
-    if not 0.0 < h < 1.0:
-        raise ParameterError(f"hurst exponent must lie in (0, 1), got {h}")
-    if n_days < 1:
-        raise ParameterError(f"horizon must be at least 1 day, got {n_days}")
-    return theta_daily * float(n_days) ** h

@@ -18,7 +18,7 @@ import numpy as np
 
 from fractalport.errors import DegenerateVolatilityError, ParameterError
 from fractalport.fbm import fit_hurst
-from fractalport.spreads import hedge_ratios, pair_spreads
+from fractalport.spreads import hedge_increments, hedge_ratios, pair_spreads
 
 __all__ = [
     "SelectionConfig",
@@ -31,7 +31,10 @@ __all__ = [
 
 # Pairs evaluated together as rows of one array block: enough rows to
 # amortize numpy's per-call overhead, few enough that each (pairs x days)
-# temporary takes 2 KB per day of history (0.25 MB at 126 days).
+# temporary takes 2 KB per day of history (0.25 MB at 126 days). Measured
+# with stacked windows (perfbench run_cal medians of 3 seeds, 2-core VM,
+# 128 / 256 / 512): pairs_wide 1.09 / 1.05 / 0.95 and history_long
+# 1.19 / 1.18 / 1.16, but 512 raised peak RSS by 1.3 and 0.6 MB.
 PAIR_BLOCK = 256
 
 
@@ -52,10 +55,12 @@ class SelectionConfig:
 
 @dataclass(frozen=True)
 class Candidates:
-    """Candidate spreads of one window, one row per pair, as equal-length columns.
+    """Candidate spreads, one row per pair of a window, as equal-length columns.
 
-    ``i``/``j`` index the legs in the (assets x days) return matrix and
-    ``hedge_chi`` is their hedge ratio as ``hedge_ratios`` returned it, so
+    ``window`` indexes the row's window in the stack the table was built
+    from (0 for a single window). ``i``/``j`` index the legs in that
+    window's (assets x days) return matrix and ``hedge_chi`` is their hedge
+    ratio as ``hedge_ratios`` returned it, so
     ``pair_spreads(returns, i, j, hedge_chi)`` rebuilds the daily deltas.
     ``long``/``short``/``chi`` are the oriented legs (indices into
     ``symbols``) and hedge ratio; ``mean``/``theta`` are the mean and std of
@@ -63,6 +68,7 @@ class Candidates:
     """
 
     symbols: tuple[str, ...]
+    window: np.ndarray
     i: np.ndarray
     j: np.ndarray
     long: np.ndarray
@@ -128,36 +134,47 @@ def spread_path(deltas) -> np.ndarray:
 
 
 def build_generating_matrix(returns: np.ndarray, symbols, cfg: SelectionConfig) -> Candidates:
-    """Candidates for every unordered asset pair of the window.
+    """Candidates for every unordered asset pair of each window.
 
-    ``returns`` is the window's (assets x days) matrix (``window_returns``)
-    and ``symbols`` names its rows. Pairs run in ``itertools.combinations``
-    order, ``PAIR_BLOCK`` at a time as rows of array operations. Pairs
-    whose hedge ratio is degenerate or non-positive are omitted, as are
-    pairs with no usable Hurst fit or too flat to size; spreads are
-    oriented so the mean daily return is non-negative.
+    ``returns`` is a window's (assets x days) matrix (``window_returns``),
+    or a (windows x assets x days) stack of such matrices on the same
+    assets, and ``symbols`` names the asset rows. Rows run window by
+    window, each window's pairs in ``itertools.combinations`` order, so a
+    window's rows are one contiguous run of the table. Each asset's hedge
+    increments are computed once per window, then ``PAIR_BLOCK``
+    (window, pair) rows at a time are evaluated as rows of array
+    operations. Pairs whose hedge ratio is degenerate or non-positive are
+    omitted, as are pairs with no usable Hurst fit or too flat to size;
+    spreads are oriented so the mean daily return is non-negative. A row's
+    values do not depend on the other rows, so a stack gives each window
+    the table it gets alone.
     """
-    n_assets = returns.shape[0]
+    n_assets, n_days = returns.shape[-2:]
     if n_assets < 2:
         raise ParameterError(f"universe needs at least 2 assets, got {n_assets}")
+    stacked = returns.reshape(-1, n_days)  # (windows * assets) x days
+    increments = hedge_increments(stacked)
     first, second = np.triu_indices(n_assets, 1)
-    # i, j, long, short are indices; the six columns after them are floats
-    blocks = [(first[:0],) * 4 + (np.empty(0),) * 6]
-    for start in range(0, first.size, PAIR_BLOCK):
-        i = first[start : start + PAIR_BLOCK]
-        j = second[start : start + PAIR_BLOCK]
-        chi = hedge_ratios(returns, i, j)
+    n_rows = stacked.shape[0] // n_assets * first.size
+    # window, i, j, long, short are indices; the six columns after them are floats
+    blocks = [(first[:0],) * 5 + (np.empty(0),) * 6]
+    for start in range(0, n_rows, PAIR_BLOCK):
+        window, pair = np.divmod(np.arange(start, min(start + PAIR_BLOCK, n_rows)), first.size)
+        base = window * n_assets  # the window's first row in ``stacked``
+        i, j = base + first[pair], base + second[pair]
+        chi = hedge_ratios(increments, i, j)
         hedged = chi > 0.0  # NaN marks a degenerate hedge
         if not hedged.any():
             continue
-        i, j, chi = i[hedged], j[hedged], chi[hedged]
-        rows = pair_spreads(returns, i, j, chi)
+        window, base, i, j, chi = (c[hedged] for c in (window, base, i, j, chi))
+        rows = pair_spreads(stacked, i, j, chi)
         h, h_err, n_scales, _ = fit_hurst(spread_path(rows.deltas))
         keep = (n_scales >= 3) & (rows.theta > 0.0)  # a usable fit, sizable spread
-        columns = (i, j, rows.long, rows.short, chi, rows.chi, rows.mean, rows.theta, h, h_err)
+        legs = (k - base for k in (i, j, rows.long, rows.short))  # indices in the window
+        columns = (window, *legs, chi, rows.chi, rows.mean, rows.theta, h, h_err)
         blocks.append(tuple(c[keep] for c in columns))
     columns = [np.concatenate(c) for c in zip(*blocks)]
-    mean, theta, h = columns[6:9]
+    mean, theta, h = columns[7:10]
     kelly = fractal_kelly_weight(mean, theta, h, cfg.horizon_days)
     return Candidates(tuple(symbols), *columns, kelly)
 

@@ -30,11 +30,11 @@ from fractalport.errors import (
 __all__ = [
     "PriceSeries",
     "PricePanel",
-    "SpreadRows",
     "build_panel",
     "price_panel",
     "price_block",
     "window_returns",
+    "hedge_increments",
     "hedge_ratios",
     "pair_spreads",
 ]
@@ -162,18 +162,13 @@ def window_returns(prices: np.ndarray) -> np.ndarray:
     return np.diff(prices, axis=1) / prices[:, :1]
 
 
-def hedge_ratios(returns: np.ndarray, i, j) -> np.ndarray:
-    """Hedge ratio chi (ratio of market betas) of asset i[k] over asset j[k].
+def hedge_increments(returns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The per-asset half of the hedge regression: each row's one-day
+    increments of its normalized returns, centred, and their variance.
 
-    ``returns`` is an (assets x days) matrix; each pair is one row of the
-    computation. Estimated from one-day increments of the normalized
-    returns: the OLS slope of the increments of r_i on those of r_j, which
-    equals the beta ratio under a single-factor model and is numerically
-    stable. Each asset's increments are centred once and gathered per pair.
-
-    A pair whose regressor increments have variance below
-    ``HEDGE_VARIANCE_EPS`` has no hedge ratio and gets NaN. A non-positive
-    result signals an invertedly-related pair; callers skip both.
+    ``returns`` is an (assets x days) matrix; the rows of several windows'
+    matrices stacked into one give each row the same bits as its own
+    window alone, since every reduction runs along a row.
     """
     if returns.shape[1] < MIN_HEDGE_LENGTH:
         raise InsufficientDataError(
@@ -182,6 +177,23 @@ def hedge_ratios(returns: np.ndarray, i, j) -> np.ndarray:
     incr = np.diff(returns, axis=1)
     var = np.var(incr, axis=1)
     incr -= incr.mean(axis=1, keepdims=True)
+    return incr, var
+
+
+def hedge_ratios(increments: tuple[np.ndarray, np.ndarray], i, j) -> np.ndarray:
+    """Hedge ratio chi (ratio of market betas) of asset i[k] over asset j[k].
+
+    ``increments`` is what ``hedge_increments`` returns for the rows that
+    ``i`` and ``j`` index; each pair is one row of the computation. The
+    ratio is the OLS slope of the increments of r_i on those of r_j, which
+    equals the beta ratio under a single-factor model and is numerically
+    stable.
+
+    A pair whose regressor increments have variance below
+    ``HEDGE_VARIANCE_EPS`` has no hedge ratio and gets NaN. A non-positive
+    result signals an invertedly-related pair; callers skip both.
+    """
+    incr, var = increments
     cov = np.mean(incr[i] * incr[j], axis=1)
     var_j = var[j]
     return np.divide(

@@ -105,9 +105,9 @@ def _random_candidates(rng, n_assets):
             kelly = float(rng.choice([1.0, 2.0, 3.0, rng.uniform(0, 10)]))
             h = float(rng.uniform(0.05, 0.65))
             h_err = float(rng.uniform(0.0, 0.2))
-            rows.append((i, j, i, j, chi, chi, mean, theta, h, h_err, kelly))
+            rows.append((0, i, j, i, j, chi, chi, mean, theta, h, h_err, kelly))
     columns = [
-        np.array([r[k] for r in rows], dtype=np.intp if k < 4 else np.float64)
+        np.array([r[k] for r in rows], dtype=np.intp if k < 5 else np.float64)
         for k in range(len(COLUMNS))
     ]
     return symbols, rows, Candidates(tuple(symbols), *columns)

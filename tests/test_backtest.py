@@ -1,9 +1,12 @@
 """Walk-forward engine: sizing, costs, metrics, lookahead and accounting."""
+from dataclasses import fields, replace
 from datetime import date, timedelta
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from fractalport import backtest
 from fractalport.backtest import (
     BacktestConfig,
     WindowResult,
@@ -14,7 +17,8 @@ from fractalport.backtest import (
     run_walk_forward,
 )
 from fractalport.errors import ParameterError
-from fractalport.spreads import PriceSeries, price_panel
+from fractalport.selection import PAIR_BLOCK, SelectionConfig, build_generating_matrix
+from fractalport.spreads import PriceSeries, price_block, price_panel, window_returns
 from fractalport.synthetic import make_synthetic_universe
 
 
@@ -218,6 +222,28 @@ class TestRunWalkForward:
         rep = run_walk_forward(price_panel(u.prices + [u.benchmark]), cfg)
         for w in rep.windows:
             assert w.daily_equity[0] == pytest.approx(100_000.0)
+
+    def test_each_window_selects_from_its_own_candidates(self, universe, backtest_cfg):
+        # 21-day tests put several training windows of 45 pairs in one
+        # candidate stack; each window's selection must get its table alone
+        cfg = replace(backtest_cfg, test_days=21)
+        group = PAIR_BLOCK // 45
+        assert group > 1
+        panel = price_panel(universe.prices + [universe.benchmark])
+        seen = []
+        select = backtest.select_spreads
+        recording = lambda cands, sel_cfg: seen.append(cands) or select(cands, sel_cfg)  # noqa: E731
+        with mock.patch.object(backtest, "select_spreads", recording):
+            rep = run_walk_forward(panel, cfg)
+        traded = np.array([s != "MKT" for s in panel.symbols])
+        prices = price_block(panel, traded, np.ones(len(panel.dates), dtype=bool))
+        assert len(seen) == len(rep.windows) == (prices.shape[1] - cfg.train_days) // 21
+        for w, got in enumerate(seen):
+            returns = window_returns(prices[:, w * 21 : w * 21 + cfg.train_days])
+            alone = build_generating_matrix(returns, got.symbols, SelectionConfig(21))
+            assert np.all(got.window == w % group)
+            for f in fields(alone)[2:]:
+                assert np.array_equal(getattr(got, f.name), getattr(alone, f.name)), (w, f.name)
 
     def test_window_return_matches_equity(self, small_run):
         _, _, rep = small_run

@@ -1,10 +1,13 @@
-"""Generator, Hurst estimator and volatility rescaling."""
+"""Generator, Hurst estimator and the horizon rescaling of volatility."""
+import math
+
 import mpmath
 import numpy as np
 import pytest
 
 from fractalport.errors import (
     DegenerateSeriesError,
+    DegenerateVolatilityError,
     InsufficientDataError,
     ParameterError,
     ValidationError,
@@ -14,9 +17,9 @@ from fractalport.fbm import (
     estimate_hurst,
     fit_hurst,
     generate_fbm,
-    rescale_volatility,
     window_ladder,
 )
+from fractalport.selection import fractal_kelly_weight
 
 
 def loglog_slope(xs, ys):
@@ -217,6 +220,12 @@ class TestEstimateHurst:
         assert est_min.n_scales >= 3
 
 
+def rescale_volatility(theta_daily, h, n_days):
+    """N-day volatility theta * N^h, read back from the fractal-Kelly weight:
+    at unit mean it is N / (theta * N^h)^2."""
+    return math.sqrt(n_days / fractal_kelly_weight(1.0, theta_daily, h, n_days))
+
+
 class TestRescaleVolatility:
     def test_sqrt_scaling_random_walk(self):
         assert rescale_volatility(0.01, 0.5, 4) == pytest.approx(0.02, rel=1e-12)
@@ -238,7 +247,8 @@ class TestRescaleVolatility:
 
     @pytest.mark.parametrize("theta,h,n", [(-0.1, 0.5, 1), (0.1, 0.0, 1), (0.1, 1.0, 1), (0.1, 0.5, 0)])
     def test_range_checks(self, theta, h, n):
-        with pytest.raises(ParameterError):
+        error = DegenerateVolatilityError if theta < 0 else ParameterError
+        with pytest.raises(error):
             rescale_volatility(theta, h, n)
 
 

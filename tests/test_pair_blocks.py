@@ -9,12 +9,14 @@ import itertools
 from dataclasses import fields
 from datetime import date, timedelta
 from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fractalport import selection
 from fractalport.backtest import BacktestConfig, _optimize_window
 from fractalport.errors import AlignmentError, InsufficientDataError
 from fractalport.fbm import MIN_HURST_LENGTH, cover_amplitudes, window_ladder
@@ -218,7 +220,10 @@ def test_window_optimizer_on_reference_deltas():
     universe = make_universe(random_returns(np.random.default_rng(1), 12, 200))
     cfg = BacktestConfig(test_days=126, benchmark_symbol="MKT")
     symbols = [r.symbol for r in universe]
-    weights, info, legs = _optimize_window(return_rows(universe), symbols, cfg)
+    matrix = return_rows(universe)
+    sel_cfg = SelectionConfig(horizon_days=cfg.test_days)
+    sel = select_spreads(build_generating_matrix(matrix, symbols, sel_cfg), sel_cfg)
+    weights, info, legs = _optimize_window(matrix, sel, cfg)
     assert len(info) > 1
     want = {(c[0], c[1]): c for c in reference_candidates(universe, SelectionConfig(126))}
     rows = [want[(s.long_symbol, s.short_symbol)] for s in info]
@@ -281,3 +286,60 @@ def test_rows_independent_and_oriented(universe):
         r_long, r_short = by_symbol[long].returns, by_symbol[short].returns
         scale = np.abs(r_long) + chi * np.abs(r_short)
         assert np.all(np.abs(row - (r_long - chi * r_short)) <= 1e-14 * scale)
+
+
+def same_bits(a, b):
+    """Equal dtype, shape and bytes: NaN-aware, and stricter than
+    ``np.array_equal(a, b, equal_nan=True)`` since -0.0 differs from 0.0."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def window_stacks(draw):
+    """A (windows x assets x days) return stack and the special case of
+    each window: ``flat`` (every regressor leg flat, so no pair has a hedge
+    ratio) or ``drop`` (identical assets: every pair hedged, every spread
+    flat, so every row drops after the hedge)."""
+    n_assets = draw(st.integers(2, 10))
+    n_windows = draw(st.integers(1, 14))
+    n_days = draw(st.integers(MIN_HURST_LENGTH - 1, 90))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = np.stack([random_returns(rng, n_assets, n_days) for _ in range(n_windows)])
+    cases = draw(st.lists(st.sampled_from(["none", "flat", "drop"]), min_size=n_windows,
+                          max_size=n_windows))
+    for w, case in enumerate(cases):
+        if case == "flat":
+            stack[w, 1:] = 0.0
+        elif case == "drop":
+            stack[w, 1:] = stack[w, 0]
+    return stack, cases
+
+
+# one window of 7 assets (21 pairs) more than fill a block: the last one
+# straddles the first block boundary, unless 21 divides PAIR_BLOCK
+CROSSING = [random_returns(np.random.default_rng(w), 7, 125) for w in range(PAIR_BLOCK // 21 + 1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(window_stacks(), st.sampled_from([None, 1, 5, 16]))
+@example((np.stack(CROSSING), ["none"] * len(CROSSING)), None)
+def test_stack_equals_windows_alone(drawn, block):
+    # a window's rows of the stacked table are its table alone, bit for
+    # bit, however the (window, pair) rows fall into blocks
+    stack, cases = drawn
+    cfg = SelectionConfig()
+    symbols = [f"S{k}" for k in range(stack.shape[1])]
+    with mock.patch.object(selection, "PAIR_BLOCK", block or PAIR_BLOCK):
+        stacked = build_generating_matrix(stack, symbols, cfg)
+    assert np.all(np.diff(stacked.window) >= 0)
+    bounds = np.searchsorted(stacked.window, np.arange(len(cases) + 1))
+    for w, case in enumerate(cases):
+        alone = build_generating_matrix(stack[w], symbols, cfg)
+        if case != "none":
+            assert len(alone) == 0
+        assert np.all(alone.window == 0)
+        rows = stacked.take(slice(bounds[w], bounds[w + 1]))
+        assert np.all(rows.window == w)
+        for f in fields(alone)[2:]:
+            assert same_bits(getattr(rows, f.name), getattr(alone, f.name)), (w, f.name)
+

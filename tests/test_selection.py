@@ -28,6 +28,7 @@ def make_candidates(rows, symbols=None):
     n = len(rows)
     return Candidates(
         symbols=tuple(symbols),
+        window=np.zeros(n, dtype=np.intp),
         i=long,
         j=short,
         long=long,

@@ -16,6 +16,7 @@ from fractalport.errors import (
 )
 from fractalport.spreads import (
     PriceSeries,
+    hedge_increments,
     hedge_ratios,
     pair_spreads,
     price_block,
@@ -150,7 +151,8 @@ def pair(ri, rj):
 
 
 def hedge(ri, rj):
-    return float(hedge_ratios(*pair(ri, rj))[0])
+    returns, i, j = pair(ri, rj)
+    return float(hedge_ratios(hedge_increments(returns), i, j)[0])
 
 
 def spread(ri, rj, chi):
