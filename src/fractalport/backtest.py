@@ -160,7 +160,11 @@ def position_sizing(
     prices_at_entry: Mapping[str, float],
     capital: float,
 ) -> dict[str, int]:
-    """Integer share counts from exposure fractions, truncated toward zero."""
+    """Integer share counts from exposure fractions, truncated toward zero.
+
+    Raises ``NumericalError`` naming the first symbol whose share count is
+    not finite (a position too large for a float).
+    """
     if not capital > 0:
         raise ParameterError(f"capital must be positive, got {capital}")
     shares: dict[str, int] = {}
@@ -168,8 +172,20 @@ def position_sizing(
         price = prices_at_entry[sym]
         if not price > 0:
             raise ParameterError(f"{sym}: entry price must be positive, got {price}")
-        shares[sym] = math.trunc(exposures[sym] * capital / price)
+        count = float(exposures[sym]) * capital / price  # Python floats overflow to inf silently
+        if not math.isfinite(count):
+            raise NumericalError(f"{sym}: share count {count} is not finite")
+        shares[sym] = math.trunc(count)
     return shares
+
+
+def _row_dots(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``rows[t] @ v`` for every row of a C-contiguous matrix, as one stacked
+    matmul of (1 x n) rows against an (n x 1) column: numpy takes each row
+    through the same BLAS dot as a 1-D ``@``, so every value has its bits.
+    Overflow is left to the caller to check."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.matmul(rows[:, None, :], v[:, None])[:, 0, 0]
 
 
 def _mark_window(
@@ -180,45 +196,56 @@ def _mark_window(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Daily equity and costs over one window.
 
-    ``price_mat`` has T+1 rows: the entry boundary close followed by the T
-    test-day closes, one column per held symbol. Costs on day t are the
-    overnight financing of the position held into t (charged on the short
-    market value plus any gross value financed above equity, both at the
-    previous close) plus the entry commission on the first day and the
-    exit commission on the last.
+    ``price_mat`` is C-contiguous with T+1 rows: the entry boundary close
+    followed by the T test-day closes, one column per held symbol. Costs
+    on day t are the overnight financing of the position held into t
+    (charged on the short market value plus any gross value financed above
+    equity, both at the previous close) plus the entry commission on the
+    first day and the exit commission on the last.
+
+    Each day's gross value, short market value and P&L come from three
+    batched row dots; only the equity and cost recursion runs day by day.
     """
     t_days = price_mat.shape[0] - 1
-    equity = np.empty(t_days + 1, dtype=np.float64)
-    costs = np.zeros(t_days, dtype=np.float64)
-    equity[0] = start_equity
-    commission = cfg.commission_per_share * float(np.abs(share_vec).sum())
+    size = np.abs(share_vec)
+    commission = cfg.commission_per_share * float(size.sum())
     daily_rate = cfg.overnight_rate_annual / TRADING_DAYS_PER_YEAR
-    short_mask = share_vec < 0
-    for t in range(1, t_days + 1):
-        p_prev = price_mat[t - 1]
-        p_now = price_mat[t]
-        gross = float(np.abs(share_vec) @ p_prev)
-        short_mv = float(np.abs(share_vec[short_mask]) @ p_prev[short_mask])
-        financed = max(0.0, gross - equity[t - 1]) + short_mv
-        cost = daily_rate * financed
-        if t == 1:
+    short = share_vec < 0
+    prev = price_mat[:-1]
+    gross = _row_dots(prev, size).tolist()
+    # compress, not prev[:, short]: that copy is F-ordered and rounds differently
+    short_mv = _row_dots(prev.compress(short, axis=1), size[short]).tolist()
+    pnl = _row_dots(np.diff(price_mat, axis=0), share_vec).tolist()
+    equity = [float(start_equity)]
+    costs = []
+    for t in range(t_days):
+        cost = daily_rate * (max(0.0, gross[t] - equity[t]) + short_mv[t])
+        if t == 0:
             cost += commission
-        if t == t_days:
+        if t == t_days - 1:
             cost += commission
-        pnl = float(share_vec @ (p_now - p_prev))
-        equity[t] = equity[t - 1] + pnl - cost
-        costs[t - 1] = cost
-    return equity, costs
+        equity.append(equity[t] + pnl[t] - cost)
+        costs.append(cost)
+    return np.array(equity), np.array(costs)
 
 
-def _optimize_window(returns: np.ndarray, sel: Candidates, cfg: BacktestConfig):
+def _selected_deltas(stack: np.ndarray, sels: Sequence[Candidates]) -> list[np.ndarray]:
+    """Daily deltas of each window's selected spreads, rebuilt with one
+    ``pair_spreads`` call on the (windows x assets x days) return ``stack``
+    the tables were built from. Each row depends only on its own inputs,
+    so these are the deltas of the candidate rows, bit for bit."""
+    n_assets, n_days = stack.shape[-2:]
+    base = np.concatenate([s.window for s in sels]) * n_assets
+    i, j, chi = (np.concatenate([getattr(s, c) for s in sels]) for c in ("i", "j", "hedge_chi"))
+    deltas = pair_spreads(stack.reshape(-1, n_days), base + i, base + j, chi).deltas
+    return np.split(deltas, np.cumsum([len(s) for s in sels[:-1]]))
+
+
+def _optimize_window(deltas: np.ndarray, sel: Candidates, cfg: BacktestConfig):
     """Training-window pipeline after selection: weights and legs of the
-    spreads ``sel`` selected on the window's (assets x days) ``returns``."""
+    spreads ``sel``, whose daily deltas are the rows of ``deltas``."""
     if not sel:
         return None, (), {}
-    # each pair_spreads row depends only on its own inputs, so these are
-    # the same deltas the candidate table was built from
-    deltas = pair_spreads(returns, sel.i, sel.j, sel.hedge_chi).deltas
     cov = covariance_matrix(deltas)
     rescaled = rescale_covariance(cov, sel.h, cfg.test_days)
     rows = sel.rows()
@@ -291,18 +318,35 @@ def run_walk_forward(panel: PricePanel, cfg: BacktestConfig) -> BacktestReport:
             stack = np.stack([window_returns(prices[:, s : s + cfg.train_days]) for s in starts])
             cands = build_generating_matrix(stack, symbols, sel_cfg)
             bounds = np.searchsorted(cands.window, np.arange(len(starts) + 1)).tolist()
-        sel = select_spreads(cands.take(slice(bounds[k], bounds[k + 1])), sel_cfg)
-        weights, info, legs = _optimize_window(stack[k], sel, cfg)
+            sels = [
+                select_spreads(cands.take(slice(lo, hi)), sel_cfg)
+                for lo, hi in zip(bounds, bounds[1:])
+            ]
+            deltas = _selected_deltas(stack, sels)
+        weights, info, legs = _optimize_window(deltas[k], sels[k], cfg)
         start_capital = chain_capital if cfg.reinvest else cfg.initial_capital
-        if start_capital <= 0:
-            raise NumericalError(f"capital exhausted before window {w}")
+        if not 0 < start_capital < math.inf:
+            raise NumericalError(
+                f"capital exhausted or overflowed before window {w}: {start_capital}"
+            )
         entry_prices = dict(zip(symbols, prices[:, b - 1].tolist()))
-        shares = position_sizing(legs, entry_prices, start_capital) if legs else {}
+        try:
+            shares = position_sizing(legs, entry_prices, start_capital) if legs else {}
+        except NumericalError as exc:
+            raise NumericalError(f"window {w}: {exc}") from None
         held = sorted(shares)
         share_vec = np.array([shares[s] for s in held], dtype=np.float64)
         # a C-contiguous copy: _mark_window's dot products round by layout
         price_mat = np.ascontiguousarray(prices[[row_of[s] for s in held], b - 1 : end].T)
         equity, daily_costs = _mark_window(share_vec, price_mat, cfg, start_capital)
+        if not (np.isfinite(equity).all() and np.isfinite(daily_costs).all()):
+            # finite capital and no position mark finite, so something is held
+            with np.errstate(over="ignore"):
+                largest = held[int(np.argmax(np.abs(share_vec) * price_mat.max(axis=0)))]
+            raise NumericalError(
+                f"window {w}: marked equity is not finite; largest position "
+                f"{largest}, {shares[largest]:.6g} shares"
+            )
         window_return = float(equity[-1] / equity[0] - 1.0)
         benchmark_return = float(bench[end - 1] / bench[b - 1] - 1.0)
         windows.append(

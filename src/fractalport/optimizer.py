@@ -190,7 +190,9 @@ def compose_legs(
     if not n == len(long_symbols) == len(short_symbols) == len(chi):
         raise ParameterError(f"{n} weights for legs and hedge ratios of other lengths")
     legs: dict[str, float] = {}
-    for w, long, short, c in zip(weights.spread_weights, long_symbols, short_symbols, chi):
+    # Python floats: an overflow gives inf, for sizing to reject, not a warning
+    rows = zip(weights.spread_weights.tolist(), long_symbols, short_symbols, map(float, chi))
+    for w, long, short, c in rows:
         legs[long] = legs.get(long, 0.0) + w / (1.0 + c)
         legs[short] = legs.get(short, 0.0) - w * c / (1.0 + c)
     return dict(sorted(legs.items()))

@@ -5,9 +5,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fractalport import backtest
 from fractalport.backtest import (
+    TRADING_DAYS_PER_YEAR,
     BacktestConfig,
     WindowResult,
     _mark_window,
@@ -16,9 +19,15 @@ from fractalport.backtest import (
     position_sizing,
     run_walk_forward,
 )
-from fractalport.errors import ParameterError
+from fractalport.errors import NumericalError, ParameterError
 from fractalport.selection import PAIR_BLOCK, SelectionConfig, build_generating_matrix
-from fractalport.spreads import PriceSeries, price_block, price_panel, window_returns
+from fractalport.spreads import (
+    PriceSeries,
+    pair_spreads,
+    price_block,
+    price_panel,
+    window_returns,
+)
 from fractalport.synthetic import make_synthetic_universe
 
 
@@ -70,6 +79,10 @@ class TestPositionSizing:
         with pytest.raises(ParameterError):
             position_sizing({"X": 0.5}, {"X": 10.0}, 0.0)
 
+    def test_overflow_names_symbol(self):
+        with pytest.raises(NumericalError, match="X: share count inf is not finite"):
+            position_sizing({"W": 0.5, "X": 1e308}, {"W": 10.0, "X": 0.5}, 100.0)
+
 
 class TestAccrueCosts:
     def test_commission_per_side(self):
@@ -104,6 +117,90 @@ class TestAccrueCosts:
         np.testing.assert_allclose(costs, expected, rtol=1e-12)
         # roughly 1% on the ~200k financed base over the year
         assert costs.sum() == pytest.approx(2000.0, rel=0.02)
+
+
+def reference_mark(share_vec, price_mat, cfg, start_equity):
+    """The per-day marking loop ``_mark_window`` replaced: the oracle for
+    its batched row dots and scalar recursion."""
+    t_days = price_mat.shape[0] - 1
+    equity = np.empty(t_days + 1, dtype=np.float64)
+    costs = np.zeros(t_days, dtype=np.float64)
+    equity[0] = start_equity
+    commission = cfg.commission_per_share * float(np.abs(share_vec).sum())
+    daily_rate = cfg.overnight_rate_annual / TRADING_DAYS_PER_YEAR
+    short_mask = share_vec < 0
+    for t in range(1, t_days + 1):
+        p_prev = price_mat[t - 1]
+        p_now = price_mat[t]
+        gross = float(np.abs(share_vec) @ p_prev)
+        short_mv = float(np.abs(share_vec[short_mask]) @ p_prev[short_mask])
+        financed = max(0.0, gross - equity[t - 1]) + short_mv
+        cost = daily_rate * financed
+        if t == 1:
+            cost += commission
+        if t == t_days:
+            cost += commission
+        pnl = float(share_vec @ (p_now - p_prev))
+        equity[t] = equity[t - 1] + pnl - cost
+        costs[t - 1] = cost
+    return equity, costs
+
+
+@st.composite
+def held_windows(draw):
+    """Share counts and a C-contiguous (days+1 x held) price block: all-long,
+    all-short or mixed holdings, some counts zero."""
+    n_held = draw(st.integers(0, 300))
+    t_days = draw(st.integers(1, 130))
+    side = draw(st.sampled_from(["long", "short", "mixed"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shares = rng.integers(0, 10**draw(st.integers(1, 6)), n_held).astype(np.float64)
+    shares[rng.random(n_held) < draw(st.sampled_from([0.0, 0.2, 1.0]))] = 0.0
+    if side == "short":
+        shares = -shares
+    elif side == "mixed":
+        shares *= rng.choice([-1.0, 1.0], n_held)
+    steps = rng.normal(0.0, draw(st.sampled_from([0.001, 0.02, 0.1])), (t_days + 1, n_held))
+    prices = rng.uniform(1.0, 500.0, n_held) * np.exp(np.cumsum(steps, axis=0))
+    cfg = BacktestConfig(
+        commission_per_share=draw(st.sampled_from([0.0, 0.005, 0.1])),
+        overnight_rate_annual=draw(st.sampled_from([0.0, 0.01, 0.25])),
+    )
+    start = draw(st.floats(1e3, 1e8))
+    return shares, np.ascontiguousarray(prices), cfg, start
+
+
+@settings(max_examples=300, deadline=None)
+@given(held_windows())
+@example((np.array([0.0]), np.full((2, 1), 10.0), BacktestConfig(), 1e5))
+@example(
+    (
+        np.arange(-143.0, 143.0) * 1000.0,  # 286 held, one of them zero
+        np.ascontiguousarray(np.linspace(5.0, 400.0, 286 * 22).reshape(22, 286)),
+        BacktestConfig(),
+        1e6,
+    )
+)
+def test_mark_window_matches_per_day_reference(window):
+    shares, prices, cfg, start = window
+    equity, costs = _mark_window(shares, prices, cfg, start)
+    want_equity, want_costs = reference_mark(shares, prices, cfg, start)
+    for got, want in ((equity, want_equity), (costs, want_costs)):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+    # accounting: each day's equity change is its P&L less its cost
+    t_days = prices.shape[0] - 1
+    for t in range(t_days):
+        pnl = float(shares @ (prices[t + 1] - prices[t]))
+        assert equity[t + 1] == equity[t] + pnl - costs[t]
+    assert (costs >= 0.0).all()
+    # entry and exit commission on the first and last day, both on a 1-day window
+    commission = cfg.commission_per_share * float(np.abs(shares).sum())
+    _, commissions = _mark_window(shares, prices, replace(cfg, overnight_rate_annual=0.0), start)
+    expected = np.zeros(t_days)
+    expected[0] += commission
+    expected[-1] += commission
+    assert commissions.tobytes() == expected.tobytes()
 
 
 class TestConfigValidation:
@@ -244,6 +341,26 @@ class TestRunWalkForward:
             assert np.all(got.window == w % group)
             for f in fields(alone)[2:]:
                 assert np.array_equal(getattr(got, f.name), getattr(alone, f.name)), (w, f.name)
+
+    def test_each_window_optimizes_its_own_deltas(self, universe, backtest_cfg):
+        # the selected deltas are rebuilt once per candidate stack; each
+        # window's slice must be its selection's deltas on its returns alone
+        cfg = replace(backtest_cfg, test_days=21)
+        panel = price_panel(universe.prices + [universe.benchmark])
+        seen = []
+        optimize = backtest._optimize_window
+        recording = lambda deltas, sel, c: seen.append((deltas, sel)) or optimize(deltas, sel, c)  # noqa: E731
+        with mock.patch.object(backtest, "_optimize_window", recording):
+            rep = run_walk_forward(panel, cfg)
+        traded = np.array([s != "MKT" for s in panel.symbols])
+        prices = price_block(panel, traded, np.ones(len(panel.dates), dtype=bool))
+        assert len(seen) == len(rep.windows) == 114
+        assert sum(len(sel) > 1 for _, sel in seen) > 50
+        for w, (got, sel) in enumerate(seen):
+            returns = window_returns(prices[:, w * 21 : w * 21 + cfg.train_days])
+            want = pair_spreads(returns, sel.i, sel.j, sel.hedge_chi).deltas
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), w
+            assert got.tobytes() == want.tobytes(), w
 
     def test_window_return_matches_equity(self, small_run):
         _, _, rep = small_run

@@ -1,5 +1,6 @@
 """CSV ingestion, report output and the command-line surface."""
 import json
+import re
 
 import numpy as np
 import pytest
@@ -303,6 +304,36 @@ class TestCmdBacktest:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:")
         assert f"{field} must be finite" in err
+
+    @pytest.mark.parametrize(
+        "settings,message",
+        [
+            # the share count of A1 overflows in sizing
+            (["--leverage", "1e308"], "window 0: A1: share count inf is not finite"),
+            # one window: the marked gross value overflows
+            (
+                ["--capital", "1e307", "--leverage", "20", "--test-days", "2394"],
+                r"window 0: marked equity is not finite; largest position A3, 4\.17\d*e\+305 shares",
+            ),
+            # several windows: the first one's marks, not an exhausted capital
+            (
+                ["--capital", "1e307", "--leverage", "20"],
+                r"window 0: marked equity is not finite; largest position \w+, ",
+            ),
+        ],
+        ids=["sizing", "one-window-marks", "several-windows"],
+    )
+    def test_overflow_exits_4(self, fixture_csv, tmp_path, capsys, settings, message):
+        out = tmp_path / "r.json"
+        args = [
+            "backtest", "--prices", str(fixture_csv), "--benchmark", "MKT",
+            *settings, "--output", str(out),
+        ]
+        assert main(args) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error:")
+        assert re.search(message, err), err
+        assert not out.exists()
 
     def test_missing_benchmark_exits_3(self, fixture_csv, tmp_path, capsys):
         args = [

@@ -168,6 +168,23 @@ class TestFitHurst:
         assert not clamped[n_scales >= 3].all()
 
 
+def test_screen_null_pass_rate():
+    # How often the selection screen (h + h_err < 0.5 and h_err < h) passes
+    # exact fBm paths of one default training window, 2,000 per H in one
+    # fit: 39% of pure random walks (H = 0.5) pass, because h_err, the
+    # regression standard error of the log-log fit, is about a third of
+    # the sampling s.d. of h. Pinned as a baseline for a calibrated screen.
+    levels = (0.3, 0.4, 0.5, 0.6)
+    paths = np.stack([generate_fbm(h, 126, rng_seed=s) for h in levels for s in range(2000)])
+    h, h_err, n_scales, _ = fit_hurst(paths)
+    assert (n_scales >= 3).all()
+    passed = ((h + h_err < 0.5) & (h_err < h)).reshape(4, 2000)
+    assert passed.sum(axis=1).tolist() == [1948, 1655, 772, 175]
+    at_half = slice(4000, 6000)
+    assert h_err[at_half].mean() == pytest.approx(0.0297, abs=5e-4)
+    assert h[at_half].std(ddof=1) == pytest.approx(0.0862, abs=5e-4)
+
+
 class TestEstimateHurst:
     def test_linear_ramp_maximally_persistent(self):
         est = estimate_hurst(np.arange(1024, dtype=np.float64))

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fractalport import selection
-from fractalport.backtest import BacktestConfig, _optimize_window
+from fractalport.backtest import BacktestConfig, _optimize_window, _selected_deltas
 from fractalport.errors import AlignmentError, InsufficientDataError
 from fractalport.fbm import MIN_HURST_LENGTH, cover_amplitudes, window_ladder
 from fractalport.optimizer import (
@@ -215,20 +215,23 @@ class TestMatchesPerPairReference:
 
 
 def test_window_optimizer_on_reference_deltas():
-    # the training-window optimizer rebuilds the selected spreads from the
-    # table; its weights and legs must be those of the reference deltas
+    # the selected spreads' deltas are rebuilt from the table, here on a
+    # one-window stack; the optimizer's weights and legs on them must be
+    # those of the reference deltas
     universe = make_universe(random_returns(np.random.default_rng(1), 12, 200))
     cfg = BacktestConfig(test_days=126, benchmark_symbol="MKT")
     symbols = [r.symbol for r in universe]
     matrix = return_rows(universe)
     sel_cfg = SelectionConfig(horizon_days=cfg.test_days)
     sel = select_spreads(build_generating_matrix(matrix, symbols, sel_cfg), sel_cfg)
-    weights, info, legs = _optimize_window(matrix, sel, cfg)
+    [deltas] = _selected_deltas(matrix[None], [sel])
+    weights, info, legs = _optimize_window(deltas, sel, cfg)
     assert len(info) > 1
     want = {(c[0], c[1]): c for c in reference_candidates(universe, SelectionConfig(126))}
     rows = [want[(s.long_symbol, s.short_symbol)] for s in info]
     for s, (_, _, chi, _, mean, theta, h, h_err, _) in zip(info, rows):
         assert (s.chi, s.mean_delta, s.theta) == (chi, mean, theta)
+    assert deltas.tobytes() == np.vstack([r[3] for r in rows]).tobytes()
     cov = covariance_matrix(np.vstack([r[3] for r in rows]))
     cr = rescale_covariance(cov, [s.hurst for s in info], cfg.test_days)
     mean = [s.mean_delta for s in info]
