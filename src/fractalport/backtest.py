@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import compress
 from typing import Mapping, Optional, Sequence
 
@@ -242,32 +242,26 @@ def _selected_deltas(stack: np.ndarray, sels: Sequence[Candidates]) -> list[np.n
 
 
 def _optimize_window(deltas: np.ndarray, sel: Candidates, cfg: BacktestConfig):
-    """Training-window pipeline after selection: weights and legs of the
-    spreads ``sel``, whose daily deltas are the rows of ``deltas``."""
+    """Training-window pipeline after selection: the weights, with their
+    asset legs, and the records of the spreads ``sel``, whose daily deltas
+    are the rows of ``deltas``. ``(None, ())`` when nothing is invested."""
     if not sel:
-        return None, (), {}
+        return None, ()
     cov = covariance_matrix(deltas)
     rescaled = rescale_covariance(cov, sel.h, cfg.test_days)
     rows = sel.rows()
-    long, short = [r[0] for r in rows], [r[1] for r in rows]
+    long, short = ([r[k] for r in rows] for k in ("long_symbol", "short_symbol"))
     labels = [f"{a}/{b}" for a, b in zip(long, short)]
     raw = solve_weights(rescaled, sel.mean, cfg.test_days, labels)
     try:
         weights = apply_leverage(raw, cfg.leverage)
     except EmptyPortfolioError:
-        return None, (), {}
-    legs = compose_legs(weights, long, short, sel.chi)
-    weights = PortfolioWeights(
-        spread_weights=weights.spread_weights,
-        leverage=weights.leverage,
-        scale_k=weights.scale_k,
-        asset_legs=legs,
-    )
-    # Candidates.rows is in SelectedSpreadInfo's field order, weight last
+        return None, ()
+    weights = replace(weights, asset_legs=compose_legs(weights, long, short, sel.chi))
     info = tuple(
-        SelectedSpreadInfo(*row, w) for row, w in zip(rows, weights.spread_weights.tolist())
+        SelectedSpreadInfo(**row, weight=w) for row, w in zip(rows, weights.spread_weights.tolist())
     )
-    return weights, info, legs
+    return weights, info
 
 
 def run_walk_forward(panel: PricePanel, cfg: BacktestConfig) -> BacktestReport:
@@ -323,13 +317,14 @@ def run_walk_forward(panel: PricePanel, cfg: BacktestConfig) -> BacktestReport:
                 for lo, hi in zip(bounds, bounds[1:])
             ]
             deltas = _selected_deltas(stack, sels)
-        weights, info, legs = _optimize_window(deltas[k], sels[k], cfg)
+        weights, info = _optimize_window(deltas[k], sels[k], cfg)
         start_capital = chain_capital if cfg.reinvest else cfg.initial_capital
         if not 0 < start_capital < math.inf:
             raise NumericalError(
                 f"capital exhausted or overflowed before window {w}: {start_capital}"
             )
         entry_prices = dict(zip(symbols, prices[:, b - 1].tolist()))
+        legs = weights.asset_legs if weights is not None else {}
         try:
             shares = position_sizing(legs, entry_prices, start_capital) if legs else {}
         except NumericalError as exc:
@@ -380,6 +375,8 @@ def compute_metrics(
     return and volatility scales by sqrt(2). Drawdown is measured on the
     compounded (reinvested) daily equity curve regardless of the
     reinvestment flag, so both return styles share one risk measure.
+    The reinvested annual return is floored at -1 (total loss) when the
+    compounded equity ends at or below zero, as ``max_drawdown`` caps at 1.
     """
     if len(windows) < 1:
         raise ParameterError("need at least one backtest window")
@@ -388,7 +385,10 @@ def compute_metrics(
     n = single.size
     per_year = TRADING_DAYS_PER_YEAR / cfg.test_days
     cumulative = float(np.prod(1.0 + single) - 1.0)
-    annual_reinvested = float((1.0 + cumulative) ** (per_year / n) - 1.0)
+    if 1.0 + cumulative > 0.0:
+        annual_reinvested = float((1.0 + cumulative) ** (per_year / n) - 1.0)
+    else:  # no real root of a total loss, or worse
+        annual_reinvested = -1.0
     annual_single = float(per_year * single.mean())
 
     annual_vol = sharpe = normalized_vol = corr = neutrality = None

@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 from datetime import date
 from itertools import compress
 from pathlib import Path
@@ -43,19 +44,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
-
-# Fields of each selected spread in ``select`` output, in ``Candidates.rows`` order.
-SELECT_KEYS = (
-    "long_symbol",
-    "short_symbol",
-    "chi",
-    "hurst",
-    "hurst_err",
-    "kelly_weight",
-    "mean_delta",
-    "theta",
-)
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -114,30 +102,23 @@ def _cmd_hurst(args) -> int:
     else:
         values = _read_column(args.input, args.column)
     est = estimate_hurst(values)
-    print(
-        json.dumps(
-            {
-                "h": est.h,
-                "h_err": est.h_err,
-                "n_scales": est.n_scales,
-                "clamped": est.clamped,
-            },
-            sort_keys=True,
-        )
-    )
+    print(json.dumps(asdict(est), sort_keys=True))
     return EXIT_OK
 
 
 def _read_column(path: str, column: str) -> np.ndarray:
+    """The numbers in ``column`` of a CSV with a header, blank cells
+    skipped. Errors name the line, counting the header as line 1 and
+    every record, blank or not, after it."""
     with Path(path).open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or column not in reader.fieldnames:
-            raise DataError(
-                f"column {column!r} not found; available: {reader.fieldnames}"
-            )
+        records = csv.reader(fh)
+        header = next(records, [])
+        if column not in header:
+            raise DataError(f"column {column!r} not found; available: {header}")
+        k = header.index(column)
         values = []
-        for line_no, row in enumerate(reader, start=2):
-            cell = (row[column] or "").strip()
+        for line_no, row in enumerate(records, start=2):
+            cell = row[k].strip() if k < len(row) else ""
             if not cell:
                 continue
             try:
@@ -183,7 +164,7 @@ def _cmd_select(args) -> int:
         "end": end,
         "horizon_days": cfg.horizon_days,
         "hurst_cap": cfg.hurst_cap,
-        "spreads": [dict(zip(SELECT_KEYS, row)) for row in sel.rows()],
+        "spreads": sel.rows(),
     }
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.output:

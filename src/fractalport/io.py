@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from datetime import date
 from itertools import compress, islice
 from pathlib import Path
@@ -21,7 +22,7 @@ import numpy as np
 
 from fractalport.backtest import BacktestConfig, BacktestReport
 from fractalport.errors import ParseError, ValidationError
-from fractalport.spreads import PricePanel, PriceSeries, build_panel
+from fractalport.spreads import PricePanel, PriceSeries, build_panel, price_panel
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -220,23 +221,24 @@ def _line(spans, row: int) -> int:
 
 
 def write_prices_wide(path, series: Sequence[PriceSeries]) -> None:
-    """Emit a wide-format CSV; floats use shortest round-trip repr."""
-    ordered = sorted(series, key=lambda s: s.symbol)
-    all_dates = sorted({d for s in ordered for d in s.dates})
-    lookups = [dict(zip(s.dates, s.prices)) for s in ordered]
+    """Emit ``price_panel(series)`` as a wide-format CSV: a blank cell where
+    a symbol has no price, floats in shortest round-trip repr."""
+    panel = price_panel(series)
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["date"] + [s.symbol for s in ordered])
-        for day in all_dates:
-            row = [day]
-            for lk in lookups:
-                value = lk.get(day)
-                row.append(repr(float(value)) if value is not None else "")
-            writer.writerow(row)
+        writer.writerow(["date", *panel.symbols])
+        for day, column in zip(panel.dates, panel.prices.T.tolist()):
+            writer.writerow([day, *("" if math.isnan(v) else repr(v) for v in column)])
 
 
 def report_to_dict(report: BacktestReport, cfg: BacktestConfig) -> dict:
-    """JSON-ready representation of a backtest report."""
+    """JSON-ready representation of a backtest report.
+
+    ``config``, ``metrics`` and each ``selected`` entry are keyed by the
+    field names of ``BacktestConfig``, ``BacktestReport`` (less its
+    windows and single returns, with ``asset_count_range`` split into
+    min and max) and ``SelectedSpreadInfo``.
+    """
     windows = []
     for w in report.windows:
         entry = {
@@ -250,20 +252,7 @@ def report_to_dict(report: BacktestReport, cfg: BacktestConfig) -> dict:
             "daily_equity": [float(v) for v in w.daily_equity],
             "daily_costs": [float(v) for v in w.daily_costs],
             "dates": list(w.dates),
-            "selected": [
-                {
-                    "long_symbol": s.long_symbol,
-                    "short_symbol": s.short_symbol,
-                    "chi": s.chi,
-                    "hurst": s.hurst,
-                    "hurst_err": s.hurst_err,
-                    "kelly_weight": s.kelly_weight,
-                    "mean_delta": s.mean_delta,
-                    "theta": s.theta,
-                    "weight": s.weight,
-                }
-                for s in w.selected
-            ],
+            "selected": [dict(vars(s)) for s in w.selected],
         }
         if w.weights is not None:
             entry["leverage"] = w.weights.leverage
@@ -274,33 +263,13 @@ def report_to_dict(report: BacktestReport, cfg: BacktestConfig) -> dict:
             entry["scale_k"] = None
             entry["asset_legs"] = {}
         windows.append(entry)
+    metrics = dict(vars(report))
+    del metrics["windows"], metrics["single_returns"]
+    metrics["asset_count_min"], metrics["asset_count_max"] = metrics.pop("asset_count_range")
     return {
         "schema_version": SCHEMA_VERSION,
-        "config": {
-            "train_days": cfg.train_days,
-            "test_days": cfg.test_days,
-            "leverage": cfg.leverage,
-            "initial_capital": cfg.initial_capital,
-            "commission_per_share": cfg.commission_per_share,
-            "overnight_rate_annual": cfg.overnight_rate_annual,
-            "benchmark_symbol": cfg.benchmark_symbol,
-            "hurst_cap": cfg.hurst_cap,
-            "reinvest": cfg.reinvest,
-        },
-        "metrics": {
-            "cumulative_return": report.cumulative_return,
-            "annual_return_reinvested": report.annual_return_reinvested,
-            "annual_return_single": report.annual_return_single,
-            "annual_volatility": report.annual_volatility,
-            "sharpe": report.sharpe,
-            "normalized_volatility": report.normalized_volatility,
-            "max_drawdown": report.max_drawdown,
-            "benchmark_correlation": report.benchmark_correlation,
-            "market_neutrality": report.market_neutrality,
-            "avg_max_weight": report.avg_max_weight,
-            "asset_count_min": report.asset_count_range[0],
-            "asset_count_max": report.asset_count_range[1],
-        },
+        "config": dict(vars(cfg)),
+        "metrics": metrics,
         "single_returns": list(report.single_returns),
         "windows": windows,
     }

@@ -88,11 +88,20 @@ class Candidates:
     def __len__(self) -> int:
         return self.i.size
 
-    def rows(self) -> list[tuple]:
-        """Per row: long and short symbol, chi, h, h_err, kelly, mean, theta."""
-        legs = ([self.symbols[k] for k in c.tolist()] for c in (self.long, self.short))
-        columns = (self.chi, self.h, self.h_err, self.kelly, self.mean, self.theta)
-        return list(zip(*legs, *(c.tolist() for c in columns)))
+    def rows(self) -> list[dict]:
+        """One record per row, keyed by the output names of a selected spread:
+        the ``select`` output and ``SelectedSpreadInfo`` use these names."""
+        columns = {
+            "long_symbol": [self.symbols[k] for k in self.long.tolist()],
+            "short_symbol": [self.symbols[k] for k in self.short.tolist()],
+            "chi": self.chi.tolist(),
+            "hurst": self.h.tolist(),
+            "hurst_err": self.h_err.tolist(),
+            "kelly_weight": self.kelly.tolist(),
+            "mean_delta": self.mean.tolist(),
+            "theta": self.theta.tolist(),
+        }
+        return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
     def take(self, index) -> Candidates:
         """The table of the rows at ``index``, in that order."""

@@ -144,6 +144,13 @@ class TestIngestWide:
         assert back.prices.tobytes() == want.prices.tobytes()
 
 
+    def test_duplicate_symbols_not_written(self, tmp_path, universe):
+        out = tmp_path / "dup.csv"
+        with pytest.raises(ValidationError, match="duplicate symbols"):
+            write_prices_wide(out, universe.prices[:2] + universe.prices[:1])
+        assert not out.exists()
+
+
 class TestCmdHurst:
     def test_symbol_json(self, fixture_csv, capsys):
         assert main(["hurst", "--input", str(fixture_csv), "--symbol", "A1"]) == 0
@@ -159,6 +166,12 @@ class TestCmdHurst:
         assert main(["hurst", "--input", str(f), "--column", "value"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert 0.15 < doc["h"] < 0.45
+
+    def test_bad_value_line_counts_blank_records(self, tmp_path, capsys):
+        f = tmp_path / "series.csv"
+        f.write_text("value\n1.0\n\nabc\n")
+        assert main(["hurst", "--input", str(f), "--column", "value"]) == 3
+        assert "line 4: bad value 'abc'" in capsys.readouterr().err
 
     def test_symbol_with_blank_cells_uses_its_observed_prices(
         self, fixture_csv, universe, tmp_path, capsys
@@ -334,6 +347,19 @@ class TestCmdBacktest:
         assert err.startswith("numerical error:")
         assert re.search(message, err), err
         assert not out.exists()
+
+    def test_total_loss_floors_annual_return(self, fixture_csv, tmp_path):
+        # without reinvestment the compounded equity can end below zero,
+        # where the reinvested annual return has no real value
+        out = tmp_path / "r.json"
+        args = [
+            "backtest", "--prices", str(fixture_csv), "--benchmark", "MKT",
+            "--leverage", "100", "--no-reinvest", "--output", str(out),
+        ]
+        assert main(args) == 0
+        metrics = json.loads(out.read_text())["metrics"]
+        assert metrics["cumulative_return"] < -1.0
+        assert metrics["annual_return_reinvested"] == -1.0
 
     def test_missing_benchmark_exits_3(self, fixture_csv, tmp_path, capsys):
         args = [

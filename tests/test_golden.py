@@ -5,16 +5,21 @@ universe, pinned in ``golden_seed3.json`` (default windows) and
 A refactor that keeps the pipeline's numbers must keep every window's
 selected pairs and share counts exactly, and the headline metrics to
 ``rtol=1e-9``. Two runs of one version agreeing (acceptance 11) does not
-show that. The 21-day run also pins the sha256 of its report.
+show that. The 21-day run also pins the sha256 of its report, and the
+``make-fixture``, ``select`` and ``hurst`` outputs on the seed-3 fixture
+are pinned by theirs. The key sets of the report and ``select`` records
+are pinned to the dataclasses that name them.
 """
 import hashlib
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from fractalport.backtest import BacktestConfig, run_walk_forward
-from fractalport.io import report_to_json
+from fractalport.backtest import BacktestConfig, SelectedSpreadInfo, run_walk_forward
+from fractalport.cli import main
+from fractalport.io import report_to_dict, report_to_json
 from fractalport.spreads import price_panel
 from fractalport.synthetic import make_synthetic_universe
 
@@ -71,3 +76,55 @@ def test_report_bytes_pinned_short_tests(golden_report_21):
     # rounds the optimizer's solves differently fails here, not above
     text = report_to_json(golden_report_21, CFG_21)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_21["report_sha256"]
+
+
+# sha256 of the CLI's outputs on the seed-3 fixture, taken before the
+# output records were read from their dataclasses.
+CLI_SHA256 = {
+    "make-fixture": "5a53e0cf326928d8514f4e80b4b23b7e3e7cccd6a290f8cc13a48b0418afc9b7",
+    "select": "12189aee0e66f1a1f0a9caa851446b455c36835875f56f1841257c4d52e32d7b",
+    "hurst": "0649cc6bb7a8d576a03449a034109e11a178f52da10f0454ffc659d92b2567d7",
+}
+
+
+@pytest.fixture(scope="module")
+def fixture_csv_3(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "fixture.csv"
+    assert main(["make-fixture", "--out", str(path), "--seed", "3"]) == 0
+    return path
+
+
+def cli_stdout(capsys, args) -> bytes:
+    capsys.readouterr()
+    assert main(args) == 0
+    return capsys.readouterr().out.encode()
+
+
+def select_args(path):
+    return ["select", "--prices", str(path), "--start", "2015-01-02", "--end", "2015-06-30"]
+
+
+def test_cli_output_bytes_pinned(fixture_csv_3, capsys):
+    outputs = {
+        "make-fixture": fixture_csv_3.read_bytes(),
+        "select": cli_stdout(capsys, select_args(fixture_csv_3)),
+        "hurst": cli_stdout(capsys, ["hurst", "--input", str(fixture_csv_3), "--symbol", "A1"]),
+    }
+    got = {name: hashlib.sha256(b).hexdigest() for name, b in outputs.items()}
+    assert got == CLI_SHA256
+
+
+def test_record_keys_pinned(golden_report_21, fixture_csv_3, capsys):
+    doc = report_to_dict(golden_report_21, CFG_21)
+    assert set(doc["config"]) == {f.name for f in fields(BacktestConfig)}
+    assert set(doc["metrics"]) == {
+        "cumulative_return", "annual_return_reinvested", "annual_return_single",
+        "annual_volatility", "sharpe", "normalized_volatility", "max_drawdown",
+        "benchmark_correlation", "market_neutrality", "avg_max_weight",
+        "asset_count_min", "asset_count_max",
+    }
+    spread = {f.name for f in fields(SelectedSpreadInfo)}
+    selected = [s for w in doc["windows"] for s in w["selected"]]
+    assert selected and all(set(s) == spread for s in selected)
+    select = json.loads(cli_stdout(capsys, select_args(fixture_csv_3)))
+    assert select["spreads"] and all(set(s) == spread - {"weight"} for s in select["spreads"])

@@ -225,7 +225,7 @@ def test_window_optimizer_on_reference_deltas():
     sel_cfg = SelectionConfig(horizon_days=cfg.test_days)
     sel = select_spreads(build_generating_matrix(matrix, symbols, sel_cfg), sel_cfg)
     [deltas] = _selected_deltas(matrix[None], [sel])
-    weights, info, legs = _optimize_window(deltas, sel, cfg)
+    weights, info = _optimize_window(deltas, sel, cfg)
     assert len(info) > 1
     want = {(c[0], c[1]): c for c in reference_candidates(universe, SelectionConfig(126))}
     rows = [want[(s.long_symbol, s.short_symbol)] for s in info]
@@ -239,7 +239,7 @@ def test_window_optimizer_on_reference_deltas():
     expected = apply_leverage(solve_weights(cr, mean, cfg.test_days, labels), cfg.leverage)
     np.testing.assert_array_equal(weights.spread_weights, expected.spread_weights)
     long, short, chi = ([r[k] for r in rows] for k in range(3))
-    assert legs == compose_legs(expected, long, short, chi)
+    assert weights.asset_legs == compose_legs(expected, long, short, chi)
 
 
 def candidate_bits(matrix, cands):
