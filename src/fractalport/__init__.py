@@ -40,7 +40,6 @@ from fractalport.io import (
     write_prices_wide,
 )
 from fractalport.optimizer import (
-    PortfolioWeights,
     RescaledCovariance,
     apply_leverage,
     compose_legs,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import compress
 from typing import Mapping, Optional, Sequence
 
@@ -26,7 +26,6 @@ from fractalport.errors import (
 )
 from fractalport.fbm import MIN_HURST_LENGTH
 from fractalport.optimizer import (
-    PortfolioWeights,
     apply_leverage,
     compose_legs,
     covariance_matrix,
@@ -113,8 +112,16 @@ class SelectedSpreadInfo:
 
 @dataclass(frozen=True)
 class WindowResult:
+    """One test window. ``scale_k`` is the leverage over the sum of the
+    clamped raw spread weights and ``asset_legs`` the signed notional
+    fraction of equity per symbol; ``leverage`` and ``scale_k`` are
+    ``None`` and ``asset_legs`` is empty when nothing is invested. Each
+    spread's weight is its ``selected`` entry's ``weight``."""
+
     window_index: int
-    weights: Optional[PortfolioWeights]
+    leverage: Optional[float]
+    scale_k: Optional[float]
+    asset_legs: dict[str, float]
     daily_equity: np.ndarray
     window_return: float
     benchmark_return: float
@@ -242,26 +249,25 @@ def _selected_deltas(stack: np.ndarray, sels: Sequence[Candidates]) -> list[np.n
 
 
 def _optimize_window(deltas: np.ndarray, sel: Candidates, cfg: BacktestConfig):
-    """Training-window pipeline after selection: the weights, with their
-    asset legs, and the records of the spreads ``sel``, whose daily deltas
-    are the rows of ``deltas``. ``(None, ())`` when nothing is invested."""
+    """Training-window pipeline after selection: the leverage scale factor,
+    the asset legs and the records of the spreads ``sel``, whose daily
+    deltas are the rows of ``deltas``. ``(None, {}, ())`` when nothing is
+    invested."""
     if not sel:
-        return None, ()
+        return None, {}, ()
     cov = covariance_matrix(deltas)
     rescaled = rescale_covariance(cov, sel.h, cfg.test_days)
     rows = sel.rows()
     long, short = ([r[k] for r in rows] for k in ("long_symbol", "short_symbol"))
     labels = [f"{a}/{b}" for a, b in zip(long, short)]
-    raw = solve_weights(rescaled, sel.mean, cfg.test_days, labels)
+    raw = solve_weights(rescaled, sel.mean, labels)
     try:
-        weights = apply_leverage(raw, cfg.leverage)
+        weights, scale_k = apply_leverage(raw, cfg.leverage)
     except EmptyPortfolioError:
-        return None, ()
-    weights = replace(weights, asset_legs=compose_legs(weights, long, short, sel.chi))
-    info = tuple(
-        SelectedSpreadInfo(**row, weight=w) for row, w in zip(rows, weights.spread_weights.tolist())
-    )
-    return weights, info
+        return None, {}, ()
+    legs = compose_legs(weights, long, short, sel.chi)
+    info = tuple(SelectedSpreadInfo(**row, weight=w) for row, w in zip(rows, weights.tolist()))
+    return scale_k, legs, info
 
 
 def run_walk_forward(panel: PricePanel, cfg: BacktestConfig) -> BacktestReport:
@@ -317,14 +323,13 @@ def run_walk_forward(panel: PricePanel, cfg: BacktestConfig) -> BacktestReport:
                 for lo, hi in zip(bounds, bounds[1:])
             ]
             deltas = _selected_deltas(stack, sels)
-        weights, info = _optimize_window(deltas[k], sels[k], cfg)
+        scale_k, legs, info = _optimize_window(deltas[k], sels[k], cfg)
         start_capital = chain_capital if cfg.reinvest else cfg.initial_capital
         if not 0 < start_capital < math.inf:
             raise NumericalError(
                 f"capital exhausted or overflowed before window {w}: {start_capital}"
             )
         entry_prices = dict(zip(symbols, prices[:, b - 1].tolist()))
-        legs = weights.asset_legs if weights is not None else {}
         try:
             shares = position_sizing(legs, entry_prices, start_capital) if legs else {}
         except NumericalError as exc:
@@ -347,7 +352,9 @@ def run_walk_forward(panel: PricePanel, cfg: BacktestConfig) -> BacktestReport:
         windows.append(
             WindowResult(
                 window_index=w,
-                weights=weights,
+                leverage=None if scale_k is None else float(cfg.leverage),
+                scale_k=scale_k,
+                asset_legs=legs,
                 daily_equity=equity,
                 window_return=window_return,
                 benchmark_return=benchmark_return,
@@ -412,11 +419,7 @@ def compute_metrics(
         chain = seg[-1]
     drawdown = max_drawdown(np.concatenate(segments))
 
-    max_legs = [
-        max(abs(v) for v in w.weights.asset_legs.values())
-        for w in windows
-        if w.weights is not None and w.weights.asset_legs
-    ]
+    max_legs = [max(abs(v) for v in w.asset_legs.values()) for w in windows if w.asset_legs]
     avg_max_weight = float(np.mean(max_legs)) if max_legs else None
     counts = [sum(1 for v in w.shares.values() if v != 0) for w in windows]
     return BacktestReport(

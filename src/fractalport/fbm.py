@@ -2,11 +2,11 @@
 estimation.
 
 The generator draws fractional Gaussian noise with its exact covariance
-(circulant embedding, Cholesky for very short series) so it can serve as
-the oracle for the estimator. The estimator measures the minimal-cover
-scaling of a path: total window amplitude V(d) across a geometric ladder
-of window sizes d behaves like d^(H-1) per unit length, the log-log slope
-gives the cover dimension D = 1 - slope and H = 2 - D.
+(Davies-Harte circulant embedding) so it can serve as the oracle for the
+estimator. The estimator measures the minimal-cover scaling of a path:
+total window amplitude V(d) across a geometric ladder of window sizes d
+behaves like d^(H-1) per unit length, the log-log slope gives the cover
+dimension D = 1 - slope and H = 2 - D.
 """
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ import numpy as np
 from fractalport.errors import (
     DegenerateSeriesError,
     InsufficientDataError,
+    NumericalError,
     ParameterError,
     ValidationError,
 )
@@ -71,21 +72,16 @@ def _fgn_autocov(h: float, m: int, sigma: float) -> np.ndarray:
     )
 
 
-def _fgn_cholesky(h: float, m: int, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    gamma = _fgn_autocov(h, m, sigma)
-    idx = np.abs(np.arange(m)[:, None] - np.arange(m)[None, :])
-    cov = gamma[idx]
-    return np.linalg.cholesky(cov) @ rng.standard_normal(m)
-
-
 def _fgn_circulant(h: float, m: int, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """Davies-Harte: embed the fGn covariance in a 2m circulant matrix."""
-    gamma = _fgn_autocov(h, m, sigma)
-    first_row = np.concatenate([gamma, [0.0], gamma[1:][::-1]])
+    """Davies-Harte: embed the fGn covariance in a 2m circulant matrix whose
+    first row is gamma(0..m) followed by gamma(m-1..1)."""
+    gamma = _fgn_autocov(h, m + 1, sigma)
+    first_row = np.concatenate([gamma, gamma[1:-1][::-1]])
     eigs = np.fft.fft(first_row).real
     if eigs.min() < -1e-8 * eigs.max():
-        # Never observed for fGn; kept as an exactness safeguard.
-        return _fgn_cholesky(h, m, sigma, rng)
+        raise NumericalError(
+            f"fGn circulant embedding is not positive semidefinite (h={h}, m={m})"
+        )
     eigs = np.clip(eigs, 0.0, None)
     w = np.empty(2 * m, dtype=np.complex128)
     w[0] = rng.standard_normal() * np.sqrt(eigs[0])
@@ -111,11 +107,7 @@ def generate_fbm(h: float, n: int, step_sigma: float = 1.0, rng_seed: int = 0) -
     if not step_sigma > 0.0:
         raise ParameterError(f"step sigma must be positive, got {step_sigma}")
     rng = np.random.default_rng(rng_seed)
-    m = n - 1
-    if m < 8:
-        fgn = _fgn_cholesky(h, m, step_sigma, rng)
-    else:
-        fgn = _fgn_circulant(h, m, step_sigma, rng)
+    fgn = _fgn_circulant(h, n - 1, step_sigma, rng)
     path = np.empty(n, dtype=np.float64)
     path[0] = 0.0
     np.cumsum(fgn, out=path[1:])

@@ -234,34 +234,23 @@ def write_prices_wide(path, series: Sequence[PriceSeries]) -> None:
 def report_to_dict(report: BacktestReport, cfg: BacktestConfig) -> dict:
     """JSON-ready representation of a backtest report.
 
-    ``config``, ``metrics`` and each ``selected`` entry are keyed by the
-    field names of ``BacktestConfig``, ``BacktestReport`` (less its
-    windows and single returns, with ``asset_count_range`` split into
-    min and max) and ``SelectedSpreadInfo``.
+    ``config``, ``metrics``, each window and each ``selected`` entry are
+    keyed by the field names of ``BacktestConfig``, ``BacktestReport``
+    (less its windows and single returns, with ``asset_count_range`` split
+    into min and max), ``WindowResult`` (plus the window's ``start_date``
+    and ``end_date``) and ``SelectedSpreadInfo``.
     """
     windows = []
     for w in report.windows:
-        entry = {
-            "window_index": w.window_index,
-            "start_date": w.dates[0],
-            "end_date": w.dates[-1],
-            "window_return": w.window_return,
-            "benchmark_return": w.benchmark_return,
-            "costs_paid": w.costs_paid,
-            "shares": dict(sorted(w.shares.items())),
-            "daily_equity": [float(v) for v in w.daily_equity],
-            "daily_costs": [float(v) for v in w.daily_costs],
-            "dates": list(w.dates),
-            "selected": [dict(vars(s)) for s in w.selected],
-        }
-        if w.weights is not None:
-            entry["leverage"] = w.weights.leverage
-            entry["scale_k"] = w.weights.scale_k
-            entry["asset_legs"] = dict(sorted(w.weights.asset_legs.items()))
-        else:
-            entry["leverage"] = None
-            entry["scale_k"] = None
-            entry["asset_legs"] = {}
+        entry = dict(vars(w))
+        entry.update(
+            start_date=w.dates[0],
+            end_date=w.dates[-1],
+            dates=list(w.dates),
+            daily_equity=w.daily_equity.tolist(),
+            daily_costs=w.daily_costs.tolist(),
+            selected=[dict(vars(s)) for s in w.selected],
+        )
         windows.append(entry)
     metrics = dict(vars(report))
     del metrics["windows"], metrics["single_returns"]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from fractalport.errors import (
 
 __all__ = [
     "RescaledCovariance",
-    "PortfolioWeights",
     "covariance_matrix",
     "rescale_covariance",
     "solve_weights",
@@ -43,29 +42,6 @@ MAX_CONDITION = 1e12
 class RescaledCovariance:
     matrix: np.ndarray
     horizon_days: int
-    hursts: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class PortfolioWeights:
-    """Per-spread weights after leverage normalization.
-
-    ``spread_weights`` sums to ``leverage`` over the retained spreads;
-    ``scale_k`` is the normalization factor leverage / sum(raw weights);
-    ``asset_legs`` maps symbols to signed notional fractions of equity
-    (filled by ``compose_legs``).
-    """
-
-    spread_weights: np.ndarray
-    leverage: float
-    scale_k: float
-    asset_legs: Mapping[str, float]
-
-    def __post_init__(self):
-        w = np.ascontiguousarray(self.spread_weights, dtype=np.float64)
-        w.flags.writeable = False
-        object.__setattr__(self, "spread_weights", w)
-        object.__setattr__(self, "asset_legs", dict(self.asset_legs))
 
 
 def covariance_matrix(deltas) -> np.ndarray:
@@ -108,18 +84,16 @@ def rescale_covariance(
             "(min eigenvalue %.3e); mixed-H rescaling does not preserve PSD",
             eigs.min(),
         )
-    return RescaledCovariance(
-        matrix=scaled, horizon_days=int(n_days), hursts=tuple(float(v) for v in h)
-    )
+    return RescaledCovariance(matrix=scaled, horizon_days=int(n_days))
 
 
 def solve_weights(
     cr: RescaledCovariance,
     mean_deltas: Sequence[float],
-    n_days: int,
     labels: Optional[Sequence[str]] = None,
 ) -> np.ndarray:
-    """Raw allocation: inverse rescaled covariance times mean returns times N.
+    """Raw allocation: inverse rescaled covariance times mean returns times
+    the horizon N of ``cr``.
 
     A ridge of RIDGE_LAMBDA * trace/M is always added before inversion; if
     the matrix is still ill-conditioned the error names the most collinear
@@ -140,7 +114,7 @@ def solve_weights(
             f"rescaled covariance is singular (condition {cond:.3e}); "
             f"most collinear spreads: {worst[0]} and {worst[1]}"
         )
-    return np.linalg.solve(reg, mu) * float(n_days)
+    return np.linalg.solve(reg, mu) * float(cr.horizon_days)
 
 
 def _most_collinear(matrix: np.ndarray, labels: Sequence[str]) -> tuple[str, str]:
@@ -154,8 +128,11 @@ def _most_collinear(matrix: np.ndarray, labels: Sequence[str]) -> tuple[str, str
     return labels[i], labels[j]
 
 
-def apply_leverage(raw: Sequence[float], leverage: float) -> PortfolioWeights:
+def apply_leverage(raw: Sequence[float], leverage: float) -> tuple[np.ndarray, float]:
     """Clamp negative raw weights to zero and scale the rest to the leverage.
+
+    Returns the read-only spread weights, which sum to ``leverage``, and
+    the normalization factor k = leverage / sum(clamped raw weights).
 
     A negative solved weight would mean shorting the spread, i.e. holding
     its flipped twin, which the selection stage already rejected; such
@@ -169,13 +146,13 @@ def apply_leverage(raw: Sequence[float], leverage: float) -> PortfolioWeights:
     if total <= 0.0:
         raise EmptyPortfolioError("no spread has a positive weight")
     k = leverage / total
-    return PortfolioWeights(
-        spread_weights=k * clamped, leverage=float(leverage), scale_k=k, asset_legs={}
-    )
+    weights = k * clamped
+    weights.flags.writeable = False
+    return weights, k
 
 
 def compose_legs(
-    weights: PortfolioWeights,
+    weights: np.ndarray,
     long_symbols: Sequence[str],
     short_symbols: Sequence[str],
     chi: Sequence[float],
@@ -186,13 +163,13 @@ def compose_legs(
     the 1:chi proportion with gross notional w: long leg +w/(1+chi), short
     leg -w*chi/(1+chi). Exposures of different spreads add per symbol.
     """
-    n = weights.spread_weights.size
+    n = len(weights)
     if not n == len(long_symbols) == len(short_symbols) == len(chi):
         raise ParameterError(f"{n} weights for legs and hedge ratios of other lengths")
     legs: dict[str, float] = {}
     # Python floats: an overflow gives inf, for sizing to reject, not a warning
-    rows = zip(weights.spread_weights.tolist(), long_symbols, short_symbols, map(float, chi))
+    rows = zip(weights.tolist(), long_symbols, short_symbols, map(float, chi))
     for w, long, short, c in rows:
         legs[long] = legs.get(long, 0.0) + w / (1.0 + c)
         legs[short] = legs.get(short, 0.0) - w * c / (1.0 + c)
-    return dict(sorted(legs.items()))
+    return legs

@@ -83,6 +83,10 @@ def make_synthetic_universe(
     Pair members are named A<k>/B<k>, the remaining assets N<k> carry only
     market exposure plus idiosyncratic noise. Deterministic per seed.
     """
+    if n_pairs < 0:
+        raise ParameterError(f"planted pair count must be non-negative, got {n_pairs}")
+    if n_days < 1:
+        raise ParameterError(f"need at least 1 day of returns, got {n_days}")
     if n_pairs > len(_PAIR_BETAS):
         raise ParameterError(f"at most {len(_PAIR_BETAS)} planted pairs supported")
     if n_assets < 2 * n_pairs:

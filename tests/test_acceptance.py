@@ -169,8 +169,8 @@ def test_05_horizon_invariance_uniform_h():
         weights = []
         for n_days in (1, 126):
             cr = rescale_covariance(cov, [h] * m, n_days)
-            raw = solve_weights(cr, mu, n_days)
-            weights.append(apply_leverage(raw, 2.0).spread_weights)
+            raw = solve_weights(cr, mu)
+            weights.append(apply_leverage(raw, 2.0)[0])
         worst = max(worst, float(np.max(np.abs(weights[0] - weights[1]))))
     ok = worst <= 1e-10
     record(5, "final weights invariant to horizon under uniform H", ok, f"worst={worst:.2e}")
@@ -191,7 +191,7 @@ def test_06_two_by_two_optimizer_oracle():
         det = reg[0, 0] * reg[1, 1] - reg[0, 1] * reg[1, 0]
         inv = np.array([[reg[1, 1], -reg[0, 1]], [-reg[1, 0], reg[0, 0]]]) / det
         expected = inv @ mu * n_days
-        got = solve_weights(cr, mu, n_days)
+        got = solve_weights(cr, mu)
         scale = max(1.0, float(np.max(np.abs(expected))))
         worst = max(worst, float(np.max(np.abs(got - expected))) / scale)
     ok = worst <= 1e-12
@@ -216,8 +216,8 @@ def test_07_no_lookahead(universe, backtest_cfg, report):
     w1, w2 = report.windows[2], rep2.windows[2]
     identical = (
         w1.shares == w2.shares
-        and np.array_equal(w1.weights.spread_weights, w2.weights.spread_weights)
-        and w1.weights.asset_legs == w2.weights.asset_legs
+        and [s.weight for s in w1.selected] == [s.weight for s in w2.selected]
+        and w1.asset_legs == w2.asset_legs
     )
     pnl_changed = w1.window_return != w2.window_return and not np.array_equal(
         w1.daily_equity, w2.daily_equity

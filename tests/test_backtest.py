@@ -1,4 +1,5 @@
 """Walk-forward engine: sizing, costs, metrics, lookahead and accounting."""
+import json
 from dataclasses import fields, replace
 from datetime import date, timedelta
 from unittest import mock
@@ -20,6 +21,7 @@ from fractalport.backtest import (
     run_walk_forward,
 )
 from fractalport.errors import NumericalError, ParameterError
+from fractalport.io import report_to_json
 from fractalport.selection import PAIR_BLOCK, SelectionConfig, build_generating_matrix
 from fractalport.spreads import (
     PriceSeries,
@@ -289,8 +291,8 @@ class TestRunWalkForward:
         rep2 = run_walk_forward(price_panel(mutated + [u.benchmark]), cfg)
         w1, w2 = rep.windows[1], rep2.windows[1]
         assert w1.shares == w2.shares
-        assert np.array_equal(w1.weights.spread_weights, w2.weights.spread_weights)
-        assert w1.weights.asset_legs == w2.weights.asset_legs
+        assert [s.weight for s in w1.selected] == [s.weight for s in w2.selected]
+        assert w1.asset_legs == w2.asset_legs
         assert w1.window_return != w2.window_return
 
     def test_accounting_identity(self, small_run):
@@ -370,11 +372,31 @@ class TestRunWalkForward:
             )
 
 
+def test_uninvested_windows_in_report():
+    # no planted pair and a Hurst cap no spread passes: every window holds
+    # nothing, and its report entry says so with null scalars and empty maps
+    u = make_synthetic_universe(n_assets=4, n_days=400, seed=1, n_pairs=0)
+    cfg = BacktestConfig(benchmark_symbol="MKT", hurst_cap=0.01)
+    rep = run_walk_forward(price_panel(u.prices + [u.benchmark]), cfg)
+    doc = json.loads(report_to_json(rep, cfg))
+    assert len(doc["windows"]) == 2
+    for w in doc["windows"]:
+        assert w["leverage"] is None and w["scale_k"] is None
+        assert w["asset_legs"] == w["shares"] == {}
+        assert w["selected"] == []
+        assert w["costs_paid"] == 0.0
+        assert w["daily_equity"] == [w["daily_equity"][0]] * len(w["dates"])
+    assert doc["metrics"]["avg_max_weight"] is None
+    assert doc["metrics"]["asset_count_min"] == doc["metrics"]["asset_count_max"] == 0
+
+
 def fabricate_window(idx, window_return, benchmark_return, start=100_000.0):
     equity = np.array([start, start * (1.0 + window_return)])
     return WindowResult(
         window_index=idx,
-        weights=None,
+        leverage=None,
+        scale_k=None,
+        asset_legs={},
         daily_equity=equity,
         window_return=window_return,
         benchmark_return=benchmark_return,

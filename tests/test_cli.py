@@ -416,6 +416,17 @@ class TestCmdMakeFixture:
         assert main(["make-fixture", "--out", str(b), "--days", "200", "--seed", "9"]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "sizes",
+        [["--pairs", "-1", "--assets", "10"], ["--days", "-3"], ["--days", "0"]],
+        ids=["negative-pairs", "negative-days", "zero-days"],
+    )
+    def test_bad_sizes_exit_2_without_writing(self, sizes, tmp_path, capsys):
+        out = tmp_path / "u.csv"
+        assert main(["make-fixture", "--out", str(out), *sizes]) == 2
+        assert capsys.readouterr().err.startswith("configuration error:")
+        assert not out.exists()
+
 
 @pytest.mark.parametrize(
     "args",

@@ -59,13 +59,17 @@ class TestGenerateFbm:
         assert loglog_slope(lags, var_k) == pytest.approx(1.4, abs=0.15)
 
     def test_exact_increment_covariance(self):
-        # empirical autocovariance over many seeds matches the fGn law
-        h, m, n_seeds = 0.3, 64, 800
-        incs = np.array([np.diff(generate_fbm(h, m + 1, 1.0, s)) for s in range(n_seeds)])
-        k = np.arange(4, dtype=np.float64)
-        theo = 0.5 * ((k + 1) ** (2 * h) - 2 * k ** (2 * h) + np.abs(k - 1) ** (2 * h))
-        emp = [np.mean(incs[:, : m - i] * incs[:, i:]) if i else np.mean(incs**2) for i in range(4)]
-        np.testing.assert_allclose(emp, theo, atol=0.03)
+        # empirical autocovariance over many seeds matches the fGn law; at
+        # H = 0.95 each path's lag products are so correlated that 800
+        # seeds leave a standard error of 0.034, so that level takes 4,000
+        # (standard error 0.015, half the tolerance)
+        m = 64
+        for h, n_seeds in ((0.3, 800), (0.95, 4000)):
+            incs = np.array([np.diff(generate_fbm(h, m + 1, 1.0, s)) for s in range(n_seeds)])
+            k = np.arange(4, dtype=np.float64)
+            theo = 0.5 * ((k + 1) ** (2 * h) - 2 * k ** (2 * h) + np.abs(k - 1) ** (2 * h))
+            emp = [np.mean(incs[:, : m - i] * incs[:, i:]) if i else np.mean(incs**2) for i in range(4)]
+            np.testing.assert_allclose(emp, theo, atol=0.03)
 
     def test_step_sigma_scales_path(self):
         a = generate_fbm(0.4, 256, 1.0, 5)
@@ -77,6 +81,7 @@ class TestGenerateFbm:
         assert not np.array_equal(generate_fbm(0.6, 512, 1.0, 9), generate_fbm(0.6, 512, 1.0, 10))
 
     def test_short_paths_use_exact_cholesky(self):
+        # paths this short take the same circulant embedding as long ones
         path = generate_fbm(0.3, 4, 1.0, 2)
         assert path.shape == (4,)
         assert path[0] == 0.0
@@ -179,7 +184,7 @@ def test_screen_null_pass_rate():
     h, h_err, n_scales, _ = fit_hurst(paths)
     assert (n_scales >= 3).all()
     passed = ((h + h_err < 0.5) & (h_err < h)).reshape(4, 2000)
-    assert passed.sum(axis=1).tolist() == [1948, 1655, 772, 175]
+    assert passed.sum(axis=1).tolist() == [1948, 1655, 772, 176]
     at_half = slice(4000, 6000)
     assert h_err[at_half].mean() == pytest.approx(0.0297, abs=5e-4)
     assert h[at_half].std(ddof=1) == pytest.approx(0.0862, abs=5e-4)

@@ -10,7 +10,6 @@ from fractalport.errors import (
 )
 from fractalport.optimizer import (
     RIDGE_LAMBDA,
-    PortfolioWeights,
     apply_leverage,
     compose_legs,
     covariance_matrix,
@@ -101,7 +100,7 @@ class TestSolveWeights:
         variances = np.array([1e-4, 4e-4, 2.5e-4])
         mu = np.array([1e-3, 2e-3, -5e-4])
         cr = rescale_covariance(np.diag(variances), [0.5] * 3, 1)
-        w = solve_weights(cr, mu, 1)
+        w = solve_weights(cr, mu)
         np.testing.assert_allclose(w, mu / variances, rtol=1e-6)
 
     def test_two_by_two_closed_form(self):
@@ -118,7 +117,7 @@ class TestSolveWeights:
             det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
             inv = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
             expected = inv @ mu * n_days
-            got = solve_weights(cr, mu, n_days)
+            got = solve_weights(cr, mu)
             np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-12)
 
     def test_uniform_h_direction_invariant_in_horizon(self):
@@ -126,8 +125,8 @@ class TestSolveWeights:
         x = rng.standard_normal((3, 400)) * 0.01
         c = np.cov(x, bias=True)
         mu = np.array([1e-3, 5e-4, 8e-4])
-        w1 = solve_weights(rescale_covariance(c, [0.4] * 3, 1), mu, 1)
-        w126 = solve_weights(rescale_covariance(c, [0.4] * 3, 126), mu, 126)
+        w1 = solve_weights(rescale_covariance(c, [0.4] * 3, 1), mu)
+        w126 = solve_weights(rescale_covariance(c, [0.4] * 3, 126), mu)
         np.testing.assert_allclose(w1 / w1.sum(), w126 / w126.sum(), atol=1e-10)
 
     def test_exact_duplicates_rescued_by_ridge(self):
@@ -136,7 +135,7 @@ class TestSolveWeights:
         d = 0.01 * np.random.default_rng(6).standard_normal(100)
         c = covariance_matrix(np.vstack([d, d]))
         cr = rescale_covariance(c, [0.5] * 2, 126)
-        w = solve_weights(cr, [1e-3, 1e-3], 126)
+        w = solve_weights(cr, [1e-3, 1e-3])
         assert np.all(np.isfinite(w))
         assert w[0] == pytest.approx(w[1], rel=1e-6)
 
@@ -148,33 +147,33 @@ class TestSolveWeights:
         matrix = np.array(
             [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, -2.0 + 1e-13]]
         )
-        cr = RescaledCovariance(matrix=matrix, horizon_days=1, hursts=(0.5, 0.5, 0.5))
+        cr = RescaledCovariance(matrix=matrix, horizon_days=1)
         with pytest.raises(SingularMatrixError, match="A/B and C/D"):
-            solve_weights(cr, [1e-3, 1e-3, 1e-3], 1, labels=["A/B", "C/D", "E/F"])
+            solve_weights(cr, [1e-3, 1e-3, 1e-3], labels=["A/B", "C/D", "E/F"])
 
 
 class TestApplyLeverage:
     def test_equal_weights(self):
-        pw = apply_leverage([1.0, 1.0], 2.0)
-        np.testing.assert_allclose(pw.spread_weights, [1.0, 1.0])
-        assert pw.scale_k == pytest.approx(1.0)
+        w, k = apply_leverage([1.0, 1.0], 2.0)
+        np.testing.assert_allclose(w, [1.0, 1.0])
+        assert k == pytest.approx(1.0)
 
     def test_proportional_scaling(self):
-        pw = apply_leverage([3.0, 1.0], 2.0)
-        np.testing.assert_allclose(pw.spread_weights, [1.5, 0.5])
-        assert pw.scale_k == pytest.approx(0.5)
+        w, k = apply_leverage([3.0, 1.0], 2.0)
+        np.testing.assert_allclose(w, [1.5, 0.5])
+        assert k == pytest.approx(0.5)
 
     def test_negative_clamped(self):
-        pw = apply_leverage([2.0, -1.0], 2.0)
-        np.testing.assert_allclose(pw.spread_weights, [2.0, 0.0])
-        assert pw.scale_k == pytest.approx(1.0)
+        w, k = apply_leverage([2.0, -1.0], 2.0)
+        np.testing.assert_allclose(w, [2.0, 0.0])
+        assert k == pytest.approx(1.0)
 
     def test_sum_equals_leverage(self):
         rng = np.random.default_rng(7)
         for lev in (1.0, 2.0, 2.7):
             raw = rng.uniform(-1, 3, 5)
-            pw = apply_leverage(raw, lev)
-            assert pw.spread_weights.sum() == pytest.approx(lev, rel=1e-12)
+            w, _ = apply_leverage(raw, lev)
+            assert w.sum() == pytest.approx(lev, rel=1e-12)
 
     def test_all_nonpositive_rejected(self):
         with pytest.raises(EmptyPortfolioError):
@@ -187,20 +186,20 @@ class TestApplyLeverage:
 
 class TestComposeLegs:
     def test_equal_notional_pair(self):
-        pw = apply_leverage([1.0], 1.0)
-        legs = compose_legs(pw, ["A"], ["B"], [1.0])
+        w, _ = apply_leverage([1.0], 1.0)
+        legs = compose_legs(w, ["A"], ["B"], [1.0])
         assert legs["A"] == pytest.approx(0.5)
         assert legs["B"] == pytest.approx(-0.5)
 
     def test_one_to_chi_ratio(self):
-        pw = apply_leverage([2.0], 2.0)
-        legs = compose_legs(pw, ["A"], ["B"], [3.0])
+        w, _ = apply_leverage([2.0], 2.0)
+        legs = compose_legs(w, ["A"], ["B"], [3.0])
         assert legs["A"] == pytest.approx(0.5)
         assert legs["B"] == pytest.approx(-1.5)
 
     def test_disjoint_union(self):
-        pw = apply_leverage([1.0, 1.0], 2.0)
-        legs = compose_legs(pw, ["A", "C"], ["B", "D"], [1.0, 2.0])
+        w, _ = apply_leverage([1.0, 1.0], 2.0)
+        legs = compose_legs(w, ["A", "C"], ["B", "D"], [1.0, 2.0])
         assert set(legs) == {"A", "B", "C", "D"}
         assert legs["C"] == pytest.approx(1.0 / 3.0)
         assert legs["D"] == pytest.approx(-2.0 / 3.0)
@@ -208,19 +207,17 @@ class TestComposeLegs:
     def test_gross_notional_equals_leverage(self):
         rng = np.random.default_rng(8)
         chi = rng.uniform(0.5, 3, 4)
-        pw = apply_leverage(rng.uniform(0.1, 2, 4), 2.0)
-        legs = compose_legs(pw, [f"L{i}" for i in range(4)], [f"S{i}" for i in range(4)], chi)
+        w, _ = apply_leverage(rng.uniform(0.1, 2, 4), 2.0)
+        legs = compose_legs(w, [f"L{i}" for i in range(4)], [f"S{i}" for i in range(4)], chi)
         assert sum(abs(v) for v in legs.values()) == pytest.approx(2.0, rel=1e-12)
 
     def test_weight_count_checked(self):
-        pw = apply_leverage([1.0, 1.0], 2.0)
+        w, _ = apply_leverage([1.0, 1.0], 2.0)
         with pytest.raises(ParameterError):
-            compose_legs(pw, ["A"], ["B"], [1.0])
+            compose_legs(w, ["A"], ["B"], [1.0])
 
 
 def test_portfolio_weights_immutable():
-    pw = PortfolioWeights(
-        spread_weights=np.array([1.0]), leverage=2.0, scale_k=2.0, asset_legs={"A": 0.5}
-    )
+    w, _ = apply_leverage([1.0], 2.0)
     with pytest.raises(ValueError):
-        pw.spread_weights[0] = 3.0
+        w[0] = 3.0

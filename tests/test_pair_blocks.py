@@ -225,7 +225,7 @@ def test_window_optimizer_on_reference_deltas():
     sel_cfg = SelectionConfig(horizon_days=cfg.test_days)
     sel = select_spreads(build_generating_matrix(matrix, symbols, sel_cfg), sel_cfg)
     [deltas] = _selected_deltas(matrix[None], [sel])
-    weights, info = _optimize_window(deltas, sel, cfg)
+    scale_k, legs, info = _optimize_window(deltas, sel, cfg)
     assert len(info) > 1
     want = {(c[0], c[1]): c for c in reference_candidates(universe, SelectionConfig(126))}
     rows = [want[(s.long_symbol, s.short_symbol)] for s in info]
@@ -236,10 +236,11 @@ def test_window_optimizer_on_reference_deltas():
     cr = rescale_covariance(cov, [s.hurst for s in info], cfg.test_days)
     mean = [s.mean_delta for s in info]
     labels = [f"{r[0]}/{r[1]}" for r in rows]
-    expected = apply_leverage(solve_weights(cr, mean, cfg.test_days, labels), cfg.leverage)
-    np.testing.assert_array_equal(weights.spread_weights, expected.spread_weights)
+    expected, expected_k = apply_leverage(solve_weights(cr, mean, labels), cfg.leverage)
+    np.testing.assert_array_equal([s.weight for s in info], expected)
+    assert scale_k == expected_k
     long, short, chi = ([r[k] for r in rows] for k in range(3))
-    assert weights.asset_legs == compose_legs(expected, long, short, chi)
+    assert legs == compose_legs(expected, long, short, chi)
 
 
 def candidate_bits(matrix, cands):
