@@ -39,7 +39,14 @@ from fractalport.selection import (
     build_generating_matrix,
     select_spreads,
 )
-from fractalport.spreads import PricePanel, pair_spreads, price_block, window_returns
+from fractalport.spreads import (
+    PricePanel,
+    hedge_increments,
+    hedge_ratios,
+    pair_spreads,
+    price_block,
+    window_returns,
+)
 
 __all__ = [
     "TRADING_DAYS_PER_YEAR",
@@ -237,14 +244,18 @@ def _mark_window(
 
 
 def _selected_deltas(stack: np.ndarray, sels: Sequence[Candidates]) -> list[np.ndarray]:
-    """Daily deltas of each window's selected spreads, rebuilt with one
-    ``pair_spreads`` call on the (windows x assets x days) return ``stack``
-    the tables were built from. Each row depends only on its own inputs,
-    so these are the deltas of the candidate rows, bit for bit."""
+    """Daily deltas of each window's selected spreads, rebuilt on the
+    (windows x assets x days) return ``stack`` the tables were built from.
+    Pairs are drawn lower index first, so the unoriented legs are the min
+    and max of ``long`` and ``short``; their hedge ratio is recomputed and
+    ``pair_spreads`` orients them again. Every reduction runs along a row,
+    so these are the candidate rows' deltas, bit for bit."""
     n_assets, n_days = stack.shape[-2:]
+    rows = stack.reshape(-1, n_days)
     base = np.concatenate([s.window for s in sels]) * n_assets
-    i, j, chi = (np.concatenate([getattr(s, c) for s in sels]) for c in ("i", "j", "hedge_chi"))
-    deltas = pair_spreads(stack.reshape(-1, n_days), base + i, base + j, chi).deltas
+    long, short = (np.concatenate([getattr(s, c) for s in sels]) for c in ("long", "short"))
+    i, j = base + np.minimum(long, short), base + np.maximum(long, short)
+    deltas = pair_spreads(rows, i, j, hedge_ratios(hedge_increments(rows), i, j)).deltas
     return np.split(deltas, np.cumsum([len(s) for s in sels[:-1]]))
 
 

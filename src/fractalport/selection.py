@@ -58,22 +58,17 @@ class Candidates:
     """Candidate spreads, one row per pair of a window, as equal-length columns.
 
     ``window`` indexes the row's window in the stack the table was built
-    from (0 for a single window). ``i``/``j`` index the legs in that
-    window's (assets x days) return matrix and ``hedge_chi`` is their hedge
-    ratio as ``hedge_ratios`` returned it, so
-    ``pair_spreads(returns, i, j, hedge_chi)`` rebuilds the daily deltas.
-    ``long``/``short``/``chi`` are the oriented legs (indices into
-    ``symbols``) and hedge ratio; ``mean``/``theta`` are the mean and std of
-    the deltas, ``h``/``h_err`` the Hurst fit and ``kelly`` the weight.
+    from (0 for a single window). ``long``/``short``/``chi`` are the
+    oriented legs (indices into ``symbols`` and into that window's
+    (assets x days) return matrix) and hedge ratio; ``mean``/``theta`` are
+    the mean and std of the daily deltas, ``h``/``h_err`` the Hurst fit and
+    ``kelly`` the weight.
     """
 
     symbols: tuple[str, ...]
     window: np.ndarray
-    i: np.ndarray
-    j: np.ndarray
     long: np.ndarray
     short: np.ndarray
-    hedge_chi: np.ndarray
     chi: np.ndarray
     mean: np.ndarray
     theta: np.ndarray
@@ -86,7 +81,7 @@ class Candidates:
             getattr(self, f.name).flags.writeable = False
 
     def __len__(self) -> int:
-        return self.i.size
+        return self.window.size
 
     def rows(self) -> list[dict]:
         """One record per row, keyed by the output names of a selected spread:
@@ -165,8 +160,8 @@ def build_generating_matrix(returns: np.ndarray, symbols, cfg: SelectionConfig) 
     increments = hedge_increments(stacked)
     first, second = np.triu_indices(n_assets, 1)
     n_rows = stacked.shape[0] // n_assets * first.size
-    # window, i, j, long, short are indices; the six columns after them are floats
-    blocks = [(first[:0],) * 5 + (np.empty(0),) * 6]
+    # window, long, short are indices; the five columns after them are floats
+    blocks = [(first[:0],) * 3 + (np.empty(0),) * 5]
     for start in range(0, n_rows, PAIR_BLOCK):
         window, pair = np.divmod(np.arange(start, min(start + PAIR_BLOCK, n_rows)), first.size)
         base = window * n_assets  # the window's first row in ``stacked``
@@ -179,11 +174,11 @@ def build_generating_matrix(returns: np.ndarray, symbols, cfg: SelectionConfig) 
         rows = pair_spreads(stacked, i, j, chi)
         h, h_err, n_scales, _ = fit_hurst(spread_path(rows.deltas))
         keep = (n_scales >= 3) & (rows.theta > 0.0)  # a usable fit, sizable spread
-        legs = (k - base for k in (i, j, rows.long, rows.short))  # indices in the window
-        columns = (window, *legs, chi, rows.chi, rows.mean, rows.theta, h, h_err)
+        legs = (k - base for k in (rows.long, rows.short))  # indices in the window
+        columns = (window, *legs, rows.chi, rows.mean, rows.theta, h, h_err)
         blocks.append(tuple(c[keep] for c in columns))
     columns = [np.concatenate(c) for c in zip(*blocks)]
-    mean, theta, h = columns[7:10]
+    mean, theta, h = columns[4:7]
     kelly = fractal_kelly_weight(mean, theta, h, cfg.horizon_days)
     return Candidates(tuple(symbols), *columns, kelly)
 

@@ -14,7 +14,6 @@ come from that block (``window_returns``).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from typing import NamedTuple, Sequence
 
@@ -46,34 +45,13 @@ HEDGE_VARIANCE_EPS = 1e-12
 MIN_HEDGE_LENGTH = 32
 
 
-def _freeze(values, dtype=np.float64) -> np.ndarray:
-    arr = np.ascontiguousarray(values, dtype=dtype)
-    arr.flags.writeable = False
-    return arr
-
-
-@dataclass(frozen=True)
-class PriceSeries:
-    """Adjusted close prices for one symbol on strictly increasing dates."""
+class PriceSeries(NamedTuple):
+    """Adjusted close prices of one symbol, one per date; ``price_panel``
+    checks them."""
 
     symbol: str
-    dates: tuple[str, ...]
+    dates: Sequence[str]
     prices: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "dates", tuple(self.dates))
-        object.__setattr__(self, "prices", _freeze(self.prices))
-        if len(self.dates) != self.prices.size:
-            raise ValidationError(
-                f"{self.symbol}: {len(self.dates)} dates vs {self.prices.size} prices"
-            )
-        observed = np.ones((1, self.prices.size), dtype=bool)
-        _check_prices((self.symbol,), self.dates, self.prices[None], observed)
-        # object elements compare as the str values; converting to a numpy
-        # string dtype would cost more than the comparison saves
-        days = np.array(self.dates, dtype=object)
-        if (days[1:] <= days[:-1]).any():
-            raise ValidationError(f"{self.symbol}: dates must be strictly increasing")
 
 
 class PricePanel(NamedTuple):
@@ -92,7 +70,7 @@ class PricePanel(NamedTuple):
 def build_panel(symbols, dates, prices: np.ndarray) -> PricePanel:
     """The panel of ``prices`` (symbols x dates, NaN for a missing cell) on
     sorted ``symbols`` and ``dates``: dates without prices are dropped, each
-    symbol's prices are checked as ``PriceSeries`` checks them, and the
+    symbol must have at least 2 prices, all finite and positive, and the
     matrix is frozen C-contiguous.
     """
     observed = ~np.isnan(prices)
@@ -102,7 +80,9 @@ def build_panel(symbols, dates, prices: np.ndarray) -> PricePanel:
         observed = observed[:, on_some]
         dates = tuple(compress(dates, on_some))
     _check_prices(symbols, dates, prices, observed)
-    return PricePanel(tuple(symbols), tuple(dates), _freeze(prices))
+    prices = np.ascontiguousarray(prices, dtype=np.float64)
+    prices.flags.writeable = False
+    return PricePanel(tuple(symbols), tuple(dates), prices)
 
 
 def _check_prices(symbols, dates, prices: np.ndarray, observed: np.ndarray) -> None:
@@ -123,7 +103,8 @@ def _check_prices(symbols, dates, prices: np.ndarray, observed: np.ndarray) -> N
 
 def price_panel(series: Sequence[PriceSeries]) -> PricePanel:
     """The panel holding ``series``, the same one ``ingest_prices`` reads
-    from a CSV of them."""
+    from a CSV of them, and the one check of a series: its dates, in any
+    order, match its prices one to one, and a NaN is a bad price, not a gap."""
     ordered = sorted(series, key=lambda p: p.symbol)
     symbols = tuple(p.symbol for p in ordered)
     if len(set(symbols)) != len(symbols):
@@ -131,9 +112,18 @@ def price_panel(series: Sequence[PriceSeries]) -> PricePanel:
     dates = tuple(sorted(set().union(*(p.dates for p in ordered))))
     column = {d: t for t, d in enumerate(dates)}
     prices = np.full((len(ordered), len(dates)), np.nan)
-    for row, p in zip(prices, ordered):
-        row[[column[d] for d in p.dates]] = p.prices
-    return build_panel(symbols, dates, prices)
+    observed = np.zeros(prices.shape, dtype=bool)
+    for row, seen, p in zip(prices, observed, ordered):
+        if np.shape(p.prices) != (len(p.dates),):
+            raise ValidationError(f"{p.symbol}: {len(p.dates)} dates vs {np.size(p.prices)} prices")
+        cols = [column[d] for d in p.dates]
+        if len(set(cols)) < len(cols):
+            raise ValidationError(f"{p.symbol}: duplicate date {dates[np.bincount(cols).argmax()]}")
+        row[cols] = p.prices
+        seen[cols] = True
+    _check_prices(symbols, dates, prices, observed)
+    prices.flags.writeable = False
+    return PricePanel(symbols, dates, prices)
 
 
 def price_block(panel: PricePanel, rows, cols) -> np.ndarray:

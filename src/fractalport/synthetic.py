@@ -40,6 +40,9 @@ _IDIO_NOISE = 0.015
 # Market factor daily drift and vol.
 _MARKET_MU = 1e-4
 _MARKET_SIGMA = 0.009
+# First trading date and the market factor's symbol.
+_START = date(2015, 1, 2)
+_BENCHMARK_SYMBOL = "MKT"
 
 
 @dataclass(frozen=True)
@@ -47,12 +50,11 @@ class SyntheticUniverse:
     prices: list[PriceSeries]
     benchmark: PriceSeries
     planted_pairs: list[tuple[str, str]]
-    seed: int
 
 
-def _trading_dates(n_days: int, start: date) -> tuple[str, ...]:
+def _trading_dates(n_days: int) -> tuple[str, ...]:
     out = []
-    day = start
+    day = _START
     while len(out) < n_days:
         if day.weekday() < 5:
             out.append(day.isoformat())
@@ -75,14 +77,15 @@ def make_synthetic_universe(
     n_days: int = 2520,
     seed: int = 3,
     n_pairs: int = 3,
-    start: date = date(2015, 1, 2),
-    benchmark_symbol: str = "MKT",
 ) -> SyntheticUniverse:
     """Universe of ``n_assets`` with ``n_pairs`` planted beta-neutral pairs.
 
     Pair members are named A<k>/B<k>, the remaining assets N<k> carry only
-    market exposure plus idiosyncratic noise. Deterministic per seed.
+    market exposure plus idiosyncratic noise; the benchmark is MKT. Prices
+    are read-only arrays. Deterministic per seed.
     """
+    if n_assets < 2:
+        raise ParameterError(f"need at least 2 assets, got {n_assets}")
     if n_pairs < 0:
         raise ParameterError(f"planted pair count must be non-negative, got {n_pairs}")
     if n_days < 1:
@@ -94,7 +97,7 @@ def make_synthetic_universe(
             f"{n_assets} assets cannot hold {n_pairs} disjoint pairs"
         )
     rng = np.random.default_rng(seed)
-    dates = _trading_dates(n_days + 1, start)
+    dates = _trading_dates(n_days + 1)
     market = _MARKET_MU + _MARKET_SIGMA * rng.standard_normal(n_days)
 
     daily: dict[str, np.ndarray] = {}
@@ -121,10 +124,9 @@ def make_synthetic_universe(
 
     def to_series(symbol: str, rets: np.ndarray) -> PriceSeries:
         path = 100.0 * np.cumprod(np.concatenate([[1.0], 1.0 + rets]))
+        path.flags.writeable = False
         return PriceSeries(symbol=symbol, dates=dates, prices=path)
 
     prices = [to_series(sym, daily[sym]) for sym in sorted(daily)]
-    benchmark = to_series(benchmark_symbol, market)
-    return SyntheticUniverse(
-        prices=prices, benchmark=benchmark, planted_pairs=planted, seed=seed
-    )
+    benchmark = to_series(_BENCHMARK_SYMBOL, market)
+    return SyntheticUniverse(prices=prices, benchmark=benchmark, planted_pairs=planted)

@@ -15,6 +15,7 @@ from fractalport.backtest import (
     BacktestConfig,
     WindowResult,
     _mark_window,
+    _selected_deltas,
     compute_metrics,
     max_drawdown,
     position_sizing,
@@ -25,7 +26,6 @@ from fractalport.io import report_to_json
 from fractalport.selection import PAIR_BLOCK, SelectionConfig, build_generating_matrix
 from fractalport.spreads import (
     PriceSeries,
-    pair_spreads,
     price_block,
     price_panel,
     window_returns,
@@ -346,7 +346,8 @@ class TestRunWalkForward:
 
     def test_each_window_optimizes_its_own_deltas(self, universe, backtest_cfg):
         # the selected deltas are rebuilt once per candidate stack; each
-        # window's slice must be its selection's deltas on its returns alone
+        # window's slice must be its selection's deltas rebuilt from its
+        # returns alone, as a stack of one window
         cfg = replace(backtest_cfg, test_days=21)
         panel = price_panel(universe.prices + [universe.benchmark])
         seen = []
@@ -360,7 +361,8 @@ class TestRunWalkForward:
         assert sum(len(sel) > 1 for _, sel in seen) > 50
         for w, (got, sel) in enumerate(seen):
             returns = window_returns(prices[:, w * 21 : w * 21 + cfg.train_days])
-            want = pair_spreads(returns, sel.i, sel.j, sel.hedge_chi).deltas
+            alone = replace(sel, window=np.zeros_like(sel.window))
+            [want] = _selected_deltas(returns[None], [alone])
             assert (got.dtype, got.shape) == (want.dtype, want.shape), w
             assert got.tobytes() == want.tobytes(), w
 

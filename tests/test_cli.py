@@ -418,8 +418,14 @@ class TestCmdMakeFixture:
 
     @pytest.mark.parametrize(
         "sizes",
-        [["--pairs", "-1", "--assets", "10"], ["--days", "-3"], ["--days", "0"]],
-        ids=["negative-pairs", "negative-days", "zero-days"],
+        [
+            ["--pairs", "-1", "--assets", "10"],
+            ["--days", "-3"],
+            ["--days", "0"],
+            ["--assets", "0", "--pairs", "0"],
+            ["--assets", "1", "--pairs", "0"],
+        ],
+        ids=["negative-pairs", "negative-days", "zero-days", "zero-assets", "one-asset"],
     )
     def test_bad_sizes_exit_2_without_writing(self, sizes, tmp_path, capsys):
         out = tmp_path / "u.csv"

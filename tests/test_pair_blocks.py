@@ -38,7 +38,6 @@ from fractalport.spreads import (
     HEDGE_VARIANCE_EPS,
     MIN_HEDGE_LENGTH,
     PriceSeries,
-    pair_spreads,
     price_block,
     price_panel,
 )
@@ -164,7 +163,7 @@ class TestMatchesPerPairReference:
         assert all(set(pair) not in ({"S2", "S4"}, {"S5", "S6"}) for pair in got_pairs)
         assert len(got) == len(want) > 0
         assert not any(getattr(got, f.name).flags.writeable for f in fields(got)[1:])
-        deltas = pair_spreads(matrix, got.i, got.j, got.hedge_chi).deltas
+        [deltas] = _selected_deltas(matrix[None], [got])
         for k, (long, short, chi, ref_deltas, mean, theta, h, h_err, kelly) in enumerate(want):
             assert got_pairs[k] == (long, short)
             assert got.chi[k] == chi
@@ -174,15 +173,16 @@ class TestMatchesPerPairReference:
             assert got.h[k] == pytest.approx(h, rel=1e-12)
             assert got.h_err[k] == pytest.approx(h_err, rel=1e-12)
             assert got.kelly[k] == pytest.approx(kelly, rel=1e-12)
-        # the optimizer rebuilds only the selected rows' deltas: the same
-        # bits, for the selection and for any other subset of the rows
+        # the optimizer rebuilds only the selected rows' deltas from their
+        # oriented legs: the same bits, for the selection and for any other
+        # subset of the rows
         ref_deltas = {(long, short): d for long, short, _, d, *_ in want}
         scattered = got.take(np.arange(len(got))[::-3])
         assert len(scattered) > 0
         for subset in (select_spreads(got, cfg), scattered):
-            recomputed = pair_spreads(matrix, subset.i, subset.j, subset.hedge_chi).deltas
+            [recomputed] = _selected_deltas(matrix[None], [subset])
             for pair, row in zip(pairs(subset), recomputed):
-                np.testing.assert_array_equal(row, ref_deltas[pair])
+                assert row.tobytes() == ref_deltas[pair].tobytes()
 
     @pytest.mark.parametrize(
         "n_days,start_of_last,error",
@@ -245,10 +245,8 @@ def test_window_optimizer_on_reference_deltas():
 
 def candidate_bits(matrix, cands):
     """Per row: symbols, every float column and the rebuilt deltas' bytes."""
-    deltas = pair_spreads(matrix, cands.i, cands.j, cands.hedge_chi).deltas
-    floats = (
-        cands.hedge_chi, cands.chi, cands.mean, cands.theta, cands.h, cands.h_err, cands.kelly
-    )
+    [deltas] = _selected_deltas(matrix[None], [cands])
+    floats = (cands.chi, cands.mean, cands.theta, cands.h, cands.h_err, cands.kelly)
     return [
         (pair, *values, row.tobytes())
         for pair, *values, row in zip(pairs(cands), *(c.tolist() for c in floats), deltas)
@@ -285,7 +283,7 @@ def test_rows_independent_and_oriented(universe):
         assert alone == in_block
     assert np.all(got.chi > 0.0)
     assert np.all(got.mean >= 0.0)
-    deltas = pair_spreads(matrix, got.i, got.j, got.hedge_chi).deltas
+    [deltas] = _selected_deltas(matrix[None], [got])
     for (long, short), chi, row in zip(pairs(got), got.chi, deltas):
         r_long, r_short = by_symbol[long].returns, by_symbol[short].returns
         scale = np.abs(r_long) + chi * np.abs(r_short)

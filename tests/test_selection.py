@@ -29,11 +29,8 @@ def make_candidates(rows, symbols=None):
     return Candidates(
         symbols=tuple(symbols),
         window=np.zeros(n, dtype=np.intp),
-        i=long,
-        j=short,
         long=long,
         short=short,
-        hedge_chi=np.ones(n),
         chi=np.ones(n),
         mean=np.array([r[5] if len(r) > 5 else 0.001 for r in rows], dtype=np.float64),
         theta=np.full(n, 0.0005),

@@ -23,6 +23,7 @@ from fractalport.spreads import (
     price_panel,
     window_returns,
 )
+from fractalport.synthetic import make_synthetic_universe
 
 
 def dates(n, start=0):
@@ -42,28 +43,51 @@ def make_returns(symbol, values):
 
 
 class TestPriceSeries:
+    """A series is a plain record; ``price_panel`` is where it is checked."""
+
     def test_rejects_nonpositive_prices(self):
         with pytest.raises(ValidationError):
-            PriceSeries(symbol="X", dates=dates(2), prices=np.array([100.0, 0.0]))
+            price_panel([PriceSeries(symbol="X", dates=dates(2), prices=np.array([100.0, 0.0]))])
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
     def test_bad_price_names_symbol_and_first_date(self, bad):
-        prices = np.array([100.0, 101.0, bad, bad])
+        # dates given latest first: the first bad date is the earliest, and
+        # a NaN is a bad price, not a missing one
+        good = PriceSeries(symbol="A", dates=dates(4), prices=np.full(4, 10.0))
+        prices = np.array([bad, bad, 101.0, 100.0])
+        x = PriceSeries(symbol="X", dates=dates(4)[::-1], prices=prices)
         with pytest.raises(ValidationError, match=f"^X: price {bad} on {dates(4)[2]} "):
-            PriceSeries(symbol="X", dates=dates(4), prices=prices)
+            price_panel([x, good])
 
-    def test_rejects_unsorted_dates(self):
-        with pytest.raises(ValidationError):
-            PriceSeries(
-                symbol="X",
-                dates=("2020-01-02", "2020-01-01"),
-                prices=np.array([1.0, 2.0]),
-            )
+    @pytest.mark.parametrize("n_prices", [1, 3])
+    def test_rejects_length_mismatch(self, n_prices):
+        # one price would otherwise broadcast over every date
+        x = PriceSeries(symbol="X", dates=dates(2), prices=np.full(n_prices, 1.0))
+        with pytest.raises(ValidationError, match=f"^X: 2 dates vs {n_prices} prices$"):
+            price_panel([x])
+
+    def test_rejects_repeated_date(self):
+        days = ("2020-01-03", "2020-01-01", "2020-01-03")
+        x = PriceSeries(symbol="X", dates=days, prices=[1.0, 2.0, 3.0])
+        with pytest.raises(ValidationError, match="^X: duplicate date 2020-01-03$"):
+            price_panel([x])
+
+    def test_unsorted_dates_give_sorted_panel(self):
+        days, prices = dates(5), np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+        order = [3, 0, 4, 1, 2]
+        y = PriceSeries(symbol="Y", dates=days[1:], prices=prices[1:] * 10.0)
+        shuffled = PriceSeries(symbol="X", dates=[days[k] for k in order], prices=prices[order])
+        got = price_panel([shuffled, y])
+        want = price_panel([PriceSeries(symbol="X", dates=days, prices=prices), y])
+        assert got.dates == want.dates == days
+        assert got.prices.tobytes() == want.prices.tobytes()
+        np.testing.assert_array_equal(got.prices[0], prices)
 
     def test_prices_immutable(self):
-        p = PriceSeries(symbol="X", dates=dates(2), prices=np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            p.prices[0] = 5.0
+        u = make_synthetic_universe(n_assets=2, n_days=5, n_pairs=0)
+        for p in u.prices + [u.benchmark]:
+            with pytest.raises(ValueError):
+                p.prices[0] = 5.0
 
 
 class TestWindowReturns:
