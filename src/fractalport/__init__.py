@@ -63,6 +63,7 @@ from fractalport.spreads import (
     pair_spreads,
     price_block,
     price_panel,
+    spread_returns,
     window_returns,
 )
 from fractalport.synthetic import SyntheticUniverse, make_synthetic_universe

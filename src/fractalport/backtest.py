@@ -39,14 +39,7 @@ from fractalport.selection import (
     build_generating_matrix,
     select_spreads,
 )
-from fractalport.spreads import (
-    PricePanel,
-    hedge_increments,
-    hedge_ratios,
-    pair_spreads,
-    price_block,
-    window_returns,
-)
+from fractalport.spreads import PricePanel, price_block, spread_returns, window_returns
 
 __all__ = [
     "TRADING_DAYS_PER_YEAR",
@@ -243,30 +236,14 @@ def _mark_window(
     return np.array(equity), np.array(costs)
 
 
-def _selected_deltas(stack: np.ndarray, sels: Sequence[Candidates]) -> list[np.ndarray]:
-    """Daily deltas of each window's selected spreads, rebuilt on the
-    (windows x assets x days) return ``stack`` the tables were built from.
-    Pairs are drawn lower index first, so the unoriented legs are the min
-    and max of ``long`` and ``short``; their hedge ratio is recomputed and
-    ``pair_spreads`` orients them again. Every reduction runs along a row,
-    so these are the candidate rows' deltas, bit for bit."""
-    n_assets, n_days = stack.shape[-2:]
-    rows = stack.reshape(-1, n_days)
-    base = np.concatenate([s.window for s in sels]) * n_assets
-    long, short = (np.concatenate([getattr(s, c) for s in sels]) for c in ("long", "short"))
-    i, j = base + np.minimum(long, short), base + np.maximum(long, short)
-    deltas = pair_spreads(rows, i, j, hedge_ratios(hedge_increments(rows), i, j)).deltas
-    return np.split(deltas, np.cumsum([len(s) for s in sels[:-1]]))
-
-
-def _optimize_window(deltas: np.ndarray, sel: Candidates, cfg: BacktestConfig):
+def _optimize_window(returns: np.ndarray, sel: Candidates, cfg: BacktestConfig):
     """Training-window pipeline after selection: the leverage scale factor,
-    the asset legs and the records of the spreads ``sel``, whose daily
-    deltas are the rows of ``deltas``. ``(None, {}, ())`` when nothing is
-    invested."""
+    the asset legs and the records of the spreads ``sel``, selected from
+    the window's (assets x days) ``returns``. ``(None, {}, ())`` when
+    nothing is invested."""
     if not sel:
         return None, {}, ()
-    cov = covariance_matrix(deltas)
+    cov = covariance_matrix(spread_returns(returns, sel.long, sel.short, sel.chi))
     rescaled = rescale_covariance(cov, sel.h, cfg.test_days)
     rows = sel.rows()
     long, short = ([r[k] for r in rows] for k in ("long_symbol", "short_symbol"))
@@ -333,8 +310,7 @@ def run_walk_forward(panel: PricePanel, cfg: BacktestConfig) -> BacktestReport:
                 select_spreads(cands.take(slice(lo, hi)), sel_cfg)
                 for lo, hi in zip(bounds, bounds[1:])
             ]
-            deltas = _selected_deltas(stack, sels)
-        scale_k, legs, info = _optimize_window(deltas[k], sels[k], cfg)
+        scale_k, legs, info = _optimize_window(stack[k], sels[k], cfg)
         start_capital = chain_capital if cfg.reinvest else cfg.initial_capital
         if not 0 < start_capital < math.inf:
             raise NumericalError(

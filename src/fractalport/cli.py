@@ -110,7 +110,7 @@ def _read_column(path: str, column: str) -> np.ndarray:
     """The numbers in ``column`` of a CSV with a header, blank cells
     skipped. Errors name the line, counting the header as line 1 and
     every record, blank or not, after it."""
-    with Path(path).open(newline="") as fh:
+    with Path(path).open(newline="", encoding="utf-8-sig") as fh:
         records = csv.reader(fh)
         header = next(records, [])
         if column not in header:

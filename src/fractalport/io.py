@@ -52,7 +52,7 @@ def ingest_prices(path) -> PricePanel:
     header as line 1 and every record, blank or not, after it.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         try:
             header = next(csv.reader(fh))
         except StopIteration:

@@ -149,9 +149,10 @@ def build_generating_matrix(returns: np.ndarray, symbols, cfg: SelectionConfig) 
     (window, pair) rows at a time are evaluated as rows of array
     operations. Pairs whose hedge ratio is degenerate or non-positive are
     omitted, as are pairs with no usable Hurst fit or too flat to size;
-    spreads are oriented so the mean daily return is non-negative. A row's
-    values do not depend on the other rows, so a stack gives each window
-    the table it gets alone.
+    spreads are oriented so the mean daily return is non-negative, and a
+    pair whose spread is the rounding noise of an exact hedge, negative in
+    mean both ways, is omitted too. A row's values do not depend on the
+    other rows, so a stack gives each window the table it gets alone.
     """
     n_assets, n_days = returns.shape[-2:]
     if n_assets < 2:
@@ -173,7 +174,8 @@ def build_generating_matrix(returns: np.ndarray, symbols, cfg: SelectionConfig) 
         window, base, i, j, chi = (c[hedged] for c in (window, base, i, j, chi))
         rows = pair_spreads(stacked, i, j, chi)
         h, h_err, n_scales, _ = fit_hurst(spread_path(rows.deltas))
-        keep = (n_scales >= 3) & (rows.theta > 0.0)  # a usable fit, sizable spread
+        # a usable fit, a sizable spread, a non-negative mean
+        keep = (n_scales >= 3) & (rows.theta > 0.0) & (rows.mean >= 0.0)
         legs = (k - base for k in (rows.long, rows.short))  # indices in the window
         columns = (window, *legs, rows.chi, rows.mean, rows.theta, h, h_err)
         blocks.append(tuple(c[keep] for c in columns))

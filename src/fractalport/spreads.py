@@ -35,6 +35,7 @@ __all__ = [
     "window_returns",
     "hedge_increments",
     "hedge_ratios",
+    "spread_returns",
     "pair_spreads",
 ]
 
@@ -203,23 +204,30 @@ class SpreadRows(NamedTuple):
     theta: np.ndarray
 
 
+def spread_returns(returns: np.ndarray, long, short, chi) -> np.ndarray:
+    """Daily returns of the spreads long ``long[k]`` and short ``chi[k]``
+    units of ``short[k]``, one row each: ``r[long] - chi * r[short]``."""
+    return returns[long] - chi[:, None] * returns[short]
+
+
 def pair_spreads(returns: np.ndarray, i, j, chi) -> SpreadRows:
     """Spreads long asset i[k] and short chi[k] units of asset j[k].
 
     Each spread is oriented so its mean daily return is non-negative: a
-    row with negative mean is reversed (legs swapped), chi' = 1/chi and
-    delta' = -delta/chi.
+    row with negative mean is reversed, long j[k] and short chi' = 1/chi
+    units of i[k], and its deltas are those of the reversed legs.
     """
     chi = np.array(chi, dtype=np.float64)
     if not (chi > 0).all():
         raise ParameterError("hedge ratios must be positive")
-    deltas = returns[i] - chi[:, None] * returns[j]
+    deltas = spread_returns(returns, i, j, chi)
     flip = deltas.mean(axis=1) < 0.0
-    deltas[flip] = -deltas[flip] / chi[flip, None]
+    long, short = np.where(flip, j, i), np.where(flip, i, j)
     chi[flip] = 1.0 / chi[flip]
+    deltas[flip] = spread_returns(returns, long[flip], short[flip], chi[flip])
     return SpreadRows(
-        long=np.where(flip, j, i),
-        short=np.where(flip, i, j),
+        long=long,
+        short=short,
         chi=chi,
         deltas=deltas,
         mean=deltas.mean(axis=1),

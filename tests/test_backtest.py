@@ -15,7 +15,6 @@ from fractalport.backtest import (
     BacktestConfig,
     WindowResult,
     _mark_window,
-    _selected_deltas,
     compute_metrics,
     max_drawdown,
     position_sizing,
@@ -345,14 +344,13 @@ class TestRunWalkForward:
                 assert np.array_equal(getattr(got, f.name), getattr(alone, f.name)), (w, f.name)
 
     def test_each_window_optimizes_its_own_deltas(self, universe, backtest_cfg):
-        # the selected deltas are rebuilt once per candidate stack; each
-        # window's slice must be its selection's deltas rebuilt from its
-        # returns alone, as a stack of one window
+        # the returns are built once per candidate stack; each window's
+        # optimizer must get the bytes of that window's returns built alone
         cfg = replace(backtest_cfg, test_days=21)
         panel = price_panel(universe.prices + [universe.benchmark])
         seen = []
         optimize = backtest._optimize_window
-        recording = lambda deltas, sel, c: seen.append((deltas, sel)) or optimize(deltas, sel, c)  # noqa: E731
+        recording = lambda rets, sel, c: seen.append((rets, sel)) or optimize(rets, sel, c)  # noqa: E731
         with mock.patch.object(backtest, "_optimize_window", recording):
             rep = run_walk_forward(panel, cfg)
         traded = np.array([s != "MKT" for s in panel.symbols])
@@ -360,9 +358,7 @@ class TestRunWalkForward:
         assert len(seen) == len(rep.windows) == 114
         assert sum(len(sel) > 1 for _, sel in seen) > 50
         for w, (got, sel) in enumerate(seen):
-            returns = window_returns(prices[:, w * 21 : w * 21 + cfg.train_days])
-            alone = replace(sel, window=np.zeros_like(sel.window))
-            [want] = _selected_deltas(returns[None], [alone])
+            want = window_returns(prices[:, w * 21 : w * 21 + cfg.train_days])
             assert (got.dtype, got.shape) == (want.dtype, want.shape), w
             assert got.tobytes() == want.tobytes(), w
 

@@ -143,6 +143,13 @@ class TestIngestWide:
         assert back.dates == want.dates == universe.prices[0].dates
         assert back.prices.tobytes() == want.prices.tobytes()
 
+    def test_byte_order_mark_ignored(self, fixture_csv, tmp_path):
+        # spreadsheet exports often start with a UTF-8 byte-order mark
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + fixture_csv.read_bytes())
+        got, want = ingest_prices(bom), ingest_prices(fixture_csv)
+        assert (got.symbols, got.dates) == (want.symbols, want.dates)
+        assert got.prices.tobytes() == want.prices.tobytes()
 
     def test_duplicate_symbols_not_written(self, tmp_path, universe):
         out = tmp_path / "dup.csv"
@@ -166,6 +173,16 @@ class TestCmdHurst:
         assert main(["hurst", "--input", str(f), "--column", "value"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert 0.15 < doc["h"] < 0.45
+
+    def test_column_after_byte_order_mark(self, tmp_path, capsys):
+        text = "value\n" + "\n".join(repr(float(v)) for v in generate_fbm(0.3, 256, 1.0, 4))
+        outs = []
+        for name, prefix in (("plain.csv", b""), ("bom.csv", b"\xef\xbb\xbf")):
+            f = tmp_path / name
+            f.write_bytes(prefix + text.encode())
+            assert main(["hurst", "--input", str(f), "--column", "value"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
 
     def test_bad_value_line_counts_blank_records(self, tmp_path, capsys):
         f = tmp_path / "series.csv"
@@ -260,6 +277,24 @@ class TestCmdSelect:
         assert main(args) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("configuration error:")
+        assert captured.out == ""
+
+    def test_max_spreads_keeps_the_first_selected(self, fixture_csv, capsys):
+        args = ["select", "--prices", str(fixture_csv), "--start", "2015-01-02", "--end", "2015-06-30"]
+        assert main(args) == 0
+        uncapped = json.loads(capsys.readouterr().out)["spreads"]
+        assert len(uncapped) == 4
+        assert main(args + ["--max-spreads", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["spreads"] == uncapped[:2]
+
+    def test_max_spreads_zero_exits_2(self, fixture_csv, capsys):
+        args = [
+            "select", "--prices", str(fixture_csv),
+            "--start", "2015-01-02", "--end", "2015-06-30", "--max-spreads", "0",
+        ]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "configuration error: max spreads must be positive, got 0\n"
         assert captured.out == ""
 
     def test_bad_hurst_cap_exits_2(self, fixture_csv):
