@@ -53,14 +53,10 @@ from fractalport.selection import (
     build_generating_matrix,
     fractal_kelly_weight,
     select_spreads,
-    spread_path,
 )
 from fractalport.spreads import (
     PricePanel,
     PriceSeries,
-    hedge_increments,
-    hedge_ratios,
-    pair_spreads,
     price_block,
     price_panel,
     spread_returns,

@@ -108,11 +108,12 @@ def _cmd_hurst(args) -> int:
 
 def _read_column(path: str, column: str) -> np.ndarray:
     """The numbers in ``column`` of a CSV with a header, blank cells
-    skipped. Errors name the line, counting the header as line 1 and
-    every record, blank or not, after it."""
+    skipped. Header cells are stripped of surrounding spaces, as
+    ``ingest_prices`` strips them. Errors name the line, counting the
+    header as line 1 and every record, blank or not, after it."""
     with Path(path).open(newline="", encoding="utf-8-sig") as fh:
         records = csv.reader(fh)
-        header = next(records, [])
+        header = [cell.strip() for cell in next(records, [])]
         if column not in header:
             raise DataError(f"column {column!r} not found; available: {header}")
         k = header.index(column)

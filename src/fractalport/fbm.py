@@ -28,7 +28,9 @@ __all__ = [
     "cover_amplitudes",
     "generate_fbm",
     "estimate_hurst",
+    "fit_covers",
     "fit_hurst",
+    "hurst_covers",
 ]
 
 # Below this length the ladder has fewer than 4 scales and the slope error
@@ -164,8 +166,27 @@ def cover_amplitudes(x, window_sizes):
     return sums, counts
 
 
-def fit_hurst(paths):
-    """Minimal-cover Hurst fit of every row of a (rows x n) path matrix.
+def hurst_covers(paths):
+    """The cover step of ``fit_hurst``: ``cover_amplitudes`` of every row
+    of a (rows x n) path matrix over the window ladder of n.
+
+    Returns the (rows x scales) amplitude sums of ``cover_amplitudes``;
+    ``fit_covers`` turns them into the Hurst fit. Raises
+    ``InsufficientDataError`` for a path shorter than ``MIN_HURST_LENGTH``.
+    """
+    n = paths.shape[-1]
+    if n < MIN_HURST_LENGTH:
+        raise InsufficientDataError(
+            f"series has {n} samples, need at least {MIN_HURST_LENGTH}"
+        )
+    # Ladder sizes are at most n/4, so every scale has complete windows.
+    return cover_amplitudes(paths, window_ladder(n))[0]
+
+
+def fit_covers(sums, n: int):
+    """The regression step of ``fit_hurst``, on the ``hurst_covers`` sums
+    of paths of length n, one row per path. The window ladder and the
+    number of complete windows at each scale follow from n.
 
     V(d) = total window amplitude at window size d, rescaled to full
     coverage of the series; log V is regressed on log d with weights
@@ -175,23 +196,16 @@ def fit_hurst(paths):
     fitted slope. Scales without amplitude get zero weight.
 
     Every sum is an elementwise product summed along the row, so a row's
-    result does not depend on the other rows: one path gives the same
-    bits alone as inside a block.
+    result does not depend on the other rows: the covers of several blocks
+    of paths, concatenated, give each row the bits of its block alone.
 
     Returns (h, h_err, n_scales, clamped), one entry per row. A fit
     outside (0, 1) is clamped into ``_HURST_CLAMP`` and flagged. A row
     with fewer than 3 scales of positive amplitude is degenerate: its
     ``n_scales`` is below 3 and its ``h`` and ``h_err`` are NaN.
     """
-    paths = np.asarray(paths, dtype=np.float64)
-    n = paths.shape[1]
-    if n < MIN_HURST_LENGTH:
-        raise InsufficientDataError(
-            f"series has {n} samples, need at least {MIN_HURST_LENGTH}"
-        )
     sizes = window_ladder(n)
-    # Ladder sizes are at most n/4, so every scale has complete windows.
-    sums, counts = cover_amplitudes(paths, sizes)
+    counts = (n - 1) // sizes
     keep = sums > 0.0
     n_scales = keep.sum(axis=1)
     fitted = n_scales >= 3
@@ -222,6 +236,14 @@ def fit_hurst(paths):
     h_err[fitted] = se[:, 0]
     clamped[fitted] = clamped_fit
     return h, h_err, n_scales, clamped
+
+
+def fit_hurst(paths):
+    """Minimal-cover Hurst fit of every row of a (rows x n) path matrix:
+    ``fit_covers`` of the ``hurst_covers`` of the paths. A row's result
+    does not depend on the other rows."""
+    paths = np.asarray(paths, dtype=np.float64)
+    return fit_covers(hurst_covers(paths), paths.shape[1])
 
 
 def estimate_hurst(s) -> HurstEstimate:

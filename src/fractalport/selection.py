@@ -1,7 +1,8 @@
 """Candidate spread generation and greedy fractal-Kelly selection.
 
 Every unordered pair of universe assets yields (at most) one candidate:
-the spread is oriented so its mean daily return is positive, its Hurst
+the spread's hedge ratio, mean and volatility come from per-asset moments,
+it is oriented so its mean daily return is non-negative, its Hurst
 exponent is estimated on the cumulative spread path, and the candidate is
 ranked by the horizon-adjusted Kelly weight. Candidates are held as one
 column table with a row per pair. Selection repeatedly takes the
@@ -16,26 +17,41 @@ from typing import Optional
 
 import numpy as np
 
-from fractalport.errors import DegenerateVolatilityError, ParameterError
-from fractalport.fbm import fit_hurst
-from fractalport.spreads import hedge_increments, hedge_ratios, pair_spreads
+from fractalport import fbm
+from fractalport.errors import DegenerateVolatilityError, InsufficientDataError, ParameterError
 
 __all__ = [
     "SelectionConfig",
     "Candidates",
     "fractal_kelly_weight",
-    "spread_path",
     "build_generating_matrix",
     "select_spreads",
 ]
 
-# Pairs evaluated together as rows of one array block: enough rows to
-# amortize numpy's per-call overhead, few enough that each (pairs x days)
-# temporary takes 2 KB per day of history (0.25 MB at 126 days). Measured
-# with stacked windows (perfbench run_cal medians of 3 seeds, 2-core VM,
-# 128 / 256 / 512): pairs_wide 1.09 / 1.05 / 0.95 and history_long
-# 1.19 / 1.18 / 1.16, but 512 raised peak RSS by 1.3 and 0.6 MB.
+# Variance floor below which the hedge regression is meaningless.
+HEDGE_VARIANCE_EPS = 1e-12
+
+# Minimum overlapping observations for a hedge-ratio estimate.
+MIN_HEDGE_LENGTH = 32
+
+# Spread paths built and covered together as rows of one array block:
+# enough rows to amortize numpy's per-call overhead, few enough that each
+# (pairs x days) temporary takes 2 KB per day of history (0.25 MB at 126
+# days; all 19,900 paths of a 200-asset window at once would take 20 MB).
+# Measured with stacked windows on per-pair spreads (perfbench run_cal
+# medians of 3 seeds, 2-core VM, 128 / 256 / 512): pairs_wide
+# 1.09 / 1.05 / 0.95 and history_long 1.19 / 1.18 / 1.16, but 512 raised
+# peak RSS by 1.3 and 0.6 MB.
 PAIR_BLOCK = 256
+
+# A spread whose variance is at most this fraction of its legs' summed
+# variances S_ii + chi^2 S_jj is the rounding noise of an exact hedge: on
+# 400 random 3-asset universes with one asset 0.75 times another, that
+# pair's ratio was at most 8.6e-16 in size, and sometimes negative. The
+# smallest ratio of any hedged pair in any training window of the golden
+# universe and the three benchmark workloads' universes (seeds 1-3) is
+# 6.8e-3, so the floor sits about 5 orders of magnitude from either.
+SPREAD_VARIANCE_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -126,17 +142,6 @@ def fractal_kelly_weight(mean_delta, theta, h, n_days: int):
     return weight if weight.ndim else float(weight)
 
 
-def spread_path(deltas) -> np.ndarray:
-    """Cumulative spread path (price-like integral of the daily deltas).
-
-    The deltas run along the last axis; a matrix gives one path per row.
-    """
-    deltas = np.asarray(deltas, dtype=np.float64)
-    path = np.zeros(deltas.shape[:-1] + (deltas.shape[-1] + 1,))
-    np.cumsum(deltas, axis=-1, out=path[..., 1:])
-    return path
-
-
 def build_generating_matrix(returns: np.ndarray, symbols, cfg: SelectionConfig) -> Candidates:
     """Candidates for every unordered asset pair of each window.
 
@@ -144,45 +149,79 @@ def build_generating_matrix(returns: np.ndarray, symbols, cfg: SelectionConfig) 
     or a (windows x assets x days) stack of such matrices on the same
     assets, and ``symbols`` names the asset rows. Rows run window by
     window, each window's pairs in ``itertools.combinations`` order, so a
-    window's rows are one contiguous run of the table. Each asset's hedge
-    increments are computed once per window, then ``PAIR_BLOCK``
-    (window, pair) rows at a time are evaluated as rows of array
-    operations. Pairs whose hedge ratio is degenerate or non-positive are
-    omitted, as are pairs with no usable Hurst fit or too flat to size;
-    spreads are oriented so the mean daily return is non-negative, and a
-    pair whose spread is the rounding noise of an exact hedge, negative in
-    mean both ways, is omitted too. A row's values do not depend on the
-    other rows, so a stack gives each window the table it gets alone.
+    window's rows are one contiguous run of the table.
+
+    No pair's daily spread is formed. Per window, the Gram matrix G of the
+    assets' centred one-day return increments gives the hedge ratio
+    chi = G[i, j] / G[j, j] of i over j (the OLS slope of i's increments
+    on j's, the ratio of market betas under one factor); the mean mu and
+    covariance S of the returns give the spread's mean mu_i - chi * mu_j
+    and variance theta^2 = S_ii + chi^2 S_jj - 2 chi S_ij; and the
+    cumulative return paths X give the spread's path X_i - chi * X_j,
+    built ``PAIR_BLOCK`` rows at a time for its Hurst covers. The Gram
+    matrices are einsum reductions: unlike a BLAS product, each entry then
+    has the same bits whatever the other assets, so a row's values do not
+    depend on the other rows and a stack gives each window the table it
+    gets alone.
+
+    Pairs are omitted when j's increment variance is below
+    ``HEDGE_VARIANCE_EPS`` or chi is not positive, when the path has no
+    usable Hurst fit, or when theta^2 is at most ``SPREAD_VARIANCE_FLOOR``
+    times S_ii + chi^2 S_jj: such a spread is the rounding noise of an
+    exact hedge (one asset a scaled copy of the other), whose formula
+    variance can even come out negative. A spread with negative mean is
+    reversed, long j and short chi' = 1/chi units of i, with mean -mean/chi
+    and theta/chi; the cover fit is scale-invariant, so h is that of the
+    unreversed path.
     """
     n_assets, n_days = returns.shape[-2:]
     if n_assets < 2:
         raise ParameterError(f"universe needs at least 2 assets, got {n_assets}")
-    stacked = returns.reshape(-1, n_days)  # (windows * assets) x days
-    increments = hedge_increments(stacked)
+    if n_days < MIN_HEDGE_LENGTH:
+        raise InsufficientDataError(
+            f"need at least {MIN_HEDGE_LENGTH} overlapping returns, got {n_days}"
+        )
+    stack = returns.reshape(-1, n_assets, n_days)
+    incr = np.diff(stack, axis=-1)
+    incr -= incr.mean(axis=-1, keepdims=True)
+    gram = np.einsum("wid,wjd->wij", incr, incr)
+    mu = stack.mean(axis=-1)
+    centred = stack - mu[..., None]
+    cov = np.einsum("wid,wjd->wij", centred, centred) / n_days
     first, second = np.triu_indices(n_assets, 1)
-    n_rows = stacked.shape[0] // n_assets * first.size
-    # window, long, short are indices; the five columns after them are floats
-    blocks = [(first[:0],) * 3 + (np.empty(0),) * 5]
-    for start in range(0, n_rows, PAIR_BLOCK):
-        window, pair = np.divmod(np.arange(start, min(start + PAIR_BLOCK, n_rows)), first.size)
-        base = window * n_assets  # the window's first row in ``stacked``
-        i, j = base + first[pair], base + second[pair]
-        chi = hedge_ratios(increments, i, j)
-        hedged = chi > 0.0  # NaN marks a degenerate hedge
-        if not hedged.any():
-            continue
-        window, base, i, j, chi = (c[hedged] for c in (window, base, i, j, chi))
-        rows = pair_spreads(stacked, i, j, chi)
-        h, h_err, n_scales, _ = fit_hurst(spread_path(rows.deltas))
-        # a usable fit, a sizable spread, a non-negative mean
-        keep = (n_scales >= 3) & (rows.theta > 0.0) & (rows.mean >= 0.0)
-        legs = (k - base for k in (rows.long, rows.short))  # indices in the window
-        columns = (window, *legs, rows.chi, rows.mean, rows.theta, h, h_err)
-        blocks.append(tuple(c[keep] for c in columns))
-    columns = [np.concatenate(c) for c in zip(*blocks)]
-    mean, theta, h = columns[4:7]
+    g_jj = gram[:, second, second]
+    chi = np.divide(
+        gram[:, first, second], g_jj, out=np.full(g_jj.shape, np.nan),
+        where=g_jj / (n_days - 1) >= HEDGE_VARIANCE_EPS,
+    )
+    window, pair = np.nonzero(chi > 0.0)  # NaN marks a degenerate hedge
+    chi = chi[window, pair]
+    i, j = first[pair], second[pair]
+    mean = mu[window, i] - chi * mu[window, j]
+    leg_var = cov[window, i, i] + chi * chi * cov[window, j, j]
+    theta2 = leg_var - 2.0 * chi * cov[window, i, j]
+
+    paths = np.zeros(stack.shape[:-1] + (n_days + 1,))
+    np.cumsum(stack, axis=-1, out=paths[..., 1:])
+    paths = paths.reshape(-1, n_days + 1)  # (windows * assets) x path
+    path_i, path_j = window * n_assets + i, window * n_assets + j
+    covers = [np.empty((0, fbm.window_ladder(n_days + 1).size))]
+    for block in (slice(k, k + PAIR_BLOCK) for k in range(0, chi.size, PAIR_BLOCK)):
+        spread = paths[path_i[block]] - chi[block, None] * paths[path_j[block]]
+        covers.append(fbm.hurst_covers(spread))
+    h, h_err, n_scales, _ = fbm.fit_covers(np.concatenate(covers), n_days + 1)
+    keep = (theta2 > SPREAD_VARIANCE_FLOOR * leg_var) & (n_scales >= 3)
+    window, i, j, chi, mean, theta2, h, h_err = (
+        c[keep] for c in (window, i, j, chi, mean, theta2, h, h_err)
+    )
+    flip = mean < 0.0
+    divisor = np.where(flip, chi, 1.0)
+    mean = np.abs(mean) / divisor
+    theta = np.sqrt(theta2) / divisor
+    long, short = np.where(flip, j, i), np.where(flip, i, j)
+    chi = np.where(flip, 1.0 / chi, chi)
     kelly = fractal_kelly_weight(mean, theta, h, cfg.horizon_days)
-    return Candidates(tuple(symbols), *columns, kelly)
+    return Candidates(tuple(symbols), window, long, short, chi, mean, theta, h, h_err, kelly)
 
 
 def select_spreads(cands: Candidates, cfg: SelectionConfig) -> Candidates:

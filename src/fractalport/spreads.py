@@ -1,5 +1,4 @@
-"""Entry-point-normalized returns, pairwise hedge ratios and market-neutral
-spread construction.
+"""Price panels, entry-point-normalized returns and the spread formula.
 
 Returns are normalized by the price at the investment entry point, so a
 spread return of x means a P&L of x per unit of entry capital. A spread
@@ -19,12 +18,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from fractalport.errors import (
-    AlignmentError,
-    InsufficientDataError,
-    ParameterError,
-    ValidationError,
-)
+from fractalport.errors import AlignmentError, ValidationError
 
 __all__ = [
     "PriceSeries",
@@ -33,17 +27,8 @@ __all__ = [
     "price_panel",
     "price_block",
     "window_returns",
-    "hedge_increments",
-    "hedge_ratios",
     "spread_returns",
-    "pair_spreads",
 ]
-
-# Variance floor below which the hedge regression is meaningless.
-HEDGE_VARIANCE_EPS = 1e-12
-
-# Minimum overlapping observations for a hedge-ratio estimate.
-MIN_HEDGE_LENGTH = 32
 
 
 class PriceSeries(NamedTuple):
@@ -153,83 +138,7 @@ def window_returns(prices: np.ndarray) -> np.ndarray:
     return np.diff(prices, axis=1) / prices[:, :1]
 
 
-def hedge_increments(returns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The per-asset half of the hedge regression: each row's one-day
-    increments of its normalized returns, centred, and their variance.
-
-    ``returns`` is an (assets x days) matrix; the rows of several windows'
-    matrices stacked into one give each row the same bits as its own
-    window alone, since every reduction runs along a row.
-    """
-    if returns.shape[1] < MIN_HEDGE_LENGTH:
-        raise InsufficientDataError(
-            f"need at least {MIN_HEDGE_LENGTH} overlapping returns, got {returns.shape[1]}"
-        )
-    incr = np.diff(returns, axis=1)
-    var = np.var(incr, axis=1)
-    incr -= incr.mean(axis=1, keepdims=True)
-    return incr, var
-
-
-def hedge_ratios(increments: tuple[np.ndarray, np.ndarray], i, j) -> np.ndarray:
-    """Hedge ratio chi (ratio of market betas) of asset i[k] over asset j[k].
-
-    ``increments`` is what ``hedge_increments`` returns for the rows that
-    ``i`` and ``j`` index; each pair is one row of the computation. The
-    ratio is the OLS slope of the increments of r_i on those of r_j, which
-    equals the beta ratio under a single-factor model and is numerically
-    stable.
-
-    A pair whose regressor increments have variance below
-    ``HEDGE_VARIANCE_EPS`` has no hedge ratio and gets NaN. A non-positive
-    result signals an invertedly-related pair; callers skip both.
-    """
-    incr, var = increments
-    cov = np.mean(incr[i] * incr[j], axis=1)
-    var_j = var[j]
-    return np.divide(
-        cov, var_j, out=np.full(cov.shape, np.nan), where=var_j >= HEDGE_VARIANCE_EPS
-    )
-
-
-class SpreadRows(NamedTuple):
-    """Spreads of a block of pairs, one row each: leg indices into the
-    return matrix, hedge ratio, daily deltas, their mean and their std."""
-
-    long: np.ndarray
-    short: np.ndarray
-    chi: np.ndarray
-    deltas: np.ndarray
-    mean: np.ndarray
-    theta: np.ndarray
-
-
 def spread_returns(returns: np.ndarray, long, short, chi) -> np.ndarray:
     """Daily returns of the spreads long ``long[k]`` and short ``chi[k]``
     units of ``short[k]``, one row each: ``r[long] - chi * r[short]``."""
     return returns[long] - chi[:, None] * returns[short]
-
-
-def pair_spreads(returns: np.ndarray, i, j, chi) -> SpreadRows:
-    """Spreads long asset i[k] and short chi[k] units of asset j[k].
-
-    Each spread is oriented so its mean daily return is non-negative: a
-    row with negative mean is reversed, long j[k] and short chi' = 1/chi
-    units of i[k], and its deltas are those of the reversed legs.
-    """
-    chi = np.array(chi, dtype=np.float64)
-    if not (chi > 0).all():
-        raise ParameterError("hedge ratios must be positive")
-    deltas = spread_returns(returns, i, j, chi)
-    flip = deltas.mean(axis=1) < 0.0
-    long, short = np.where(flip, j, i), np.where(flip, i, j)
-    chi[flip] = 1.0 / chi[flip]
-    deltas[flip] = spread_returns(returns, long[flip], short[flip], chi[flip])
-    return SpreadRows(
-        long=long,
-        short=short,
-        chi=chi,
-        deltas=deltas,
-        mean=deltas.mean(axis=1),
-        theta=deltas.std(axis=1),
-    )

@@ -184,6 +184,18 @@ class TestCmdHurst:
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
 
+    def test_column_header_cells_stripped(self, tmp_path, capsys):
+        # the header ingest reads as date,value: --column value names it
+        values = generate_fbm(0.3, 256, 1.0, 4)
+        outs = []
+        for name, header in (("plain.csv", "date,value"), ("spaced.csv", "date, value ")):
+            f = tmp_path / name
+            rows = (f"2020-01-{k % 28 + 1:02d},{v!r}" for k, v in enumerate(values.tolist()))
+            f.write_text(header + "\n" + "\n".join(rows) + "\n")
+            assert main(["hurst", "--input", str(f), "--column", "value"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
     def test_bad_value_line_counts_blank_records(self, tmp_path, capsys):
         f = tmp_path / "series.csv"
         f.write_text("value\n1.0\n\nabc\n")

@@ -10,7 +10,6 @@ from fractalport.selection import (
     build_generating_matrix,
     fractal_kelly_weight,
     select_spreads,
-    spread_path,
 )
 
 
@@ -124,14 +123,6 @@ class TestBuildGeneratingMatrix:
         universe = {**self._universe(3, seed=5), "FLAT": np.zeros(200)}
         cands = build(universe, SelectionConfig())
         assert all("FLAT" not in pair for pair in pairs(cands))
-
-    def test_spread_path_prepends_zero(self):
-        deltas = np.full(80, 0.001)
-        deltas[::2] += 0.0005
-        path = spread_path(deltas)
-        assert path[0] == 0.0
-        assert path.size == deltas.size + 1
-        np.testing.assert_allclose(np.diff(path), deltas, rtol=1e-15)
 
 
 class TestSelectSpreads:

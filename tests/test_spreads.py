@@ -1,4 +1,6 @@
-"""Normalized returns, hedge ratios and spread construction."""
+"""Price panels, normalized returns, and the hedge ratio and oriented
+spread of the per-pair reference (``pair_reference``) that the candidate
+engine is checked against; the engine itself where it shows them."""
 from datetime import date, timedelta
 from typing import NamedTuple
 
@@ -8,22 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fractalport.errors import (
-    AlignmentError,
-    InsufficientDataError,
-    ParameterError,
-    ValidationError,
-)
-from fractalport.spreads import (
-    PriceSeries,
-    hedge_increments,
-    hedge_ratios,
-    pair_spreads,
-    price_block,
-    price_panel,
-    window_returns,
-)
+from fractalport.errors import AlignmentError, InsufficientDataError, ValidationError
+from fractalport.selection import SelectionConfig, build_generating_matrix
+from fractalport.spreads import PriceSeries, price_block, price_panel, window_returns
 from fractalport.synthetic import make_synthetic_universe
+from pair_reference import hedge_ratio, oriented_spread
 
 
 def dates(n, start=0):
@@ -169,22 +160,22 @@ class TestPriceMatrix:
             panel.prices[0, 0] = 5.0
 
 
-def pair(ri, rj):
-    """Return matrix of two aligned series and the index arrays of pair (0, 1)."""
-    return np.stack([ri.returns, rj.returns]), np.array([0]), np.array([1])
-
-
 def hedge(ri, rj):
-    returns, i, j = pair(ri, rj)
-    return float(hedge_ratios(hedge_increments(returns), i, j)[0])
+    return hedge_ratio(ri.returns, rj.returns)
 
 
 def spread(ri, rj, chi):
-    """The oriented spread long ``ri`` short ``chi`` units of ``rj``, as one row."""
-    returns, i, j = pair(ri, rj)
-    rows = pair_spreads(returns, i, j, [chi])
+    """The oriented spread long ``ri`` short ``chi`` units of ``rj``, and
+    the symbols of its long and short legs."""
+    s = oriented_spread(ri.returns, rj.returns, chi)
     symbols = (ri.symbol, rj.symbol)
-    return rows, symbols[rows.long[0]], symbols[rows.short[0]]
+    return s, symbols[s.long], symbols[s.short]
+
+
+def engine(*rows):
+    """The candidate engine's table of a universe of ``Row``s."""
+    returns = np.stack([r.returns for r in rows])
+    return build_generating_matrix(returns, [r.symbol for r in rows], SelectionConfig())
 
 
 class TestHedgeRatio:
@@ -228,6 +219,8 @@ class TestHedgeRatio:
         r2 = make_returns("B", np.linspace(0, 0.02, 10))
         with pytest.raises(InsufficientDataError):
             hedge(r1, r2)
+        with pytest.raises(InsufficientDataError):
+            engine(r1, r2)
 
 
 class TestBuildSpread:
@@ -236,13 +229,13 @@ class TestBuildSpread:
         rj = make_returns("B", np.full(40, 0.01))
         s, _, _ = spread(ri, rj, 2.0)
         assert np.all(s.deltas == 0.0)
-        assert s.mean[0] == 0.0 and s.theta[0] == 0.0
+        assert s.mean == 0.0 and s.theta == 0.0
 
     def test_unit_hedge(self):
         ri = make_returns("A", np.full(40, 0.02))
         rj = make_returns("B", np.full(40, 0.01))
         s, _, _ = spread(ri, rj, 1.0)
-        np.testing.assert_allclose(s.deltas[0], 0.01)
+        np.testing.assert_allclose(s.deltas, 0.01)
 
     def test_market_term_cancels_with_true_chi(self):
         # beta_i/beta_j = chi and independent drifts: corr(delta, market) ~ 0
@@ -252,7 +245,7 @@ class TestBuildSpread:
         ri = make_returns("A", 1.2 * market + 0.0005 + 0.002 * rng.standard_normal(n))
         rj = make_returns("B", 0.8 * market + 0.0002 + 0.002 * rng.standard_normal(n))
         s, _, _ = spread(ri, rj, chi_true)
-        rho = np.corrcoef(s.deltas[0], market)[0, 1]
+        rho = np.corrcoef(s.deltas, market)[0, 1]
         assert abs(rho) < 3.0 / np.sqrt(n)
 
     def test_residual_increment_slope_vanishes_with_ols_chi(self):
@@ -262,7 +255,7 @@ class TestBuildSpread:
         rj = make_returns("B", 0.9 * market + 0.003 * rng.standard_normal(500))
         chi = hedge(ri, rj)
         s, _, _ = spread(ri, rj, chi)
-        dd = np.diff(s.deltas[0])
+        dd = np.diff(s.deltas)
         dj = np.diff(rj.returns)
         slope = np.mean((dd - dd.mean()) * (dj - dj.mean())) / np.var(dj)
         assert abs(slope) < 1e-9
@@ -275,11 +268,14 @@ class TestBuildSpread:
             price_block(panel, [True, True], np.isin(panel.dates, pi.dates))
 
     def test_nonpositive_chi_rejected(self):
-        ri = make_returns("A", np.full(40, 0.01))
-        rj = make_returns("B", np.full(40, 0.01))
-        for chi in (-1.0, 0.0, np.nan):
-            with pytest.raises(ParameterError):
-                spread(ri, rj, chi)
+        # the engine forms no spread, and raises nothing, for a hedge ratio
+        # that is negative, zero (a flat i) or missing (a flat j)
+        rng = np.random.default_rng(15)
+        base = make_returns("B", 0.01 * rng.standard_normal(100))
+        flat = make_returns("A", np.full(100, 0.01))
+        for ri, rj in ((make_returns("A", -base.returns), base), (flat, base), (base, flat)):
+            assert not hedge(ri, rj) > 0.0
+            assert len(engine(ri, rj)) == 0
 
 
 class TestFlipSpread:
@@ -288,10 +284,10 @@ class TestFlipSpread:
         rj = make_returns("B", np.array([0.25, 0.25]))
         # A - 2B = [-0.5, 0.25] has negative mean, so the spread is reversed
         s, long, short = spread(ri, rj, 2.0)
-        assert s.chi[0] == 0.5
-        np.testing.assert_array_equal(s.deltas[0], [0.25, -0.125])
+        assert s.chi == 0.5
+        np.testing.assert_array_equal(s.deltas, [0.25, -0.125])
         assert (long, short) == ("B", "A")
-        assert s.mean[0] == 0.0625
+        assert s.mean == 0.0625
 
     def test_involution(self):
         # (A, B, chi) and (B, A, 1/chi) are the two orientations of one spread
@@ -301,7 +297,7 @@ class TestFlipSpread:
         assert (long, short) == ("A", "B")
         back, long_b, short_b = spread(rj, ri, 0.5)
         np.testing.assert_array_equal(back.deltas, s.deltas)
-        assert back.chi[0] == s.chi[0]
+        assert back.chi == s.chi
         assert (long_b, short_b) == (long, short)
 
     def test_involution_general_chi(self):
@@ -311,7 +307,7 @@ class TestFlipSpread:
         s, _, _ = spread(ri, rj, 1.7)
         back, _, _ = spread(rj, ri, 1.0 / 1.7)
         np.testing.assert_allclose(back.deltas, s.deltas, rtol=1e-14)
-        assert back.chi[0] == pytest.approx(s.chi[0], rel=1e-15)
+        assert back.chi == pytest.approx(s.chi, rel=1e-15)
 
     def test_negative_mean_becomes_positive(self):
         rng = np.random.default_rng(13)
@@ -321,7 +317,7 @@ class TestFlipSpread:
         assert deltas.mean() < 0
         s, long, _ = spread(ri, rj, 1.0)
         assert long == "B"
-        assert s.mean[0] > 0
+        assert s.mean > 0
 
     def test_preserves_t_statistic(self):
         rng = np.random.default_rng(14)
@@ -332,5 +328,5 @@ class TestFlipSpread:
         f, long, _ = spread(rj, ri, 1.0 / 2.5)
         assert long == "A"
         t_s = abs(raw.mean()) / (raw.std() / np.sqrt(raw.size))
-        t_f = abs(f.mean[0]) / (f.theta[0] / np.sqrt(f.deltas.shape[1]))
+        t_f = abs(f.mean) / (f.theta / np.sqrt(f.deltas.size))
         assert t_f == pytest.approx(t_s, rel=1e-12)
