@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: ``hurst`` (exponent of one series), ``select`` (spread
-selection over a date range), ``backtest`` (walk-forward report) and
-``make-fixture`` (synthetic universe CSV). Exit codes: 0 success,
+selection over a date range, among the symbols priced on every date of
+it; the others are named on stderr), ``backtest`` (walk-forward report)
+and ``make-fixture`` (synthetic universe CSV). Exit codes: 0 success,
 2 configuration error, 3 data error (including a file that cannot be
 read or written), 4 numerical error.
 """
@@ -149,13 +150,17 @@ def _cmd_select(args) -> int:
     panel = ingest_prices(args.prices)
     lo = np.searchsorted(panel.dates, start, "left")
     hi = np.searchsorted(panel.dates, end, "right")
-    window = panel.prices[:, lo:hi]
-    # every symbol with at least 2 prices in the window, on each date any of them has
-    rows = (~np.isnan(window)).sum(axis=1) >= 2
+    if hi - lo < 2:
+        raise DataError(f"fewer than 2 dates have prices in [{start}, {end}]")
+    # the window's universe: the symbols priced on every one of its dates
+    rows = ~np.isnan(panel.prices[:, lo:hi]).any(axis=1)
+    if not rows.all():
+        dropped = ", ".join(compress(panel.symbols, ~rows))
+        print(f"dropped (not priced on every date in [{start}, {end}]): {dropped}", file=sys.stderr)
     if rows.sum() < 2:
-        raise DataError(f"fewer than 2 symbols have data in [{start}, {end}]")
+        raise DataError(f"fewer than 2 symbols are priced on every date in [{start}, {end}]")
     cols = np.zeros(len(panel.dates), dtype=bool)
-    cols[lo:hi] = ~np.isnan(window[rows]).all(axis=0)
+    cols[lo:hi] = True
     returns = window_returns(price_block(panel, rows, cols))
     symbols = list(compress(panel.symbols, rows))
     sel = select_spreads(build_generating_matrix(returns, symbols, cfg), cfg)

@@ -160,9 +160,12 @@ def cover_amplitudes(x, window_sizes):
         left = x[..., 0 : nf * d : d]
         mid = x[..., d // 2 : nf * d : d]
         right = x[..., d : nf * d + 1 : d]
-        hi = np.maximum(np.maximum(left, mid), right)
-        lo = np.minimum(np.minimum(left, mid), right)
-        sums[..., k] = np.sum(hi - lo, axis=-1)
+        hi = np.maximum(left, mid)
+        lo = np.minimum(left, mid)
+        np.maximum(hi, right, out=hi)
+        np.minimum(lo, right, out=lo)
+        hi -= lo
+        sums[..., k] = hi.sum(axis=-1)
     return sums, counts
 
 

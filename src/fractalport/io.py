@@ -1,20 +1,32 @@
-"""CSV price ingestion and report serialization.
+r"""CSV price ingestion and report serialization.
 
 Two input layouts are auto-detected from the header: long format
 (``date,symbol,adj_close``) and wide format (``date,SYM1,SYM2,...``).
-Either is read into one ``PricePanel`` column by column: one ``csv.reader``
-reads the file in batches of rows, each batch is transposed into columns,
-the date and symbol columns are factorised (each distinct date string is
-parsed once) and each price column is converted in one numpy call. Reports are emitted
-as JSON with a top-level ``schema_version``; time series go to CSV.
+Either is read into one ``PricePanel`` column by column. The file is read
+in chunks of whole lines, and each chunk takes one of two routes:
+
+- a plain chunk (no ``"``, all line ends ``\n`` or all ``\r\n``, every
+  line of the header's width with a non-blank date) is split in C: its
+  lines are joined and split on commas once, and each column is a strided
+  slice of that one list of fields;
+- any other chunk is parsed by ``csv.reader``, and from the first chunk
+  with a ``"`` on, the rest of the file is: a quoted field may hold a
+  comma or a line break, so only the reader knows where its records end.
+
+Both routes give the same fields, so the file's panel and its errors do
+not depend on the route. The date and symbol columns are then factorised
+(each distinct date string is parsed once) and a batch's price cells are
+converted by ``float`` in one numpy call. Reports are emitted as JSON with
+a top-level ``schema_version``; time series go to CSV.
 """
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from datetime import date
-from itertools import compress, islice
+from itertools import chain, compress, islice
 from pathlib import Path
 from typing import Sequence
 
@@ -35,10 +47,13 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-# Cells per batch: rows are read in batches of this many cells over the
-# header's width. Ingest alone on the benchmark CSVs (2-core VM): 1k cells
-# read the 60-symbol wide CSV slower (0.18 against 0.14 s), and 32k cells
-# raised the 17 MB long CSV's ingest peak to 77 from 71 MiB.
+# Cells per batch: ``csv.reader`` rows are read in batches of this many
+# cells over the header's width, and the file in chunks of 8 characters a
+# cell (the benchmark files have 11 to 18), so a chunk holds fewer cells
+# than a batch. On the 17 MB long CSV (2-core VM), chunks for 1k cells
+# left 0.9 MB more resident after ingest than for 4k cells, and for 16k
+# cells 2.4 MB more; with ``csv.reader`` alone, 1k cells read the
+# 60-symbol wide CSV slower (0.18 against 0.14 s).
 READ_BATCH_CELLS = 1 << 12
 
 
@@ -47,41 +62,93 @@ def ingest_prices(path) -> PricePanel:
 
     Blank rows are skipped and blank price cells are missing observations;
     a date with no price at all is not a column of the panel. Duplicate
-    (date, symbol) observations, symbols with fewer than 2 prices and
-    non-positive prices are rejected. Errors name the line, counting the
-    header as line 1 and every record, blank or not, after it.
+    (date, symbol) observations, symbols with fewer than 2 prices,
+    non-positive prices and fields longer than ``csv.field_size_limit()``
+    are rejected. Errors name the line, counting the header as line 1 and
+    every record, blank or not, after it.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        try:
-            header = next(csv.reader(fh))
-        except StopIteration:
-            raise ParseError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        if [h.lower() for h in header] == ["date", "symbol", "adj_close"]:
-            return _read_long(_row_batches(fh, 3))
-        if header and header[0].lower() == "date" and len(header) >= 2:
-            return _read_wide(_row_batches(fh, len(header)), header[1:])
-        raise ParseError(
-            f"{path}: unrecognized header {header!r}; expected "
-            f"'date,symbol,adj_close' or 'date,<SYM>,...'"
-        )
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            try:
+                header = next(csv.reader(fh))
+            except StopIteration:
+                raise ParseError(f"{path}: file is empty") from None
+            header = [h.strip() for h in header]
+            if [h.lower() for h in header] == ["date", "symbol", "adj_close"]:
+                return _read_long(_row_batches(fh, 3))
+            if header and header[0].lower() == "date" and len(header) >= 2:
+                return _read_wide(_row_batches(fh, len(header)), header[1:])
+            raise ParseError(
+                f"{path}: unrecognized header {header!r}; expected "
+                f"'date,symbol,adj_close' or 'date,<SYM>,...'"
+            )
+    except csv.Error as exc:
+        raise _csv_fault(path, exc) from None
 
 
 def _row_batches(fh, width: int):
     """The file's non-blank records after the header, in batches.
 
     Yields ``(columns, lines)``: ``width`` sequences of the batch's raw
-    fields, and each row's line number. One ``csv.reader`` reads the whole
-    file, so a quoted field may span lines; line numbers count records.
+    fields, and each row's line number. Line numbers count records, so a
+    quoted field may span lines. A chunk of whole lines is read at a time:
+    a plain one is split by ``_plain_columns``, any other is parsed by
+    ``csv.reader``, and from a chunk with a ``"`` on, the rest of the file.
 
     Faults are found batch by batch: a batch's column counts here, then its
     dates, symbols and prices in the reader, each in file order; duplicates
     and the per-symbol checks come after the last batch. Which fault a file
     with several reports therefore depends on ``READ_BATCH_CELLS``.
     """
-    records = csv.reader(fh)
     line = 2
+    while chunk := fh.read(8 * READ_BATCH_CELLS):
+        chunk += fh.readline()
+        if '"' in chunk:
+            yield from _csv_batches(csv.reader(chain(io.StringIO(chunk, newline=""), fh)), width, line)
+            return
+        columns = _plain_columns(chunk, width)
+        if columns is None:
+            line = yield from _csv_batches(csv.reader(io.StringIO(chunk, newline="")), width, line)
+        else:
+            yield columns, range(line, line + len(columns[0]))
+            line += len(columns[0])
+
+
+def _plain_columns(chunk: str, width: int):
+    r"""The columns of a chunk of whole lines with no ``"``, split in C,
+    or None unless every line is a record ``csv.reader`` reads as the text
+    between commas.
+
+    That holds when the chunk has no NUL (``csv.reader`` before Python 3.11
+    rejects it), every line end is ``\n`` or every one ``\r\n``, every
+    line has ``width`` fields and a non-blank date (so no record is blank)
+    and no field is longer than ``csv.field_size_limit()``.
+    """
+    cr = chunk.count("\r")
+    lines = chunk.split("\r\n" if cr else "\n")
+    if (cr and not len(lines) - 1 == cr == chunk.count("\n")) or "\0" in chunk:
+        return None
+    if not lines[-1]:  # the chunk ends its last line
+        lines.pop()
+    # no line holds a "\n", so the "\n" fields are the separators, and
+    # they fall every width + 1 fields only if every line has width fields
+    fields = ",\n,".join(lines).split(",")
+    step = width + 1
+    if len(fields) != step * len(lines) - 1 or fields[width::step].count("\n") != len(lines) - 1:
+        return None
+    columns = [fields[k::step] for k in range(width)]
+    if not all(map(str.strip, columns[0])):
+        return None
+    limit = csv.field_size_limit()
+    if len(chunk) > limit and max(map(len, fields)) > limit:
+        return None
+    return columns
+
+
+def _csv_batches(records, width: int, line: int):
+    """Batches of ``csv.reader`` records as ``_row_batches`` yields them,
+    the first numbered ``line``; returns the line after the last record."""
     while rows := list(islice(records, max(1, READ_BATCH_CELLS // width))):
         lines = range(line, line + len(rows))
         line += len(rows)
@@ -92,6 +159,32 @@ def _row_batches(fh, width: int):
             n, row = next((n, row) for n, row in zip(lines, rows) if len(row) != width)
             raise ParseError(f"line {n}: expected {width} columns, got {len(row)}")
         yield list(zip(*rows)) or [()] * width, lines
+    return line
+
+
+def _csv_fault(path: Path, exc: csv.Error) -> ParseError:
+    """``exc`` as a ``ParseError`` naming its line.
+
+    ``csv.reader`` rejects a field longer than ``csv.field_size_limit()``
+    without saying where, so the file is read again with the limit lifted
+    to find the first such field and quote its start. The limit is
+    process-wide; it is restored before this returns.
+    """
+    limit = csv.field_size_limit(2**31 - 1)  # returns the previous limit
+    n = 0
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            for n, row in enumerate(csv.reader(fh), start=1):
+                for cell in row:
+                    if len(cell) > limit:
+                        return ParseError(
+                            f"line {n}: field longer than {limit} characters: {cell[:20]!r}..."
+                        )
+    except csv.Error as again:  # a fault other than a field's length
+        return ParseError(f"line {n + 1}: {again}")
+    finally:
+        csv.field_size_limit(limit)
+    return ParseError(f"{path}: {exc}")
 
 
 def _factorise(raw, lines, codes: dict, labels: dict, canonical) -> np.ndarray:
@@ -101,6 +194,10 @@ def _factorise(raw, lines, codes: dict, labels: dict, canonical) -> np.ndarray:
     the batches; ``canonical`` runs once per distinct raw string and returns
     the label or raises ``ParseError`` with the message after the line.
     """
+    try:
+        return np.fromiter(map(codes.__getitem__, raw), np.intp, len(raw))
+    except KeyError:  # a string not seen in an earlier batch
+        pass
     for s in dict.fromkeys(raw):
         if s not in codes:
             try:
@@ -127,12 +224,25 @@ def _symbol(raw: str) -> str:
 def _prices(raw, lines) -> np.ndarray:
     """Prices of a column of raw cells, NaN for a blank one."""
     try:
-        values = np.array(raw, dtype=np.float64)
+        values = np.fromiter(map(float, raw), np.float64, len(raw))
         if np.isfinite(values).all():
             return values
     except ValueError:  # a blank or malformed cell
         pass
     return np.array([_price(cell, line) for cell, line in zip(raw, lines)], dtype=np.float64)
+
+
+def _price_block(columns, lines) -> np.ndarray:
+    """(columns x rows) prices of equal-length columns of raw cells: one
+    numpy call for all of them, or ``_prices`` of each column if some cell
+    is not a finite price."""
+    try:
+        values = np.fromiter(map(float, chain.from_iterable(columns)), np.float64, len(columns) * len(lines))
+        if np.isfinite(values).all():
+            return values.reshape(len(columns), len(lines))
+    except ValueError:
+        pass
+    return np.array([_prices(column, lines) for column in columns])
 
 
 def _price(raw: str, line: int) -> float:
@@ -154,7 +264,7 @@ def _read_long(batches) -> PricePanel:
         d = _factorise(raw_dates, lines, date_codes, days, _iso_date)
         s = _factorise(raw_syms, lines, sym_codes, syms, _symbol)
         v = _prices(raw_prices, lines)
-        kept = np.flatnonzero(~np.isnan(v))  # a blank price drops its row
+        kept = ~np.isnan(v)  # a blank price drops its row
         ds.append(d[kept])
         ss.append(s[kept])
         vs.append(v[kept])
@@ -185,8 +295,8 @@ def _read_wide(batches, symbols: list[str]) -> PricePanel:
     ds, blocks, spans = [np.empty(0, np.intp)], [np.empty((len(symbols), 0))], []
     for columns, lines in batches:
         ds.append(_factorise(columns[0], lines, date_codes, days, _iso_date))
-        blocks.append(np.array([_prices(columns[1 + k], lines) for k in order]))
-        spans.append((lines, range(len(lines))))
+        blocks.append(_price_block([columns[1 + k] for k in order], lines))
+        spans.append((lines, np.ones(len(lines), bool)))
     d = np.concatenate(ds)
     row = _first_repeat(d)
     if row >= 0:
@@ -213,8 +323,10 @@ def _first_repeat(codes: np.ndarray) -> int:
 
 
 def _line(spans, row: int) -> int:
-    """Line number of the ``row``-th kept row over all batches."""
+    """Line number of the ``row``-th kept row over all batches; a span is
+    a batch's line numbers and the mask of its kept rows."""
     for lines, kept in spans:
+        kept = np.flatnonzero(kept)
         if row < len(kept):
             return lines[kept[row]]
         row -= len(kept)

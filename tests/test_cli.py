@@ -1,4 +1,5 @@
 """CSV ingestion, report output and the command-line surface."""
+import csv
 import json
 import re
 
@@ -25,6 +26,18 @@ def blank_cells(src, dst, blanks):
         out.append(",".join(cells))
     dst.write_text("\n".join(out) + "\n")
     return dst
+
+
+@pytest.mark.parametrize("quote", ["", '"'], ids=["plain", "quoted"])
+def test_field_over_the_csv_limit_exits_3(tmp_path, capsys, quote):
+    f = tmp_path / "long_field.csv"
+    f.write_text(f"date,A,B\n2020-01-01,1.0,2.0\n2020-01-02,{quote}{'7' * 200_000}{quote},2.5\n")
+    args = ["select", "--start", "2020-01-01", "--end", "2020-01-02", "--prices", str(f)]
+    assert main(args) == 3
+    limit = csv.field_size_limit()
+    assert capsys.readouterr().err == (
+        f"data error: line 3: field longer than {limit} characters: '77777777777777777777'...\n"
+    )
 
 
 class TestIngestLong:
@@ -255,16 +268,34 @@ class TestCmdSelect:
         ]
         assert main(args) == 3
         captured = capsys.readouterr()
-        assert captured.err == "data error: A1: no price on 2015-01-02\n"
+        window = "[2015-01-02, 2015-06-30]"
+        assert captured.err == (
+            f"dropped (not priced on every date in {window}): {', '.join(sorted(header[1:]))}\n"
+            f"data error: fewer than 2 symbols are priced on every date in {window}\n"
+        )
         assert captured.out == ""
 
-    def test_missing_mid_window_day_names_symbol_and_date(self, fixture_csv, tmp_path, capsys):
+    def test_symbol_missing_a_window_day_is_dropped(self, fixture_csv, tmp_path, capsys):
+        # B1 lacks one day inside the window: select runs on the other
+        # symbols, as on a file without B1, and names B1 on stderr
         gap = blank_cells(fixture_csv, tmp_path / "gap.csv", {"2015-03-02": ["B1"]})
-        args = ["select", "--prices", str(gap), "--start", "2015-01-02", "--end", "2015-06-30"]
+        window = ["--start", "2015-01-02", "--end", "2015-06-30"]
+        assert main(["select", "--prices", str(gap), *window]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "dropped (not priced on every date in [2015-01-02, 2015-06-30]): B1\n"
+        rows = [line.split(",") for line in fixture_csv.read_text().splitlines()]
+        k = rows[0].index("B1")
+        without = tmp_path / "without_b1.csv"
+        without.write_text("".join(",".join(r[:k] + r[k + 1:]) + "\n" for r in rows))
+        assert main(["select", "--prices", str(without), *window]) == 0
+        assert capsys.readouterr() == (captured.out, "")
+        assert "B1" not in captured.out
+
+    def test_window_of_one_date_exits_3(self, fixture_csv, capsys):
+        args = ["select", "--prices", str(fixture_csv), "--start", "2015-01-02", "--end", "2015-01-02"]
         assert main(args) == 3
         captured = capsys.readouterr()
-        assert captured.err == "data error: B1: no price on 2015-03-02\n"
-        assert captured.out == ""
+        assert captured.err == "data error: fewer than 2 dates have prices in [2015-01-02, 2015-01-02]\n"
 
     def test_bad_range_exits_3(self, fixture_csv, capsys):
         args = [

@@ -237,7 +237,7 @@ def price_files(draw):
     for _ in range(draw(st.integers(0, 3))):  # blank records
         blank = draw(st.sampled_from(["", "  ", ",", " , ,"]))
         lines.insert(draw(st.integers(1, len(lines))), blank)
-    end = draw(st.sampled_from(["\n", "\r\n"]))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     text = end.join(lines) + (end if draw(st.booleans()) else "")
     return text, fault
 
@@ -292,6 +292,166 @@ def test_fault_in_a_late_batch_names_its_line(tmp_path, monkeypatch, fault_row):
     path = big_long_csv(tmp_path / "big.csv", fault_row=fault_row)
     want = (ParseError, f"line {fault_row + 1}: expected 3 columns, got 4")
     assert outcome(ingest_prices, path) == outcome(reference_ingest, path) == want
+
+
+def plain_chunks(monkeypatch):
+    """Record whether each chunk ``_row_batches`` reads is split as plain."""
+    routes = []
+
+    def spy(chunk, width):
+        columns = plain(chunk, width)
+        routes.append(columns is not None)
+        return columns
+
+    plain = fio._plain_columns
+    monkeypatch.setattr(fio, "_plain_columns", spy)
+    return routes
+
+
+def test_crlf_pair_split_by_the_chunk_read(tmp_path, monkeypatch):
+    # 3 cells a batch read 24 characters a chunk, and every record here is
+    # 23 characters before its "\r\n": each read stops between the "\r"
+    # and the "\n", and the line read that completes the chunk takes the "\n"
+    monkeypatch.setattr(fio, "READ_BATCH_CELLS", 3)
+    routes = plain_chunks(monkeypatch)
+    rows = [
+        f"{date(2001, 1, 1) + timedelta(days=k)},{sym},{100 + k / 8:09.5f}"
+        for k in range(20)
+        for sym in ("AA", "BB")
+    ]
+    assert {len(row) for row in rows} == {23}
+    f = tmp_path / "crlf.csv"
+    f.write_bytes("\r\n".join(["date,symbol,adj_close", *rows, ""]).encode())
+    assert outcome(ingest_prices, f) == outcome(reference_ingest, f)
+    assert len(routes) == len(rows) and all(routes)
+
+
+@pytest.mark.parametrize(
+    "short_end", ["\n", "\r", "\r\n"], ids=["lf_in_crlf", "cr_in_crlf", "crlf"]
+)
+def test_line_ends_mixed_in_a_chunk(tmp_path, monkeypatch, short_end):
+    # with a lone "\n" or "\r" among "\r\n" ends, splitting on "\r\n"
+    # would join the one-field record to the next into three fields
+    routes = plain_chunks(monkeypatch)
+    f = tmp_path / "mixed.csv"
+    f.write_bytes(
+        f"date,symbol,adj_close\r\n2001-01-01,AA,1.0\r\n2001-01-02{short_end}"
+        "2001-01-02,AA,2.0\r\n".encode()
+    )
+    want = (ParseError, "line 3: expected 3 columns, got 1")
+    assert outcome(ingest_prices, f) == outcome(reference_ingest, f) == want
+    assert routes == [False]
+
+
+@pytest.mark.parametrize("blank", ["", "   ", ",,", " , ,\t"])
+def test_blank_record_inside_a_plain_chunk(tmp_path, monkeypatch, blank):
+    monkeypatch.setattr(fio, "READ_BATCH_CELLS", 30)
+    routes = plain_chunks(monkeypatch)
+    f = big_long_csv(tmp_path / "big.csv", n_days=100)
+    lines = f.read_text().split("\n")
+    lines.insert(150, blank)
+    lines.insert(160, "2001-02-01, BB ,")  # a blank price: not a blank record
+    f.write_text("\n".join(lines))
+    assert outcome(ingest_prices, f) == outcome(reference_ingest, f)
+    assert routes.count(False) == 1
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ["2001-01-05,AA"],
+        ["2001-01-05,AA,1.0,2.0"],
+        ["2001-01-05"],
+        ["2001-01-05,AA", "2001-01-06,BB,1.0,2.0"],
+        ["2001-01-05,AA,1.0,2.0", "2001-01-06,BB"],
+    ],
+    ids=["short", "long", "date_only", "short_then_long", "long_then_short"],
+)
+@pytest.mark.parametrize("blank_before", [False, True])
+def test_wrong_width_record_inside_a_plain_chunk_names_its_line(
+    tmp_path, monkeypatch, rows, blank_before
+):
+    # a short and a long record in one chunk keep the chunk's field count;
+    # a blank record before them still counts as a line
+    monkeypatch.setattr(fio, "READ_BATCH_CELLS", 30)
+    routes = plain_chunks(monkeypatch)
+    f = big_long_csv(tmp_path / "big.csv", n_days=100)
+    lines = f.read_text().split("\n")
+    lines[150:150] = [""] * blank_before + rows
+    f.write_text("\n".join(lines))
+    want = (ParseError, f"line {151 + blank_before}: expected 3 columns, got {rows[0].count(',') + 1}")
+    assert outcome(ingest_prices, f) == outcome(reference_ingest, f) == want
+    assert routes[-1] is False and all(routes[:-1])
+
+
+def test_first_quote_in_a_late_chunk(tmp_path, monkeypatch):
+    # the chunks before the quote are split, the rest of the file is read
+    # by csv.reader: a quoted line break keeps one record on two lines,
+    # and a fault after it is named by its record
+    monkeypatch.setattr(fio, "READ_BATCH_CELLS", 30)
+    routes = plain_chunks(monkeypatch)
+    f = big_long_csv(tmp_path / "big.csv", n_days=200)
+    lines = f.read_text().split("\n")
+    lines[500] = '2001-06-01,"D\nD",1.5'
+    lines[501] = '2001-06-02,"D\nD",2.5'
+    lines[520] = "2001-06-03,AA,oops"
+    f.write_text("\n".join(lines))
+    want = (ParseError, "line 521: bad price 'oops'")
+    assert outcome(ingest_prices, f) == outcome(reference_ingest, f) == want
+    assert len(routes) > 10 and all(routes)
+
+
+@pytest.mark.parametrize("batch_cells", [fio.READ_BATCH_CELLS, 3])
+def test_byte_order_mark(tmp_path, monkeypatch, batch_cells):
+    monkeypatch.setattr(fio, "READ_BATCH_CELLS", batch_cells)
+    f = big_long_csv(tmp_path / "big.csv", n_days=50)
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + f.read_bytes())
+    assert outcome(ingest_prices, bom) == outcome(ingest_prices, f) == outcome(reference_ingest, f)
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+def test_field_over_the_csv_limit_names_its_line(tmp_path, quoted):
+    lines = big_long_csv(tmp_path / "big.csv", n_days=50).read_text().split("\n")
+    cell = "9" * 200_000
+    lines[7] = f'2001-01-03,BB,"{cell}"' if quoted else f"2001-01-03,BB,{cell}"
+    f = tmp_path / "long_field.csv"
+    f.write_text("\n".join(lines))
+    limit = csv.field_size_limit()
+    want = (ParseError, f"line 8: field longer than {limit} characters: '99999999999999999999'...")
+    assert outcome(ingest_prices, f) == want
+    assert csv.field_size_limit() == limit
+
+
+def test_other_csv_fault_names_its_line(tmp_path, monkeypatch):
+    # csv.reader before Python 3.11 rejects a NUL; a reader that does so
+    # stands in for it here, and a chunk with a NUL is not split
+    def reader(lines):
+        for row in real(lines):
+            if "\0" in "".join(row):
+                raise csv.Error("line contains NUL")
+            yield row
+
+    real = csv.reader
+    monkeypatch.setattr(fio.csv, "reader", reader)
+    lines = big_long_csv(tmp_path / "big.csv", n_days=50).read_text().split("\n")
+    lines[4] = "2001-01-02,B\0B,101.25"
+    f = tmp_path / "nul.csv"
+    f.write_text("\n".join(lines))
+    assert outcome(ingest_prices, f) == (ParseError, "line 5: line contains NUL")
+
+
+def test_field_at_the_csv_limit_is_read(tmp_path):
+    # a field of exactly the limit's length passes csv.reader, and so the
+    # split route too; it is then one bad price like any other
+    limit = csv.field_size_limit()
+    lines = big_long_csv(tmp_path / "big.csv", n_days=50).read_text().split("\n")
+    lines[7] = "2001-01-03,BB," + "x" * limit
+    f = tmp_path / "at_limit.csv"
+    f.write_text("\n".join(lines))
+    got = outcome(ingest_prices, f)
+    assert got == outcome(reference_ingest, f)
+    assert got[0] is ParseError and got[1].startswith("line 8: bad price 'xxx")
 
 
 def test_quoted_record_across_lines_counts_once(tmp_path, monkeypatch):
