@@ -1,8 +1,8 @@
 """Market-neutral long-short portfolios from beta-neutral pair spreads.
 
-Pipeline: normalized returns -> pairwise hedge ratios -> spread
-construction -> Hurst-screened fractal-Kelly selection -> horizon-rescaled
-covariance optimization -> walk-forward backtest with transaction costs.
+Pipeline: window returns -> pair candidates from per-asset moments ->
+Hurst-screened fractal-Kelly selection -> horizon-rescaled covariance
+optimization -> asset legs and share counts -> walk-forward backtest.
 """
 from fractalport.backtest import (
     BacktestConfig,
@@ -30,7 +30,6 @@ from fractalport.errors import (
 from fractalport.fbm import (
     HurstEstimate,
     estimate_hurst,
-    fit_hurst,
     generate_fbm,
 )
 from fractalport.io import (

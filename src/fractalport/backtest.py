@@ -14,7 +14,7 @@ import logging
 import math
 from dataclasses import dataclass
 from itertools import compress
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -163,27 +163,27 @@ def max_drawdown(equity) -> float:
 
 
 def position_sizing(
-    exposures: Mapping[str, float],
-    prices_at_entry: Mapping[str, float],
-    capital: float,
-) -> dict[str, int]:
-    """Integer share counts from exposure fractions, truncated toward zero.
+    legs: np.ndarray, entry_prices: np.ndarray, capital: float, symbols: Sequence[str]
+) -> np.ndarray:
+    """Share counts from the held symbols' exposure fractions ``legs`` and
+    entry prices: whole numbers, truncated toward zero, as floats.
 
     Raises ``NumericalError`` naming the first symbol whose share count is
     not finite (a position too large for a float).
     """
     if not capital > 0:
         raise ParameterError(f"capital must be positive, got {capital}")
-    shares: dict[str, int] = {}
-    for sym in sorted(exposures):
-        price = prices_at_entry[sym]
-        if not price > 0:
-            raise ParameterError(f"{sym}: entry price must be positive, got {price}")
-        count = float(exposures[sym]) * capital / price  # Python floats overflow to inf silently
-        if not math.isfinite(count):
-            raise NumericalError(f"{sym}: share count {count} is not finite")
-        shares[sym] = math.trunc(count)
-    return shares
+    if not len(legs) == len(entry_prices) == len(symbols):
+        raise ParameterError(f"{len(legs)} legs for entry prices and symbols of other lengths")
+    if not (entry_prices > 0).all():
+        k = int(np.argmin(entry_prices > 0))
+        raise ParameterError(f"{symbols[k]}: entry price must be positive, got {entry_prices[k]}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        counts = np.trunc(legs * capital / entry_prices)
+    if not np.isfinite(counts).all():
+        k = int(np.argmin(np.isfinite(counts)))
+        raise NumericalError(f"{symbols[k]}: share count {counts[k]} is not finite")
+    return counts
 
 
 def _row_dots(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -238,24 +238,24 @@ def _mark_window(
 
 def _optimize_window(returns: np.ndarray, sel: Candidates, cfg: BacktestConfig):
     """Training-window pipeline after selection: the leverage scale factor,
-    the asset legs and the records of the spreads ``sel``, selected from
-    the window's (assets x days) ``returns``. ``(None, {}, ())`` when
-    nothing is invested."""
+    the held asset indices and their legs (``compose_legs``) and the
+    records of the spreads ``sel``, selected from the window's
+    (assets x days) ``returns``. The scale factor is ``None`` and the rest
+    is empty when nothing is invested."""
     if not sel:
-        return None, {}, ()
+        return None, np.zeros(0, dtype=np.intp), np.zeros(0), ()
     cov = covariance_matrix(spread_returns(returns, sel.long, sel.short, sel.chi))
     rescaled = rescale_covariance(cov, sel.h, cfg.test_days)
     rows = sel.rows()
-    long, short = ([r[k] for r in rows] for k in ("long_symbol", "short_symbol"))
-    labels = [f"{a}/{b}" for a, b in zip(long, short)]
+    labels = [f"{r['long_symbol']}/{r['short_symbol']}" for r in rows]
     raw = solve_weights(rescaled, sel.mean, labels)
     try:
         weights, scale_k = apply_leverage(raw, cfg.leverage)
     except EmptyPortfolioError:
-        return None, {}, ()
-    legs = compose_legs(weights, long, short, sel.chi)
+        return None, np.zeros(0, dtype=np.intp), np.zeros(0), ()
+    held, legs = compose_legs(weights, sel.long, sel.short, sel.chi)
     info = tuple(SelectedSpreadInfo(**row, weight=w) for row, w in zip(rows, weights.tolist()))
-    return scale_k, legs, info
+    return scale_k, held, legs, info
 
 
 def run_walk_forward(panel: PricePanel, cfg: BacktestConfig) -> BacktestReport:
@@ -289,7 +289,6 @@ def run_walk_forward(panel: PricePanel, cfg: BacktestConfig) -> BacktestReport:
         )
     prices = price_block(panel, ~is_bench, common)
     bench = price_block(panel, is_bench, common)[0]
-    row_of = {s: k for k, s in enumerate(symbols)}
     sel_cfg = SelectionConfig(horizon_days=cfg.test_days, hurst_cap=cfg.hurst_cap)
     group = max(1, PAIR_BLOCK // (len(symbols) * (len(symbols) - 1) // 2))
 
@@ -310,29 +309,27 @@ def run_walk_forward(panel: PricePanel, cfg: BacktestConfig) -> BacktestReport:
                 select_spreads(cands.take(slice(lo, hi)), sel_cfg)
                 for lo, hi in zip(bounds, bounds[1:])
             ]
-        scale_k, legs, info = _optimize_window(stack[k], sels[k], cfg)
+        scale_k, held, legs, info = _optimize_window(stack[k], sels[k], cfg)
         start_capital = chain_capital if cfg.reinvest else cfg.initial_capital
         if not 0 < start_capital < math.inf:
             raise NumericalError(
                 f"capital exhausted or overflowed before window {w}: {start_capital}"
             )
-        entry_prices = dict(zip(symbols, prices[:, b - 1].tolist()))
+        names = [symbols[i] for i in held.tolist()]
         try:
-            shares = position_sizing(legs, entry_prices, start_capital) if legs else {}
+            counts = position_sizing(legs, prices[held, b - 1], start_capital, names)
         except NumericalError as exc:
             raise NumericalError(f"window {w}: {exc}") from None
-        held = sorted(shares)
-        share_vec = np.array([shares[s] for s in held], dtype=np.float64)
         # a C-contiguous copy: _mark_window's dot products round by layout
-        price_mat = np.ascontiguousarray(prices[[row_of[s] for s in held], b - 1 : end].T)
-        equity, daily_costs = _mark_window(share_vec, price_mat, cfg, start_capital)
+        price_mat = np.ascontiguousarray(prices[held, b - 1 : end].T)
+        equity, daily_costs = _mark_window(counts, price_mat, cfg, start_capital)
         if not (np.isfinite(equity).all() and np.isfinite(daily_costs).all()):
             # finite capital and no position mark finite, so something is held
             with np.errstate(over="ignore"):
-                largest = held[int(np.argmax(np.abs(share_vec) * price_mat.max(axis=0)))]
+                largest = int(np.argmax(np.abs(counts) * price_mat.max(axis=0)))
             raise NumericalError(
                 f"window {w}: marked equity is not finite; largest position "
-                f"{largest}, {shares[largest]:.6g} shares"
+                f"{names[largest]}, {counts[largest]:.6g} shares"
             )
         window_return = float(equity[-1] / equity[0] - 1.0)
         benchmark_return = float(bench[end - 1] / bench[b - 1] - 1.0)
@@ -341,13 +338,13 @@ def run_walk_forward(panel: PricePanel, cfg: BacktestConfig) -> BacktestReport:
                 window_index=w,
                 leverage=None if scale_k is None else float(cfg.leverage),
                 scale_k=scale_k,
-                asset_legs=legs,
+                asset_legs=dict(zip(names, legs.tolist())),
                 daily_equity=equity,
                 window_return=window_return,
                 benchmark_return=benchmark_return,
                 costs_paid=float(daily_costs.sum()),
                 selected=info,
-                shares=shares,
+                shares=dict(zip(names, map(int, counts.tolist()))),
                 daily_costs=daily_costs,
                 dates=dates[b - 1 : end],
             )

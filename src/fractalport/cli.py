@@ -1,11 +1,11 @@
 """Command-line interface.
 
 Subcommands: ``hurst`` (exponent of one series), ``select`` (spread
-selection over a date range, among the symbols priced on every date of
-it; the others are named on stderr), ``backtest`` (walk-forward report)
-and ``make-fixture`` (synthetic universe CSV). Exit codes: 0 success,
-2 configuration error, 3 data error (including a file that cannot be
-read or written), 4 numerical error.
+selection on the dates of a range most symbols share, among the symbols
+priced on all of them; the rest are named on stderr), ``backtest``
+(walk-forward report) and ``make-fixture`` (synthetic universe CSV).
+Exit codes: 0 success, 2 configuration error, 3 data error (including a
+file that cannot be read or written), 4 numerical error.
 """
 from __future__ import annotations
 
@@ -152,15 +152,22 @@ def _cmd_select(args) -> int:
     hi = np.searchsorted(panel.dates, end, "right")
     if hi - lo < 2:
         raise DataError(f"fewer than 2 dates have prices in [{start}, {end}]")
-    # the window's universe: the symbols priced on every one of its dates
-    rows = ~np.isnan(panel.prices[:, lo:hi]).any(axis=1)
+    # the window's dates: those priced for more than half of the symbols
+    # priced in [start, end]; its universe: the symbols priced on all of them
+    observed = ~np.isnan(panel.prices[:, lo:hi])
+    days = 2 * observed.sum(axis=0) > observed.any(axis=1).sum()
+    if not days.all():
+        dropped = ", ".join(compress(panel.dates[lo:hi], ~days))
+        print(f"dropped dates (priced for at most half of the symbols in [{start}, {end}]): {dropped}",
+              file=sys.stderr)
+    rows = observed[:, days].all(axis=1)
     if not rows.all():
         dropped = ", ".join(compress(panel.symbols, ~rows))
         print(f"dropped (not priced on every date in [{start}, {end}]): {dropped}", file=sys.stderr)
     if rows.sum() < 2:
         raise DataError(f"fewer than 2 symbols are priced on every date in [{start}, {end}]")
     cols = np.zeros(len(panel.dates), dtype=bool)
-    cols[lo:hi] = True
+    cols[lo:hi] = days
     returns = window_returns(price_block(panel, rows, cols))
     symbols = list(compress(panel.symbols, rows))
     sel = select_spreads(build_generating_matrix(returns, symbols, cfg), cfg)

@@ -29,7 +29,6 @@ __all__ = [
     "generate_fbm",
     "estimate_hurst",
     "fit_covers",
-    "fit_hurst",
     "hurst_covers",
 ]
 
@@ -170,7 +169,7 @@ def cover_amplitudes(x, window_sizes):
 
 
 def hurst_covers(paths):
-    """The cover step of ``fit_hurst``: ``cover_amplitudes`` of every row
+    """The cover step of the Hurst fit: ``cover_amplitudes`` of every row
     of a (rows x n) path matrix over the window ladder of n.
 
     Returns the (rows x scales) amplitude sums of ``cover_amplitudes``;
@@ -187,7 +186,7 @@ def hurst_covers(paths):
 
 
 def fit_covers(sums, n: int):
-    """The regression step of ``fit_hurst``, on the ``hurst_covers`` sums
+    """The regression step of the Hurst fit, on the ``hurst_covers`` sums
     of paths of length n, one row per path. The window ladder and the
     number of complete windows at each scale follow from n.
 
@@ -241,19 +240,11 @@ def fit_covers(sums, n: int):
     return h, h_err, n_scales, clamped
 
 
-def fit_hurst(paths):
-    """Minimal-cover Hurst fit of every row of a (rows x n) path matrix:
-    ``fit_covers`` of the ``hurst_covers`` of the paths. A row's result
-    does not depend on the other rows."""
-    paths = np.asarray(paths, dtype=np.float64)
-    return fit_covers(hurst_covers(paths), paths.shape[1])
-
-
 def estimate_hurst(s) -> HurstEstimate:
-    """Minimal-cover Hurst estimate of one sample path: the one-row case of
-    ``fit_hurst``, with a typed error for a degenerate series."""
+    """Minimal-cover Hurst estimate of one sample path: ``fit_covers`` of
+    its ``hurst_covers``, with a typed error for a degenerate series."""
     x = _as_path(s)
-    h, h_err, n_scales, clamped = fit_hurst(x[np.newaxis])
+    h, h_err, n_scales, clamped = fit_covers(hurst_covers(x[np.newaxis]), x.size)
     if n_scales[0] < 3:
         raise DegenerateSeriesError(
             "series has no amplitude variation at enough scales"

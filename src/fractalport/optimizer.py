@@ -4,7 +4,7 @@ Spread returns are treated as synthetic long-only assets. Their daily
 covariance is rescaled to the investment horizon through each spread's
 Hurst exponent, inverted against the mean-return vector, and the solved
 weights are normalized so they sum to the target leverage. Each spread
-weight is finally decomposed into per-symbol long/short notional legs in
+weight is finally decomposed into per-asset long/short notional legs in
 the 1:chi hedge proportion.
 """
 from __future__ import annotations
@@ -151,25 +151,25 @@ def apply_leverage(raw: Sequence[float], leverage: float) -> tuple[np.ndarray, f
     return weights, k
 
 
-def compose_legs(
-    weights: np.ndarray,
-    long_symbols: Sequence[str],
-    short_symbols: Sequence[str],
-    chi: Sequence[float],
-) -> dict[str, float]:
-    """Per-symbol signed notional fractions from the spread weights.
+def compose_legs(weights: np.ndarray, long, short, chi) -> tuple[np.ndarray, np.ndarray]:
+    """Signed notional fraction of each held asset from the spread weights.
 
-    A spread of weight w and hedge ratio chi holds long/short notional in
-    the 1:chi proportion with gross notional w: long leg +w/(1+chi), short
-    leg -w*chi/(1+chi). Exposures of different spreads add per symbol.
+    ``long`` and ``short`` are the spreads' asset indices. A spread of
+    weight w and hedge ratio chi holds long/short notional in the 1:chi
+    proportion with gross notional w: long leg +w/(1+chi), short leg
+    -w*chi/(1+chi). Returns the held assets' indices in ascending order and
+    their legs. An asset may be a leg of one spread only.
     """
     n = len(weights)
-    if not n == len(long_symbols) == len(short_symbols) == len(chi):
+    if not n == len(long) == len(short) == len(chi):
         raise ParameterError(f"{n} weights for legs and hedge ratios of other lengths")
-    legs: dict[str, float] = {}
-    # Python floats: an overflow gives inf, for sizing to reject, not a warning
-    rows = zip(weights.tolist(), long_symbols, short_symbols, map(float, chi))
-    for w, long, short, c in rows:
-        legs[long] = legs.get(long, 0.0) + w / (1.0 + c)
-        legs[short] = legs.get(short, 0.0) - w * c / (1.0 + c)
-    return legs
+    assets = np.concatenate((long, short))
+    order = np.argsort(assets)
+    held = assets[order]
+    if (held[1:] == held[:-1]).any():
+        raise ParameterError(f"asset {held[np.argmax(held[1:] == held[:-1])]} is a leg of two spreads")
+    # an overflow gives inf, for sizing to reject, not a warning; the short
+    # leg is 0.0 - x, not -x, so a zero weight's legs are both 0.0
+    with np.errstate(over="ignore"):
+        legs = np.concatenate((weights / (1.0 + chi), 0.0 - weights * chi / (1.0 + chi)))
+    return held, legs[order]

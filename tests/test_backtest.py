@@ -1,5 +1,6 @@
 """Walk-forward engine: sizing, costs, metrics, lookahead and accounting."""
 import json
+import math
 from dataclasses import fields, replace
 from datetime import date, timedelta
 from unittest import mock
@@ -22,6 +23,7 @@ from fractalport.backtest import (
 )
 from fractalport.errors import NumericalError, ParameterError
 from fractalport.io import report_to_json
+from fractalport.optimizer import compose_legs
 from fractalport.selection import PAIR_BLOCK, SelectionConfig, build_generating_matrix
 from fractalport.spreads import (
     PriceSeries,
@@ -62,27 +64,102 @@ class TestMaxDrawdown:
 
 class TestPositionSizing:
     def test_long(self):
-        shares = position_sizing({"X": 0.5}, {"X": 250.0}, 100_000.0)
-        assert shares["X"] == 200
+        counts = position_sizing(np.array([0.5]), np.array([250.0]), 100_000.0, ["X"])
+        assert counts.tolist() == [200.0]
 
     def test_short_truncated_toward_zero(self):
-        shares = position_sizing({"X": -0.5}, {"X": 333.0}, 100_000.0)
-        assert shares["X"] == -150
+        counts = position_sizing(np.array([-0.5]), np.array([333.0]), 100_000.0, ["X"])
+        assert counts.tolist() == [-150.0]
 
     def test_zero_exposure(self):
-        assert position_sizing({"X": 0.0}, {"X": 10.0}, 100_000.0)["X"] == 0
+        assert position_sizing(np.array([0.0]), np.array([10.0]), 100_000.0, ["X"])[0] == 0
 
     def test_bad_price(self):
-        with pytest.raises(ParameterError):
-            position_sizing({"X": 0.5}, {"X": 0.0}, 100_000.0)
+        with pytest.raises(ParameterError, match="X: entry price must be positive, got 0.0"):
+            position_sizing(np.array([0.1, 0.5]), np.array([5.0, 0.0]), 100_000.0, ["W", "X"])
 
     def test_bad_capital(self):
         with pytest.raises(ParameterError):
-            position_sizing({"X": 0.5}, {"X": 10.0}, 0.0)
+            position_sizing(np.array([0.5]), np.array([10.0]), 0.0, ["X"])
+
+    def test_lengths_checked(self):
+        with pytest.raises(ParameterError):
+            position_sizing(np.array([0.5]), np.array([10.0, 20.0]), 100.0, ["X"])
 
     def test_overflow_names_symbol(self):
         with pytest.raises(NumericalError, match="X: share count inf is not finite"):
-            position_sizing({"W": 0.5, "X": 1e308}, {"W": 10.0, "X": 0.5}, 100.0)
+            position_sizing(np.array([0.5, 1e308]), np.array([10.0, 0.5]), 100.0, ["W", "X"])
+
+
+def reference_legs_and_shares(weights, long_symbols, short_symbols, chi, entry_prices, capital):
+    """The symbol-keyed route the array path replaced: legs added up per
+    symbol in a dict, then each symbol's share count sized in sorted order
+    in Python floats. The oracle for ``compose_legs`` and
+    ``position_sizing`` as ``run_walk_forward`` chains them."""
+    legs = {}
+    for w, long, short, c in zip(weights, long_symbols, short_symbols, chi):
+        legs[long] = legs.get(long, 0.0) + w / (1.0 + c)
+        legs[short] = legs.get(short, 0.0) - w * c / (1.0 + c)
+    shares = {}
+    for sym in sorted(legs):
+        count = legs[sym] * capital / entry_prices[sym]  # Python floats overflow to inf
+        if not math.isfinite(count):
+            raise NumericalError(f"{sym}: share count {count} is not finite")
+        shares[sym] = math.trunc(count)
+    return legs, shares
+
+
+@st.composite
+def disjoint_selections(draw):
+    """Spreads on disjoint assets of a sorted universe, with weights that
+    include exact zeros and sizes whose legs or counts overflow."""
+    n_assets = draw(st.integers(2, 40))
+    symbols = [f"S{k:02d}" for k in range(n_assets)]
+    assets = draw(st.permutations(range(n_assets)))
+    n = draw(st.integers(1, n_assets // 2))
+    weight = st.one_of(
+        st.just(0.0), st.floats(1e-6, 10.0), st.floats(1e15, 1e25), st.floats(1e290, 1e308)
+    )
+    weights = draw(st.lists(weight, min_size=n, max_size=n))
+    chi = draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
+    prices = draw(st.lists(st.floats(0.01, 1e4), min_size=n_assets, max_size=n_assets))
+    capital = draw(st.floats(1e3, 1e12))
+    return symbols, assets[:n], assets[n : 2 * n], weights, chi, prices, capital
+
+
+@settings(max_examples=300, deadline=None)
+@given(disjoint_selections())
+@example((["A", "B", "C", "D"], [2, 0], [3, 1], [0.0, 1.0], [2.0, 1.0], [10.0] * 4, 1e5))
+@example((["A", "B"], [1], [0], [1e308], [10.0], [1.0, 1.0], 1e3))
+def test_legs_and_shares_match_symbol_keyed_reference(selection):
+    symbols, long, short, weights, chi, prices, capital = selection
+    try:
+        want = reference_legs_and_shares(
+            weights,
+            [symbols[k] for k in long],
+            [symbols[k] for k in short],
+            chi,
+            dict(zip(symbols, prices)),
+            capital,
+        )
+    except NumericalError as exc:
+        want = str(exc)
+    held, legs = compose_legs(np.array(weights), long, short, np.array(chi))
+    names = [symbols[k] for k in held.tolist()]
+    try:
+        counts = position_sizing(legs, np.array(prices)[held], capital, names)
+    except NumericalError as exc:
+        assert str(exc) == want
+        return
+    assert not isinstance(want, str), want
+    got_legs = dict(zip(names, legs.tolist()))
+    got_shares = dict(zip(names, map(int, counts.tolist())))
+    want_legs, want_shares = want
+    assert sorted(got_legs) == sorted(want_legs) == names
+    assert [got_legs[s].hex() for s in names] == [want_legs[s].hex() for s in names]
+    assert got_shares == want_shares
+    assert all(type(v) is int for v in got_shares.values())
+    assert all(math.copysign(1.0, v) > 0 for v in got_legs.values() if v == 0.0)
 
 
 class TestAccrueCosts:
@@ -361,6 +438,20 @@ class TestRunWalkForward:
             want = window_returns(prices[:, w * 21 : w * 21 + cfg.train_days])
             assert (got.dtype, got.shape) == (want.dtype, want.shape), w
             assert got.tobytes() == want.tobytes(), w
+
+    def test_shares_exact_above_int64(self):
+        # each count is the exact integer of its truncated float, past 2**63 too
+        u = small_universe()
+        cfg = BacktestConfig(benchmark_symbol="MKT", initial_capital=1e22, reinvest=False)
+        rep = run_walk_forward(price_panel(u.prices + [u.benchmark]), cfg)
+        price_on = {p.symbol: dict(zip(p.dates, p.prices.tolist())) for p in u.prices}
+        held = [w for w in rep.windows if w.shares]
+        assert held and max(abs(v) for w in held for v in w.shares.values()) > 2**63
+        for w in held:
+            assert w.shares == {
+                s: math.trunc(leg * cfg.initial_capital / price_on[s][w.dates[0]])
+                for s, leg in w.asset_legs.items()
+            }
 
     def test_window_return_matches_equity(self, small_run):
         _, _, rep = small_run

@@ -253,9 +253,12 @@ class TestCmdSelect:
         for s in doc["spreads"]:
             assert s["hurst"] + s["hurst_err"] < 0.5
 
-    def test_symbols_starting_on_different_days_exit_3(self, fixture_csv, tmp_path, capsys):
-        # A1 lacks the window's first day and every other symbol its second,
-        # so all return dates agree while the price dates do not
+    def test_symbols_starting_on_different_days_drop_a_date_and_a_symbol(
+        self, fixture_csv, tmp_path, capsys
+    ):
+        # A1 lacks the window's first day and every other symbol its second:
+        # only A1 prices 2015-01-05, so that date drops, and then A1, which
+        # lacks 2015-01-02; select runs as on a file without both
         header = fixture_csv.read_text().split("\n", 1)[0].split(",")
         others = [s for s in header[1:] if s != "A1"]
         staggered = blank_cells(
@@ -263,17 +266,51 @@ class TestCmdSelect:
             tmp_path / "staggered.csv",
             {"2015-01-02": ["A1"], "2015-01-05": others},
         )
-        args = [
-            "select", "--prices", str(staggered), "--start", "2015-01-02", "--end", "2015-06-30",
-        ]
-        assert main(args) == 3
+        window = ["--start", "2015-01-02", "--end", "2015-06-30"]
+        assert main(["select", "--prices", str(staggered), *window]) == 0
         captured = capsys.readouterr()
-        window = "[2015-01-02, 2015-06-30]"
         assert captured.err == (
-            f"dropped (not priced on every date in {window}): {', '.join(sorted(header[1:]))}\n"
-            f"data error: fewer than 2 symbols are priced on every date in {window}\n"
+            "dropped dates (priced for at most half of the symbols in [2015-01-02, 2015-06-30]): "
+            "2015-01-05\n"
+            "dropped (not priced on every date in [2015-01-02, 2015-06-30]): A1\n"
         )
-        assert captured.out == ""
+        rows = [line.split(",") for line in fixture_csv.read_text().splitlines()]
+        k = rows[0].index("A1")
+        without = tmp_path / "without_a1.csv"
+        without.write_text(
+            "".join(",".join(r[:k] + r[k + 1:]) + "\n" for r in rows if r[0] != "2015-01-05")
+        )
+        assert main(["select", "--prices", str(without), *window]) == 0
+        assert capsys.readouterr() == (captured.out, "")
+        assert "A1" not in captured.out
+
+    @pytest.mark.parametrize(
+        "drop, priced",
+        [("", ["MKT"]), ("MKT", ["A1", "A2", "A3", "B1", "B2"])],
+        ids=["one_of_eleven", "half_of_ten"],
+    )
+    def test_date_priced_by_at_most_half_is_dropped(
+        self, fixture_csv, tmp_path, capsys, drop, priced
+    ):
+        # a 2015-01-03 row priced by at most half of the symbols drops that
+        # date, not the symbols without it: select gives the bytes of the
+        # file without that row
+        rows = [line.split(",") for line in fixture_csv.read_text().splitlines()]
+        rows = [[cell for cell, s in zip(r, rows[0]) if s != drop] for r in rows]
+        stray = ["2015-01-03"] + ["100.0" if s in priced else "" for s in rows[0][1:]]
+        k = next(i for i, r in enumerate(rows) if r[0] == "2015-01-02") + 1
+        base, extra = tmp_path / "base.csv", tmp_path / "stray_date.csv"
+        base.write_text("".join(",".join(r) + "\n" for r in rows))
+        extra.write_text("".join(",".join(r) + "\n" for r in rows[:k] + [stray] + rows[k:]))
+        window = ["--start", "2015-01-02", "--end", "2015-06-30"]
+        assert main(["select", "--prices", str(extra), *window]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "dropped dates (priced for at most half of the symbols in [2015-01-02, 2015-06-30]): "
+            "2015-01-03\n"
+        )
+        assert main(["select", "--prices", str(base), *window]) == 0
+        assert capsys.readouterr() == (captured.out, "")
 
     def test_symbol_missing_a_window_day_is_dropped(self, fixture_csv, tmp_path, capsys):
         # B1 lacks one day inside the window: select runs on the other

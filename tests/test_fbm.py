@@ -15,8 +15,9 @@ from fractalport.errors import (
 from fractalport.fbm import (
     cover_amplitudes,
     estimate_hurst,
-    fit_hurst,
+    fit_covers,
     generate_fbm,
+    hurst_covers,
     window_ladder,
 )
 from fractalport.selection import fractal_kelly_weight
@@ -147,16 +148,17 @@ class TestCoverAmplitudes:
 
 class TestFitHurst:
     def test_rows_match_one_row_calls(self):
-        # scalar and batched fits share one code path, so the bits agree
+        # the cover step and the regression of a path matrix give each row
+        # the bits of the row alone, and estimate_hurst is the one-row case
         rng = np.random.default_rng(9)
         paths = np.cumsum(rng.standard_normal((40, 257)), axis=1)
         paths[3] = 1.5  # flat: degenerate
         paths[4, :] = 0.0
         paths[4, 129] = 1.0  # odd-index spike: only d = 2 samples it
         paths[5] = np.arange(257.0)  # ramp: clamped at the top
-        h, h_err, n_scales, clamped = fit_hurst(paths)
+        h, h_err, n_scales, clamped = fit_covers(hurst_covers(paths), 257)
         for k, path in enumerate(paths):
-            one = fit_hurst(path[np.newaxis])
+            one = fit_covers(hurst_covers(path[np.newaxis]), 257)
             for batched, alone in zip((h, h_err, n_scales, clamped), one):
                 np.testing.assert_array_equal(batched[k], alone[0])
             if n_scales[k] >= 3:
@@ -181,7 +183,7 @@ def test_screen_null_pass_rate():
     # the sampling s.d. of h. Pinned as a baseline for a calibrated screen.
     levels = (0.3, 0.4, 0.5, 0.6)
     paths = np.stack([generate_fbm(h, 126, rng_seed=s) for h in levels for s in range(2000)])
-    h, h_err, n_scales, _ = fit_hurst(paths)
+    h, h_err, n_scales, _ = fit_covers(hurst_covers(paths), paths.shape[1])
     assert (n_scales >= 3).all()
     passed = ((h + h_err < 0.5) & (h_err < h)).reshape(4, 2000)
     assert passed.sum(axis=1).tolist() == [1948, 1655, 772, 176]

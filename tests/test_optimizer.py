@@ -187,34 +187,44 @@ class TestApplyLeverage:
 class TestComposeLegs:
     def test_equal_notional_pair(self):
         w, _ = apply_leverage([1.0], 1.0)
-        legs = compose_legs(w, ["A"], ["B"], [1.0])
-        assert legs["A"] == pytest.approx(0.5)
-        assert legs["B"] == pytest.approx(-0.5)
+        held, legs = compose_legs(w, [0], [1], np.array([1.0]))
+        assert held.tolist() == [0, 1]
+        assert legs[0] == pytest.approx(0.5)
+        assert legs[1] == pytest.approx(-0.5)
 
     def test_one_to_chi_ratio(self):
         w, _ = apply_leverage([2.0], 2.0)
-        legs = compose_legs(w, ["A"], ["B"], [3.0])
-        assert legs["A"] == pytest.approx(0.5)
-        assert legs["B"] == pytest.approx(-1.5)
+        held, legs = compose_legs(w, [0], [1], np.array([3.0]))
+        assert legs[0] == pytest.approx(0.5)
+        assert legs[1] == pytest.approx(-1.5)
 
     def test_disjoint_union(self):
+        # assets A, B, C, D are 0-3; the spreads C/D and A/B come in that order
         w, _ = apply_leverage([1.0, 1.0], 2.0)
-        legs = compose_legs(w, ["A", "C"], ["B", "D"], [1.0, 2.0])
-        assert set(legs) == {"A", "B", "C", "D"}
-        assert legs["C"] == pytest.approx(1.0 / 3.0)
-        assert legs["D"] == pytest.approx(-2.0 / 3.0)
+        held, legs = compose_legs(w, [2, 0], [3, 1], np.array([2.0, 1.0]))
+        assert held.tolist() == [0, 1, 2, 3]
+        assert legs[0] == pytest.approx(0.5)
+        assert legs[1] == pytest.approx(-0.5)
+        assert legs[2] == pytest.approx(1.0 / 3.0)
+        assert legs[3] == pytest.approx(-2.0 / 3.0)
 
     def test_gross_notional_equals_leverage(self):
         rng = np.random.default_rng(8)
         chi = rng.uniform(0.5, 3, 4)
         w, _ = apply_leverage(rng.uniform(0.1, 2, 4), 2.0)
-        legs = compose_legs(w, [f"L{i}" for i in range(4)], [f"S{i}" for i in range(4)], chi)
-        assert sum(abs(v) for v in legs.values()) == pytest.approx(2.0, rel=1e-12)
+        _, legs = compose_legs(w, np.arange(4), np.arange(4, 8), chi)
+        assert sum(abs(v) for v in legs.tolist()) == pytest.approx(2.0, rel=1e-12)
 
     def test_weight_count_checked(self):
         w, _ = apply_leverage([1.0, 1.0], 2.0)
         with pytest.raises(ParameterError):
-            compose_legs(w, ["A"], ["B"], [1.0])
+            compose_legs(w, [0], [1], np.array([1.0]))
+
+    def test_asset_in_two_spreads_rejected(self):
+        # selection makes the legs disjoint; legs of one asset are not added
+        w, _ = apply_leverage([1.0, 1.0], 2.0)
+        with pytest.raises(ParameterError, match="asset 1 is a leg of two spreads"):
+            compose_legs(w, [0, 1], [1, 2], np.array([1.0, 1.0]))
 
 
 def test_portfolio_weights_immutable():

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from fractalport import selection
 from fractalport.backtest import BacktestConfig, _optimize_window
 from fractalport.errors import AlignmentError, InsufficientDataError
-from fractalport.fbm import MIN_HURST_LENGTH, fit_hurst
+from fractalport.fbm import MIN_HURST_LENGTH, fit_covers, hurst_covers
 from fractalport.optimizer import (
     apply_leverage,
     compose_legs,
@@ -218,7 +218,7 @@ def test_window_optimizer_on_reference_deltas():
     sel_cfg = SelectionConfig(horizon_days=cfg.test_days)
     sel = select_spreads(build_generating_matrix(matrix, symbols, sel_cfg), sel_cfg)
     deltas = spread_returns(matrix, sel.long, sel.short, sel.chi)
-    scale_k, legs, info = _optimize_window(matrix, sel, cfg)
+    scale_k, held, legs, info = _optimize_window(matrix, sel, cfg)
     assert len(info) > 1
     want = {(c[0], c[1]): c for c in reference_candidates(universe, SelectionConfig(126))}
     returns_of = {r.symbol: r.returns for r in universe}
@@ -228,12 +228,13 @@ def test_window_optimizer_on_reference_deltas():
     cov = covariance_matrix(deltas)
     cr = rescale_covariance(cov, [s.hurst for s in info], cfg.test_days)
     mean = [s.mean_delta for s in info]
-    long, short, chi = ([getattr(s, k) for s in info] for k in ("long_symbol", "short_symbol", "chi"))
-    labels = [f"{a}/{b}" for a, b in zip(long, short)]
+    labels = [f"{s.long_symbol}/{s.short_symbol}" for s in info]
     expected, expected_k = apply_leverage(solve_weights(cr, mean, labels), cfg.leverage)
     np.testing.assert_array_equal([s.weight for s in info], expected)
     assert scale_k == expected_k
-    assert legs == compose_legs(expected, long, short, chi)
+    want_held, want_legs = compose_legs(expected, sel.long, sel.short, sel.chi)
+    assert held.tolist() == want_held.tolist()
+    assert legs.tobytes() == want_legs.tobytes()
 
 
 def test_flip_keeps_hurst_fit():
@@ -244,8 +245,8 @@ def test_flip_keeps_hurst_fit():
     chi = rng.uniform(0.3, 3.0, 20)
     paths = np.zeros((20, 127))
     np.cumsum(spread_returns(returns, np.arange(20), np.arange(20, 40), chi), axis=1, out=paths[:, 1:])
-    h = fit_hurst(paths)[0]
-    flipped = fit_hurst(-paths / chi[:, None])[0]
+    h = fit_covers(hurst_covers(paths), 127)[0]
+    flipped = fit_covers(hurst_covers(-paths / chi[:, None]), 127)[0]
     assert np.all(np.abs(flipped - h) <= 1e-15)
 
 
