@@ -14,7 +14,6 @@ from fractalport.backtest import (
     run_walk_forward,
 )
 from fractalport.errors import (
-    AlignmentError,
     DataError,
     DegenerateSeriesError,
     DegenerateVolatilityError,
@@ -56,7 +55,6 @@ from fractalport.selection import (
 from fractalport.spreads import (
     PricePanel,
     PriceSeries,
-    price_block,
     price_panel,
     spread_returns,
     window_returns,

@@ -1,12 +1,12 @@
 """Deterministic walk-forward out-of-sample engine.
 
-History is cut into consecutive non-overlapping test windows, each
-preceded by a training window. The whole pipeline (returns, hedge ratios,
-spread selection, weight optimization, share sizing) runs on training
-data only; positions are fixed at the window boundary close and marked to
-market daily through the test window with commissions and overnight
-financing. Nothing inside a test window can influence that window's
-positions.
+History, on the benchmark's calendar, is cut into consecutive
+non-overlapping test windows, each preceded by a training window. The
+whole pipeline (returns, hedge ratios, spread selection, weight
+optimization, share sizing) runs on training data only; positions are
+fixed at the window boundary close and marked to market daily through the
+test window with commissions and overnight financing. Nothing inside a
+test window can influence that window's positions.
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ from fractalport.selection import (
     build_generating_matrix,
     select_spreads,
 )
-from fractalport.spreads import PricePanel, price_block, spread_returns, window_returns
+from fractalport.spreads import PricePanel, spread_returns, window_returns
 
 __all__ = [
     "TRADING_DAYS_PER_YEAR",
@@ -262,9 +262,16 @@ def run_walk_forward(panel: PricePanel, cfg: BacktestConfig) -> BacktestReport:
     """Walk the history window by window and aggregate the report.
 
     The panel's ``cfg.benchmark_symbol`` row is the benchmark and every
-    other row is traded. The run uses the dates on which all of them have
-    a price. Each test window's positions are computed from its training
-    window alone and held, with fixed share counts, through the test window.
+    other row is traded. The run walks the benchmark's calendar, the dates
+    on which the benchmark has a price, and a window's universe is the
+    traded symbols priced on every day of its training window
+    (``build_generating_matrix`` pairs no other): a date the benchmark
+    prices and a symbol does not takes that symbol out of the windows that
+    train over it. Each test window's positions are computed from its
+    training window alone and held, with fixed share counts, through the
+    test window. The entry close is a training day, so every held symbol
+    has an entry price; one with no close on a test day is marked at its
+    last close.
 
     The candidates of consecutive training windows are built as one stack,
     as many windows at a time as fill about one ``PAIR_BLOCK`` of pairs;
@@ -279,16 +286,16 @@ def run_walk_forward(panel: PricePanel, cfg: BacktestConfig) -> BacktestReport:
     symbols = list(compress(panel.symbols, ~is_bench))
     if len(symbols) < 2:
         raise ParameterError(f"universe needs at least 2 assets, got {len(symbols)}")
-    common = ~np.isnan(panel.prices).any(axis=0)
-    dates = tuple(compress(panel.dates, common))
+    priced = ~np.isnan(panel.prices[is_bench][0])
+    dates = tuple(compress(panel.dates, priced))
     need = cfg.train_days + cfg.test_days
     if len(dates) < need:
         raise ParameterError(
-            f"insufficient history: {len(dates)} common dates, "
+            f"insufficient history: {len(dates)} benchmark dates, "
             f"need at least {need} (train {cfg.train_days} + test {cfg.test_days})"
         )
-    prices = price_block(panel, ~is_bench, common)
-    bench = price_block(panel, is_bench, common)[0]
+    prices = panel.prices[~is_bench].compress(priced, axis=1)
+    bench = panel.prices[is_bench][0, priced]
     sel_cfg = SelectionConfig(horizon_days=cfg.test_days, hurst_cap=cfg.hurst_cap)
     group = max(1, PAIR_BLOCK // (len(symbols) * (len(symbols) - 1) // 2))
 
@@ -322,6 +329,9 @@ def run_walk_forward(panel: PricePanel, cfg: BacktestConfig) -> BacktestReport:
             raise NumericalError(f"window {w}: {exc}") from None
         # a C-contiguous copy: _mark_window's dot products round by layout
         price_mat = np.ascontiguousarray(prices[held, b - 1 : end].T)
+        if np.isnan(price_mat).any():  # marked at the last close
+            last = np.where(np.isnan(price_mat), 0, np.arange(len(price_mat))[:, None])
+            price_mat = price_mat[np.maximum.accumulate(last), np.arange(len(held))]
         equity, daily_costs = _mark_window(counts, price_mat, cfg, start_capital)
         if not (np.isfinite(equity).all() and np.isfinite(daily_costs).all()):
             # finite capital and no position mark finite, so something is held

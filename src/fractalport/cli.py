@@ -3,7 +3,9 @@
 Subcommands: ``hurst`` (exponent of one series), ``select`` (spread
 selection on the dates of a range most symbols share, among the symbols
 priced on all of them; the rest are named on stderr), ``backtest``
-(walk-forward report) and ``make-fixture`` (synthetic universe CSV).
+(walk-forward report on the benchmark's calendar: each window's universe
+is the symbols priced on every training day, and a held symbol is marked
+at its last close) and ``make-fixture`` (synthetic universe CSV).
 Exit codes: 0 success, 2 configuration error, 3 data error (including a
 file that cannot be read or written), 4 numerical error.
 """
@@ -36,7 +38,7 @@ from fractalport.io import (
     write_prices_wide,
 )
 from fractalport.selection import SelectionConfig, build_generating_matrix, select_spreads
-from fractalport.spreads import price_block, window_returns
+from fractalport.spreads import window_returns
 from fractalport.synthetic import make_synthetic_universe
 
 __all__ = ["main"]
@@ -153,7 +155,8 @@ def _cmd_select(args) -> int:
     if hi - lo < 2:
         raise DataError(f"fewer than 2 dates have prices in [{start}, {end}]")
     # the window's dates: those priced for more than half of the symbols
-    # priced in [start, end]; its universe: the symbols priced on all of them
+    # priced in [start, end]; its universe, which build_generating_matrix
+    # keeps, is the symbols priced on all of them
     observed = ~np.isnan(panel.prices[:, lo:hi])
     days = 2 * observed.sum(axis=0) > observed.any(axis=1).sum()
     if not days.all():
@@ -166,11 +169,8 @@ def _cmd_select(args) -> int:
         print(f"dropped (not priced on every date in [{start}, {end}]): {dropped}", file=sys.stderr)
     if rows.sum() < 2:
         raise DataError(f"fewer than 2 symbols are priced on every date in [{start}, {end}]")
-    cols = np.zeros(len(panel.dates), dtype=bool)
-    cols[lo:hi] = days
-    returns = window_returns(price_block(panel, rows, cols))
-    symbols = list(compress(panel.symbols, rows))
-    sel = select_spreads(build_generating_matrix(returns, symbols, cfg), cfg)
+    returns = window_returns(panel.prices[:, lo:hi].compress(days, axis=1))
+    sel = select_spreads(build_generating_matrix(returns, panel.symbols, cfg), cfg)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "start": start,

@@ -10,7 +10,6 @@ __all__ = [
     "DataError",
     "ParseError",
     "ValidationError",
-    "AlignmentError",
     "InsufficientDataError",
     "NumericalError",
     "DegenerateSeriesError",
@@ -38,10 +37,6 @@ class ParseError(DataError):
 
 class ValidationError(DataError):
     """Parsed data violates a documented invariant."""
-
-
-class AlignmentError(DataError):
-    """Series that must share dates do not."""
 
 
 class InsufficientDataError(DataError):

@@ -222,7 +222,8 @@ def _symbol(raw: str) -> str:
 
 
 def _prices(raw, lines) -> np.ndarray:
-    """Prices of a column of raw cells, NaN for a blank one."""
+    """Prices of a sequence of raw cells, NaN for a blank one; ``lines``
+    holds each cell's line number, for the error of the first bad one."""
     try:
         values = np.fromiter(map(float, raw), np.float64, len(raw))
         if np.isfinite(values).all():
@@ -232,19 +233,6 @@ def _prices(raw, lines) -> np.ndarray:
     return np.array([_price(cell, line) for cell, line in zip(raw, lines)], dtype=np.float64)
 
 
-def _price_block(columns, lines) -> np.ndarray:
-    """(columns x rows) prices of equal-length columns of raw cells: one
-    numpy call for all of them, or ``_prices`` of each column if some cell
-    is not a finite price."""
-    try:
-        values = np.fromiter(map(float, chain.from_iterable(columns)), np.float64, len(columns) * len(lines))
-        if np.isfinite(values).all():
-            return values.reshape(len(columns), len(lines))
-    except ValueError:
-        pass
-    return np.array([_prices(column, lines) for column in columns])
-
-
 def _price(raw: str, line: int) -> float:
     if not raw.strip():
         return np.nan
@@ -252,7 +240,7 @@ def _price(raw: str, line: int) -> float:
         value = float(raw)
     except ValueError:
         raise ParseError(f"line {line}: bad price {raw!r}") from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ParseError(f"line {line}: non-finite price {raw!r}")
     return value
 
@@ -295,7 +283,8 @@ def _read_wide(batches, symbols: list[str]) -> PricePanel:
     ds, blocks, spans = [np.empty(0, np.intp)], [np.empty((len(symbols), 0))], []
     for columns, lines in batches:
         ds.append(_factorise(columns[0], lines, date_codes, days, _iso_date))
-        blocks.append(_price_block([columns[1 + k] for k in order], lines))
+        cells = list(chain.from_iterable(columns[1 + k] for k in order))
+        blocks.append(_prices(cells, list(lines) * len(order)).reshape(len(order), len(lines)))
         spans.append((lines, np.ones(len(lines), bool)))
     d = np.concatenate(ds)
     row = _first_repeat(d)

@@ -164,7 +164,14 @@ def build_generating_matrix(returns: np.ndarray, symbols, cfg: SelectionConfig) 
     depend on the other rows and a stack gives each window the table it
     gets alone.
 
-    Pairs are omitted when j's increment variance is below
+    A window's universe is the assets whose returns are all numbers: a
+    pair is omitted when either leg's row holds a NaN, that symbol having
+    no price on some day of the window. A NaN row makes the pair's Gram
+    entry, and so chi, NaN, and ``chi > 0`` drops it; every other entry
+    has the same bits whatever that row holds, so the table is the one
+    built without that symbol, and raises no floating-point warning.
+
+    Pairs are also omitted when j's increment variance is below
     ``HEDGE_VARIANCE_EPS`` or chi is not positive, when the path has no
     usable Hurst fit, or when theta^2 is at most ``SPREAD_VARIANCE_FLOOR``
     times S_ii + chi^2 S_jj: such a spread is the rounding noise of an

@@ -7,9 +7,10 @@ delta(t) = r_i(t) - chi * r_j(t); with chi equal to the ratio of the two
 assets' market betas the common market term cancels.
 
 Prices arrive as one ``PricePanel``: every symbol's closes on the union
-of their dates, NaN where a symbol has none. All assets of a window share
-its dates, so a window's prices are a block of that matrix and its returns
-come from that block (``window_returns``).
+of their dates, NaN where a symbol has none. A window's prices are a block
+of that matrix and its returns come from that block (``window_returns``);
+a symbol without a price on some day of the window has a NaN in its row,
+and ``selection.build_generating_matrix`` forms no pair with it.
 """
 from __future__ import annotations
 
@@ -18,14 +19,13 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from fractalport.errors import AlignmentError, ValidationError
+from fractalport.errors import ValidationError
 
 __all__ = [
     "PriceSeries",
     "PricePanel",
     "build_panel",
     "price_panel",
-    "price_block",
     "window_returns",
     "spread_returns",
 ]
@@ -110,23 +110,6 @@ def price_panel(series: Sequence[PriceSeries]) -> PricePanel:
     _check_prices(symbols, dates, prices, observed)
     prices.flags.writeable = False
     return PricePanel(symbols, dates, prices)
-
-
-def price_block(panel: PricePanel, rows, cols) -> np.ndarray:
-    """The panel's ``rows`` on its ``cols`` dates (both boolean masks), as a
-    new C-contiguous matrix: reductions over it round by that layout.
-
-    Raises ``AlignmentError`` naming the first of these symbols without a
-    price on one of these dates, and the first such date.
-    """
-    block = panel.prices[rows].compress(cols, axis=1)
-    gaps = np.isnan(block)
-    if gaps.any():
-        k = int(np.argmax(gaps.any(axis=1)))
-        symbol = list(compress(panel.symbols, rows))[k]
-        day = list(compress(panel.dates, cols))[int(np.argmax(gaps[k]))]
-        raise AlignmentError(f"{symbol}: no price on {day}")
-    return block
 
 
 def window_returns(prices: np.ndarray) -> np.ndarray:

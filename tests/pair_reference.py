@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from fractalport.errors import AlignmentError, InsufficientDataError
+from fractalport.errors import InsufficientDataError
 from fractalport.fbm import MIN_HURST_LENGTH, cover_amplitudes, window_ladder
 from fractalport.selection import (
     HEDGE_VARIANCE_EPS,
@@ -93,14 +93,15 @@ def candidates(universe, cfg):
     """(long, short, chi, deltas, mean, theta, h, h_err, kelly) per kept
     pair of ``universe``, rows with ``symbol``, ``returns`` and ``dates``.
 
-    A pair is dropped when its hedge ratio is NaN or not positive, when its
-    path has no usable fit, or when its spread's variance is at most
-    ``SPREAD_VARIANCE_FLOOR`` times its legs' summed variances.
+    A pair is dropped when its legs' returns fall on different dates, when
+    its hedge ratio is NaN or not positive, when its path has no usable
+    fit, or when its spread's variance is at most ``SPREAD_VARIANCE_FLOOR``
+    times its legs' summed variances.
     """
     out = []
     for ri, rj in itertools.combinations(universe, 2):
         if ri.dates != rj.dates:
-            raise AlignmentError(f"{ri.symbol}/{rj.symbol}")
+            continue
         chi = hedge_ratio(ri.returns, rj.returns)
         if not chi > 0.0:
             continue

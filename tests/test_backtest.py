@@ -1,4 +1,5 @@
 """Walk-forward engine: sizing, costs, metrics, lookahead and accounting."""
+import functools
 import json
 import math
 from dataclasses import fields, replace
@@ -25,12 +26,7 @@ from fractalport.errors import NumericalError, ParameterError
 from fractalport.io import report_to_json
 from fractalport.optimizer import compose_legs
 from fractalport.selection import PAIR_BLOCK, SelectionConfig, build_generating_matrix
-from fractalport.spreads import (
-    PriceSeries,
-    price_block,
-    price_panel,
-    window_returns,
-)
+from fractalport.spreads import PriceSeries, build_panel, price_panel, window_returns
 from fractalport.synthetic import make_synthetic_universe
 
 
@@ -411,7 +407,7 @@ class TestRunWalkForward:
         with mock.patch.object(backtest, "select_spreads", recording):
             rep = run_walk_forward(panel, cfg)
         traded = np.array([s != "MKT" for s in panel.symbols])
-        prices = price_block(panel, traded, np.ones(len(panel.dates), dtype=bool))
+        prices = panel.prices[traded]
         assert len(seen) == len(rep.windows) == (prices.shape[1] - cfg.train_days) // 21
         for w, got in enumerate(seen):
             returns = window_returns(prices[:, w * 21 : w * 21 + cfg.train_days])
@@ -431,7 +427,7 @@ class TestRunWalkForward:
         with mock.patch.object(backtest, "_optimize_window", recording):
             rep = run_walk_forward(panel, cfg)
         traded = np.array([s != "MKT" for s in panel.symbols])
-        prices = price_block(panel, traded, np.ones(len(panel.dates), dtype=bool))
+        prices = panel.prices[traded]
         assert len(seen) == len(rep.windows) == 114
         assert sum(len(sel) > 1 for _, sel in seen) > 50
         for w, (got, sel) in enumerate(seen):
@@ -459,6 +455,81 @@ class TestRunWalkForward:
             assert w.window_return == pytest.approx(
                 w.daily_equity[-1] / w.daily_equity[0] - 1.0, abs=1e-12
             )
+
+
+
+def same_window(a: WindowResult, b: WindowResult) -> bool:
+    """Every field equal, arrays bit for bit."""
+    for f in fields(WindowResult):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            if x.tobytes() != y.tobytes():
+                return False
+        elif x != y:
+            return False
+    return True
+
+
+def with_prices(panel, prices):
+    """The panel with a copy of ``prices``: ``build_panel`` freezes its matrix."""
+    return build_panel(panel.symbols, panel.dates, prices.copy())
+
+
+@pytest.mark.parametrize("test_days", [126, 21])
+def test_delisted_symbol_marked_at_last_close(test_days):
+    # A1 stops pricing halfway through a test window that holds it: up to
+    # and including that window, the report is the one in which A1 stays
+    # at its last close, and the later windows, which train over the
+    # missing days, do not hold it
+    u = small_universe()
+    panel = price_panel(u.prices + [u.benchmark])
+    cfg = BacktestConfig(benchmark_symbol="MKT", test_days=test_days)
+    w = 2
+    stop = w * test_days + cfg.train_days + test_days // 2  # A1's first day without a close
+    k = panel.symbols.index("A1")
+    prices = panel.prices.copy()
+    prices[k, stop:] = np.nan
+    delisted = run_walk_forward(with_prices(panel, prices), cfg)
+    prices[k, stop:] = panel.prices[k, stop - 1]
+    flat = run_walk_forward(with_prices(panel, prices), cfg)
+    assert delisted.windows[w].shares["A1"] != 0
+    assert len(delisted.windows) == len(flat.windows) > w + 1
+    for a, b in zip(delisted.windows[: w + 1], flat.windows[: w + 1]):
+        assert same_window(a, b), a.window_index
+    assert not any("A1" in x.asset_legs for x in delisted.windows[w + 1 :])
+
+
+@functools.cache
+def lookahead_base(test_days):
+    u = small_universe()
+    panel = price_panel(u.prices + [u.benchmark])
+    cfg = BacktestConfig(benchmark_symbol="MKT", test_days=test_days)
+    return panel, cfg, run_walk_forward(panel, cfg)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_no_lookahead_after_entry_close(data):
+    # perturbing or blanking any prices after window w's entry close leaves
+    # the selections, legs and shares of windows 0..w as they were
+    panel, cfg, rep = lookahead_base(data.draw(st.sampled_from([126, 21])))
+    w = data.draw(st.integers(0, len(rep.windows) - 1))
+    entry = w * cfg.test_days + cfg.train_days - 1
+    start = data.draw(st.integers(entry + 1, len(panel.dates) - 1))
+    stop = data.draw(st.integers(start + 1, len(panel.dates)))
+    traded = [k for k, s in enumerate(panel.symbols) if s != "MKT"]
+    blank = data.draw(st.booleans())
+    rows = data.draw(st.lists(
+        st.sampled_from(traded if blank else range(len(panel.symbols))), min_size=1, unique=True
+    ))
+    prices = panel.prices.copy()
+    if blank:
+        prices[rows, start:stop] = np.nan
+    else:
+        prices[rows, start:stop] *= data.draw(st.floats(0.8, 1.25))
+    changed = run_walk_forward(with_prices(panel, prices), cfg)
+    for a, b in zip(rep.windows[: w + 1], changed.windows[: w + 1]):
+        assert (a.selected, a.asset_legs, a.shares) == (b.selected, b.asset_legs, b.shares)
 
 
 def test_uninvested_windows_in_report():

@@ -484,24 +484,34 @@ class TestCmdBacktest:
         assert main(args) == 3
         assert "SPY" in capsys.readouterr().err
 
-    def test_late_listed_symbol_runs_on_common_dates(self, fixture_csv, universe, tmp_path):
-        # N2 lists 130 days late: the run must be the one on the CSV cut to
-        # the dates every symbol has
+    @pytest.mark.parametrize("test_days", [126, 21])
+    def test_late_listed_symbol_joins_once_priced(self, fixture_csv, universe, tmp_path, test_days):
+        # N2 lists 130 days late: the run walks every date, and the windows
+        # that train over N2's missing days are the run without N2
         dates = universe.prices[0].dates
         late = blank_cells(fixture_csv, tmp_path / "late.csv", {d: ["N2"] for d in dates[:130]})
-        lines = fixture_csv.read_text().splitlines()
-        cut = tmp_path / "cut.csv"
-        cut.write_text("\n".join(lines[:1] + lines[131:]) + "\n")
-        docs = []
-        for name, prices in (("late", late), ("cut", cut)):
-            out = tmp_path / f"{name}.json"
-            args = ["backtest", "--prices", str(prices), "--benchmark", "MKT", "--output", str(out)]
+        rows = [line.split(",") for line in fixture_csv.read_text().splitlines()]
+        k = rows[0].index("N2")
+        without = tmp_path / "without.csv"
+        without.write_text("".join(",".join(r[:k] + r[k + 1 :]) + "\n" for r in rows))
+        runs = []
+        for prices in (late, without):
+            out = tmp_path / f"{prices.stem}.json"
+            args = [
+                "backtest", "--prices", str(prices), "--benchmark", "MKT",
+                "--test-days", str(test_days), "--output", str(out),
+            ]
             assert main(args) == 0
-            docs.append(out.read_bytes())
-        assert docs[0] == docs[1]
-        doc = json.loads(docs[0])
-        assert doc["windows"][0]["start_date"] == dates[130 + 125]
-        assert len(doc["windows"]) == (len(dates) - 130 - 126) // 126
+            runs.append(json.loads(out.read_text())["windows"])
+        late_run, without_run = runs
+        # the first window trains from the first date and enters at its 126th
+        assert len(late_run) == (len(dates) - 126) // test_days == {126: 19, 21: 114}[test_days]
+        assert late_run[0]["start_date"] == dates[125]
+        before = 129 // test_days + 1  # windows training over N2's missing days
+        assert before == {126: 2, 21: 7}[test_days]
+        assert not any("N2" in w["shares"] for w in late_run[:before])
+        assert late_run[:before] == without_run[:before]
+        assert any("N2" in w["shares"] for w in late_run[before:])
 
     def test_byte_identical_reports(self, fixture_csv, tmp_path):
         outs = []

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from fractalport import selection
 from fractalport.backtest import BacktestConfig, _optimize_window
-from fractalport.errors import AlignmentError, InsufficientDataError
+from fractalport.errors import InsufficientDataError
 from fractalport.fbm import MIN_HURST_LENGTH, fit_covers, hurst_covers
 from fractalport.optimizer import (
     apply_leverage,
@@ -38,7 +38,7 @@ from fractalport.selection import (
     fractal_kelly_weight,
     select_spreads,
 )
-from fractalport.spreads import PriceSeries, price_block, price_panel, spread_returns
+from fractalport.spreads import PriceSeries, price_panel, spread_returns, window_returns
 from pair_reference import candidates as reference_candidates
 
 EPS = np.finfo(np.float64).eps
@@ -178,26 +178,46 @@ class TestMatchesPerPairReference:
                 assert row.tobytes() == row_deltas[pair].tobytes()
 
     @pytest.mark.parametrize(
-        "n_days,start_of_last,error",
+        "n_days,error",
         [
-            (MIN_HEDGE_LENGTH - 1, 0, InsufficientDataError),
-            (MIN_HURST_LENGTH - 2, 0, InsufficientDataError),
-            (126, 1, AlignmentError),
+            (MIN_HEDGE_LENGTH - 1, InsufficientDataError),
+            (MIN_HURST_LENGTH - 2, InsufficientDataError),
         ],
-        ids=["hedge_too_short", "path_too_short", "misaligned"],
+        ids=["hedge_too_short", "path_too_short"],
     )
-    def test_same_errors(self, n_days, start_of_last, error):
-        returns = random_returns(np.random.default_rng(7), 4, n_days)
-        universe = make_universe(returns[:3]) + make_universe(returns[3:], start=start_of_last)
+    def test_same_errors(self, n_days, error):
+        universe = make_universe(random_returns(np.random.default_rng(7), 4, n_days))
         with pytest.raises(error):
             reference_candidates(universe, SelectionConfig())
-        # the engine's callers first align the window's prices on its dates
-        panel = price_panel(
-            [PriceSeries(f"P{k}", r.dates, np.full(n_days, 100.0)) for k, r in enumerate(universe)]
-        )
         with pytest.raises(error):
-            price_block(panel, np.ones(4, dtype=bool), np.isin(panel.dates, universe[0].dates))
             build(universe, SelectionConfig())
+
+    def test_gapped_symbol_matches_reference_without_it(self):
+        # P3 lists a day after the window's first date: on the window its
+        # returns are NaN, the engine pairs it with nothing, and the table
+        # is the reference's, which omits pairs whose legs' dates differ
+        n_days = 126
+        rng = np.random.default_rng(7)
+        prices = 100.0 * np.cumprod(1.0 + random_returns(rng, 4, n_days + 1), axis=1)
+        series = [
+            PriceSeries(f"P{k}", dates(n_days + 1, start=int(k == 3)), row)
+            for k, row in enumerate(prices)
+        ]
+        panel = price_panel(series)
+        on_p0 = np.isin(panel.dates, series[0].dates)
+        window = window_returns(panel.prices.compress(on_p0, axis=1))
+        assert np.isnan(window[3]).all()
+        got = build_generating_matrix(window, panel.symbols, SelectionConfig())
+        universe = [Row(s.symbol, window_returns(s.prices[None])[0], s.dates[1:]) for s in series]
+        want = reference_candidates(universe, SelectionConfig())
+        without = reference_candidates(universe[:3], SelectionConfig())
+        assert len(want) > 0
+        assert pairs(got) == [c[:2] for c in want] == [c[:2] for c in without]
+        returns_of = {r.symbol: r.returns for r in universe}
+        deltas = spread_returns(window, got.long, got.short, got.chi)
+        for k, ref in enumerate(want):
+            assert_near_reference(got.chi[k], got.mean[k], got.theta[k], deltas[k], ref, returns_of)
+            assert got.h[k] == pytest.approx(ref[6], rel=1e-12)
 
     def test_all_pairs_dropped_is_not_an_error(self):
         # a short path raises only once some pair survives the hedge
@@ -377,3 +397,49 @@ def test_stack_equals_windows_alone(drawn, block):
         for f in fields(alone)[2:]:
             assert same_bits(getattr(rows, f.name), getattr(alone, f.name)), (w, f.name)
 
+
+
+@st.composite
+def gapped_windows(draw):
+    """Price windows of the same symbols, as ``window_returns`` stacks them,
+    with some (window, symbol, day) prices blanked, a window's first day
+    among the days drawn; and the symbols gapped in each window."""
+    n_assets = draw(st.integers(2, 9))
+    n_windows = draw(st.integers(1, 6))
+    n_days = draw(st.integers(MIN_HURST_LENGTH, 90))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    prices = 100.0 * np.cumprod(1.0 + random_returns(rng, n_windows * n_assets, n_days), axis=1)
+    prices = prices.reshape(n_windows, n_assets, n_days)
+    gaps = draw(st.lists(
+        st.tuples(st.integers(0, n_windows - 1), st.integers(0, n_assets - 1),
+                  st.one_of(st.just(0), st.integers(0, n_days - 1))),
+        max_size=2 * n_assets,
+    ))
+    gapped = [set() for _ in range(n_windows)]
+    for w, k, t in gaps:
+        prices[w, k, t] = np.nan
+        gapped[w].add(k)
+    return np.stack([window_returns(block) for block in prices]), gapped
+
+
+@settings(max_examples=40, deadline=None)
+@given(gapped_windows(), st.booleans())
+def test_gapped_symbols_drop_out_of_their_windows(drawn, single):
+    # a window's table is the one built without the symbols it has a gap
+    # in, bit for bit: their NaN rows touch no other row
+    stack, gapped = drawn
+    cfg = SelectionConfig()
+    symbols = [f"S{k}" for k in range(stack.shape[1])]
+    built = build_generating_matrix(stack[0] if single and len(stack) == 1 else stack, symbols, cfg)
+    bounds = np.searchsorted(built.window, np.arange(len(stack) + 1))
+    for w, returns in enumerate(stack):
+        rows = built.take(slice(bounds[w], bounds[w + 1]))
+        assert not {*rows.long.tolist(), *rows.short.tolist()} & gapped[w]
+        kept = [k for k in range(len(symbols)) if k not in gapped[w]]
+        if len(kept) < 2:
+            assert len(rows) == 0
+            continue
+        alone = build_generating_matrix(returns[kept], [symbols[k] for k in kept], cfg)
+        assert pairs(rows) == pairs(alone)
+        for f in fields(alone)[4:]:
+            assert same_bits(getattr(rows, f.name), getattr(alone, f.name)), (w, f.name)

@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fractalport.errors import AlignmentError, InsufficientDataError, ValidationError
+from fractalport.errors import InsufficientDataError, ValidationError
 from fractalport.selection import SelectionConfig, build_generating_matrix
-from fractalport.spreads import PriceSeries, price_block, price_panel, window_returns
+from fractalport.spreads import PriceSeries, price_panel, window_returns
 from fractalport.synthetic import make_synthetic_universe
 from pair_reference import hedge_ratio, oriented_spread
 
@@ -137,22 +137,9 @@ class TestPriceMatrix:
         y = PriceSeries(symbol="Y", dates=days[1:], prices=[20.0, 30.0, 40.0, 50.0])
         panel = price_panel([y, x])
         assert panel.symbols == ("X", "Y") and panel.dates == days
+        np.testing.assert_array_equal(panel.prices[0], [1.0, 2.0, 3.0, 4.0, 5.0])
         np.testing.assert_array_equal(panel.prices[1], [np.nan, 20.0, 30.0, 40.0, 50.0])
-        got = price_block(panel, [True, True], [False, True, False, True, True])
-        np.testing.assert_array_equal(got, [[2.0, 4.0, 5.0], [20.0, 40.0, 50.0]])
-        assert got.flags.c_contiguous
-
-    @pytest.mark.parametrize("missing", [0, 2, 4], ids=["first", "middle", "last"])
-    def test_missing_date_names_symbol_and_date(self, missing):
-        x = PriceSeries(symbol="X", dates=dates(5), prices=np.full(5, 1.0))
-        days = dates(5)
-        y = PriceSeries(
-            symbol="Y",
-            dates=days[:missing] + days[missing + 1 :],
-            prices=np.full(4, 1.0),
-        )
-        with pytest.raises(AlignmentError, match=f"^Y: no price on {days[missing]}$"):
-            price_block(price_panel([x, y]), [True, True], np.ones(5, dtype=bool))
+        assert panel.prices.flags.c_contiguous
 
     def test_panel_is_read_only(self):
         panel = price_panel([PriceSeries(symbol="X", dates=dates(2), prices=[1.0, 2.0])])
@@ -261,11 +248,23 @@ class TestBuildSpread:
         assert abs(slope) < 1e-9
 
     def test_alignment_required(self):
-        pi = PriceSeries(symbol="A", dates=dates(41), prices=np.full(41, 100.0))
-        pj = PriceSeries(symbol="B", dates=dates(41, start=2), prices=np.full(41, 100.0))
-        panel = price_panel([pi, pj])
-        with pytest.raises(AlignmentError):
-            price_block(panel, [True, True], np.isin(panel.dates, pi.dates))
+        # legs priced on different dates form no pair: on A's dates, B
+        # (listed two days later) has no entry price and its returns are
+        # NaN, while A and C, priced on every one of them, still pair
+        rng = np.random.default_rng(6)
+        market = 0.01 * rng.standard_normal(100)
+        returns = [beta * market + 0.002 * rng.standard_normal(100) for beta in (1.2, 1.0, 0.8)]
+        series = [
+            PriceSeries(symbol, dates(101, start), 100.0 * np.cumprod(np.r_[1.0, 1.0 + r]))
+            for symbol, start, r in zip("ABC", (0, 2, 0), returns)
+        ]
+        panel = price_panel(series)
+        on_a = np.isin(panel.dates, series[0].dates)
+        window = window_returns(panel.prices.compress(on_a, axis=1))
+        assert np.isnan(window[1]).all()
+        cands = build_generating_matrix(window, panel.symbols, SelectionConfig())
+        assert len(cands) == 1
+        assert {cands.symbols[cands.long[0]], cands.symbols[cands.short[0]]} == {"A", "C"}
 
     def test_nonpositive_chi_rejected(self):
         # the engine forms no spread, and raises nothing, for a hedge ratio
