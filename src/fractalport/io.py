@@ -15,9 +15,13 @@ in chunks of whole lines, and each chunk takes one of two routes:
 
 Both routes give the same fields, so the file's panel and its errors do
 not depend on the route. The date and symbol columns are then factorised
-(each distinct date string is parsed once) and a batch's price cells are
-converted by ``float`` in one numpy call. Reports are emitted as JSON with
-a top-level ``schema_version``; time series go to CSV.
+(each distinct date string is parsed once), a batch's price cells are
+converted by ``float`` in one numpy call (blank cells found first), and the
+prices are written straight into one (symbols x dates) grid at their codes.
+The grid grows by a quarter when a new code falls outside it, and one
+reorder at the end sorts its rows and columns, so ingest memory follows
+the panel's size, not the file's row count. Reports are emitted as JSON
+with a top-level ``schema_version``; time series go to CSV.
 """
 from __future__ import annotations
 
@@ -26,7 +30,7 @@ import io
 import json
 import math
 from datetime import date
-from itertools import chain, compress, islice
+from itertools import chain, compress, islice, repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -50,10 +54,10 @@ SCHEMA_VERSION = 1
 # Cells per batch: ``csv.reader`` rows are read in batches of this many
 # cells over the header's width, and the file in chunks of 8 characters a
 # cell (the benchmark files have 11 to 18), so a chunk holds fewer cells
-# than a batch. On the 17 MB long CSV (2-core VM), chunks for 1k cells
-# left 0.9 MB more resident after ingest than for 4k cells, and for 16k
-# cells 2.4 MB more; with ``csv.reader`` alone, 1k cells read the
-# 60-symbol wide CSV slower (0.18 against 0.14 s).
+# than a batch. On one core of a 2-core VM (min of 5), the 17 MB long CSV
+# and the 60-symbol wide CSV read in 0.67 and 0.110 s at 1k cells, 0.58 and
+# 0.096 s at 4k and 0.66 and 0.106 s at 16k; the long file's ingest left a
+# process high-water mark of 40.1, 40.0 and 42 MB.
 READ_BATCH_CELLS = 1 << 12
 
 
@@ -97,9 +101,10 @@ def _row_batches(fh, width: int):
     ``csv.reader``, and from a chunk with a ``"`` on, the rest of the file.
 
     Faults are found batch by batch: a batch's column counts here, then its
-    dates, symbols and prices in the reader, each in file order; duplicates
-    and the per-symbol checks come after the last batch. Which fault a file
-    with several reports therefore depends on ``READ_BATCH_CELLS``.
+    dates, symbols, prices and duplicates in the reader, each in file
+    order; only the per-symbol checks come after the last batch. Which
+    fault a file with several reports therefore depends on
+    ``READ_BATCH_CELLS``.
     """
     line = 2
     while chunk := fh.read(8 * READ_BATCH_CELLS):
@@ -223,102 +228,129 @@ def _symbol(raw: str) -> str:
 
 def _prices(raw, lines) -> np.ndarray:
     """Prices of a sequence of raw cells, NaN for a blank one; ``lines``
-    holds each cell's line number, for the error of the first bad one."""
+    gives each cell's line number, for the error of the first bad one.
+
+    A batch with blanks is converted in two passes: one finds the blank
+    cells, one ``float`` call converts the rest. ``_price`` runs only to
+    name a malformed or non-finite cell.
+    """
+    filled = len(raw)
     try:
-        values = np.fromiter(map(float, raw), np.float64, len(raw))
-        if np.isfinite(values).all():
+        try:
+            values = np.fromiter(map(float, raw), np.float64, len(raw))
+        except ValueError:  # a blank cell, or a malformed one
+            priced = list(map(bool, map(str.strip, raw)))
+            filled = priced.count(True)
+            values = np.full(len(raw), np.nan)
+            values[np.array(priced, bool)] = np.fromiter(map(float, compress(raw, priced)), np.float64, filled)
+        if np.count_nonzero(np.isfinite(values)) == filled:
             return values
-    except ValueError:  # a blank or malformed cell
+    except ValueError:  # a malformed cell
         pass
-    return np.array([_price(cell, line) for cell, line in zip(raw, lines)], dtype=np.float64)
+    for cell, line in zip(raw, lines):  # raises at the first bad cell
+        _price(cell, line)
 
 
-def _price(raw: str, line: int) -> float:
+def _price(raw: str, line: int) -> None:
+    """Raise ``ParseError`` for a malformed or non-finite price cell."""
     if not raw.strip():
-        return np.nan
+        return
     try:
         value = float(raw)
     except ValueError:
         raise ParseError(f"line {line}: bad price {raw!r}") from None
     if not math.isfinite(value):
         raise ParseError(f"line {line}: non-finite price {raw!r}")
-    return value
 
 
 def _read_long(batches) -> PricePanel:
     date_codes, days, sym_codes, syms = {}, {}, {}, {}
-    ds, ss, vs, spans = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0)], []
+    grid = np.full((0, 0), np.nan)
     for (raw_dates, raw_syms, raw_prices), lines in batches:
         d = _factorise(raw_dates, lines, date_codes, days, _iso_date)
         s = _factorise(raw_syms, lines, sym_codes, syms, _symbol)
         v = _prices(raw_prices, lines)
-        kept = ~np.isnan(v)  # a blank price drops its row
-        ds.append(d[kept])
-        ss.append(s[kept])
-        vs.append(v[kept])
-        spans.append((lines, kept))
-    d, s, v = np.concatenate(ds), np.concatenate(ss), np.concatenate(vs)
-    symbols, sym_rank = _sorted_labels(syms)
-    dates, date_rank = _sorted_labels(days)
-    cell = sym_rank[s] * len(dates) + date_rank[d]
-    prices = np.full((len(symbols), len(dates)), np.nan)
-    prices.flat[cell] = v
-    if np.count_nonzero(~np.isnan(prices)) < v.size:  # some cell was written twice
-        row = _first_repeat(cell)
-        raise ValidationError(
-            f"line {_line(spans, row)}: duplicate ({list(days)[d[row]]}, {list(syms)[s[row]]})"
-        )
+        kept = np.flatnonzero(~np.isnan(v))  # a blank price drops its row
+        grid = _grown(grid, len(syms), len(days))
+        cell = s[kept] * grid.shape[1] + d[kept]
+        row = _first_repeat(cell, ~np.isnan(grid.take(cell)))
+        if row >= 0:
+            k = kept[row]
+            raise ValidationError(f"line {lines[k]}: duplicate ({list(days)[d[k]]}, {list(syms)[s[k]]})")
+        grid.put(cell, v[kept])
     # a symbol seen only with blank prices has no observations
-    observed = ~np.isnan(prices).all(axis=1)
-    return build_panel(tuple(compress(symbols, observed)), dates, prices[observed])
+    observed = ~np.isnan(grid).all(axis=1)
+    symbols, dates, prices = _sorted_grid(grid, {sym: k for sym, k in syms.items() if observed[k]}, days)
+    del grid  # before build_panel's checks
+    return build_panel(symbols, dates, prices)
 
 
-def _read_wide(batches, symbols: list[str]) -> PricePanel:
-    if len(set(symbols)) != len(symbols):
-        raise ValidationError(f"duplicate symbol columns in header: {symbols}")
-    if any(not s for s in symbols):
+def _read_wide(batches, header: list[str]) -> PricePanel:
+    if len(set(header)) != len(header):
+        raise ValidationError(f"duplicate symbol columns in header: {header}")
+    if any(not s for s in header):
         raise ParseError("empty symbol column in header")
-    order = sorted(range(len(symbols)), key=symbols.__getitem__)
+    syms = {s: k for k, s in enumerate(header)}
     date_codes, days = {}, {}
-    ds, blocks, spans = [np.empty(0, np.intp)], [np.empty((len(symbols), 0))], []
+    grid = np.full((len(header), 0), np.nan)
     for columns, lines in batches:
-        ds.append(_factorise(columns[0], lines, date_codes, days, _iso_date))
-        cells = list(chain.from_iterable(columns[1 + k] for k in order))
-        blocks.append(_prices(cells, list(lines) * len(order)).reshape(len(order), len(lines)))
-        spans.append((lines, np.ones(len(lines), bool)))
-    d = np.concatenate(ds)
-    row = _first_repeat(d)
-    if row >= 0:
-        raise ValidationError(f"line {_line(spans, row)}: duplicate date {list(days)[d[row]]}")
-    dates, date_rank = _sorted_labels(days)
-    prices = np.empty((len(symbols), len(dates)))
-    prices[:, date_rank[d]] = np.concatenate(blocks, axis=1)
-    return build_panel(tuple(sorted(symbols)), dates, prices)
+        seen = len(days)
+        d = _factorise(columns[0], lines, date_codes, days, _iso_date)
+        cells = list(chain.from_iterable(columns[1:]))
+        block = _prices(cells, chain.from_iterable(repeat(lines, len(header))))
+        # new dates are coded in order of first sight, so a row whose code
+        # breaks the count from ``seen`` repeats an earlier row's date
+        repeats = np.flatnonzero(d != np.arange(seen, seen + len(d)))
+        if repeats.size:
+            k = repeats[0]
+            raise ValidationError(f"line {lines[k]}: duplicate date {list(days)[d[k]]}")
+        grid = _grown(grid, len(header), len(days))
+        grid[:, seen : len(days)] = block.reshape(len(header), len(d))
+    symbols, dates, prices = _sorted_grid(grid, syms, days)
+    del grid  # before build_panel's checks
+    return build_panel(symbols, dates, prices)
 
 
-def _sorted_labels(labels: dict) -> tuple[tuple[str, ...], np.ndarray]:
-    """The labels sorted, and the rank among them of each label's code."""
-    ordered = sorted(labels)
-    rank = np.empty(len(ordered), np.intp)
-    rank[[labels[label] for label in ordered]] = np.arange(len(ordered))
-    return tuple(ordered), rank
+def _grown(grid: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """``grid`` grown to hold at least ``rows`` x ``cols`` cells, the new
+    ones NaN. An axis that must grow grows by at least a quarter, so a panel
+    read batch by batch is grown a bounded number of times, and each axis of
+    its grid ends at most a quarter longer than the panel's.
+
+    New rows alone extend ``grid``'s buffer in place, so its pages are not
+    copied or touched again (``grid`` must own its data, and no view of it
+    may be held); new columns copy it.
+    """
+    r, c = grid.shape
+    shape = tuple(have if n <= have else max(n, have + have // 4) for n, have in ((rows, r), (cols, c)))
+    if shape == grid.shape:
+        return grid
+    if shape[1] == c:
+        grid.resize(shape, refcheck=False)
+        grid[r:] = np.nan
+        return grid
+    new = np.full(shape, np.nan)
+    new[:r, :c] = grid
+    return new
 
 
-def _first_repeat(codes: np.ndarray) -> int:
-    """Index of the first code equal to an earlier one, or -1."""
-    order = np.argsort(codes, kind="stable")
-    later = order[1:][codes[order[1:]] == codes[order[:-1]]]
-    return int(later.min()) if later.size else -1
+def _first_repeat(cells: np.ndarray, taken: np.ndarray) -> int:
+    """Index of the first cell that ``taken`` marks or an earlier cell
+    equals, or -1."""
+    order = np.argsort(cells, kind="stable")
+    hit = taken.copy()
+    hit[order[1:]] |= cells[order[1:]] == cells[order[:-1]]
+    return int(np.argmax(hit)) if hit.any() else -1
 
 
-def _line(spans, row: int) -> int:
-    """Line number of the ``row``-th kept row over all batches; a span is
-    a batch's line numbers and the mask of its kept rows."""
-    for lines, kept in spans:
-        kept = np.flatnonzero(kept)
-        if row < len(kept):
-            return lines[kept[row]]
-        row -= len(kept)
+def _sorted_grid(grid: np.ndarray, syms: dict, days: dict):
+    """Sorted symbols, sorted dates and their prices out of ``grid``, whose
+    rows and columns are the codes of ``syms`` and ``days`` (label -> code),
+    in one reorder."""
+    symbols, dates = sorted(syms), sorted(days)
+    rows = np.array([syms[s] for s in symbols], np.intp)
+    cols = np.array([days[d] for d in dates], np.intp)
+    return tuple(symbols), tuple(dates), grid[np.ix_(rows, cols)]
 
 
 def write_prices_wide(path, series: Sequence[PriceSeries]) -> None:

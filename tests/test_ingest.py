@@ -7,6 +7,7 @@ prices on any file, and on a file with one fault the same error type and
 message.
 """
 import csv
+import tracemalloc
 from datetime import date, timedelta
 
 import numpy as np
@@ -292,6 +293,107 @@ def test_fault_in_a_late_batch_names_its_line(tmp_path, monkeypatch, fault_row):
     path = big_long_csv(tmp_path / "big.csv", fault_row=fault_row)
     want = (ParseError, f"line {fault_row + 1}: expected 3 columns, got 4")
     assert outcome(ingest_prices, path) == outcome(reference_ingest, path) == want
+
+
+@pytest.mark.parametrize("layout", ["long", "wide"])
+def test_duplicate_reported_at_its_batch(tmp_path, monkeypatch, layout):
+    # a duplicate in the first batch is reported before a bad price in a
+    # later one, as the row-by-row reference does; in the wide layout the
+    # repeated date row is all blank, and still a duplicate
+    monkeypatch.setattr(fio, "READ_BATCH_CELLS", 30)
+    if layout == "long":
+        lines = big_long_csv(tmp_path / "big.csv").read_text().split("\n")
+        want = (ValidationError, "line 6: duplicate (2001-01-01, AA)")
+    else:
+        days = [date(2001, 1, 1) + timedelta(days=k) for k in range(400)]
+        lines = ["date,AA,BB"] + [f"{day},{k}.5,{k}.25" for k, day in enumerate(days, 1)]
+        want = (ValidationError, "line 6: duplicate date 2001-01-01")
+    lines.insert(5, lines[1] if layout == "long" else "2001-01-01,,")
+    lines[700 if layout == "long" else 300] = "2001-06-01,AA,oops"
+    f = tmp_path / "dup.csv"
+    f.write_text("\n".join(lines) + "\n")
+    assert outcome(ingest_prices, f) == outcome(reference_ingest, f) == want
+
+
+def gapped_csv(path, layout, n_days=300, bad=None):
+    """Four symbols over ``n_days`` days, each with a blank cell (a blank
+    price row in the long layout) on one day in seven; ``bad`` replaces one
+    priced cell, for a file with one fault."""
+    symbols = ("AA", "BB", "CC", "DD")
+    days = [(date(2001, 1, 1) + timedelta(days=k)).isoformat() for k in range(n_days)]
+    cells = {
+        (s, k): "" if (k + j) % 7 == 0 else repr(50.0 + k / 3 + j)
+        for j, s in enumerate(symbols)
+        for k in range(n_days)
+    }
+    if bad is not None:
+        cells["CC", n_days // 2] = bad
+    if layout == "long":
+        rows = [f"{days[k]},{s},{cells[s, k]}" for s in symbols for k in range(n_days)]
+        header = "date,symbol,adj_close"
+    else:
+        rows = [",".join([days[k], *(cells[s, k] for s in symbols)]) for k in range(n_days)]
+        header = ",".join(["date", *symbols])
+    path.write_text("\n".join([header, *rows]) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("layout", ["long", "wide"])
+@pytest.mark.parametrize("batch_cells", [fio.READ_BATCH_CELLS, 30])
+def test_gapped_prices_convert_without_per_cell_route(tmp_path, monkeypatch, layout, batch_cells):
+    # blank cells are found first and the rest converted in one pass:
+    # ``_price`` runs only to name a bad cell
+    monkeypatch.setattr(fio, "READ_BATCH_CELLS", batch_cells)
+    calls = []
+    price = fio._price
+
+    def spy(raw, line):
+        calls.append(line)
+        return price(raw, line)
+
+    monkeypatch.setattr(fio, "_price", spy)
+    f = gapped_csv(tmp_path / "gapped.csv", layout)
+    got = outcome(ingest_prices, f)
+    assert got == outcome(reference_ingest, f)
+    assert got[2] == (4, 300) and not calls
+    f = gapped_csv(tmp_path / "bad.csv", layout, bad=" nan ")
+    got = outcome(ingest_prices, f)
+    assert got == outcome(reference_ingest, f)
+    assert got[1].endswith("non-finite price ' nan '") and calls
+
+
+@pytest.mark.parametrize("layout", ["long", "long_by_date", "wide"])
+def test_ingest_memory_follows_the_panel(tmp_path, layout):
+    # prices are written batch by batch into one grid, so the traced peak
+    # is a small multiple of the panel however many rows the file has; a
+    # long file by symbol adds grid rows, one by date adds grid columns
+    n_symbols, n_days = 100, 2000
+    symbols = [f"S{j:03d}" for j in range(n_symbols)]
+    days = [(date(2001, 1, 1) + timedelta(days=k)).isoformat() for k in range(n_days)]
+    if layout.startswith("long"):
+        rows = [f"{day},{s},{100.0 + k / 7 + j!r}" for j, s in enumerate(symbols) for k, day in enumerate(days)]
+        if layout == "long_by_date":
+            rows.sort(key=lambda row: row[:10])
+        header = "date,symbol,adj_close"
+    else:
+        rows = [",".join([day, *(repr(100.0 + k / 7 + j) for j in range(n_symbols))]) for k, day in enumerate(days)]
+        header = ",".join(["date", *symbols])
+    f = tmp_path / "large.csv"
+    f.write_text("\n".join([header, *rows]) + "\n")
+    del rows
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        panel = ingest_prices(f)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert panel.prices.shape == (n_symbols, n_days)
+    assert peak <= 6 * panel.prices.nbytes, peak / panel.prices.nbytes
 
 
 def plain_chunks(monkeypatch):
