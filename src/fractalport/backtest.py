@@ -44,7 +44,6 @@ from fractalport.spreads import PricePanel, spread_returns, window_returns
 __all__ = [
     "TRADING_DAYS_PER_YEAR",
     "BacktestConfig",
-    "SelectedSpreadInfo",
     "WindowResult",
     "BacktestReport",
     "max_drawdown",
@@ -67,7 +66,7 @@ class BacktestConfig:
     commission_per_share: float = 0.005
     overnight_rate_annual: float = 0.01
     benchmark_symbol: str = "SPY"
-    hurst_cap: float = 0.5
+    hurst_cap: float = SelectionConfig.hurst_cap
     reinvest: bool = True
 
     def __post_init__(self):
@@ -89,25 +88,9 @@ class BacktestConfig:
             raise ParameterError("commission per share must be non-negative")
         if self.overnight_rate_annual < 0:
             raise ParameterError("overnight rate must be non-negative")
-        if not 0.0 < self.hurst_cap <= 0.5:
-            raise ParameterError(f"hurst cap must lie in (0, 0.5], got {self.hurst_cap}")
+        SelectionConfig(horizon_days=self.test_days, hurst_cap=self.hurst_cap)  # checks the cap
         if not self.benchmark_symbol:
             raise ParameterError("benchmark symbol must be set")
-
-
-@dataclass(frozen=True)
-class SelectedSpreadInfo:
-    """Training-window statistics of one selected spread."""
-
-    long_symbol: str
-    short_symbol: str
-    chi: float
-    hurst: float
-    hurst_err: float
-    kelly_weight: float
-    mean_delta: float
-    theta: float
-    weight: float
 
 
 @dataclass(frozen=True)
@@ -115,8 +98,9 @@ class WindowResult:
     """One test window. ``scale_k`` is the leverage over the sum of the
     clamped raw spread weights and ``asset_legs`` the signed notional
     fraction of equity per symbol; ``leverage`` and ``scale_k`` are
-    ``None`` and ``asset_legs`` is empty when nothing is invested. Each
-    spread's weight is its ``selected`` entry's ``weight``."""
+    ``None`` and ``asset_legs`` is empty when nothing is invested.
+    ``selected`` holds the selected spreads' ``Candidates.rows()`` records,
+    each with its ``weight`` added."""
 
     window_index: int
     leverage: Optional[float]
@@ -126,7 +110,7 @@ class WindowResult:
     window_return: float
     benchmark_return: float
     costs_paid: float
-    selected: tuple[SelectedSpreadInfo, ...]
+    selected: list[dict]
     shares: dict[str, int]
     daily_costs: np.ndarray
     dates: tuple[str, ...]
@@ -146,7 +130,8 @@ class BacktestReport:
     benchmark_correlation: Optional[float]
     market_neutrality: Optional[float]
     avg_max_weight: Optional[float]
-    asset_count_range: tuple[int, int]
+    asset_count_min: int
+    asset_count_max: int
 
 
 def max_drawdown(equity) -> float:
@@ -240,10 +225,10 @@ def _optimize_window(returns: np.ndarray, sel: Candidates, cfg: BacktestConfig):
     """Training-window pipeline after selection: the leverage scale factor,
     the held asset indices and their legs (``compose_legs``) and the
     records of the spreads ``sel``, selected from the window's
-    (assets x days) ``returns``. The scale factor is ``None`` and the rest
-    is empty when nothing is invested."""
+    (assets x days) ``returns``, each with its weight. The scale factor is
+    ``None`` and the rest is empty when nothing is invested."""
     if not sel:
-        return None, np.zeros(0, dtype=np.intp), np.zeros(0), ()
+        return None, np.zeros(0, dtype=np.intp), np.zeros(0), []
     cov = covariance_matrix(spread_returns(returns, sel.long, sel.short, sel.chi))
     rescaled = rescale_covariance(cov, sel.h, cfg.test_days)
     rows = sel.rows()
@@ -252,10 +237,11 @@ def _optimize_window(returns: np.ndarray, sel: Candidates, cfg: BacktestConfig):
     try:
         weights, scale_k = apply_leverage(raw, cfg.leverage)
     except EmptyPortfolioError:
-        return None, np.zeros(0, dtype=np.intp), np.zeros(0), ()
+        return None, np.zeros(0, dtype=np.intp), np.zeros(0), []
     held, legs = compose_legs(weights, sel.long, sel.short, sel.chi)
-    info = tuple(SelectedSpreadInfo(**row, weight=w) for row, w in zip(rows, weights.tolist()))
-    return scale_k, held, legs, info
+    for row, w in zip(rows, weights.tolist()):
+        row["weight"] = w
+    return scale_k, held, legs, rows
 
 
 def run_walk_forward(panel: PricePanel, cfg: BacktestConfig) -> BacktestReport:
@@ -429,5 +415,6 @@ def compute_metrics(
         benchmark_correlation=corr,
         market_neutrality=neutrality,
         avg_max_weight=avg_max_weight,
-        asset_count_range=(min(counts), max(counts)),
+        asset_count_min=min(counts),
+        asset_count_max=max(counts),
     )

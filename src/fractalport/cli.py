@@ -65,21 +65,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p_select.add_argument("--prices", required=True, help="price CSV (long or wide)")
     p_select.add_argument("--start", required=True, help="first date of the window, YYYY-MM-DD")
     p_select.add_argument("--end", required=True, help="last date of the window, YYYY-MM-DD")
-    p_select.add_argument("--horizon-days", type=int, default=126)
-    p_select.add_argument("--hurst-cap", type=float, default=0.5)
-    p_select.add_argument("--max-spreads", type=int, default=None)
+    p_select.add_argument("--horizon-days", type=int, default=SelectionConfig.horizon_days)
+    p_select.add_argument("--hurst-cap", type=float, default=SelectionConfig.hurst_cap)
+    p_select.add_argument("--max-spreads", type=int, default=SelectionConfig.max_spreads)
     p_select.add_argument("--output", default=None, help="write JSON here instead of stdout")
 
     p_bt = sub.add_parser("backtest", help="walk-forward out-of-sample backtest")
     p_bt.add_argument("--prices", required=True, help="price CSV (long or wide)")
     p_bt.add_argument("--benchmark", required=True, help="benchmark symbol in the CSV")
-    p_bt.add_argument("--train-days", type=int, default=126)
-    p_bt.add_argument("--test-days", type=int, default=126)
-    p_bt.add_argument("--leverage", type=float, default=2.0)
-    p_bt.add_argument("--capital", type=float, default=100_000.0)
-    p_bt.add_argument("--commission-per-share", type=float, default=0.005)
-    p_bt.add_argument("--overnight-rate", type=float, default=0.01)
-    p_bt.add_argument("--hurst-cap", type=float, default=0.5)
+    p_bt.add_argument("--train-days", type=int, default=BacktestConfig.train_days)
+    p_bt.add_argument("--test-days", type=int, default=BacktestConfig.test_days)
+    p_bt.add_argument("--leverage", type=float, default=BacktestConfig.leverage)
+    p_bt.add_argument("--capital", type=float, default=BacktestConfig.initial_capital)
+    p_bt.add_argument("--commission-per-share", type=float, default=BacktestConfig.commission_per_share)
+    p_bt.add_argument("--overnight-rate", type=float, default=BacktestConfig.overnight_rate_annual)
+    p_bt.add_argument("--hurst-cap", type=float, default=BacktestConfig.hurst_cap)
     p_bt.add_argument("--no-reinvest", action="store_true")
     p_bt.add_argument("--output", required=True, help="report JSON path")
     p_bt.add_argument("--equity-csv", default=None, help="optional daily equity CSV")
@@ -225,7 +225,7 @@ def _print_summary(report) -> None:
         ("benchmark correlation", _fmt(report.benchmark_correlation)),
         ("market neutrality", _fmt(report.market_neutrality)),
         ("avg max weight", _fmt(report.avg_max_weight)),
-        ("assets held (min-max)", f"{report.asset_count_range[0]}-{report.asset_count_range[1]}"),
+        ("assets held (min-max)", f"{report.asset_count_min}-{report.asset_count_max}"),
     ]
     width = max(len(k) for k, _ in rows)
     for key, value in rows:

@@ -367,27 +367,18 @@ def write_prices_wide(path, series: Sequence[PriceSeries]) -> None:
 def report_to_dict(report: BacktestReport, cfg: BacktestConfig) -> dict:
     """JSON-ready representation of a backtest report.
 
-    ``config``, ``metrics``, each window and each ``selected`` entry are
-    keyed by the field names of ``BacktestConfig``, ``BacktestReport``
-    (less its windows and single returns, with ``asset_count_range`` split
-    into min and max), ``WindowResult`` (plus the window's ``start_date``
-    and ``end_date``) and ``SelectedSpreadInfo``.
+    ``config``, ``metrics`` and each window are keyed by the field names
+    of ``BacktestConfig``, ``BacktestReport`` (less its windows and single
+    returns) and ``WindowResult`` (plus the window's ``start_date`` and
+    ``end_date``); each ``selected`` entry is written as the window holds it.
     """
-    windows = []
-    for w in report.windows:
-        entry = dict(vars(w))
-        entry.update(
-            start_date=w.dates[0],
-            end_date=w.dates[-1],
-            dates=list(w.dates),
-            daily_equity=w.daily_equity.tolist(),
-            daily_costs=w.daily_costs.tolist(),
-            selected=[dict(vars(s)) for s in w.selected],
-        )
-        windows.append(entry)
+    windows = [
+        dict(vars(w), start_date=w.dates[0], end_date=w.dates[-1], dates=list(w.dates),
+             daily_equity=w.daily_equity.tolist(), daily_costs=w.daily_costs.tolist())
+        for w in report.windows
+    ]
     metrics = dict(vars(report))
     del metrics["windows"], metrics["single_returns"]
-    metrics["asset_count_min"], metrics["asset_count_max"] = metrics.pop("asset_count_range")
     return {
         "schema_version": SCHEMA_VERSION,
         "config": dict(vars(cfg)),

@@ -31,9 +31,6 @@ __all__ = [
 # Variance floor below which the hedge regression is meaningless.
 HEDGE_VARIANCE_EPS = 1e-12
 
-# Minimum overlapping observations for a hedge-ratio estimate.
-MIN_HEDGE_LENGTH = 32
-
 # Spread paths built and covered together as rows of one array block:
 # enough rows to amortize numpy's per-call overhead, few enough that each
 # (pairs x days) temporary takes 2 KB per day of history (0.25 MB at 126
@@ -100,8 +97,9 @@ class Candidates:
         return self.window.size
 
     def rows(self) -> list[dict]:
-        """One record per row, keyed by the output names of a selected spread:
-        the ``select`` output and ``SelectedSpreadInfo`` use these names."""
+        """One record per row, keyed by the output names of a selected spread,
+        as the ``select`` output and the backtest report's ``selected``
+        entries write it."""
         columns = {
             "long_symbol": [self.symbols[k] for k in self.long.tolist()],
             "short_symbol": [self.symbols[k] for k in self.short.tolist()],
@@ -180,13 +178,16 @@ def build_generating_matrix(returns: np.ndarray, symbols, cfg: SelectionConfig) 
     reversed, long j and short chi' = 1/chi units of i, with mean -mean/chi
     and theta/chi; the cover fit is scale-invariant, so h is that of the
     unreversed path.
+
+    A window too short for a Hurst fit (``fbm.MIN_HURST_LENGTH - 1``
+    returns) raises ``InsufficientDataError``, whatever its pairs.
     """
     n_assets, n_days = returns.shape[-2:]
     if n_assets < 2:
         raise ParameterError(f"universe needs at least 2 assets, got {n_assets}")
-    if n_days < MIN_HEDGE_LENGTH:
+    if n_days + 1 < fbm.MIN_HURST_LENGTH:
         raise InsufficientDataError(
-            f"need at least {MIN_HEDGE_LENGTH} overlapping returns, got {n_days}"
+            f"need at least {fbm.MIN_HURST_LENGTH - 1} returns for a Hurst fit, got {n_days}"
         )
     stack = returns.reshape(-1, n_assets, n_days)
     incr = np.diff(stack, axis=-1)

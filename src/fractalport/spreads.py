@@ -14,6 +14,7 @@ and ``selection.build_generating_matrix`` forms no pair with it.
 """
 from __future__ import annotations
 
+from datetime import date
 from itertools import compress
 from typing import NamedTuple, Sequence
 
@@ -89,13 +90,23 @@ def _check_prices(symbols, dates, prices: np.ndarray, observed: np.ndarray) -> N
 
 def price_panel(series: Sequence[PriceSeries]) -> PricePanel:
     """The panel holding ``series``, the same one ``ingest_prices`` reads
-    from a CSV of them, and the one check of a series: its dates, in any
-    order, match its prices one to one, and a NaN is a bad price, not a gap."""
+    from a CSV of them, and the one check of a series: its symbol is
+    non-empty with no surrounding whitespace, its dates are ``YYYY-MM-DD``
+    strings that, in any order, match its prices one to one, and a NaN is
+    a bad price, not a gap."""
     ordered = sorted(series, key=lambda p: p.symbol)
     symbols = tuple(p.symbol for p in ordered)
+    for sym in symbols:
+        if not sym or sym != sym.strip():
+            raise ValidationError(f"{sym!r}: symbol is empty or has surrounding whitespace")
     if len(set(symbols)) != len(symbols):
         raise ValidationError(f"duplicate symbols: {list(symbols)}")
-    dates = tuple(sorted(set().union(*(p.dates for p in ordered))))
+    union = set().union(*(p.dates for p in ordered))
+    bad = {d for d in union if not _is_iso_date(d)}
+    if bad:
+        p, day = next((p, d) for p in ordered for d in p.dates if d in bad)
+        raise ValidationError(f"{p.symbol}: date {day!r} is not a YYYY-MM-DD string")
+    dates = tuple(sorted(union))
     column = {d: t for t, d in enumerate(dates)}
     prices = np.full((len(ordered), len(dates)), np.nan)
     observed = np.zeros(prices.shape, dtype=bool)
@@ -110,6 +121,13 @@ def price_panel(series: Sequence[PriceSeries]) -> PricePanel:
     _check_prices(symbols, dates, prices, observed)
     prices.flags.writeable = False
     return PricePanel(symbols, dates, prices)
+
+
+def _is_iso_date(day) -> bool:
+    try:
+        return date.fromisoformat(day).isoformat() == day
+    except (TypeError, ValueError):
+        return False
 
 
 def window_returns(prices: np.ndarray) -> np.ndarray:

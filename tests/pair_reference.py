@@ -15,12 +15,7 @@ import numpy as np
 
 from fractalport.errors import InsufficientDataError
 from fractalport.fbm import MIN_HURST_LENGTH, cover_amplitudes, window_ladder
-from fractalport.selection import (
-    HEDGE_VARIANCE_EPS,
-    MIN_HEDGE_LENGTH,
-    SPREAD_VARIANCE_FLOOR,
-    fractal_kelly_weight,
-)
+from fractalport.selection import HEDGE_VARIANCE_EPS, SPREAD_VARIANCE_FLOOR, fractal_kelly_weight
 from fractalport.spreads import spread_returns
 
 
@@ -39,8 +34,9 @@ class Spread(NamedTuple):
 def hedge_ratio(r_i, r_j) -> float:
     """Hedge ratio of r_i over r_j: the OLS slope of r_i's one-day
     increments on r_j's, NaN when r_j's have variance below
-    ``HEDGE_VARIANCE_EPS``."""
-    if r_i.size < MIN_HEDGE_LENGTH:
+    ``HEDGE_VARIANCE_EPS``. Raises on fewer returns than a Hurst fit needs,
+    as the engine does."""
+    if r_i.size + 1 < MIN_HURST_LENGTH:
         raise InsufficientDataError(f"{r_i.size} returns")
     di, dj = np.diff(r_i), np.diff(r_j)
     var_j = float(np.var(dj))
@@ -93,11 +89,16 @@ def candidates(universe, cfg):
     """(long, short, chi, deltas, mean, theta, h, h_err, kelly) per kept
     pair of ``universe``, rows with ``symbol``, ``returns`` and ``dates``.
 
-    A pair is dropped when its legs' returns fall on different dates, when
-    its hedge ratio is NaN or not positive, when its path has no usable
-    fit, or when its spread's variance is at most ``SPREAD_VARIANCE_FLOOR``
-    times its legs' summed variances.
+    A row of fewer returns than a path needs for a Hurst fit raises
+    ``InsufficientDataError`` before any pair is formed. A pair is dropped
+    when its legs' returns fall on different dates, when its hedge ratio
+    is NaN or not positive, when its path has no usable fit, or when its
+    spread's variance is at most ``SPREAD_VARIANCE_FLOOR`` times its legs'
+    summed variances.
     """
+    short = next((r for r in universe if r.returns.size + 1 < MIN_HURST_LENGTH), None)
+    if short is not None:
+        raise InsufficientDataError(f"{short.symbol}: {short.returns.size} returns")
     out = []
     for ri, rj in itertools.combinations(universe, 2):
         if ri.dates != rj.dates:

@@ -224,7 +224,7 @@ def test_07_no_lookahead(universe, backtest_cfg, report):
     w1, w2 = report.windows[2], rep2.windows[2]
     identical = (
         w1.shares == w2.shares
-        and [s.weight for s in w1.selected] == [s.weight for s in w2.selected]
+        and [s["weight"] for s in w1.selected] == [s["weight"] for s in w2.selected]
         and w1.asset_legs == w2.asset_legs
     )
     pnl_changed = w1.window_return != w2.window_return and not np.array_equal(
@@ -260,12 +260,12 @@ def test_09_synthetic_end_to_end(universe, backtest_cfg):
         hits = sum(
             1
             for w in rep.windows
-            if any(tuple(sorted((s.long_symbol, s.short_symbol))) == pair for s in w.selected)
+            if any(tuple(sorted((s["long_symbol"], s["short_symbol"]))) == pair for s in w.selected)
         )
         rates.append(hits / n)
     corr_ok = abs(rep.benchmark_correlation) < 0.3
     rates_ok = all(r >= 0.8 for r in rates)
-    hurst_ok = all(s.hurst + s.hurst_err < 0.5 for w in rep.windows for s in w.selected)
+    hurst_ok = all(s["hurst"] + s["hurst_err"] < 0.5 for w in rep.windows for s in w.selected)
     ok = corr_ok and rates_ok and hurst_ok and elapsed < 60.0
     record(9, "synthetic end-to-end hedging reproduction", ok,
            f"rho={rep.benchmark_correlation:+.3f}, pair_rates={[f'{r:.0%}' for r in rates]}, "

@@ -283,7 +283,7 @@ class TestConfigValidation:
             BacktestConfig(train_days=10)
 
     def test_hurst_cap_range(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=r"hurst cap must lie in \(0, 0.5\], got 0.7"):
             BacktestConfig(hurst_cap=0.7)
 
     @pytest.mark.parametrize(
@@ -325,6 +325,14 @@ class TestRunWalkForward:
         assert all(not w.shares for w in rep.windows)
         assert all(w.costs_paid == 0.0 for w in rep.windows)
 
+    def test_one_traded_symbol(self):
+        series = [
+            PriceSeries(symbol=s, dates=dates(300), prices=np.full(300, 50.0))
+            for s in ("A", "SPY")
+        ]
+        with pytest.raises(ParameterError, match="universe needs at least 2 assets, got 1"):
+            run_walk_forward(price_panel(series), BacktestConfig(benchmark_symbol="SPY"))
+
     def test_insufficient_history(self):
         series = [
             PriceSeries(symbol=s, dates=dates(200), prices=np.full(200, 50.0))
@@ -363,7 +371,7 @@ class TestRunWalkForward:
         rep2 = run_walk_forward(price_panel(mutated + [u.benchmark]), cfg)
         w1, w2 = rep.windows[1], rep2.windows[1]
         assert w1.shares == w2.shares
-        assert [s.weight for s in w1.selected] == [s.weight for s in w2.selected]
+        assert [s["weight"] for s in w1.selected] == [s["weight"] for s in w2.selected]
         assert w1.asset_legs == w2.asset_legs
         assert w1.window_return != w2.window_return
 
@@ -547,6 +555,30 @@ def test_uninvested_windows_in_report():
         assert w["costs_paid"] == 0.0
         assert w["daily_equity"] == [w["daily_equity"][0]] * len(w["dates"])
     assert doc["metrics"]["avg_max_weight"] is None
+    assert doc["metrics"]["asset_count_min"] == doc["metrics"]["asset_count_max"] == 0
+
+
+def test_no_positive_weight_leaves_windows_uninvested(small_run, monkeypatch):
+    # every window selects spreads, but the optimizer gives none a positive
+    # weight: the portfolio is empty, and each window holds nothing, as in
+    # a window that selects nothing
+    u, cfg, rep = small_run
+    assert all(w.selected for w in rep.windows)
+    solved = []
+
+    def solve_weights(cov, mean, labels):
+        solved.append(labels)
+        return -np.ones(len(labels))
+
+    monkeypatch.setattr(backtest, "solve_weights", solve_weights)
+    empty = run_walk_forward(price_panel(u.prices + [u.benchmark]), cfg)
+    assert len(solved) == len(empty.windows) == len(rep.windows)
+    doc = json.loads(report_to_json(empty, cfg))
+    for w in doc["windows"]:
+        assert w["leverage"] is None and w["scale_k"] is None
+        assert w["asset_legs"] == w["shares"] == {}
+        assert w["selected"] == []
+        assert w["daily_equity"] == [w["daily_equity"][0]] * len(w["dates"])
     assert doc["metrics"]["asset_count_min"] == doc["metrics"]["asset_count_max"] == 0
 
 

@@ -10,7 +10,7 @@ from fractalport.cli import main
 from fractalport.errors import ParseError, ValidationError
 from fractalport.fbm import estimate_hurst, generate_fbm
 from fractalport.io import ingest_prices, write_prices_wide
-from fractalport.spreads import price_panel
+from fractalport.spreads import PriceSeries, price_panel
 
 
 def blank_cells(src, dst, blanks):
@@ -168,6 +168,32 @@ class TestIngestWide:
         out = tmp_path / "dup.csv"
         with pytest.raises(ValidationError, match="duplicate symbols"):
             write_prices_wide(out, universe.prices[:2] + universe.prices[:1])
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "symbol,dates,message",
+        [
+            ("A", ("2020-1-8", "2020-1-9", "2020-1-10"), "A: date '2020-1-8' is not a YYYY-MM-DD string"),
+            ("A", ("2020-01-08", "20200109", "2020-01-10"), "A: date '20200109' is not a YYYY-MM-DD string"),
+            ("A", ("2020-01-08", None, "2020-01-10"), "A: date None is not a YYYY-MM-DD string"),
+            (" A ", ("2020-01-08", "2020-01-09", "2020-01-10"), "' A ': symbol is empty or has surrounding whitespace"),
+            ("", ("2020-01-08", "2020-01-09", "2020-01-10"), "'': symbol is empty or has surrounding whitespace"),
+        ],
+        ids=["unpadded_dates", "basic_date", "not_a_string", "padded_symbol", "empty_symbol"],
+    )
+    def test_series_that_would_not_read_back_not_written(self, tmp_path, symbol, dates, message):
+        # ingest reads dates as YYYY-MM-DD and strips symbols, so such a
+        # file would misorder its dates or not read back as written
+        series = [
+            PriceSeries("B", ("2020-01-08", "2020-01-09", "2020-01-10"), np.array([1.0, 2.0, 3.0])),
+            PriceSeries(symbol, dates, np.array([4.0, 5.0, 6.0])),
+        ]
+        with pytest.raises(ValidationError) as exc:
+            price_panel(series)
+        assert str(exc.value) == message
+        out = tmp_path / "bad.csv"
+        with pytest.raises(ValidationError):
+            write_prices_wide(out, series)
         assert not out.exists()
 
 
@@ -334,6 +360,39 @@ class TestCmdSelect:
         captured = capsys.readouterr()
         assert captured.err == "data error: fewer than 2 dates have prices in [2015-01-02, 2015-01-02]\n"
 
+    def test_fewer_than_two_fully_priced_symbols_exits_3(self, tmp_path, capsys):
+        # B and C each lack a different day that the other two price
+        f = tmp_path / "gaps.csv"
+        days = [f"2020-01-{d:02d}" for d in range(1, 11)]
+        f.write_text("date,A,B,C\n" + "".join(
+            f"{d},{1 + t},{'' if t == 4 else 2 + t},{'' if t == 5 else 3 + t}\n"
+            for t, d in enumerate(days)
+        ))
+        args = ["select", "--prices", str(f), "--start", days[0], "--end", days[-1]]
+        assert main(args) == 3
+        captured = capsys.readouterr()
+        assert captured.err.endswith(
+            "data error: fewer than 2 symbols are priced on every date in [2020-01-01, 2020-01-10]\n"
+        )
+        assert captured.out == ""
+
+    def test_window_too_short_for_a_hurst_fit_exits_3(self, fixture_csv, capsys):
+        # 40 trading days give 39 returns; a Hurst fit needs 63
+        args = ["select", "--prices", str(fixture_csv), "--start", "2015-01-02", "--end", "2015-02-26"]
+        assert main(args) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "data error: need at least 63 returns for a Hurst fit, got 39\n"
+        assert captured.out == ""
+
+    def test_output_file_holds_the_stdout_bytes(self, fixture_csv, tmp_path, capsys):
+        args = ["select", "--prices", str(fixture_csv), "--start", "2015-01-02", "--end", "2015-06-30"]
+        assert main(args) == 0
+        stdout = capsys.readouterr().out
+        out = tmp_path / "select.json"
+        assert main(args + ["--output", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == stdout.encode()
+
     def test_bad_range_exits_3(self, fixture_csv, capsys):
         args = [
             "select", "--prices", str(fixture_csv),
@@ -462,6 +521,35 @@ class TestCmdBacktest:
         assert err.startswith("numerical error:")
         assert re.search(message, err), err
         assert not out.exists()
+
+    def test_exhausted_capital_exits_4(self, fixture_csv, tmp_path, capsys):
+        # reinvested, a window that loses more than its capital leaves the
+        # next one nothing to invest
+        out = tmp_path / "r.json"
+        args = [
+            "backtest", "--prices", str(fixture_csv), "--benchmark", "MKT",
+            "--leverage", "400", "--output", str(out),
+        ]
+        assert main(args) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: capital exhausted or overflowed before window 3: -")
+        assert not out.exists()
+
+    def test_one_window_summary_reads_n_a(self, fixture_csv, tmp_path, capsys):
+        # the spread of window returns needs two windows
+        args = [
+            "backtest", "--prices", str(fixture_csv), "--benchmark", "MKT",
+            "--test-days", "2394", "--output", str(tmp_path / "r.json"),
+        ]
+        assert main(args) == 0
+        summary = dict(
+            re.fullmatch(r"(.+?)  +(\S+)", line).groups()
+            for line in capsys.readouterr().out.splitlines()
+        )
+        assert summary["windows"] == "1"
+        for key in ("annual volatility", "sharpe", "benchmark correlation", "market neutrality"):
+            assert summary[key] == "n/a"
+        assert summary["cumulative return"].endswith("%")
 
     def test_total_loss_floors_annual_return(self, fixture_csv, tmp_path):
         # without reinvestment the compounded equity can end below zero,

@@ -8,7 +8,8 @@ selected pairs and share counts exactly, and the headline metrics to
 show that. The 21-day run also pins the sha256 of its report, and the
 ``make-fixture``, ``select`` and ``hurst`` outputs on the seed-3 fixture
 are pinned by theirs. The key sets of the report and ``select`` records
-are pinned to the dataclasses that name them.
+are pinned: the report's ``config`` to ``BacktestConfig``'s fields, the
+rest as literal sets.
 """
 import hashlib
 import json
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from fractalport.backtest import BacktestConfig, SelectedSpreadInfo, run_walk_forward
+from fractalport.backtest import BacktestConfig, run_walk_forward
 from fractalport.cli import main
 from fractalport.io import report_to_dict, report_to_json
 from fractalport.spreads import price_panel
@@ -37,7 +38,7 @@ def assert_windows_match(report, golden):
     """Each window's selected pairs and share counts, exactly."""
     got = [
         {
-            "selected": [[s.long_symbol, s.short_symbol] for s in w.selected],
+            "selected": [[s["long_symbol"], s["short_symbol"]] for s in w.selected],
             "shares": w.shares,
         }
         for w in report.windows
@@ -125,7 +126,10 @@ def test_record_keys_pinned(golden_report_21, fixture_csv_3, capsys):
         "benchmark_correlation", "market_neutrality", "avg_max_weight",
         "asset_count_min", "asset_count_max",
     }
-    spread = {f.name for f in fields(SelectedSpreadInfo)}
+    spread = {
+        "long_symbol", "short_symbol", "chi", "hurst", "hurst_err", "kelly_weight",
+        "mean_delta", "theta", "weight",
+    }
     selected = [s for w in doc["windows"] for s in w["selected"]]
     assert selected and all(set(s) == spread for s in selected)
     select = json.loads(cli_stdout(capsys, select_args(fixture_csv_3)))

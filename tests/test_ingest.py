@@ -12,7 +12,7 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fractalport.io as fio
@@ -250,6 +250,9 @@ def csv_path(tmp_path_factory):
 
 @settings(max_examples=400, deadline=None)
 @given(price_files(), st.sampled_from([fio.READ_BATCH_CELLS, 8, 3]))
+@example(case=("", "empty_file"), batch_cells=fio.READ_BATCH_CELLS)
+@example(case=("date,A,B,A\n2020-01-01,1,2,3\n2020-01-02,1,2,3\n", "repeated_symbol"), batch_cells=3)
+@example(case=("date,A, ,B\n2020-01-01,1,2,3\n2020-01-02,1,2,3\n", "empty_symbol"), batch_cells=3)
 def test_matches_reference(csv_path, case, batch_cells):
     text, fault = case
     csv_path.write_bytes(text.encode())

@@ -31,7 +31,6 @@ from fractalport.optimizer import (
     solve_weights,
 )
 from fractalport.selection import (
-    MIN_HEDGE_LENGTH,
     PAIR_BLOCK,
     SelectionConfig,
     build_generating_matrix,
@@ -180,10 +179,10 @@ class TestMatchesPerPairReference:
     @pytest.mark.parametrize(
         "n_days,error",
         [
-            (MIN_HEDGE_LENGTH - 1, InsufficientDataError),
+            (MIN_HURST_LENGTH // 2, InsufficientDataError),
             (MIN_HURST_LENGTH - 2, InsufficientDataError),
         ],
-        ids=["hedge_too_short", "path_too_short"],
+        ids=["half_length", "path_too_short"],
     )
     def test_same_errors(self, n_days, error):
         universe = make_universe(random_returns(np.random.default_rng(7), 4, n_days))
@@ -219,12 +218,15 @@ class TestMatchesPerPairReference:
             assert_near_reference(got.chi[k], got.mean[k], got.theta[k], deltas[k], ref, returns_of)
             assert got.h[k] == pytest.approx(ref[6], rel=1e-12)
 
-    def test_all_pairs_dropped_is_not_an_error(self):
-        # a short path raises only once some pair survives the hedge
+    def test_short_window_raises_though_no_pair_hedges(self):
+        # the window is checked on entry: one too short for a Hurst fit
+        # raises even when every pair would be dropped at the hedge
         base = 0.01 * np.random.default_rng(8).standard_normal(40)
         universe = make_universe([base, -base])
-        assert reference_candidates(universe, SelectionConfig()) == []
-        assert len(build(universe, SelectionConfig())[1]) == 0
+        with pytest.raises(InsufficientDataError):
+            reference_candidates(universe, SelectionConfig())
+        with pytest.raises(InsufficientDataError, match="need at least 63 returns"):
+            build(universe, SelectionConfig())
 
 
 def test_window_optimizer_on_reference_deltas():
@@ -243,14 +245,14 @@ def test_window_optimizer_on_reference_deltas():
     want = {(c[0], c[1]): c for c in reference_candidates(universe, SelectionConfig(126))}
     returns_of = {r.symbol: r.returns for r in universe}
     for s, row in zip(info, deltas):
-        ref = want[(s.long_symbol, s.short_symbol)]
-        assert_near_reference(s.chi, s.mean_delta, s.theta, row, ref, returns_of)
+        ref = want[(s["long_symbol"], s["short_symbol"])]
+        assert_near_reference(s["chi"], s["mean_delta"], s["theta"], row, ref, returns_of)
     cov = covariance_matrix(deltas)
-    cr = rescale_covariance(cov, [s.hurst for s in info], cfg.test_days)
-    mean = [s.mean_delta for s in info]
-    labels = [f"{s.long_symbol}/{s.short_symbol}" for s in info]
+    cr = rescale_covariance(cov, [s["hurst"] for s in info], cfg.test_days)
+    mean = [s["mean_delta"] for s in info]
+    labels = [f"{s['long_symbol']}/{s['short_symbol']}" for s in info]
     expected, expected_k = apply_leverage(solve_weights(cr, mean, labels), cfg.leverage)
-    np.testing.assert_array_equal([s.weight for s in info], expected)
+    np.testing.assert_array_equal([s["weight"] for s in info], expected)
     assert scale_k == expected_k
     want_held, want_legs = compose_legs(expected, sel.long, sel.short, sel.chi)
     assert held.tolist() == want_held.tolist()
