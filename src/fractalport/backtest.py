@@ -20,12 +20,13 @@ import numpy as np
 
 from fractalport.errors import (
     DataError,
-    EmptyPortfolioError,
     NumericalError,
     ParameterError,
+    SingularMatrixError,
 )
 from fractalport.fbm import MIN_HURST_LENGTH
 from fractalport.optimizer import (
+    RescaledCovariance,
     apply_leverage,
     compose_legs,
     covariance_matrix,
@@ -75,8 +76,6 @@ class BacktestConfig:
                 f"train window must be at least {MIN_HURST_LENGTH} days "
                 f"(Hurst estimator minimum), got {self.train_days}"
             )
-        if self.test_days < 1:
-            raise ParameterError(f"test window must be positive, got {self.test_days}")
         for name in ("leverage", "initial_capital", "commission_per_share", "overnight_rate_annual"):
             if not math.isfinite(getattr(self, name)):
                 raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
@@ -88,9 +87,14 @@ class BacktestConfig:
             raise ParameterError("commission per share must be non-negative")
         if self.overnight_rate_annual < 0:
             raise ParameterError("overnight rate must be non-negative")
-        SelectionConfig(horizon_days=self.test_days, hurst_cap=self.hurst_cap)  # checks the cap
+        self.selection  # checks the test window and the cap
         if not self.benchmark_symbol:
             raise ParameterError("benchmark symbol must be set")
+
+    @property
+    def selection(self) -> SelectionConfig:
+        """Every window's selection settings: its horizon is one test window."""
+        return SelectionConfig(horizon_days=self.test_days, hurst_cap=self.hurst_cap)
 
 
 @dataclass(frozen=True)
@@ -221,27 +225,58 @@ def _mark_window(
     return np.array(equity), np.array(costs)
 
 
-def _optimize_window(returns: np.ndarray, sel: Candidates, cfg: BacktestConfig):
-    """Training-window pipeline after selection: the leverage scale factor,
-    the held asset indices and their legs (``compose_legs``) and the
-    records of the spreads ``sel``, selected from the window's
-    (assets x days) ``returns``, each with its weight. The scale factor is
-    ``None`` and the rest is empty when nothing is invested."""
-    if not sel:
-        return None, np.zeros(0, dtype=np.intp), np.zeros(0), []
-    cov = covariance_matrix(spread_returns(returns, sel.long, sel.short, sel.chi))
-    rescaled = rescale_covariance(cov, sel.h, cfg.test_days)
+def _invest_group(stack: np.ndarray, sel: Candidates, cfg: BacktestConfig) -> list:
+    """The positions of each window of a group, from its (assets x days)
+    training returns ``stack[w]`` and its rows of the selected table ``sel``.
+
+    A window's entry is its leverage scale factor, its held asset indices
+    and their legs (``compose_legs``) and the records of its selected
+    spreads, each with its weight; the scale factor is ``None`` and the rest
+    empty when nothing is invested: no spread selected, or none with a
+    positive raw weight. A window whose rescaled covariance is singular gets
+    its ``SingularMatrixError`` instead, for the walk to raise when it
+    reaches that window.
+
+    The windows are bucketed by their number m of selected spreads, and each
+    bucket goes through the covariance, rescaling, solve, leverage and legs
+    as one stack of (m x days) spread returns, each window with the bits it
+    gets alone.
+    """
+    bounds = np.searchsorted(sel.window, np.arange(len(stack) + 1))
+    counts = np.diff(bounds)
     rows = sel.rows()
-    labels = [f"{r['long_symbol']}/{r['short_symbol']}" for r in rows]
-    raw = solve_weights(rescaled, sel.mean, labels)
-    try:
-        weights, scale_k = apply_leverage(raw, cfg.leverage)
-    except EmptyPortfolioError:
-        return None, np.zeros(0, dtype=np.intp), np.zeros(0), []
-    held, legs = compose_legs(weights, sel.long, sel.short, sel.chi)
-    for row, w in zip(rows, weights.tolist()):
-        row["weight"] = w
-    return scale_k, held, legs, rows
+    plans: list = [(None, np.zeros(0, dtype=np.intp), np.zeros(0), []) for _ in range(len(stack))]
+    for m in sorted(set(counts.tolist()) - {0}):  # not np.unique: it imports numpy.ma
+        windows = np.flatnonzero(counts == m)
+        starts = bounds[windows]
+        idx = starts[:, None] + np.arange(m)
+        long, short, chi, mean = sel.long[idx], sel.short[idx], sel.chi[idx], sel.mean[idx]
+        cov = covariance_matrix(spread_returns(stack[windows], long, short, chi))
+        rescaled = rescale_covariance(cov, sel.h[idx], cfg.test_days)
+        try:
+            raw = solve_weights(rescaled, mean)
+        except SingularMatrixError:  # each window alone, its error naming its pairs
+            raw = np.full(mean.shape, np.nan)
+            for k, (w, lo) in enumerate(zip(windows.tolist(), starts.tolist())):
+                labels = [f"{r['long_symbol']}/{r['short_symbol']}" for r in rows[lo : lo + m]]
+                one = RescaledCovariance(rescaled.matrix[k], rescaled.horizon_days)
+                try:
+                    raw[k] = solve_weights(one, mean[k], labels)
+                except SingularMatrixError as exc:
+                    plans[w] = exc
+        invested = (raw > 0.0).any(axis=-1)  # NaN for a singular window
+        if not invested.any():
+            continue
+        weights, scale_k = apply_leverage(raw[invested], cfg.leverage)
+        held, legs = compose_legs(weights, long[invested], short[invested], chi[invested])
+        for w, lo, k, held_w, legs_w, weights_w in zip(
+            windows[invested].tolist(), starts[invested].tolist(), scale_k.tolist(), held, legs, weights.tolist()
+        ):
+            info = rows[lo : lo + m]
+            for row, weight in zip(info, weights_w):
+                row["weight"] = weight
+            plans[w] = (k, held_w, legs_w, info)
+    return plans
 
 
 def run_walk_forward(panel: PricePanel, cfg: BacktestConfig) -> BacktestReport:
@@ -259,9 +294,15 @@ def run_walk_forward(panel: PricePanel, cfg: BacktestConfig) -> BacktestReport:
     has an entry price; one with no close on a test day is marked at its
     last close.
 
-    The candidates of consecutive training windows are built as one stack,
-    as many windows at a time as fill about one ``PAIR_BLOCK`` of pairs;
-    each window's rows of that table depend on its own returns only.
+    Consecutive training windows go through the pipeline as one group, as
+    many windows at a time as fill about one ``PAIR_BLOCK`` of pairs: their
+    returns are stacked, their candidates built as one table and selected
+    in one pass (``select_spreads`` keeps each window to itself), and their
+    optimizer runs as one stack per number of selected spreads
+    (``_invest_group``). Each window's rows, weights and legs depend on its
+    own returns only, and each window's error is raised in its turn, so a
+    group gives every window the result, and the run the error, of a walk
+    one window at a time.
     """
     if cfg.benchmark_symbol not in panel.symbols:
         raise DataError(
@@ -282,7 +323,7 @@ def run_walk_forward(panel: PricePanel, cfg: BacktestConfig) -> BacktestReport:
         )
     prices = panel.prices[~is_bench].compress(priced, axis=1)
     bench = panel.prices[is_bench][0, priced]
-    sel_cfg = SelectionConfig(horizon_days=cfg.test_days, hurst_cap=cfg.hurst_cap)
+    sel_cfg = cfg.selection
     group = max(1, PAIR_BLOCK // (len(symbols) * (len(symbols) - 1) // 2))
 
     n_windows = (len(dates) - cfg.train_days) // cfg.test_days
@@ -297,12 +338,10 @@ def run_walk_forward(panel: PricePanel, cfg: BacktestConfig) -> BacktestReport:
             starts = range(a, min(w + group, n_windows) * cfg.test_days, cfg.test_days)
             stack = np.stack([window_returns(prices[:, s : s + cfg.train_days]) for s in starts])
             cands = build_generating_matrix(stack, symbols, sel_cfg)
-            bounds = np.searchsorted(cands.window, np.arange(len(starts) + 1)).tolist()
-            sels = [
-                select_spreads(cands.take(slice(lo, hi)), sel_cfg)
-                for lo, hi in zip(bounds, bounds[1:])
-            ]
-        scale_k, held, legs, info = _optimize_window(stack[k], sels[k], cfg)
+            plans = _invest_group(stack, select_spreads(cands, sel_cfg), cfg)
+        if isinstance(plans[k], SingularMatrixError):
+            raise plans[k]
+        scale_k, held, legs, info = plans[k]
         start_capital = chain_capital if cfg.reinvest else cfg.initial_capital
         if not 0 < start_capital < math.inf:
             raise NumericalError(

@@ -34,6 +34,7 @@ from fractalport.io import (
     SCHEMA_VERSION,
     ingest_prices,
     report_to_json,
+    to_json,
     write_equity_csv,
     write_prices_wide,
 )
@@ -179,7 +180,7 @@ def _cmd_select(args) -> int:
         "hurst_cap": cfg.hurst_cap,
         "spreads": sel.rows(),
     }
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = to_json(doc)
     if args.output:
         Path(args.output).write_text(text)
     else:

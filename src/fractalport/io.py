@@ -16,12 +16,16 @@ in chunks of whole lines, and each chunk takes one of two routes:
 Both routes give the same fields, so the file's panel and its errors do
 not depend on the route. The date and symbol columns are then factorised
 (each distinct date string is parsed once), a batch's price cells are
-converted by ``float`` in one numpy call (blank cells found first), and the
+converted by ``float`` into one numpy array (one pass over the batch, or,
+after a batch with blanks, one pass over its non-blank cells), and the
 prices are written straight into one (symbols x dates) grid at their codes.
 The grid grows by a quarter when a new code falls outside it, and one
 reorder at the end sorts its rows and columns, so ingest memory follows
-the panel's size, not the file's row count. Reports are emitted as JSON
-with a top-level ``schema_version``; time series go to CSV.
+the panel's size, not the file's row count.
+
+Reports are emitted as JSON with a top-level ``schema_version``, through
+one writer (``to_json``) that gives the bytes of the stdlib's ``indent=2``
+pretty-printer from its C encoder; time series go to CSV.
 """
 from __future__ import annotations
 
@@ -46,6 +50,7 @@ __all__ = [
     "write_prices_wide",
     "report_to_dict",
     "report_to_json",
+    "to_json",
     "write_equity_csv",
 ]
 
@@ -226,19 +231,25 @@ def _symbol(raw: str) -> str:
     return raw.strip()
 
 
-def _prices(raw, lines) -> np.ndarray:
+def _prices(raw, lines, gapped: bool) -> np.ndarray:
     """Prices of a sequence of raw cells, NaN for a blank one; ``lines``
     gives each cell's line number, for the error of the first bad one.
 
-    A batch with blanks is converted in two passes: one finds the blank
-    cells, one ``float`` call converts the rest. ``_price`` runs only to
-    name a malformed or non-finite cell.
+    A batch goes through one ``float`` pass unless ``gapped``, which the
+    readers set when the previous batch had blanks: a gapped batch, or one
+    whose pass meets a blank, is converted in two passes instead, one that
+    finds the blank cells and one ``float`` call over the rest. So a file
+    with blanks throughout converts each batch once after its first.
+    ``_price`` runs only to name a malformed or non-finite cell.
     """
     filled = len(raw)
     try:
-        try:
-            values = np.fromiter(map(float, raw), np.float64, len(raw))
-        except ValueError:  # a blank cell, or a malformed one
+        if not gapped:
+            try:
+                values = np.fromiter(map(float, raw), np.float64, filled)
+            except ValueError:  # a blank cell, or a malformed one
+                gapped = True
+        if gapped:
             priced = list(map(bool, map(str.strip, raw)))
             filled = priced.count(True)
             values = np.full(len(raw), np.nan)
@@ -266,11 +277,13 @@ def _price(raw: str, line: int) -> None:
 def _read_long(batches) -> PricePanel:
     date_codes, days, sym_codes, syms = {}, {}, {}, {}
     grid = np.full((0, 0), np.nan)
+    gapped = False
     for (raw_dates, raw_syms, raw_prices), lines in batches:
         d = _factorise(raw_dates, lines, date_codes, days, _iso_date)
         s = _factorise(raw_syms, lines, sym_codes, syms, _symbol)
-        v = _prices(raw_prices, lines)
+        v = _prices(raw_prices, lines, gapped)
         kept = np.flatnonzero(~np.isnan(v))  # a blank price drops its row
+        gapped = kept.size < v.size
         grid = _grown(grid, len(syms), len(days))
         cell = s[kept] * grid.shape[1] + d[kept]
         row = _first_repeat(cell, ~np.isnan(grid.take(cell)))
@@ -293,11 +306,13 @@ def _read_wide(batches, header: list[str]) -> PricePanel:
     syms = {s: k for k, s in enumerate(header)}
     date_codes, days = {}, {}
     grid = np.full((len(header), 0), np.nan)
+    gapped = False
     for columns, lines in batches:
         seen = len(days)
         d = _factorise(columns[0], lines, date_codes, days, _iso_date)
         cells = list(chain.from_iterable(columns[1:]))
-        block = _prices(cells, chain.from_iterable(repeat(lines, len(header))))
+        block = _prices(cells, chain.from_iterable(repeat(lines, len(header))), gapped)
+        gapped = bool(np.isnan(block).any())
         # new dates are coded in order of first sight, so a row whose code
         # breaks the count from ``seen`` repeats an earlier row's date
         repeats = np.flatnonzero(d != np.arange(seen, seen + len(d)))
@@ -389,7 +404,62 @@ def report_to_dict(report: BacktestReport, cfg: BacktestConfig) -> dict:
 
 
 def report_to_json(report: BacktestReport, cfg: BacktestConfig) -> str:
-    return json.dumps(report_to_dict(report, cfg), indent=2, sort_keys=True) + "\n"
+    return to_json(report_to_dict(report, cfg))
+
+
+def to_json(doc) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)`` and a final newline,
+    through the stdlib's C encoder. Containers must be plain dicts with
+    string keys, lists and tuples.
+
+    The stdlib pretty-prints with its pure-Python encoder, one call per
+    value. Here the containers are walked in Python and each one is encoded
+    whole by the C encoder, its separator a comma, a line end and the
+    indent of its items, with a 0 in place of each container it holds; as
+    no encoded string holds a line end, that text splits into its items,
+    and each 0 is replaced by the text of its container. Every scalar and
+    key is still written by the stdlib itself.
+    """
+    parts: list[str] = []
+    _write_json(doc, 0, parts, {})
+    parts.append("\n")
+    return "".join(parts)
+
+
+_CONTAINERS = frozenset((dict, list, tuple))
+
+
+def _write_json(value, depth: int, parts: list, encoders: dict) -> None:
+    """Append the ``indent=2`` text of ``value``, at nesting ``depth``, to
+    ``parts``; ``encoders`` holds the C encoder of each depth."""
+    encoder = encoders.get(depth)
+    if encoder is None:
+        item = ",\n" + "  " * (depth + 1)
+        encoder = encoders[depth] = json.JSONEncoder(sort_keys=True, separators=(item, ": "))
+    if type(value) not in _CONTAINERS or not value:  # a scalar, "[]" or "{}"
+        parts.append(encoder.encode(value))
+        return
+    indent = "  " * (depth + 1)
+    is_dict = type(value) is dict
+    if _CONTAINERS.isdisjoint(map(type, value.values() if is_dict else value)):
+        text = encoder.encode(value)
+        parts.append(f"{text[0]}\n{indent}{text[1:-1]}\n{indent[2:]}{text[-1]}")
+        return
+    keys = sorted(value) if is_dict else None
+    values = [value[key] for key in keys] if is_dict else value
+    nested = [type(v) in _CONTAINERS for v in values]
+    shadow = [0 if inner else v for v, inner in zip(values, nested)]
+    text = encoder.encode(dict(zip(keys, shadow)) if is_dict else shadow)
+    parts.append(f"{text[0]}\n{indent}")
+    for k, (item, v, inner) in enumerate(zip(text[1:-1].split(encoder.item_separator), values, nested)):
+        if k:
+            parts.append(encoder.item_separator)
+        if inner:  # the key and ": " in a dict, nothing in a list, then 0
+            parts.append(item[:-1])
+            _write_json(v, depth + 1, parts, encoders)
+        else:
+            parts.append(item)
+    parts.append(f"\n{indent[2:]}{text[-1]}")
 
 
 def write_equity_csv(path, report: BacktestReport) -> None:

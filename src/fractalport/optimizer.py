@@ -45,13 +45,14 @@ class RescaledCovariance:
 
 
 def covariance_matrix(deltas) -> np.ndarray:
-    """Sample covariance (divisor n) of daily spread returns, one spread per row."""
+    """Sample covariance (divisor n) of daily spread returns, one spread per
+    row of a (spreads x days) matrix or of each matrix in a stack of them."""
     x = np.asarray(deltas, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 1:
+    if x.ndim < 2 or x.shape[-2] < 1:
         raise ParameterError(f"need a (spreads x days) matrix, got shape {x.shape}")
-    xc = x - x.mean(axis=1, keepdims=True)
-    cov = (xc @ xc.T) / x.shape[1]
-    return (cov + cov.T) / 2.0
+    xc = x - x.mean(axis=-1, keepdims=True)
+    cov = (xc @ xc.swapaxes(-1, -2)) / x.shape[-1]
+    return (cov + cov.swapaxes(-1, -2)) / 2.0
 
 
 def rescale_covariance(
@@ -61,28 +62,29 @@ def rescale_covariance(
 
     Element (l, r) is multiplied by N^((H_l + H_r)/2 + 1); with a common H
     this is the N^(H+1) horizon law, and the symmetrized exponent keeps the
-    matrix symmetric when exponents differ.
+    matrix symmetric when exponents differ. ``c`` may be a stack of
+    matrices, with one row of exponents each in ``hursts``; a warning is
+    logged for each matrix the rescaling leaves indefinite.
     """
     c = np.asarray(c, dtype=np.float64)
     h = np.asarray(hursts, dtype=np.float64)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+    if c.ndim < 2 or c.shape[-1] != c.shape[-2]:
         raise ParameterError(f"covariance must be square, got shape {c.shape}")
-    if h.shape != (c.shape[0],):
-        raise ParameterError(
-            f"{h.size} hurst exponents for a {c.shape[0]}x{c.shape[0]} covariance"
-        )
+    if h.shape != c.shape[:-1]:
+        raise ParameterError(f"hurst exponents of shape {h.shape} for a covariance of shape {c.shape}")
     if np.any((h <= 0.0) | (h >= 1.0)):
         raise ParameterError("hurst exponents must lie in (0, 1)")
     if n_days < 1:
         raise ParameterError(f"horizon must be at least 1 day, got {n_days}")
-    exponent = (h[:, None] + h[None, :]) / 2.0 + 1.0
+    exponent = (h[..., :, None] + h[..., None, :]) / 2.0 + 1.0
     scaled = c * float(n_days) ** exponent
     eigs = np.linalg.eigvalsh(scaled)
-    if eigs.min() < -1e-10 * max(eigs.max(), 1.0):
+    lowest = eigs[..., 0]
+    for low in lowest[lowest < -1e-10 * np.maximum(eigs[..., -1], 1.0)].tolist():
         logger.warning(
             "rescaled covariance is not positive semidefinite "
             "(min eigenvalue %.3e); mixed-H rescaling does not preserve PSD",
-            eigs.min(),
+            low,
         )
     return RescaledCovariance(matrix=scaled, horizon_days=int(n_days))
 
@@ -90,31 +92,34 @@ def rescale_covariance(
 def solve_weights(
     cr: RescaledCovariance,
     mean_deltas: Sequence[float],
-    labels: Optional[Sequence[str]] = None,
+    labels: Optional[Sequence] = None,
 ) -> np.ndarray:
     """Raw allocation: inverse rescaled covariance times mean returns times
-    the horizon N of ``cr``.
+    the horizon N of ``cr``, for each matrix of a stack and its row of
+    ``mean_deltas``.
 
     A ridge of RIDGE_LAMBDA * trace/M is always added before inversion; if
-    the matrix is still ill-conditioned the error names the most collinear
-    pair of spreads.
+    a matrix is still ill-conditioned, the error names its most collinear
+    pair of spreads, from that matrix's row of ``labels``.
     """
     a = np.asarray(cr.matrix, dtype=np.float64)
     mu = np.asarray(mean_deltas, dtype=np.float64)
-    m = a.shape[0]
-    if mu.shape != (m,):
-        raise ParameterError(f"{mu.size} mean returns for {m} spreads")
-    ridge = RIDGE_LAMBDA * float(np.trace(a)) / m
-    reg = a + ridge * np.eye(m)
+    m = a.shape[-1]
+    if mu.shape != a.shape[:-1]:
+        raise ParameterError(f"mean returns of shape {mu.shape} for a covariance of shape {a.shape}")
+    ridge = RIDGE_LAMBDA * np.trace(a, axis1=-2, axis2=-1) / m
+    reg = a + ridge[..., None, None] * np.eye(m)
     cond = np.linalg.cond(reg)
-    if not np.isfinite(cond) or cond > MAX_CONDITION:
-        names = labels if labels is not None else [str(i) for i in range(m)]
-        worst = _most_collinear(reg, names)
+    bad = ~(cond <= MAX_CONDITION)  # NaN or inf too
+    if bad.any():
+        k = tuple(np.argwhere(bad)[0])  # () for one matrix
+        names = np.asarray(labels)[k] if labels is not None else [str(i) for i in range(m)]
+        worst = _most_collinear(reg[k], names)
         raise SingularMatrixError(
-            f"rescaled covariance is singular (condition {cond:.3e}); "
+            f"rescaled covariance is singular (condition {cond[k]:.3e}); "
             f"most collinear spreads: {worst[0]} and {worst[1]}"
         )
-    return np.linalg.solve(reg, mu) * float(cr.horizon_days)
+    return np.linalg.solve(reg, mu[..., None])[..., 0] * float(cr.horizon_days)
 
 
 def _most_collinear(matrix: np.ndarray, labels: Sequence[str]) -> tuple[str, str]:
@@ -128,11 +133,13 @@ def _most_collinear(matrix: np.ndarray, labels: Sequence[str]) -> tuple[str, str
     return labels[i], labels[j]
 
 
-def apply_leverage(raw: Sequence[float], leverage: float) -> tuple[np.ndarray, float]:
-    """Clamp negative raw weights to zero and scale the rest to the leverage.
+def apply_leverage(raw: Sequence[float], leverage: float) -> tuple[np.ndarray, np.ndarray]:
+    """Clamp negative raw weights to zero and scale the rest to the leverage,
+    for one weight vector or each row of a stack of them.
 
-    Returns the read-only spread weights, which sum to ``leverage``, and
-    the normalization factor k = leverage / sum(clamped raw weights).
+    Returns the read-only spread weights, each row summing to ``leverage``,
+    and each row's normalization factor k = leverage / sum(clamped raw
+    weights). A row with no positive weight raises ``EmptyPortfolioError``.
 
     A negative solved weight would mean shorting the spread, i.e. holding
     its flipped twin, which the selection stage already rejected; such
@@ -140,19 +147,19 @@ def apply_leverage(raw: Sequence[float], leverage: float) -> tuple[np.ndarray, f
     """
     if not leverage > 0.0:
         raise ParameterError(f"leverage must be positive, got {leverage}")
-    w = np.asarray(raw, dtype=np.float64)
-    clamped = np.clip(w, 0.0, None)
-    total = float(clamped.sum())
-    if total <= 0.0:
+    clamped = np.clip(np.asarray(raw, dtype=np.float64), 0.0, None)
+    total = clamped.sum(axis=-1)
+    if np.any(total <= 0.0):
         raise EmptyPortfolioError("no spread has a positive weight")
     k = leverage / total
-    weights = k * clamped
+    weights = k[..., None] * clamped
     weights.flags.writeable = False
     return weights, k
 
 
 def compose_legs(weights: np.ndarray, long, short, chi) -> tuple[np.ndarray, np.ndarray]:
-    """Signed notional fraction of each held asset from the spread weights.
+    """Signed notional fraction of each held asset from the spread weights,
+    for one portfolio or each row of a stack of them.
 
     ``long`` and ``short`` are the spreads' asset indices. A spread of
     weight w and hedge ratio chi holds long/short notional in the 1:chi
@@ -160,16 +167,17 @@ def compose_legs(weights: np.ndarray, long, short, chi) -> tuple[np.ndarray, np.
     -w*chi/(1+chi). Returns the held assets' indices in ascending order and
     their legs. An asset may be a leg of one spread only.
     """
-    n = len(weights)
-    if not n == len(long) == len(short) == len(chi):
-        raise ParameterError(f"{n} weights for legs and hedge ratios of other lengths")
-    assets = np.concatenate((long, short))
-    order = np.argsort(assets)
-    held = assets[order]
-    if (held[1:] == held[:-1]).any():
-        raise ParameterError(f"asset {held[np.argmax(held[1:] == held[:-1])]} is a leg of two spreads")
+    weights, long, short, chi = map(np.asarray, (weights, long, short, chi))
+    if not weights.shape == long.shape == short.shape == chi.shape:
+        raise ParameterError(f"weights of shape {weights.shape} for legs and hedge ratios of other shapes")
+    assets = np.concatenate((long, short), axis=-1)
+    order = np.argsort(assets, axis=-1)
+    held = np.take_along_axis(assets, order, axis=-1)
+    twice = held[..., 1:] == held[..., :-1]
+    if twice.any():
+        raise ParameterError(f"asset {held[..., 1:][twice][0]} is a leg of two spreads")
     # an overflow gives inf, for sizing to reject, not a warning; the short
     # leg is 0.0 - x, not -x, so a zero weight's legs are both 0.0
     with np.errstate(over="ignore"):
-        legs = np.concatenate((weights / (1.0 + chi), 0.0 - weights * chi / (1.0 + chi)))
-    return held, legs[order]
+        legs = np.concatenate((weights / (1.0 + chi), 0.0 - weights * chi / (1.0 + chi)), axis=-1)
+    return held, np.take_along_axis(legs, order, axis=-1)

@@ -233,7 +233,8 @@ def build_generating_matrix(returns: np.ndarray, symbols, cfg: SelectionConfig) 
 
 
 def select_spreads(cands: Candidates, cfg: SelectionConfig) -> Candidates:
-    """Greedy selection of disjoint spreads by descending Kelly weight.
+    """Greedy selection of disjoint spreads by descending Kelly weight, in
+    each window of the table on its own.
 
     The top-weighted remaining candidate is accepted only if
     h + h_err < hurst_cap, h_err < h and its mean return is positive;
@@ -241,21 +242,30 @@ def select_spreads(cands: Candidates, cfg: SelectionConfig) -> Candidates:
     candidate. Ties in weight break lexicographically on the (long, short)
     symbol strings, so the result is deterministic. A rejected row never
     retires an asset, so the screen is applied to all rows up front.
+
+    One sort orders the rows by window first, and the greedy fill then runs
+    on each window's run of rows with its own retired assets and its own
+    count towards ``max_spreads``: each window's selected rows are one
+    contiguous run, the rows it selects alone.
     """
     rows = np.flatnonzero(
         (cands.h + cands.h_err < cfg.hurst_cap) & (cands.h_err < cands.h) & (cands.mean > 0.0)
     )
     rank = np.empty(len(cands.symbols), dtype=np.intp)
     rank[sorted(range(rank.size), key=cands.symbols.__getitem__)] = np.arange(rank.size)
-    long, short = cands.long[rows], cands.short[rows]
-    order = np.lexsort((rank[short], rank[long], -cands.kelly[rows]))
-    used: set[int] = set()
+    long, short, window = cands.long[rows], cands.short[rows], cands.window[rows]
+    order = np.lexsort((rank[short], rank[long], -cands.kelly[rows], window))
+    rows, long, short = rows[order].tolist(), long[order].tolist(), short[order].tolist()
+    cuts = [0, *(np.flatnonzero(np.diff(window[order])) + 1).tolist(), len(rows)]
     picked: list[int] = []
-    for row, a, b in zip(rows[order].tolist(), long[order].tolist(), short[order].tolist()):
-        if cfg.max_spreads is not None and len(picked) >= cfg.max_spreads:
-            break
-        if a in used or b in used:
-            continue
-        picked.append(row)
-        used.update((a, b))
+    for lo, hi in zip(cuts, cuts[1:]):  # one window's rows
+        used: set[int] = set()
+        first = len(picked)
+        for row, a, b in zip(rows[lo:hi], long[lo:hi], short[lo:hi]):
+            if cfg.max_spreads is not None and len(picked) - first >= cfg.max_spreads:
+                break
+            if a in used or b in used:
+                continue
+            picked.append(row)
+            used.update((a, b))
     return cands.take(np.array(picked, dtype=np.intp))

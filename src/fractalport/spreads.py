@@ -141,5 +141,10 @@ def window_returns(prices: np.ndarray) -> np.ndarray:
 
 def spread_returns(returns: np.ndarray, long, short, chi) -> np.ndarray:
     """Daily returns of the spreads long ``long[k]`` and short ``chi[k]``
-    units of ``short[k]``, one row each: ``r[long] - chi * r[short]``."""
-    return returns[long] - chi[:, None] * returns[short]
+    units of ``short[k]``, one row each: ``r[long] - chi * r[short]``.
+
+    ``returns`` may be a stack of (assets x days) matrices, with one row of
+    legs and hedge ratios each; the result is then a stack of spread rows.
+    """
+    long, short, chi = (np.asarray(v)[..., None] for v in (long, short, chi))
+    return np.take_along_axis(returns, long, -2) - chi * np.take_along_axis(returns, short, -2)

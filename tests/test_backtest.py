@@ -4,6 +4,7 @@ import json
 import math
 from dataclasses import fields, replace
 from datetime import date, timedelta
+from itertools import compress
 from unittest import mock
 
 import numpy as np
@@ -22,11 +23,17 @@ from fractalport.backtest import (
     position_sizing,
     run_walk_forward,
 )
-from fractalport.errors import NumericalError, ParameterError
+from fractalport.errors import NumericalError, ParameterError, SingularMatrixError
 from fractalport.io import report_to_json
-from fractalport.optimizer import compose_legs
-from fractalport.selection import PAIR_BLOCK, SelectionConfig, build_generating_matrix
-from fractalport.spreads import PriceSeries, build_panel, price_panel, window_returns
+from fractalport.optimizer import (
+    apply_leverage,
+    compose_legs,
+    covariance_matrix,
+    rescale_covariance,
+    solve_weights,
+)
+from fractalport.selection import PAIR_BLOCK, SelectionConfig, build_generating_matrix, select_spreads
+from fractalport.spreads import PriceSeries, build_panel, price_panel, spread_returns, window_returns
 from fractalport.synthetic import make_synthetic_universe
 
 
@@ -404,44 +411,67 @@ class TestRunWalkForward:
 
     def test_each_window_selects_from_its_own_candidates(self, universe, backtest_cfg):
         # 21-day tests put several training windows of 45 pairs in one
-        # candidate stack; each window's selection must get its table alone
+        # candidate stack, selected in one pass; each window's candidates
+        # must be its table built alone, and its selected rows that
+        # table's selection alone
         cfg = replace(backtest_cfg, test_days=21)
         group = PAIR_BLOCK // 45
         assert group > 1
         panel = price_panel(universe.prices + [universe.benchmark])
         seen = []
         select = backtest.select_spreads
-        recording = lambda cands, sel_cfg: seen.append(cands) or select(cands, sel_cfg)  # noqa: E731
+
+        def recording(cands, sel_cfg):
+            seen.append((cands, select(cands, sel_cfg)))
+            return seen[-1][1]
+
         with mock.patch.object(backtest, "select_spreads", recording):
             rep = run_walk_forward(panel, cfg)
         traded = np.array([s != "MKT" for s in panel.symbols])
         prices = panel.prices[traded]
-        assert len(seen) == len(rep.windows) == (prices.shape[1] - cfg.train_days) // 21
-        for w, got in enumerate(seen):
+        n_windows = (prices.shape[1] - cfg.train_days) // 21
+        assert len(rep.windows) == n_windows and len(seen) == -(-n_windows // group)
+        sel_cfg = SelectionConfig(21)
+        for w in range(n_windows):
+            cands, picked = seen[w // group]
             returns = window_returns(prices[:, w * 21 : w * 21 + cfg.train_days])
-            alone = build_generating_matrix(returns, got.symbols, SelectionConfig(21))
-            assert np.all(got.window == w % group)
+            alone = build_generating_matrix(returns, cands.symbols, sel_cfg)
+            mine = cands.take(cands.window == w % group)
             for f in fields(alone)[2:]:
-                assert np.array_equal(getattr(got, f.name), getattr(alone, f.name)), (w, f.name)
+                assert np.array_equal(getattr(mine, f.name), getattr(alone, f.name)), (w, f.name)
+            want = select_spreads(alone, sel_cfg)
+            got = picked.take(picked.window == w % group)
+            for f in fields(want)[2:]:
+                assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), (w, f.name)
+            assert [{k: v for k, v in r.items() if k != "weight"} for r in rep.windows[w].selected] == want.rows()
 
     def test_each_window_optimizes_its_own_deltas(self, universe, backtest_cfg):
-        # the returns are built once per candidate stack; each window's
-        # optimizer must get the bytes of that window's returns built alone
+        # a group's windows are optimized as stacks, one per number of
+        # selected spreads; each window's weights, scale and legs must be
+        # the 2-D optimizer's on that window's spread returns built alone
         cfg = replace(backtest_cfg, test_days=21)
         panel = price_panel(universe.prices + [universe.benchmark])
-        seen = []
-        optimize = backtest._optimize_window
-        recording = lambda rets, sel, c: seen.append((rets, sel)) or optimize(rets, sel, c)  # noqa: E731
-        with mock.patch.object(backtest, "_optimize_window", recording):
-            rep = run_walk_forward(panel, cfg)
+        rep = run_walk_forward(panel, cfg)
         traded = np.array([s != "MKT" for s in panel.symbols])
         prices = panel.prices[traded]
-        assert len(seen) == len(rep.windows) == 114
-        assert sum(len(sel) > 1 for _, sel in seen) > 50
-        for w, (got, sel) in enumerate(seen):
-            want = window_returns(prices[:, w * 21 : w * 21 + cfg.train_days])
-            assert (got.dtype, got.shape) == (want.dtype, want.shape), w
-            assert got.tobytes() == want.tobytes(), w
+        symbols = list(compress(panel.symbols, traded))
+        assert len(rep.windows) == 114
+        assert sum(len(w.selected) > 1 for w in rep.windows) > 50
+        assert len({len(w.selected) for w in rep.windows}) > 2
+        sel_cfg = SelectionConfig(21)
+        for w, got in enumerate(rep.windows):
+            returns = window_returns(prices[:, w * 21 : w * 21 + cfg.train_days])
+            sel = select_spreads(build_generating_matrix(returns, symbols, sel_cfg), sel_cfg)
+            if not sel:
+                assert got.scale_k is None and not got.selected, w
+                continue
+            cov = covariance_matrix(spread_returns(returns, sel.long, sel.short, sel.chi))
+            raw = solve_weights(rescale_covariance(cov, sel.h, 21), sel.mean)
+            weights, scale_k = apply_leverage(raw, cfg.leverage)
+            held, legs = compose_legs(weights, sel.long, sel.short, sel.chi)
+            assert [r["weight"] for r in got.selected] == weights.tolist(), w
+            assert got.scale_k == scale_k, w
+            assert got.asset_legs == dict(zip([symbols[i] for i in held.tolist()], legs.tolist())), w
 
     def test_shares_exact_above_int64(self):
         # each count is the exact integer of its truncated float, past 2**63 too
@@ -566,13 +596,13 @@ def test_no_positive_weight_leaves_windows_uninvested(small_run, monkeypatch):
     assert all(w.selected for w in rep.windows)
     solved = []
 
-    def solve_weights(cov, mean, labels):
-        solved.append(labels)
-        return -np.ones(len(labels))
+    def solve_weights(cov, mean, labels=None):
+        solved.append(np.shape(mean))
+        return -np.ones(np.shape(mean))
 
     monkeypatch.setattr(backtest, "solve_weights", solve_weights)
     empty = run_walk_forward(price_panel(u.prices + [u.benchmark]), cfg)
-    assert len(solved) == len(empty.windows) == len(rep.windows)
+    assert sum(shape[0] for shape in solved) == len(empty.windows) == len(rep.windows)
     doc = json.loads(report_to_json(empty, cfg))
     for w in doc["windows"]:
         assert w["leverage"] is None and w["scale_k"] is None
@@ -580,6 +610,53 @@ def test_no_positive_weight_leaves_windows_uninvested(small_run, monkeypatch):
         assert w["selected"] == []
         assert w["daily_equity"] == [w["daily_equity"][0]] * len(w["dates"])
     assert doc["metrics"]["asset_count_min"] == doc["metrics"]["asset_count_max"] == 0
+
+
+def test_group_errors_keep_window_order(monkeypatch):
+    # 6 assets on 21-day tests: windows 0-16 are one group, optimized as
+    # stacks. A singular window's error waits for the walk to reach it, so
+    # an earlier window's exhausted capital still wins, and of two singular
+    # windows the first one's error names its own spreads
+    u = small_universe()
+    panel = price_panel(u.prices + [u.benchmark])
+    cfg = BacktestConfig(benchmark_symbol="MKT", test_days=21)
+    rep = run_walk_forward(panel, cfg)
+    assert len(rep.windows) == 24 and len(rep.windows[1].selected) == len(rep.windows[3].selected)
+    rescale = backtest.rescale_covariance
+
+    def singular_at(*windows):
+        targets = [[s["hurst"] for s in rep.windows[w].selected] for w in windows]
+
+        def rescale_covariance(cov, hursts, n_days):
+            out = rescale(cov, hursts, n_days)
+            for k, h in enumerate(np.asarray(hursts).tolist()):
+                if h in targets:
+                    out.matrix[k] = 0.0
+            return out
+
+        monkeypatch.setattr(backtest, "rescale_covariance", rescale_covariance)
+
+    def named(w):
+        first = rep.windows[w].selected[0]
+        pair = f"{first['long_symbol']}/{first['short_symbol']}"
+        return rf"condition inf\); most collinear spreads: {pair} and {pair}$"
+
+    singular_at(3, 1)
+    with pytest.raises(SingularMatrixError, match=named(1)):
+        run_walk_forward(panel, cfg)
+    singular_at(3)
+    with pytest.raises(SingularMatrixError, match=named(3)):
+        run_walk_forward(panel, cfg)
+    # window 1 loses more than the capital at this leverage; window 1 is
+    # solved alone beside singular window 3, with the bits it gets in a stack
+    exhausted = "capital exhausted or overflowed before window 2: "
+    with pytest.raises(NumericalError, match=exhausted) as caught:
+        run_walk_forward(panel, replace(cfg, leverage=1000.0))
+    assert not isinstance(caught.value, SingularMatrixError)
+    monkeypatch.undo()
+    with pytest.raises(NumericalError, match=exhausted) as unpatched:
+        run_walk_forward(panel, replace(cfg, leverage=1000.0))
+    assert str(caught.value) == str(unpatched.value)
 
 
 def fabricate_window(idx, window_return, benchmark_return, start=100_000.0):

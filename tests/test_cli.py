@@ -473,6 +473,16 @@ class TestCmdBacktest:
         assert main(args) == 2
         assert "train" in capsys.readouterr().err
 
+    def test_zero_test_days_exits_2(self, fixture_csv, tmp_path, capsys):
+        # the test window is the selection horizon, bounded in one place
+        args = [
+            "backtest", "--prices", str(fixture_csv), "--benchmark", "MKT",
+            "--test-days", "0", "--output", str(tmp_path / "r.json"),
+        ]
+        assert main(args) == 2
+        assert capsys.readouterr().err == "configuration error: horizon must be at least 1 day, got 0\n"
+        assert not (tmp_path / "r.json").exists()
+
     @pytest.mark.parametrize(
         "flag,value,field",
         [

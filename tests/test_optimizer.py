@@ -178,6 +178,8 @@ class TestApplyLeverage:
     def test_all_nonpositive_rejected(self):
         with pytest.raises(EmptyPortfolioError):
             apply_leverage([-1.0, 0.0], 2.0)
+        with pytest.raises(EmptyPortfolioError):
+            apply_leverage([[1.0, 0.0], [-1.0, 0.0]], 2.0)
 
     def test_leverage_positive(self):
         with pytest.raises(ParameterError):
@@ -231,3 +233,54 @@ def test_portfolio_weights_immutable():
     w, _ = apply_leverage([1.0], 2.0)
     with pytest.raises(ValueError):
         w[0] = 3.0
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 13])
+def test_stack_gives_each_matrix_its_bits_alone(m):
+    # the optimizer over a stack of windows: each matrix, weight vector and
+    # leg has the bits of the call on that window alone
+    rng = np.random.default_rng(m)
+    deltas = 0.01 * rng.standard_normal((6, m, 125))
+    hursts = rng.uniform(0.05, 0.45, (6, m))
+    means = rng.uniform(1e-4, 2e-3, (6, m))
+    assets = np.array([rng.permutation(2 * m + 3)[: 2 * m] for _ in range(6)])
+    long, short, chi = assets[:, :m], assets[:, m:], rng.uniform(0.5, 2.0, (6, m))
+    cov = covariance_matrix(deltas)
+    cr = rescale_covariance(cov, hursts, 21)
+    raw = solve_weights(cr, means)
+    raw[:, 0] = np.abs(raw[:, 0])  # every row invested
+    weights, scale_k = apply_leverage(raw, 2.0)
+    held, legs = compose_legs(weights, long, short, chi)
+    assert cov.shape == cr.matrix.shape == (6, m, m) and raw.shape == weights.shape == (6, m)
+    assert scale_k.shape == (6,) and held.shape == legs.shape == (6, 2 * m)
+    for k in range(6):
+        alone = covariance_matrix(deltas[k])
+        alone_cr = rescale_covariance(alone, hursts[k], 21)
+        assert cov[k].tobytes() == alone.tobytes()
+        assert cr.matrix[k].tobytes() == alone_cr.matrix.tobytes()
+        alone_raw = solve_weights(alone_cr, means[k])
+        alone_raw[0] = abs(alone_raw[0])
+        assert raw[k].tobytes() == alone_raw.tobytes()
+        alone_weights, alone_k = apply_leverage(alone_raw, 2.0)
+        assert weights[k].tobytes() == alone_weights.tobytes() and scale_k[k] == alone_k
+        alone_held, alone_legs = compose_legs(alone_weights, long[k], short[k], chi[k])
+        assert held[k].tolist() == alone_held.tolist()
+        assert legs[k].tobytes() == alone_legs.tobytes()
+
+
+def test_stack_errors_and_warnings_per_matrix(caplog):
+    # the first singular matrix of a stack is named by its own labels, and
+    # each indefinite matrix logs one warning
+    import logging
+
+    from fractalport.optimizer import RescaledCovariance
+
+    singular = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, -2.0 + 1e-13]])
+    stack = np.stack([np.eye(3), singular, singular[::-1, ::-1]])
+    labels = [["A/B", "C/D", "E/F"], ["G/H", "I/J", "K/L"], ["M/N", "O/P", "Q/R"]]
+    with pytest.raises(SingularMatrixError, match="G/H and I/J$"):
+        solve_weights(RescaledCovariance(stack, 1), np.full((3, 3), 1e-3), labels)
+    indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+    with caplog.at_level(logging.WARNING, logger="fractalport.optimizer"):
+        rescale_covariance(np.stack([indefinite, np.eye(2), indefinite]), np.full((3, 2), 0.5), 10)
+    assert sum("positive semidefinite" in r.message for r in caplog.records) == 2

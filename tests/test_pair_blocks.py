@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fractalport import selection
-from fractalport.backtest import BacktestConfig, _optimize_window
+from fractalport.backtest import BacktestConfig, _invest_group
 from fractalport.errors import InsufficientDataError
 from fractalport.fbm import MIN_HURST_LENGTH, fit_covers, hurst_covers
 from fractalport.optimizer import (
@@ -240,7 +240,7 @@ def test_window_optimizer_on_reference_deltas():
     sel_cfg = SelectionConfig(horizon_days=cfg.test_days)
     sel = select_spreads(build_generating_matrix(matrix, symbols, sel_cfg), sel_cfg)
     deltas = spread_returns(matrix, sel.long, sel.short, sel.chi)
-    scale_k, held, legs, info = _optimize_window(matrix, sel, cfg)
+    [(scale_k, held, legs, info)] = _invest_group(matrix[None], sel, cfg)
     assert len(info) > 1
     want = {(c[0], c[1]): c for c in reference_candidates(universe, SelectionConfig(126))}
     returns_of = {r.symbol: r.returns for r in universe}

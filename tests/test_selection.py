@@ -260,6 +260,27 @@ class TestSelectSpreads:
         assert np.all(picked.h_err < picked.h)
         assert np.all(picked.mean > 0)
 
+    @pytest.mark.parametrize("max_spreads", [None, 1, 2])
+    def test_windows_select_alone(self, max_spreads):
+        # a table of several windows, rows shuffled, selects in each window
+        # the rows that window's table selects alone, window by window
+        rng = np.random.default_rng(max_spreads or 0)
+        symbols = [f"S{i}" for i in range(7)]
+        rows = [
+            (a, b, float(rng.choice([1.0, 2.0, 3.0])), float(rng.uniform(0.1, 0.5)), 0.05)
+            for _ in range(5) for i, a in enumerate(symbols) for b in symbols[i + 1:]
+        ]
+        one = make_candidates(rows, symbols)
+        cands = Candidates(**{**vars(one), "window": np.repeat(np.arange(5), len(rows) // 5)})
+        cands = cands.take(rng.permutation(len(cands)))
+        cfg = SelectionConfig(max_spreads=max_spreads)
+        got = select_spreads(cands, cfg)
+        want = [select_spreads(cands.take(cands.window == w), cfg) for w in range(5)]
+        assert got.window.tolist() == [w for w, sel in enumerate(want) for _ in range(len(sel))]
+        assert pairs(got) == [p for sel in want for p in pairs(sel)]
+        assert got.kelly.tolist() == [k for sel in want for k in sel.kelly.tolist()]
+        assert len(got) >= 5
+
     def test_deterministic(self):
         rng = np.random.default_rng(1)
         cands = make_candidates(
