@@ -32,6 +32,7 @@ from fractalport.errors import (
 from fractalport.fbm import estimate_hurst
 from fractalport.io import (
     SCHEMA_VERSION,
+    _utf8_fault,
     ingest_prices,
     report_to_json,
     to_json,
@@ -115,21 +116,24 @@ def _read_column(path: str, column: str) -> np.ndarray:
     skipped. Header cells are stripped of surrounding spaces, as
     ``ingest_prices`` strips them. Errors name the line, counting the
     header as line 1 and every record, blank or not, after it."""
-    with Path(path).open(newline="", encoding="utf-8-sig") as fh:
-        records = csv.reader(fh)
-        header = [cell.strip() for cell in next(records, [])]
-        if column not in header:
-            raise DataError(f"column {column!r} not found; available: {header}")
-        k = header.index(column)
-        values = []
-        for line_no, row in enumerate(records, start=2):
-            cell = row[k].strip() if k < len(row) else ""
-            if not cell:
-                continue
-            try:
-                values.append(float(cell))
-            except ValueError:
-                raise DataError(f"line {line_no}: bad value {cell!r}") from None
+    try:
+        with Path(path).open(newline="", encoding="utf-8-sig") as fh:
+            records = csv.reader(fh)
+            header = [cell.strip() for cell in next(records, [])]
+            if column not in header:
+                raise DataError(f"column {column!r} not found; available: {header}")
+            k = header.index(column)
+            values = []
+            for line_no, row in enumerate(records, start=2):
+                cell = row[k].strip() if k < len(row) else ""
+                if not cell:
+                    continue
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    raise DataError(f"line {line_no}: bad value {cell!r}") from None
+    except UnicodeDecodeError:
+        raise _utf8_fault(Path(path)) from None
     return np.asarray(values, dtype=np.float64)
 
 

@@ -19,9 +19,9 @@ not depend on the route. The date and symbol columns are then factorised
 converted by ``float`` into one numpy array (one pass over the batch, or,
 after a batch with blanks, one pass over its non-blank cells), and the
 prices are written straight into one (symbols x dates) grid at their codes.
-The grid grows by a quarter when a new code falls outside it, and one
-reorder at the end sorts its rows and columns, so ingest memory follows
-the panel's size, not the file's row count.
+The grid is copied into a larger one when a new code falls outside it,
+and one reorder at the end sorts its rows and columns, so ingest memory
+follows the panel's size, not the file's row count.
 
 Reports are emitted as JSON with a top-level ``schema_version``, through
 one writer (``to_json``) that gives the bytes of the stdlib's ``indent=2``
@@ -30,6 +30,7 @@ pretty-printer from its C encoder; time series go to CSV.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -74,7 +75,8 @@ def ingest_prices(path) -> PricePanel:
     (date, symbol) observations, symbols with fewer than 2 prices,
     non-positive prices and fields longer than ``csv.field_size_limit()``
     are rejected. Errors name the line, counting the header as line 1 and
-    every record, blank or not, after it.
+    every record, blank or not, after it; a file that is not UTF-8 names
+    the line of its first such byte.
     """
     path = Path(path)
     try:
@@ -94,6 +96,21 @@ def ingest_prices(path) -> PricePanel:
             )
     except csv.Error as exc:
         raise _csv_fault(path, exc) from None
+    except UnicodeDecodeError:
+        raise _utf8_fault(path) from None
+
+
+def _utf8_fault(path: Path) -> ParseError:
+    r"""A ``ParseError`` naming the line of ``path``'s first byte that is not
+    UTF-8, lines ending at ``\n``, ``\r\n`` or ``\r``."""
+    with path.open(encoding="latin-1") as fh:  # every byte is one character
+        for n, line in enumerate(fh, start=1):
+            raw = line.encode("latin-1")
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return ParseError(f"{path}: line {n}: not UTF-8 at byte {raw[exc.start]:#04x}")
+    return ParseError(f"{path}: not UTF-8")
 
 
 def _row_batches(fh, width: int):
@@ -183,7 +200,8 @@ def _csv_fault(path: Path, exc: csv.Error) -> ParseError:
     limit = csv.field_size_limit(2**31 - 1)  # returns the previous limit
     n = 0
     try:
-        with path.open(newline="", encoding="utf-8-sig") as fh:
+        # the long field may run into bytes the first read did not decode
+        with path.open(newline="", encoding="utf-8-sig", errors="replace") as fh:
             for n, row in enumerate(csv.reader(fh), start=1):
                 for cell in row:
                     if len(cell) > limit:
@@ -327,22 +345,15 @@ def _read_wide(batches, header: list[str]) -> PricePanel:
 
 
 def _grown(grid: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """``grid`` grown to hold at least ``rows`` x ``cols`` cells, the new
-    ones NaN. An axis that must grow grows by at least a quarter, so a panel
-    read batch by batch is grown a bounded number of times, and each axis of
-    its grid ends at most a quarter longer than the panel's.
-
-    New rows alone extend ``grid``'s buffer in place, so its pages are not
-    copied or touched again (``grid`` must own its data, and no view of it
-    may be held); new columns copy it.
+    """``grid``, or a copy of it grown to hold at least ``rows`` x ``cols``
+    cells, the new ones NaN. An axis that must grow grows by at least a
+    quarter, so a panel read batch by batch is copied a number of times
+    logarithmic in its size, in time linear in it all told, and each axis
+    of its grid ends at most a quarter longer than the panel's.
     """
     r, c = grid.shape
     shape = tuple(have if n <= have else max(n, have + have // 4) for n, have in ((rows, r), (cols, c)))
     if shape == grid.shape:
-        return grid
-    if shape[1] == c:
-        grid.resize(shape, refcheck=False)
-        grid[r:] = np.nan
         return grid
     new = np.full(shape, np.nan)
     new[:r, :c] = grid
@@ -413,15 +424,14 @@ def to_json(doc) -> str:
     string keys, lists and tuples.
 
     The stdlib pretty-prints with its pure-Python encoder, one call per
-    value. Here the containers are walked in Python and each one is encoded
-    whole by the C encoder, its separator a comma, a line end and the
-    indent of its items, with a 0 in place of each container it holds; as
-    no encoded string holds a line end, that text splits into its items,
-    and each 0 is replaced by the text of its container. Every scalar and
-    key is still written by the stdlib itself.
+    value. Here a scalar, an empty container and a container that holds no
+    container are each one call of the C encoder, its separator a comma, a
+    line end and the indent of the items. Any other container is written
+    item by item: each item's separator and, in a dict, its encoded key,
+    then the item by recursion.
     """
     parts: list[str] = []
-    _write_json(doc, 0, parts, {})
+    _write_json(doc, 0, parts)
     parts.append("\n")
     return "".join(parts)
 
@@ -429,13 +439,16 @@ def to_json(doc) -> str:
 _CONTAINERS = frozenset((dict, list, tuple))
 
 
-def _write_json(value, depth: int, parts: list, encoders: dict) -> None:
+@functools.cache
+def _encoder(depth: int) -> json.JSONEncoder:
+    """The C encoder of a container at nesting ``depth``."""
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * (depth + 1), ": "))
+
+
+def _write_json(value, depth: int, parts: list) -> None:
     """Append the ``indent=2`` text of ``value``, at nesting ``depth``, to
-    ``parts``; ``encoders`` holds the C encoder of each depth."""
-    encoder = encoders.get(depth)
-    if encoder is None:
-        item = ",\n" + "  " * (depth + 1)
-        encoder = encoders[depth] = json.JSONEncoder(sort_keys=True, separators=(item, ": "))
+    ``parts``."""
+    encoder = _encoder(depth)
     if type(value) not in _CONTAINERS or not value:  # a scalar, "[]" or "{}"
         parts.append(encoder.encode(value))
         return
@@ -445,21 +458,13 @@ def _write_json(value, depth: int, parts: list, encoders: dict) -> None:
         text = encoder.encode(value)
         parts.append(f"{text[0]}\n{indent}{text[1:-1]}\n{indent[2:]}{text[-1]}")
         return
-    keys = sorted(value) if is_dict else None
-    values = [value[key] for key in keys] if is_dict else value
-    nested = [type(v) in _CONTAINERS for v in values]
-    shadow = [0 if inner else v for v, inner in zip(values, nested)]
-    text = encoder.encode(dict(zip(keys, shadow)) if is_dict else shadow)
-    parts.append(f"{text[0]}\n{indent}")
-    for k, (item, v, inner) in enumerate(zip(text[1:-1].split(encoder.item_separator), values, nested)):
-        if k:
-            parts.append(encoder.item_separator)
-        if inner:  # the key and ": " in a dict, nothing in a list, then 0
-            parts.append(item[:-1])
-            _write_json(v, depth + 1, parts, encoders)
-        else:
-            parts.append(item)
-    parts.append(f"\n{indent[2:]}{text[-1]}")
+    separator = "\n" + indent
+    parts.append("{" if is_dict else "[")
+    for key in sorted(value) if is_dict else range(len(value)):
+        parts.append(f"{separator}{encoder.encode(key)}: " if is_dict else separator)
+        _write_json(value[key], depth + 1, parts)
+        separator = encoder.item_separator
+    parts.append(f"\n{indent[2:]}{'}' if is_dict else ']'}")
 
 
 def write_equity_csv(path, report: BacktestReport) -> None:

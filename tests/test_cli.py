@@ -40,6 +40,46 @@ def test_field_over_the_csv_limit_exits_3(tmp_path, capsys, quote):
     )
 
 
+def not_utf8(src, dst, kind):
+    """Write the wide CSV ``src`` to ``dst`` in a way that is not UTF-8, and
+    return the line and byte of its first fault."""
+    text = src.read_text()
+    if kind == "latin1_header":
+        dst.write_bytes(text.replace("A1", "A1\u00e9", 1).encode("latin-1"))
+        return 1, "0xe9"
+    if kind == "utf16":
+        dst.write_bytes(text.encode("utf-16"))
+        return 1, "0xff"
+    # one Latin-1 byte on line 2001, long past the first chunk any reader
+    # decodes: the file's first 2000 lines are over 400 kB
+    lines = text.split("\n")
+    lines[2000] = lines[2000].replace(",", ",\u00e9", 1)
+    data = "\n".join(lines).encode("latin-1")
+    assert data.index(b"\xe9") > 400_000
+    dst.write_bytes(data)
+    return 2001, "0xe9"
+
+
+@pytest.mark.parametrize("kind", ["latin1_header", "late_byte", "utf16"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["select", "--start", "2015-01-02", "--end", "2015-06-30", "--prices"],
+        ["backtest", "--benchmark", "MKT", "--output", "report.json", "--prices"],
+        ["hurst", "--symbol", "A2", "--input"],
+        ["hurst", "--column", "A2", "--input"],
+    ],
+    ids=["select", "backtest", "hurst_symbol", "hurst_column"],
+)
+def test_file_not_utf8_exits_3(fixture_csv, tmp_path, monkeypatch, capsys, kind, command):
+    monkeypatch.chdir(tmp_path)
+    f = tmp_path / "prices.csv"
+    line, byte = not_utf8(fixture_csv, f, kind)
+    assert main([*command, str(f)]) == 3
+    assert capsys.readouterr().err == f"data error: {f}: line {line}: not UTF-8 at byte {byte}\n"
+    assert not (tmp_path / "report.json").exists()
+
+
 class TestIngestLong:
     def test_three_rows_one_symbol(self, tmp_path):
         f = tmp_path / "p.csv"

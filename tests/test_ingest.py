@@ -7,6 +7,7 @@ prices on any file, and on a file with one fault the same error type and
 message.
 """
 import csv
+import math
 import tracemalloc
 from datetime import date, timedelta
 
@@ -622,3 +623,34 @@ def test_panel_is_c_contiguous_and_read_only(tmp_path):
     assert panel.prices.flags.c_contiguous
     with pytest.raises(ValueError):
         panel.prices[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("order", ["by_symbol", "by_date"])
+def test_grid_grows_geometrically(tmp_path, monkeypatch, order):
+    # every growth copies the grid, so ingest stays linear in the file only
+    # if each axis grows a logarithmic number of times: at 3 cells a batch,
+    # a long file brings a new symbol or date almost every batch
+    monkeypatch.setattr(fio, "READ_BATCH_CELLS", 3)
+    n_symbols, n_days = 60, 150
+    symbols = [f"S{j:02d}" for j in range(n_symbols)]
+    days = [(date(2001, 1, 1) + timedelta(days=k)).isoformat() for k in range(n_days)]
+    cells = [(day, s) for s in symbols for day in days]
+    if order == "by_date":
+        cells.sort()
+    f = tmp_path / "long.csv"
+    f.write_text("".join(["date,symbol,adj_close\n", *(f"{day},{s},1.5\n" for day, s in cells)]))
+    growths = []
+
+    def spy(grid, rows, cols):
+        new = grown(grid, rows, cols)
+        if new is not grid:
+            growths.append((grid.shape, new.shape))
+        return new
+
+    grown = fio._grown
+    monkeypatch.setattr(fio, "_grown", spy)
+    panel = ingest_prices(f)
+    assert panel.prices.shape == (n_symbols, n_days)
+    for axis, n in enumerate((n_symbols, n_days)):
+        count = sum(old[axis] != new[axis] for old, new in growths)
+        assert count <= math.ceil(math.log(n, 1.25)) + 4, (axis, count)

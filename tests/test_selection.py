@@ -3,6 +3,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from fractalport.backtest import BacktestConfig
 from fractalport.errors import DegenerateVolatilityError, ParameterError
 from fractalport.selection import (
     Candidates,
@@ -11,7 +12,7 @@ from fractalport.selection import (
     fractal_kelly_weight,
     select_spreads,
 )
-from fractalport.spreads import window_returns
+from fractalport.spreads import price_panel, window_returns
 
 
 def make_candidates(rows, symbols=None):
@@ -146,6 +147,33 @@ class TestBuildGeneratingMatrix:
             np.testing.assert_allclose(
                 getattr(got, name), getattr(base, name), rtol=1e-12, err_msg=name
             )
+
+    def test_price_scale_free_on_every_window_of_the_fixture(self, universe):
+        # the seed-3 fixture's 19 training windows stacked as the backtest
+        # stacks them, each of its 11 symbols scaled by 1e6 in turn: the
+        # same rows every time, at most 5.5e-12 relative apart
+        panel = price_panel(universe.prices + [universe.benchmark])
+        cfg = SelectionConfig()
+        train, test = BacktestConfig.train_days, BacktestConfig.test_days
+
+        def stacked(prices):
+            starts = range(0, (prices.shape[1] - train) // test * test, test)
+            stack = np.stack([window_returns(prices[:, s : s + train]) for s in starts])
+            return build_generating_matrix(stack, panel.symbols, cfg)
+
+        base = stacked(panel.prices)
+        assert len(np.unique(base.window)) == 19 and len(panel.symbols) == 11
+        for k in range(len(panel.symbols)):
+            assert k in base.long or k in base.short
+            scaled = panel.prices.copy()
+            scaled[k] *= 1e6
+            got = stacked(scaled)
+            for name in ("window", "long", "short"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(base, name), err_msg=name)
+            for name in ("chi", "mean", "theta", "h", "h_err", "kelly"):
+                np.testing.assert_allclose(
+                    getattr(got, name), getattr(base, name), rtol=1e-9, err_msg=f"{name}, {k}"
+                )
 
 
 class TestSelectSpreads:
