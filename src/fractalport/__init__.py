@@ -29,7 +29,6 @@ from fractalport.errors import (
 from fractalport.fbm import (
     HurstEstimate,
     estimate_hurst,
-    generate_fbm,
 )
 from fractalport.io import (
     ingest_prices,
@@ -38,7 +37,6 @@ from fractalport.io import (
     write_prices_wide,
 )
 from fractalport.optimizer import (
-    RescaledCovariance,
     apply_leverage,
     compose_legs,
     covariance_matrix,

@@ -26,11 +26,9 @@ from fractalport.errors import (
 )
 from fractalport.fbm import MIN_HURST_LENGTH
 from fractalport.optimizer import (
-    RescaledCovariance,
     apply_leverage,
     compose_legs,
     covariance_matrix,
-    rescale_covariance,
     solve_weights,
 )
 from fractalport.selection import (
@@ -250,18 +248,16 @@ def _invest_group(stack: np.ndarray, sel: Candidates, cfg: BacktestConfig) -> li
         windows = np.flatnonzero(counts == m)
         starts = bounds[windows]
         idx = starts[:, None] + np.arange(m)
-        long, short, chi, mean = sel.long[idx], sel.short[idx], sel.chi[idx], sel.mean[idx]
+        long, short, chi, mean, hursts = sel.long[idx], sel.short[idx], sel.chi[idx], sel.mean[idx], sel.h[idx]
         cov = covariance_matrix(spread_returns(stack[windows], long, short, chi))
-        rescaled = rescale_covariance(cov, sel.h[idx], cfg.test_days)
         try:
-            raw = solve_weights(rescaled, mean)
+            raw = solve_weights(cov, hursts, mean, cfg.test_days)
         except SingularMatrixError:  # each window alone, its error naming its pairs
             raw = np.full(mean.shape, np.nan)
             for k, (w, lo) in enumerate(zip(windows.tolist(), starts.tolist())):
                 labels = [f"{r['long_symbol']}/{r['short_symbol']}" for r in rows[lo : lo + m]]
-                one = RescaledCovariance(rescaled.matrix[k], rescaled.horizon_days)
                 try:
-                    raw[k] = solve_weights(one, mean[k], labels)
+                    raw[k] = solve_weights(cov[k], hursts[k], mean[k], cfg.test_days, labels)
                 except SingularMatrixError as exc:
                     plans[w] = exc
         invested = (raw > 0.0).any(axis=-1)  # NaN for a singular window

@@ -32,6 +32,7 @@ from fractalport.errors import (
 from fractalport.fbm import estimate_hurst
 from fractalport.io import (
     SCHEMA_VERSION,
+    _csv_fault,
     _utf8_fault,
     ingest_prices,
     report_to_json,
@@ -132,6 +133,8 @@ def _read_column(path: str, column: str) -> np.ndarray:
                     values.append(float(cell))
                 except ValueError:
                     raise DataError(f"line {line_no}: bad value {cell!r}") from None
+    except csv.Error as exc:
+        raise _csv_fault(Path(path), exc) from None
     except UnicodeDecodeError:
         raise _utf8_fault(Path(path)) from None
     return np.asarray(values, dtype=np.float64)

@@ -1,16 +1,15 @@
 """Horizon-rescaled covariance and leveraged weight allocation.
 
-Spread returns are treated as synthetic long-only assets. Their daily
-covariance is rescaled to the investment horizon through each spread's
-Hurst exponent, inverted against the mean-return vector, and the solved
-weights are normalized so they sum to the target leverage. Each spread
-weight is finally decomposed into per-asset long/short notional legs in
-the 1:chi hedge proportion.
+Spread returns are treated as synthetic long-only assets. One horizon
+solve, ``solve_weights``, applies the N-day horizon law: it rescales their
+daily covariance to N days through each spread's Hurst exponent
+(``rescale_covariance``), inverts it against the mean-return vector and
+scales the result by N. The solved weights are normalized so they sum to
+the target leverage, and each spread weight is finally decomposed into
+per-asset long/short notional legs in the 1:chi hedge proportion.
 """
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,7 +21,6 @@ from fractalport.errors import (
 )
 
 __all__ = [
-    "RescaledCovariance",
     "covariance_matrix",
     "rescale_covariance",
     "solve_weights",
@@ -30,18 +28,10 @@ __all__ = [
     "compose_legs",
 ]
 
-logger = logging.getLogger(__name__)
-
 # Ridge added before inversion, relative to the mean diagonal element.
 RIDGE_LAMBDA = 1e-8
 # Condition number beyond which inversion is refused even after the ridge.
 MAX_CONDITION = 1e12
-
-
-@dataclass(frozen=True)
-class RescaledCovariance:
-    matrix: np.ndarray
-    horizon_days: int
 
 
 def covariance_matrix(deltas) -> np.ndarray:
@@ -55,16 +45,16 @@ def covariance_matrix(deltas) -> np.ndarray:
     return (cov + cov.swapaxes(-1, -2)) / 2.0
 
 
-def rescale_covariance(
-    c: np.ndarray, hursts: Sequence[float], n_days: int
-) -> RescaledCovariance:
+def rescale_covariance(c: np.ndarray, hursts: Sequence[float], n_days: int) -> np.ndarray:
     """Covariance rescaled to an N-day horizon via per-spread Hurst exponents.
 
     Element (l, r) is multiplied by N^((H_l + H_r)/2 + 1); with a common H
     this is the N^(H+1) horizon law, and the symmetrized exponent keeps the
     matrix symmetric when exponents differ. ``c`` may be a stack of
-    matrices, with one row of exponents each in ``hursts``; a warning is
-    logged for each matrix the rescaling leaves indefinite.
+    matrices, with one row of exponents each in ``hursts``.
+
+    The factor is d_l * d_r with d = N^((H+1)/2), so this is the congruence
+    D C D with a positive diagonal D and keeps a PSD matrix PSD.
     """
     c = np.asarray(c, dtype=np.float64)
     h = np.asarray(hursts, dtype=np.float64)
@@ -77,32 +67,28 @@ def rescale_covariance(
     if n_days < 1:
         raise ParameterError(f"horizon must be at least 1 day, got {n_days}")
     exponent = (h[..., :, None] + h[..., None, :]) / 2.0 + 1.0
-    scaled = c * float(n_days) ** exponent
-    eigs = np.linalg.eigvalsh(scaled)
-    lowest = eigs[..., 0]
-    for low in lowest[lowest < -1e-10 * np.maximum(eigs[..., -1], 1.0)].tolist():
-        logger.warning(
-            "rescaled covariance is not positive semidefinite "
-            "(min eigenvalue %.3e); mixed-H rescaling does not preserve PSD",
-            low,
-        )
-    return RescaledCovariance(matrix=scaled, horizon_days=int(n_days))
+    # one power per element, not the D C D product: that rounds differently
+    # and would move the report bytes
+    return c * float(n_days) ** exponent
 
 
 def solve_weights(
-    cr: RescaledCovariance,
+    c: np.ndarray,
+    hursts: Sequence[float],
     mean_deltas: Sequence[float],
+    n_days: int,
     labels: Optional[Sequence] = None,
 ) -> np.ndarray:
-    """Raw allocation: inverse rescaled covariance times mean returns times
-    the horizon N of ``cr``, for each matrix of a stack and its row of
+    """Raw allocation over an N-day horizon: the inverse of the covariance
+    ``c`` rescaled by ``rescale_covariance``, times the mean returns, times
+    N, for each matrix of a stack and its rows of ``hursts`` and
     ``mean_deltas``.
 
     A ridge of RIDGE_LAMBDA * trace/M is always added before inversion; if
-    a matrix is still ill-conditioned, the error names its most collinear
-    pair of spreads, from that matrix's row of ``labels``.
+    a rescaled matrix is still ill-conditioned, the error names its most
+    collinear pair of spreads, from that matrix's row of ``labels``.
     """
-    a = np.asarray(cr.matrix, dtype=np.float64)
+    a = rescale_covariance(c, hursts, n_days)
     mu = np.asarray(mean_deltas, dtype=np.float64)
     m = a.shape[-1]
     if mu.shape != a.shape[:-1]:
@@ -119,7 +105,7 @@ def solve_weights(
             f"rescaled covariance is singular (condition {cond[k]:.3e}); "
             f"most collinear spreads: {worst[0]} and {worst[1]}"
         )
-    return np.linalg.solve(reg, mu[..., None])[..., 0] * float(cr.horizon_days)
+    return np.linalg.solve(reg, mu[..., None])[..., 0] * float(n_days)
 
 
 def _most_collinear(matrix: np.ndarray, labels: Sequence[str]) -> tuple[str, str]:

@@ -11,7 +11,7 @@ import numpy as np
 
 from fractalport.backtest import BacktestConfig, max_drawdown, run_walk_forward
 from fractalport.cli import main
-from fractalport.fbm import estimate_hurst, generate_fbm
+from fractalport.fbm import estimate_hurst
 from fractalport.optimizer import (
     RIDGE_LAMBDA,
     apply_leverage,
@@ -25,6 +25,7 @@ from fractalport.selection import (
     select_spreads,
 )
 from fractalport.spreads import PriceSeries, price_panel
+from fbm_reference import generate_fbm
 
 
 def record(num, description, ok, detail=""):
@@ -176,8 +177,7 @@ def test_05_horizon_invariance_uniform_h():
         h = float(rng.uniform(0.1, 0.9))
         weights = []
         for n_days in (1, 126):
-            cr = rescale_covariance(cov, [h] * m, n_days)
-            raw = solve_weights(cr, mu)
+            raw = solve_weights(cov, [h] * m, mu, n_days)
             weights.append(apply_leverage(raw, 2.0)[0])
         worst = max(worst, float(np.max(np.abs(weights[0] - weights[1]))))
     ok = worst <= 1e-10
@@ -194,12 +194,12 @@ def test_06_two_by_two_optimizer_oracle():
         mu = rng.uniform(-1e-3, 2e-3, 2)
         h = float(rng.uniform(0.2, 0.8))
         n_days = int(rng.integers(1, 253))
-        cr = rescale_covariance(cov, [h, h], n_days)
-        reg = cr.matrix + RIDGE_LAMBDA * np.trace(cr.matrix) / 2.0 * np.eye(2)
+        scaled = rescale_covariance(cov, [h, h], n_days)
+        reg = scaled + RIDGE_LAMBDA * np.trace(scaled) / 2.0 * np.eye(2)
         det = reg[0, 0] * reg[1, 1] - reg[0, 1] * reg[1, 0]
         inv = np.array([[reg[1, 1], -reg[0, 1]], [-reg[1, 0], reg[0, 0]]]) / det
         expected = inv @ mu * n_days
-        got = solve_weights(cr, mu)
+        got = solve_weights(cov, [h, h], mu, n_days)
         scale = max(1.0, float(np.max(np.abs(expected))))
         worst = max(worst, float(np.max(np.abs(got - expected))) / scale)
     ok = worst <= 1e-12

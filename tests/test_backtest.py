@@ -29,7 +29,6 @@ from fractalport.optimizer import (
     apply_leverage,
     compose_legs,
     covariance_matrix,
-    rescale_covariance,
     solve_weights,
 )
 from fractalport.selection import PAIR_BLOCK, SelectionConfig, build_generating_matrix, select_spreads
@@ -466,7 +465,7 @@ class TestRunWalkForward:
                 assert got.scale_k is None and not got.selected, w
                 continue
             cov = covariance_matrix(spread_returns(returns, sel.long, sel.short, sel.chi))
-            raw = solve_weights(rescale_covariance(cov, sel.h, 21), sel.mean)
+            raw = solve_weights(cov, sel.h, sel.mean, 21)
             weights, scale_k = apply_leverage(raw, cfg.leverage)
             held, legs = compose_legs(weights, sel.long, sel.short, sel.chi)
             assert [r["weight"] for r in got.selected] == weights.tolist(), w
@@ -596,7 +595,7 @@ def test_no_positive_weight_leaves_windows_uninvested(small_run, monkeypatch):
     assert all(w.selected for w in rep.windows)
     solved = []
 
-    def solve_weights(cov, mean, labels=None):
+    def solve_weights(cov, hursts, mean, n_days, labels=None):
         solved.append(np.shape(mean))
         return -np.ones(np.shape(mean))
 
@@ -622,19 +621,20 @@ def test_group_errors_keep_window_order(monkeypatch):
     cfg = BacktestConfig(benchmark_symbol="MKT", test_days=21)
     rep = run_walk_forward(panel, cfg)
     assert len(rep.windows) == 24 and len(rep.windows[1].selected) == len(rep.windows[3].selected)
-    rescale = backtest.rescale_covariance
+    solve = backtest.solve_weights
 
     def singular_at(*windows):
         targets = [[s["hurst"] for s in rep.windows[w].selected] for w in windows]
 
-        def rescale_covariance(cov, hursts, n_days):
-            out = rescale(cov, hursts, n_days)
-            for k, h in enumerate(np.asarray(hursts).tolist()):
-                if h in targets:
-                    out.matrix[k] = 0.0
-            return out
+        def solve_weights(cov, hursts, mean, n_days, labels=None):
+            cov = np.array(cov)
+            h = np.asarray(hursts)
+            for k in np.ndindex(h.shape[:-1]):  # () for one window alone
+                if h[k].tolist() in targets:
+                    cov[k] = 0.0
+            return solve(cov, hursts, mean, n_days, labels)
 
-        monkeypatch.setattr(backtest, "rescale_covariance", rescale_covariance)
+        monkeypatch.setattr(backtest, "solve_weights", solve_weights)
 
     def named(w):
         first = rep.windows[w].selected[0]

@@ -8,9 +8,10 @@ import pytest
 
 from fractalport.cli import main
 from fractalport.errors import ParseError, ValidationError
-from fractalport.fbm import estimate_hurst, generate_fbm
+from fractalport.fbm import estimate_hurst
 from fractalport.io import ingest_prices, write_prices_wide
 from fractalport.spreads import PriceSeries, price_panel
+from fbm_reference import generate_fbm
 
 
 def blank_cells(src, dst, blanks):
@@ -37,6 +38,17 @@ def test_field_over_the_csv_limit_exits_3(tmp_path, capsys, quote):
     limit = csv.field_size_limit()
     assert capsys.readouterr().err == (
         f"data error: line 3: field longer than {limit} characters: '77777777777777777777'...\n"
+    )
+
+
+@pytest.mark.parametrize("quote", ["", '"'], ids=["plain", "quoted"])
+def test_hurst_field_over_the_csv_limit_exits_3(tmp_path, capsys, quote):
+    f = tmp_path / "long_field.csv"
+    f.write_text(f"A\n{quote}{'7' * 200_000}{quote}\n1.0\n")
+    assert main(["hurst", "--input", str(f), "--column", "A"]) == 3
+    limit = csv.field_size_limit()
+    assert capsys.readouterr().err == (
+        f"data error: line 2: field longer than {limit} characters: '77777777777777777777'...\n"
     )
 
 

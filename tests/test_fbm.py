@@ -16,11 +16,11 @@ from fractalport.fbm import (
     cover_amplitudes,
     estimate_hurst,
     fit_covers,
-    generate_fbm,
     hurst_covers,
     window_ladder,
 )
 from fractalport.selection import fractal_kelly_weight
+from fbm_reference import generate_fbm
 
 
 def loglog_slope(xs, ys):

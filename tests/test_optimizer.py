@@ -1,7 +1,11 @@
 """Covariance rescaling, weight solving, leverage and leg decomposition."""
+import math
+
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractalport.errors import (
     EmptyPortfolioError,
@@ -16,6 +20,10 @@ from fractalport.optimizer import (
     rescale_covariance,
     solve_weights,
 )
+
+EPS = np.finfo(np.float64).eps
+
+
 class TestCovarianceMatrix:
     def test_single_spread_variance(self):
         rng = np.random.default_rng(0)
@@ -61,22 +69,22 @@ class TestRescaleCovariance:
     def test_one_day_identity(self):
         c = np.array([[2.0, 0.5], [0.5, 1.0]])
         out = rescale_covariance(c, [0.3, 0.6], 1)
-        np.testing.assert_array_equal(out.matrix, c)
+        np.testing.assert_array_equal(out, c)
 
     def test_uniform_h_half_four_days(self):
         # exponent H+1 = 1.5: every element times 4^1.5 = 8
         c = np.array([[2.0, 0.5], [0.5, 1.0]])
         out = rescale_covariance(c, [0.5, 0.5], 4)
-        np.testing.assert_allclose(out.matrix, 8.0 * c, rtol=1e-12)
+        np.testing.assert_allclose(out, 8.0 * c, rtol=1e-12)
 
     def test_mixed_h_symmetrized_exponent(self):
         # off-diagonal exponent (0.3+0.5)/2 + 1 = 1.4 at N=100
         c = np.array([[1.0, 0.2], [0.2, 1.0]])
         out = rescale_covariance(c, [0.3, 0.5], 100)
         factor = float(mpmath.power(100, mpmath.mpf("1.4")))
-        assert out.matrix[0, 1] == pytest.approx(0.2 * factor, rel=1e-12)
-        assert out.matrix[1, 0] == pytest.approx(0.2 * factor, rel=1e-12)
-        np.testing.assert_array_equal(out.matrix, out.matrix.T)
+        assert out[0, 1] == pytest.approx(0.2 * factor, rel=1e-12)
+        assert out[1, 0] == pytest.approx(0.2 * factor, rel=1e-12)
+        np.testing.assert_array_equal(out, out.T)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ParameterError):
@@ -86,21 +94,12 @@ class TestRescaleCovariance:
         with pytest.raises(ParameterError):
             rescale_covariance(np.eye(2), [0.5, 1.0], 10)
 
-    def test_non_psd_input_logged(self, caplog):
-        import logging
-
-        indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
-        with caplog.at_level(logging.WARNING, logger="fractalport.optimizer"):
-            rescale_covariance(indefinite, [0.3, 0.6], 10)
-        assert any("positive semidefinite" in r.message for r in caplog.records)
-
 
 class TestSolveWeights:
     def test_diagonal_reduces_to_independent_kelly(self):
         variances = np.array([1e-4, 4e-4, 2.5e-4])
         mu = np.array([1e-3, 2e-3, -5e-4])
-        cr = rescale_covariance(np.diag(variances), [0.5] * 3, 1)
-        w = solve_weights(cr, mu)
+        w = solve_weights(np.diag(variances), [0.5] * 3, mu, 1)
         np.testing.assert_allclose(w, mu / variances, rtol=1e-6)
 
     def test_two_by_two_closed_form(self):
@@ -112,12 +111,12 @@ class TestSolveWeights:
             c = np.array([[a, b], [b, d]])
             mu = rng.uniform(-1e-3, 2e-3, 2)
             n_days = 126
-            cr = rescale_covariance(c, [0.4, 0.4], n_days)
-            m = cr.matrix + RIDGE_LAMBDA * np.trace(cr.matrix) / 2.0 * np.eye(2)
+            scaled = rescale_covariance(c, [0.4, 0.4], n_days)
+            m = scaled + RIDGE_LAMBDA * np.trace(scaled) / 2.0 * np.eye(2)
             det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
             inv = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
             expected = inv @ mu * n_days
-            got = solve_weights(cr, mu)
+            got = solve_weights(c, [0.4, 0.4], mu, n_days)
             np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-12)
 
     def test_uniform_h_direction_invariant_in_horizon(self):
@@ -125,8 +124,8 @@ class TestSolveWeights:
         x = rng.standard_normal((3, 400)) * 0.01
         c = np.cov(x, bias=True)
         mu = np.array([1e-3, 5e-4, 8e-4])
-        w1 = solve_weights(rescale_covariance(c, [0.4] * 3, 1), mu)
-        w126 = solve_weights(rescale_covariance(c, [0.4] * 3, 126), mu)
+        w1 = solve_weights(c, [0.4] * 3, mu, 1)
+        w126 = solve_weights(c, [0.4] * 3, mu, 126)
         np.testing.assert_allclose(w1 / w1.sum(), w126 / w126.sum(), atol=1e-10)
 
     def test_exact_duplicates_rescued_by_ridge(self):
@@ -134,22 +133,18 @@ class TestSolveWeights:
         # duplicated pair shares the weight instead of blowing up
         d = 0.01 * np.random.default_rng(6).standard_normal(100)
         c = covariance_matrix(np.vstack([d, d]))
-        cr = rescale_covariance(c, [0.5] * 2, 126)
-        w = solve_weights(cr, [1e-3, 1e-3])
+        w = solve_weights(c, [0.5] * 2, [1e-3, 1e-3], 126)
         assert np.all(np.isfinite(w))
         assert w[0] == pytest.approx(w[1], rel=1e-6)
 
     def test_singular_beyond_ridge_names_offending_pair(self):
-        # indefinite trace-cancelling matrix defeats the relative ridge;
-        # rescaling with mixed H does not guarantee PSD-ness
-        from fractalport.optimizer import RescaledCovariance
-
+        # an indefinite trace-cancelling matrix defeats the relative ridge;
+        # a one-day horizon leaves it as it is
         matrix = np.array(
             [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, -2.0 + 1e-13]]
         )
-        cr = RescaledCovariance(matrix=matrix, horizon_days=1)
         with pytest.raises(SingularMatrixError, match="A/B and C/D"):
-            solve_weights(cr, [1e-3, 1e-3, 1e-3], labels=["A/B", "C/D", "E/F"])
+            solve_weights(matrix, [0.5] * 3, [1e-3, 1e-3, 1e-3], 1, labels=["A/B", "C/D", "E/F"])
 
 
 class TestApplyLeverage:
@@ -246,19 +241,18 @@ def test_stack_gives_each_matrix_its_bits_alone(m):
     assets = np.array([rng.permutation(2 * m + 3)[: 2 * m] for _ in range(6)])
     long, short, chi = assets[:, :m], assets[:, m:], rng.uniform(0.5, 2.0, (6, m))
     cov = covariance_matrix(deltas)
-    cr = rescale_covariance(cov, hursts, 21)
-    raw = solve_weights(cr, means)
+    scaled = rescale_covariance(cov, hursts, 21)
+    raw = solve_weights(cov, hursts, means, 21)
     raw[:, 0] = np.abs(raw[:, 0])  # every row invested
     weights, scale_k = apply_leverage(raw, 2.0)
     held, legs = compose_legs(weights, long, short, chi)
-    assert cov.shape == cr.matrix.shape == (6, m, m) and raw.shape == weights.shape == (6, m)
+    assert cov.shape == scaled.shape == (6, m, m) and raw.shape == weights.shape == (6, m)
     assert scale_k.shape == (6,) and held.shape == legs.shape == (6, 2 * m)
     for k in range(6):
         alone = covariance_matrix(deltas[k])
-        alone_cr = rescale_covariance(alone, hursts[k], 21)
         assert cov[k].tobytes() == alone.tobytes()
-        assert cr.matrix[k].tobytes() == alone_cr.matrix.tobytes()
-        alone_raw = solve_weights(alone_cr, means[k])
+        assert scaled[k].tobytes() == rescale_covariance(alone, hursts[k], 21).tobytes()
+        alone_raw = solve_weights(alone, hursts[k], means[k], 21)
         alone_raw[0] = abs(alone_raw[0])
         assert raw[k].tobytes() == alone_raw.tobytes()
         alone_weights, alone_k = apply_leverage(alone_raw, 2.0)
@@ -268,19 +262,37 @@ def test_stack_gives_each_matrix_its_bits_alone(m):
         assert legs[k].tobytes() == alone_legs.tobytes()
 
 
-def test_stack_errors_and_warnings_per_matrix(caplog):
-    # the first singular matrix of a stack is named by its own labels, and
-    # each indefinite matrix logs one warning
-    import logging
-
-    from fractalport.optimizer import RescaledCovariance
-
+def test_stack_errors_per_matrix():
+    # the first singular matrix of a stack is named by its own labels
     singular = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, -2.0 + 1e-13]])
     stack = np.stack([np.eye(3), singular, singular[::-1, ::-1]])
     labels = [["A/B", "C/D", "E/F"], ["G/H", "I/J", "K/L"], ["M/N", "O/P", "Q/R"]]
     with pytest.raises(SingularMatrixError, match="G/H and I/J$"):
-        solve_weights(RescaledCovariance(stack, 1), np.full((3, 3), 1e-3), labels)
-    indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
-    with caplog.at_level(logging.WARNING, logger="fractalport.optimizer"):
-        rescale_covariance(np.stack([indefinite, np.eye(2), indefinite]), np.full((3, 2), 0.5), 10)
-    assert sum("positive semidefinite" in r.message for r in caplog.records) == 2
+        solve_weights(stack, np.full((3, 3), 0.5), np.full((3, 3), 1e-3), 1, labels)
+
+
+@st.composite
+def psd_stacks(draw):
+    """A stack of sample covariances, rank-deficient when the days are fewer
+    than the spreads, with one Hurst exponent in (0, 1) per spread."""
+    k, m, n = draw(st.integers(1, 3)), draw(st.integers(1, 8)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((k, m, n)) * 10.0 ** draw(st.integers(-4, 0))
+    h = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=k * m, max_size=k * m))
+    return covariance_matrix(x), np.reshape(h, (k, m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(psd_stacks(), st.integers(1, 252))
+def test_rescaling_is_a_congruence(drawn, n_days):
+    # N^((H_l+H_r)/2+1) = d_l d_r with d = N^((H+1)/2): the rescaling is
+    # D C D with a positive diagonal D, so by Sylvester's law of inertia it
+    # leaves a PSD matrix PSD. The two forms differ by their roundings:
+    # each exponent's error, times ln N, and one ulp per power or product.
+    c, h = drawn
+    got = rescale_covariance(c, h, n_days)
+    d = float(n_days) ** ((h + 1.0) / 2.0)
+    congruence = d[..., :, None] * c * d[..., None, :]
+    np.testing.assert_allclose(got, congruence, rtol=(3.0 * math.log(n_days) + 9.0) * EPS / 2.0, atol=0.0)
+    eigs = np.linalg.eigvalsh(got)
+    assert np.all(eigs[..., 0] >= -1e-12 * eigs[..., -1])

@@ -27,7 +27,6 @@ from fractalport.optimizer import (
     apply_leverage,
     compose_legs,
     covariance_matrix,
-    rescale_covariance,
     solve_weights,
 )
 from fractalport.selection import (
@@ -248,10 +247,10 @@ def test_window_optimizer_on_reference_deltas():
         ref = want[(s["long_symbol"], s["short_symbol"])]
         assert_near_reference(s["chi"], s["mean_delta"], s["theta"], row, ref, returns_of)
     cov = covariance_matrix(deltas)
-    cr = rescale_covariance(cov, [s["hurst"] for s in info], cfg.test_days)
+    hursts = [s["hurst"] for s in info]
     mean = [s["mean_delta"] for s in info]
     labels = [f"{s['long_symbol']}/{s['short_symbol']}" for s in info]
-    expected, expected_k = apply_leverage(solve_weights(cr, mean, labels), cfg.leverage)
+    expected, expected_k = apply_leverage(solve_weights(cov, hursts, mean, cfg.test_days, labels), cfg.leverage)
     np.testing.assert_array_equal([s["weight"] for s in info], expected)
     assert scale_k == expected_k
     want_held, want_legs = compose_legs(expected, sel.long, sel.short, sel.chi)
