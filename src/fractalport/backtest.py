@@ -299,6 +299,11 @@ def run_walk_forward(panel: PricePanel, cfg: BacktestConfig) -> BacktestReport:
     own returns only, and each window's error is raised in its turn, so a
     group gives every window the result, and the run the error, of a walk
     one window at a time.
+
+    The walk reads its own copy of the traded symbols' closes on the
+    benchmark's dates, and lets go of ``panel`` before the first window: a
+    caller that holds no other reference to it has its memory back for the
+    walk.
     """
     if cfg.benchmark_symbol not in panel.symbols:
         raise DataError(
@@ -319,6 +324,7 @@ def run_walk_forward(panel: PricePanel, cfg: BacktestConfig) -> BacktestReport:
         )
     prices = panel.prices[~is_bench].compress(priced, axis=1)
     bench = panel.prices[is_bench][0, priced]
+    del panel  # the walk reads its own copy, prices
     sel_cfg = cfg.selection
     group = max(1, PAIR_BLOCK // (len(symbols) * (len(symbols) - 1) // 2))
 

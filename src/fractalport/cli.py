@@ -1,11 +1,13 @@
 """Command-line interface.
 
-Subcommands: ``hurst`` (exponent of one series), ``select`` (spread
-selection on the dates of a range most symbols share, among the symbols
-priced on all of them; the rest are named on stderr), ``backtest``
-(walk-forward report on the benchmark's calendar: each window's universe
-is the symbols priced on every training day, and a held symbol is marked
-at its last close) and ``make-fixture`` (synthetic universe CSV).
+Subcommands: ``hurst`` (exponent of one series; a symbol's closes are
+joined across the dates it lacks inside its history, named on stderr),
+``select`` (spread selection on the dates of a range most symbols share,
+among the symbols priced on all of them; the rest are named on stderr),
+``backtest`` (walk-forward report on the benchmark's calendar: each
+window's universe is the symbols priced on every training day, and a held
+symbol is marked at its last close) and ``make-fixture`` (synthetic
+universe CSV).
 Exit codes: 0 success, 2 configuration error, 3 data error (including a
 file that cannot be read or written), 4 numerical error.
 """
@@ -35,13 +37,14 @@ from fractalport.io import (
     _csv_fault,
     _utf8_fault,
     ingest_prices,
-    report_to_json,
+    report_to_json,  # unused here; kept importable for tracers that patch it
     to_json,
     write_equity_csv,
     write_prices_wide,
+    write_report_json,
 )
 from fractalport.selection import SelectionConfig, build_generating_matrix, select_spreads
-from fractalport.spreads import window_returns
+from fractalport.spreads import PricePanel, window_returns
 from fractalport.synthetic import make_synthetic_universe
 
 __all__ = ["main"]
@@ -104,7 +107,13 @@ def _cmd_hurst(args) -> int:
                 f"symbol {args.symbol!r} not found; available: {list(panel.symbols)}"
             )
         row = panel.prices[panel.symbols.index(args.symbol)]
-        values = row[~np.isnan(row)]
+        priced = ~np.isnan(row)
+        first, last = np.flatnonzero(priced)[[0, -1]]
+        if not priced[first:last].all():
+            gaps = ", ".join(compress(panel.dates[first:last], ~priced[first:last]))
+            print(f"joined across (dates with no {args.symbol} price inside its history): {gaps}",
+                  file=sys.stderr)
+        values = row[priced]
     else:
         values = _read_column(args.input, args.column)
     est = estimate_hurst(values)
@@ -157,28 +166,9 @@ def _cmd_select(args) -> int:
     start, end = _window_date(args.start, "--start"), _window_date(args.end, "--end")
     if start > end:
         raise ParameterError(f"--start {start} is after --end {end}")
-    panel = ingest_prices(args.prices)
-    lo = np.searchsorted(panel.dates, start, "left")
-    hi = np.searchsorted(panel.dates, end, "right")
-    if hi - lo < 2:
-        raise DataError(f"fewer than 2 dates have prices in [{start}, {end}]")
-    # the window's dates: those priced for more than half of the symbols
-    # priced in [start, end]; its universe, which build_generating_matrix
-    # keeps, is the symbols priced on all of them
-    observed = ~np.isnan(panel.prices[:, lo:hi])
-    days = 2 * observed.sum(axis=0) > observed.any(axis=1).sum()
-    if not days.all():
-        dropped = ", ".join(compress(panel.dates[lo:hi], ~days))
-        print(f"dropped dates (priced for at most half of the symbols in [{start}, {end}]): {dropped}",
-              file=sys.stderr)
-    rows = observed[:, days].all(axis=1)
-    if not rows.all():
-        dropped = ", ".join(compress(panel.symbols, ~rows))
-        print(f"dropped (not priced on every date in [{start}, {end}]): {dropped}", file=sys.stderr)
-    if rows.sum() < 2:
-        raise DataError(f"fewer than 2 symbols are priced on every date in [{start}, {end}]")
-    returns = window_returns(panel.prices[:, lo:hi].compress(days, axis=1))
-    sel = select_spreads(build_generating_matrix(returns, panel.symbols, cfg), cfg)
+    # no reference to the panel outlives the cut: the build has its memory
+    returns, symbols = _window(ingest_prices(args.prices), start, end)
+    sel = select_spreads(build_generating_matrix(returns, symbols, cfg), cfg)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "start": start,
@@ -195,6 +185,31 @@ def _cmd_select(args) -> int:
     return EXIT_OK
 
 
+def _window(panel: PricePanel, start: str, end: str):
+    """The returns (``window_returns``) and symbols of ``select``'s window
+    of ``panel`` in [start, end]: the dates priced for more than half of the
+    symbols priced in the range. ``build_generating_matrix`` keeps the
+    symbols priced on all of them; the dates and symbols left out are named
+    on stderr."""
+    lo = np.searchsorted(panel.dates, start, "left")
+    hi = np.searchsorted(panel.dates, end, "right")
+    if hi - lo < 2:
+        raise DataError(f"fewer than 2 dates have prices in [{start}, {end}]")
+    observed = ~np.isnan(panel.prices[:, lo:hi])
+    days = 2 * observed.sum(axis=0) > observed.any(axis=1).sum()
+    if not days.all():
+        dropped = ", ".join(compress(panel.dates[lo:hi], ~days))
+        print(f"dropped dates (priced for at most half of the symbols in [{start}, {end}]): {dropped}",
+              file=sys.stderr)
+    rows = observed[:, days].all(axis=1)
+    if not rows.all():
+        dropped = ", ".join(compress(panel.symbols, ~rows))
+        print(f"dropped (not priced on every date in [{start}, {end}]): {dropped}", file=sys.stderr)
+    if rows.sum() < 2:
+        raise DataError(f"fewer than 2 symbols are priced on every date in [{start}, {end}]")
+    return window_returns(panel.prices[:, lo:hi].compress(days, axis=1)), panel.symbols
+
+
 def _cmd_backtest(args) -> int:
     cfg = BacktestConfig(
         train_days=args.train_days,
@@ -208,7 +223,7 @@ def _cmd_backtest(args) -> int:
         reinvest=not args.no_reinvest,
     )
     report = run_walk_forward(ingest_prices(args.prices), cfg)
-    Path(args.output).write_text(report_to_json(report, cfg))
+    write_report_json(args.output, report, cfg)
     if args.equity_csv:
         write_equity_csv(args.equity_csv, report)
     _print_summary(report)

@@ -140,8 +140,8 @@ def fit_covers(sums, n: int):
     fitted slope. Scales without amplitude get zero weight.
 
     Every sum is an elementwise product summed along the row, so a row's
-    result does not depend on the other rows: the covers of several blocks
-    of paths, concatenated, give each row the bits of its block alone.
+    result does not depend on the other rows: fitting a table of covers
+    block by block gives each row the bits of one fit of the whole table.
 
     Returns (h, h_err, n_scales, clamped), one entry per row. A fit
     outside (0, 1) is clamped into ``_HURST_CLAMP`` and flagged. A row

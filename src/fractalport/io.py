@@ -24,8 +24,10 @@ and one reorder at the end sorts its rows and columns, so ingest memory
 follows the panel's size, not the file's row count.
 
 Reports are emitted as JSON with a top-level ``schema_version``, through
-one writer (``to_json``) that gives the bytes of the stdlib's ``indent=2``
-pretty-printer from its C encoder; time series go to CSV.
+one writer that gives the bytes of the stdlib's ``indent=2`` pretty-printer
+from its C encoder: ``to_json`` returns them as a string, and
+``write_report_json`` streams a backtest report's to a file. Time series go
+to CSV.
 """
 from __future__ import annotations
 
@@ -52,6 +54,7 @@ __all__ = [
     "report_to_dict",
     "report_to_json",
     "to_json",
+    "write_report_json",
     "write_equity_csv",
 ]
 
@@ -418,6 +421,14 @@ def report_to_json(report: BacktestReport, cfg: BacktestConfig) -> str:
     return to_json(report_to_dict(report, cfg))
 
 
+def write_report_json(path, report: BacktestReport, cfg: BacktestConfig) -> None:
+    """Write ``report_to_json(report, cfg)`` to ``path`` as it is encoded,
+    piece by piece, so the report's text is never held whole."""
+    with Path(path).open("w") as fh:
+        _write_json(report_to_dict(report, cfg), 0, fh.write)
+        fh.write("\n")
+
+
 def to_json(doc) -> str:
     """``json.dumps(doc, indent=2, sort_keys=True)`` and a final newline,
     through the stdlib's C encoder. Containers must be plain dicts with
@@ -431,7 +442,7 @@ def to_json(doc) -> str:
     then the item by recursion.
     """
     parts: list[str] = []
-    _write_json(doc, 0, parts)
+    _write_json(doc, 0, parts.append)
     parts.append("\n")
     return "".join(parts)
 
@@ -445,26 +456,26 @@ def _encoder(depth: int) -> json.JSONEncoder:
     return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * (depth + 1), ": "))
 
 
-def _write_json(value, depth: int, parts: list) -> None:
-    """Append the ``indent=2`` text of ``value``, at nesting ``depth``, to
-    ``parts``."""
+def _write_json(value, depth: int, write) -> None:
+    """Pass the ``indent=2`` text of ``value``, at nesting ``depth``, to
+    ``write`` in pieces."""
     encoder = _encoder(depth)
     if type(value) not in _CONTAINERS or not value:  # a scalar, "[]" or "{}"
-        parts.append(encoder.encode(value))
+        write(encoder.encode(value))
         return
     indent = "  " * (depth + 1)
     is_dict = type(value) is dict
     if _CONTAINERS.isdisjoint(map(type, value.values() if is_dict else value)):
         text = encoder.encode(value)
-        parts.append(f"{text[0]}\n{indent}{text[1:-1]}\n{indent[2:]}{text[-1]}")
+        write(f"{text[0]}\n{indent}{text[1:-1]}\n{indent[2:]}{text[-1]}")
         return
     separator = "\n" + indent
-    parts.append("{" if is_dict else "[")
+    write("{" if is_dict else "[")
     for key in sorted(value) if is_dict else range(len(value)):
-        parts.append(f"{separator}{encoder.encode(key)}: " if is_dict else separator)
-        _write_json(value[key], depth + 1, parts)
+        write(f"{separator}{encoder.encode(key)}: " if is_dict else separator)
+        _write_json(value[key], depth + 1, write)
         separator = encoder.item_separator
-    parts.append(f"\n{indent[2:]}{'}' if is_dict else ']'}")
+    write(f"\n{indent[2:]}{'}' if is_dict else ']'}")
 
 
 def write_equity_csv(path, report: BacktestReport) -> None:

@@ -31,10 +31,11 @@ __all__ = [
 # Variance floor below which the hedge regression is meaningless.
 HEDGE_VARIANCE_EPS = 1e-12
 
-# Spread paths built and covered together as rows of one array block:
-# enough rows to amortize numpy's per-call overhead, few enough that each
-# (pairs x days) temporary takes 2 KB per day of history (0.25 MB at 126
-# days; all 19,900 paths of a 200-asset window at once would take 20 MB).
+# Spread paths built, covered and fitted together as rows of one array
+# block: enough rows to amortize numpy's per-call overhead, few enough that
+# each (pairs x days) temporary takes 2 KB per day of history (0.25 MB at
+# 126 days; all 19,900 paths of a 200-asset window at once would take
+# 20 MB), and the Hurst fit's (pairs x scales) temporaries stay per block.
 # Measured with stacked windows on per-pair spreads (perfbench run_cal
 # medians of 3 seeds, 2-core VM, 128 / 256 / 512): pairs_wide
 # 1.09 / 1.05 / 0.95 and history_long 1.19 / 1.18 / 1.16, but 512 raised
@@ -156,11 +157,12 @@ def build_generating_matrix(returns: np.ndarray, symbols, cfg: SelectionConfig) 
     covariance S of the returns give the spread's mean mu_i - chi * mu_j
     and variance theta^2 = S_ii + chi^2 S_jj - 2 chi S_ij; and the
     cumulative return paths X give the spread's path X_i - chi * X_j,
-    built ``PAIR_BLOCK`` rows at a time for its Hurst covers. The Gram
-    matrices are einsum reductions: unlike a BLAS product, each entry then
-    has the same bits whatever the other assets, so a row's values do not
-    depend on the other rows and a stack gives each window the table it
-    gets alone.
+    built ``PAIR_BLOCK`` rows at a time. Each block is covered and fitted
+    before the next is built, so of a row's Hurst fit only its h, h_err and
+    scale count outlive its block. The Gram matrices are einsum
+    reductions: unlike a BLAS product, each entry then has the same bits
+    whatever the other assets, so a row's values do not depend on the
+    other rows and a stack gives each window the table it gets alone.
 
     A window's universe is the assets whose returns are all numbers: a
     pair is omitted when either leg's row holds a NaN, that symbol having
@@ -213,11 +215,10 @@ def build_generating_matrix(returns: np.ndarray, symbols, cfg: SelectionConfig) 
     np.cumsum(stack, axis=-1, out=paths[..., 1:])
     paths = paths.reshape(-1, n_days + 1)  # (windows * assets) x path
     path_i, path_j = window * n_assets + i, window * n_assets + j
-    covers = [np.empty((0, fbm.window_ladder(n_days + 1).size))]
+    h, h_err, n_scales = np.empty(chi.size), np.empty(chi.size), np.empty(chi.size, np.intp)
     for block in (slice(k, k + PAIR_BLOCK) for k in range(0, chi.size, PAIR_BLOCK)):
         spread = paths[path_i[block]] - chi[block, None] * paths[path_j[block]]
-        covers.append(fbm.hurst_covers(spread))
-    h, h_err, n_scales, _ = fbm.fit_covers(np.concatenate(covers), n_days + 1)
+        h[block], h_err[block], n_scales[block], _ = fbm.fit_covers(fbm.hurst_covers(spread), n_days + 1)
     keep = (theta2 > SPREAD_VARIANCE_FLOOR * leg_var) & (n_scales >= 3)
     window, i, j, chi, mean, theta2, h, h_err = (
         c[keep] for c in (window, i, j, chi, mean, theta2, h, h_err)

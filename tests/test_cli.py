@@ -6,10 +6,11 @@ import re
 import numpy as np
 import pytest
 
+from fractalport.backtest import BacktestConfig, run_walk_forward
 from fractalport.cli import main
 from fractalport.errors import ParseError, ValidationError
 from fractalport.fbm import estimate_hurst
-from fractalport.io import ingest_prices, write_prices_wide
+from fractalport.io import ingest_prices, report_to_json, write_prices_wide
 from fractalport.spreads import PriceSeries, price_panel
 from fbm_reference import generate_fbm
 
@@ -308,6 +309,25 @@ class TestCmdHurst:
         assert (doc["h"], doc["h_err"]) == (est.h, est.h_err)
         assert doc["h"] != estimate_hurst(a1.prices).h  # the gaps matter
 
+    def test_symbol_gaps_inside_its_history_named_on_stderr(
+        self, fixture_csv, universe, tmp_path, capsys
+    ):
+        # the closes are joined across the gap, as before, and the dates it
+        # joins across are named; a blank after its last close is no gap
+        a1 = universe.prices[0]
+        interior = range(1000, 1200)
+        blanks = [*interior, len(a1.dates) - 1]
+        gapped = blank_cells(fixture_csv, tmp_path / "gapped.csv", {a1.dates[t]: ["A1"] for t in blanks})
+        assert main(["hurst", "--input", str(gapped), "--symbol", "A1"]) == 0
+        out, err = capsys.readouterr()
+        est = estimate_hurst(np.delete(a1.prices, blanks))
+        assert json.loads(out) == {"h": est.h, "h_err": est.h_err, "n_scales": est.n_scales,
+                                   "clamped": est.clamped}
+        named = ", ".join(a1.dates[t] for t in interior)
+        assert err == f"joined across (dates with no A1 price inside its history): {named}\n"
+        assert main(["hurst", "--input", str(fixture_csv), "--symbol", "A1"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_missing_symbol_exits_3(self, fixture_csv, capsys):
         assert main(["hurst", "--input", str(fixture_csv), "--symbol", "NOPE"]) == 3
         assert "NOPE" in capsys.readouterr().err
@@ -516,6 +536,26 @@ class TestCmdBacktest:
         lines = equity.read_text().strip().splitlines()
         assert lines[0] == "date,equity"
         assert len(lines) == 1 + 19 * 126
+
+    @pytest.mark.parametrize("test_days", [126, 21])
+    def test_streamed_report_is_report_to_json(self, fixture_csv, tmp_path, test_days):
+        out = tmp_path / "report.json"
+        args = [
+            "backtest", "--prices", str(fixture_csv), "--benchmark", "MKT",
+            "--test-days", str(test_days), "--output", str(out),
+        ]
+        assert main(args) == 0
+        cfg = BacktestConfig(benchmark_symbol="MKT", test_days=test_days)
+        report = run_walk_forward(ingest_prices(fixture_csv), cfg)
+        assert out.read_bytes() == report_to_json(report, cfg).encode()
+
+    def test_output_in_missing_directory_exits_3(self, fixture_csv, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.json"
+        args = ["backtest", "--prices", str(fixture_csv), "--benchmark", "MKT", "--output", str(out)]
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(out) in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_train_days_below_minimum_exits_2(self, fixture_csv, tmp_path, capsys):
         args = [

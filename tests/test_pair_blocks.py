@@ -9,6 +9,7 @@ other rows and of the stack, and the spread returns the optimizer forms
 from a row, are checked bit for bit.
 """
 import itertools
+import tracemalloc
 from dataclasses import fields
 from datetime import date, timedelta
 from typing import NamedTuple
@@ -444,3 +445,29 @@ def test_gapped_symbols_drop_out_of_their_windows(drawn, single):
         assert pairs(rows) == pairs(alone)
         for f in fields(alone)[4:]:
             assert same_bits(getattr(rows, f.name), getattr(alone, f.name)), (w, f.name)
+
+
+def test_candidate_memory_follows_the_table():
+    # each block of spread paths is covered and fitted before the next is
+    # built, so the traced peak grows with the table by its columns and a
+    # few per-pair temporaries, about 220 bytes a row; one fit of all the
+    # rows' covers held (pairs x scales) temporaries too, about 480 bytes
+    cfg = SelectionConfig()
+    peaks, rows = [], []
+    for n_assets in (120, 200):
+        returns = random_returns(np.random.default_rng(n_assets), n_assets, 125)
+        symbols = [f"S{k}" for k in range(n_assets)]
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            cands = build_generating_matrix(returns, symbols, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        rows.append(len(cands))
+    per_row = (peaks[1] - peaks[0]) / (rows[1] - rows[0])
+    assert per_row <= 300, per_row
