@@ -322,7 +322,7 @@ def run_walk_forward(panel: PricePanel, cfg: BacktestConfig) -> BacktestReport:
             f"insufficient history: {len(dates)} benchmark dates, "
             f"need at least {need} (train {cfg.train_days} + test {cfg.test_days})"
         )
-    prices = panel.prices[~is_bench].compress(priced, axis=1)
+    prices = panel.prices[np.ix_(~is_bench, priced)]
     bench = panel.prices[is_bench][0, priced]
     del panel  # the walk reads its own copy, prices
     sel_cfg = cfg.selection

@@ -14,7 +14,6 @@ file that cannot be read or written), 4 numerical error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import asdict
@@ -34,9 +33,8 @@ from fractalport.errors import (
 from fractalport.fbm import estimate_hurst
 from fractalport.io import (
     SCHEMA_VERSION,
-    _csv_fault,
-    _utf8_fault,
     ingest_prices,
+    read_column,
     report_to_json,  # unused here; kept importable for tracers that patch it
     to_json,
     write_equity_csv,
@@ -115,38 +113,10 @@ def _cmd_hurst(args) -> int:
                   file=sys.stderr)
         values = row[priced]
     else:
-        values = _read_column(args.input, args.column)
+        values = read_column(args.input, args.column)
     est = estimate_hurst(values)
     print(json.dumps(asdict(est), sort_keys=True))
     return EXIT_OK
-
-
-def _read_column(path: str, column: str) -> np.ndarray:
-    """The numbers in ``column`` of a CSV with a header, blank cells
-    skipped. Header cells are stripped of surrounding spaces, as
-    ``ingest_prices`` strips them. Errors name the line, counting the
-    header as line 1 and every record, blank or not, after it."""
-    try:
-        with Path(path).open(newline="", encoding="utf-8-sig") as fh:
-            records = csv.reader(fh)
-            header = [cell.strip() for cell in next(records, [])]
-            if column not in header:
-                raise DataError(f"column {column!r} not found; available: {header}")
-            k = header.index(column)
-            values = []
-            for line_no, row in enumerate(records, start=2):
-                cell = row[k].strip() if k < len(row) else ""
-                if not cell:
-                    continue
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    raise DataError(f"line {line_no}: bad value {cell!r}") from None
-    except csv.Error as exc:
-        raise _csv_fault(Path(path), exc) from None
-    except UnicodeDecodeError:
-        raise _utf8_fault(Path(path)) from None
-    return np.asarray(values, dtype=np.float64)
 
 
 def _window_date(raw: str, flag: str) -> str:

@@ -21,7 +21,8 @@ after a batch with blanks, one pass over its non-blank cells), and the
 prices are written straight into one (symbols x dates) grid at their codes.
 The grid is copied into a larger one when a new code falls outside it,
 and one reorder at the end sorts its rows and columns, so ingest memory
-follows the panel's size, not the file's row count.
+follows the panel's size, not the file's row count. ``read_column`` reads
+one numeric column of any CSV through the same record reader.
 
 Reports are emitted as JSON with a top-level ``schema_version``, through
 one writer that gives the bytes of the stdlib's ``indent=2`` pretty-printer
@@ -31,6 +32,7 @@ to CSV.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import io
@@ -44,12 +46,13 @@ from typing import Sequence
 import numpy as np
 
 from fractalport.backtest import BacktestConfig, BacktestReport
-from fractalport.errors import ParseError, ValidationError
+from fractalport.errors import DataError, ParseError, ValidationError
 from fractalport.spreads import PricePanel, PriceSeries, build_panel, price_panel
 
 __all__ = [
     "SCHEMA_VERSION",
     "ingest_prices",
+    "read_column",
     "write_prices_wide",
     "report_to_dict",
     "report_to_json",
@@ -82,21 +85,46 @@ def ingest_prices(path) -> PricePanel:
     the line of its first such byte.
     """
     path = Path(path)
+    with _csv_file(path) as (header, fh):
+        if [h.lower() for h in header] == ["date", "symbol", "adj_close"]:
+            return _read_long(_row_batches(fh, 3))
+        if header and header[0].lower() == "date" and len(header) >= 2:
+            return _read_wide(_row_batches(fh, len(header)), header[1:])
+        raise ParseError(
+            f"{path}: unrecognized header {header!r}; expected "
+            f"'date,symbol,adj_close' or 'date,<SYM>,...'"
+        )
+
+
+def read_column(path, column: str) -> np.ndarray:
+    """The numbers in ``column`` of a CSV with a header, by the record rule
+    of ``ingest_prices``: blank records and blank cells are skipped, and a
+    record of another width than the header's or a cell that is not a
+    finite number is a ``ParseError`` naming its line."""
+    with _csv_file(Path(path)) as (header, fh):
+        if column not in header:
+            raise DataError(f"column {column!r} not found; available: {header}")
+        k = header.index(column)
+        parts, check = [np.empty(0)], functools.partial(_price, noun="value")
+        for columns, lines in _row_batches(fh, len(header)):
+            values = _prices(columns[k], lines, False, check)
+            parts.append(values[~np.isnan(values)])
+    return np.concatenate(parts)
+
+
+@contextlib.contextmanager
+def _csv_file(path: Path):
+    """The CSV at ``path``, opened as UTF-8 with an optional byte-order mark:
+    its header's cells, stripped, and the file after the header. A
+    ``csv.Error`` or ``UnicodeDecodeError`` inside the ``with`` block is
+    raised as a ``ParseError`` naming its line."""
     try:
         with path.open(newline="", encoding="utf-8-sig") as fh:
             try:
                 header = next(csv.reader(fh))
             except StopIteration:
                 raise ParseError(f"{path}: file is empty") from None
-            header = [h.strip() for h in header]
-            if [h.lower() for h in header] == ["date", "symbol", "adj_close"]:
-                return _read_long(_row_batches(fh, 3))
-            if header and header[0].lower() == "date" and len(header) >= 2:
-                return _read_wide(_row_batches(fh, len(header)), header[1:])
-            raise ParseError(
-                f"{path}: unrecognized header {header!r}; expected "
-                f"'date,symbol,adj_close' or 'date,<SYM>,...'"
-            )
+            yield [h.strip() for h in header], fh
     except csv.Error as exc:
         raise _csv_fault(path, exc) from None
     except UnicodeDecodeError:
@@ -252,7 +280,7 @@ def _symbol(raw: str) -> str:
     return raw.strip()
 
 
-def _prices(raw, lines, gapped: bool) -> np.ndarray:
+def _prices(raw, lines, gapped: bool, check=None) -> np.ndarray:
     """Prices of a sequence of raw cells, NaN for a blank one; ``lines``
     gives each cell's line number, for the error of the first bad one.
 
@@ -261,7 +289,8 @@ def _prices(raw, lines, gapped: bool) -> np.ndarray:
     whose pass meets a blank, is converted in two passes instead, one that
     finds the blank cells and one ``float`` call over the rest. So a file
     with blanks throughout converts each batch once after its first.
-    ``_price`` runs only to name a malformed or non-finite cell.
+    ``check(cell, line)``, ``_price`` by default, runs only to name a
+    malformed or non-finite cell.
     """
     filled = len(raw)
     try:
@@ -280,19 +309,19 @@ def _prices(raw, lines, gapped: bool) -> np.ndarray:
     except ValueError:  # a malformed cell
         pass
     for cell, line in zip(raw, lines):  # raises at the first bad cell
-        _price(cell, line)
+        (check or _price)(cell, line)
 
 
-def _price(raw: str, line: int) -> None:
-    """Raise ``ParseError`` for a malformed or non-finite price cell."""
+def _price(raw: str, line: int, noun: str = "price") -> None:
+    """Raise ``ParseError`` for a malformed or non-finite ``noun`` cell."""
     if not raw.strip():
         return
     try:
         value = float(raw)
     except ValueError:
-        raise ParseError(f"line {line}: bad price {raw!r}") from None
+        raise ParseError(f"line {line}: bad {noun} {raw!r}") from None
     if not math.isfinite(value):
-        raise ParseError(f"line {line}: non-finite price {raw!r}")
+        raise ParseError(f"line {line}: non-finite {noun} {raw!r}")
 
 
 def _read_long(batches) -> PricePanel:

@@ -294,6 +294,64 @@ class TestCmdHurst:
         assert main(["hurst", "--input", str(f), "--column", "value"]) == 3
         assert "line 4: bad value 'abc'" in capsys.readouterr().err
 
+    @staticmethod
+    def abc_records(quoted: bool):
+        """200 records ``i,b,2i`` under the header ``a,b,c``, ``b`` a random
+        walk; with ``quoted`` the first record's ``a`` is quoted, so the file
+        is read by ``csv.reader`` from its first chunk on."""
+        rng = np.random.default_rng(5)
+        b = 1000.0 + np.cumsum(rng.normal(size=200))
+        rows = [f"{i},{v!r},{2 * i}" for i, v in enumerate(b.tolist())]
+        if quoted:
+            rows[0] = '"0"' + rows[0][1:]
+        return rows, b
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+    @pytest.mark.parametrize(
+        "record, width", [("100,1100", 2), ("100,1100,200,7", 4)], ids=["short", "long"]
+    )
+    def test_column_ragged_record_exits_3_naming_its_line(self, tmp_path, capsys, quoted, record, width):
+        # the record rule of price files: a short record's next field is not
+        # the column's value, and a long record is no more welcome
+        rows, b = self.abc_records(quoted)
+        f = tmp_path / "abc.csv"
+        f.write_text("a,b,c\n" + "\n".join(rows) + "\n")
+        assert main(["hurst", "--input", str(f), "--column", "b"]) == 0
+        est = estimate_hurst(b)
+        assert json.loads(capsys.readouterr().out) == {
+            "h": est.h, "h_err": est.h_err, "n_scales": est.n_scales, "clamped": est.clamped
+        }
+        rows[100] = record
+        f.write_text("a,b,c\n" + "\n".join(rows) + "\n")
+        assert main(["hurst", "--input", str(f), "--column", "b"]) == 3
+        assert capsys.readouterr().err == f"data error: line 102: expected 3 columns, got {width}\n"
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "1e400"])
+    def test_column_non_finite_value_exits_3_naming_its_line(self, tmp_path, capsys, cell):
+        rows, _ = self.abc_records(False)
+        rows[50] = f"50,{cell},100"
+        f = tmp_path / "abc.csv"
+        f.write_text("a,b,c\n" + "\n".join(rows) + "\n")
+        assert main(["hurst", "--input", str(f), "--column", "b"]) == 3
+        assert capsys.readouterr().err == f"data error: line 52: non-finite value {cell!r}\n"
+
+    def test_column_quoted_cell_with_a_comma_is_one_value(self, tmp_path, capsys):
+        rows, _ = self.abc_records(False)
+        outs = []
+        for name, label in (("plain.csv", "x"), ("quoted.csv", '"x, y"')):
+            f = tmp_path / name
+            f.write_text("a,b,c\n" + "\n".join(label + row[row.index(","):] for row in rows) + "\n")
+            assert main(["hurst", "--input", str(f), "--column", "b"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("symbol", ["MKT", "A1"])
+    def test_column_of_a_price_file_is_its_symbol(self, fixture_csv, capsys, symbol):
+        assert main(["hurst", "--input", str(fixture_csv), "--symbol", symbol]) == 0
+        by_symbol = capsys.readouterr().out
+        assert main(["hurst", "--input", str(fixture_csv), "--column", symbol]) == 0
+        assert capsys.readouterr().out == by_symbol
+
     def test_symbol_with_blank_cells_uses_its_observed_prices(
         self, fixture_csv, universe, tmp_path, capsys
     ):
