@@ -33,7 +33,6 @@ from fractalport.fbm import (
 from fractalport.io import (
     ingest_prices,
     report_to_dict,
-    report_to_json,
     write_prices_wide,
 )
 from fractalport.optimizer import (
@@ -53,7 +52,7 @@ from fractalport.selection import (
 from fractalport.spreads import (
     PricePanel,
     PriceSeries,
-    price_panel,
+    build_panel,
     spread_returns,
     window_returns,
 )

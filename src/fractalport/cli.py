@@ -35,7 +35,6 @@ from fractalport.io import (
     SCHEMA_VERSION,
     ingest_prices,
     read_column,
-    report_to_json,  # unused here; kept importable for tracers that patch it
     to_json,
     write_equity_csv,
     write_prices_wide,

@@ -23,8 +23,7 @@ __all__ = [
     "MIN_HURST_LENGTH",
     "cover_amplitudes",
     "estimate_hurst",
-    "fit_covers",
-    "hurst_covers",
+    "fit_hurst",
 ]
 
 # Below this length the ladder has fewer than 4 scales and the slope error
@@ -110,46 +109,33 @@ def cover_amplitudes(x, window_sizes):
     return sums, counts
 
 
-def hurst_covers(paths):
-    """The cover step of the Hurst fit: ``cover_amplitudes`` of every row
-    of a (rows x n) path matrix over the window ladder of n.
+def fit_hurst(paths):
+    """Minimal-cover Hurst fit of every row of a (rows x n) path matrix.
 
-    Returns the (rows x scales) amplitude sums of ``cover_amplitudes``;
-    ``fit_covers`` turns them into the Hurst fit. Raises
-    ``InsufficientDataError`` for a path shorter than ``MIN_HURST_LENGTH``.
-    """
-    n = paths.shape[-1]
-    if n < MIN_HURST_LENGTH:
-        raise InsufficientDataError(
-            f"series has {n} samples, need at least {MIN_HURST_LENGTH}"
-        )
-    # Ladder sizes are at most n/4, so every scale has complete windows.
-    return cover_amplitudes(paths, window_ladder(n))[0]
-
-
-def fit_covers(sums, n: int):
-    """The regression step of the Hurst fit, on the ``hurst_covers`` sums
-    of paths of length n, one row per path. The window ladder and the
-    number of complete windows at each scale follow from n.
-
-    V(d) = total window amplitude at window size d, rescaled to full
-    coverage of the series; log V is regressed on log d with weights
-    proportional to the number of complete windows at each scale (the
-    sparse top scales carry less information). The cover dimension is
-    D = 1 - slope and H = 2 - D; ``h_err`` is the standard error of the
-    fitted slope. Scales without amplitude get zero weight.
+    The rows' ``cover_amplitudes`` over the window ladder of n give V(d),
+    the total window amplitude at window size d, rescaled to full coverage
+    of the series; log V is regressed on log d with weights proportional
+    to the number of complete windows at each scale (the sparse top scales
+    carry less information). The cover dimension is D = 1 - slope and
+    H = 2 - D; ``h_err`` is the standard error of the fitted slope. Scales
+    without amplitude get zero weight.
 
     Every sum is an elementwise product summed along the row, so a row's
-    result does not depend on the other rows: fitting a table of covers
-    block by block gives each row the bits of one fit of the whole table.
+    result does not depend on the other rows: fitting a matrix of paths
+    block by block gives each row the bits of one fit of the whole matrix.
 
     Returns (h, h_err, n_scales, clamped), one entry per row. A fit
     outside (0, 1) is clamped into ``_HURST_CLAMP`` and flagged. A row
     with fewer than 3 scales of positive amplitude is degenerate: its
-    ``n_scales`` is below 3 and its ``h`` and ``h_err`` are NaN.
+    ``n_scales`` is below 3 and its ``h`` and ``h_err`` are NaN. Raises
+    ``InsufficientDataError`` for a path shorter than ``MIN_HURST_LENGTH``.
     """
+    n = paths.shape[-1]
+    if n < MIN_HURST_LENGTH:
+        raise InsufficientDataError(f"series has {n} samples, need at least {MIN_HURST_LENGTH}")
+    # Ladder sizes are at most n/4, so every scale has complete windows.
     sizes = window_ladder(n)
-    counts = (n - 1) // sizes
+    sums, counts = cover_amplitudes(paths, sizes)
     keep = sums > 0.0
     n_scales = keep.sum(axis=1)
     fitted = n_scales >= 3
@@ -183,14 +169,12 @@ def fit_covers(sums, n: int):
 
 
 def estimate_hurst(s) -> HurstEstimate:
-    """Minimal-cover Hurst estimate of one sample path: ``fit_covers`` of
-    its ``hurst_covers``, with a typed error for a degenerate series."""
+    """Minimal-cover Hurst estimate of one sample path: ``fit_hurst`` of it,
+    with a typed error for a degenerate series."""
     x = _as_path(s)
-    h, h_err, n_scales, clamped = fit_covers(hurst_covers(x[np.newaxis]), x.size)
+    h, h_err, n_scales, clamped = fit_hurst(x[np.newaxis])
     if n_scales[0] < 3:
-        raise DegenerateSeriesError(
-            "series has no amplitude variation at enough scales"
-        )
+        raise DegenerateSeriesError("series has no amplitude variation at enough scales")
     return HurstEstimate(
         h=float(h[0]), h_err=float(h_err[0]), n_scales=int(n_scales[0]), clamped=bool(clamped[0])
     )

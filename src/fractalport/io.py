@@ -47,7 +47,7 @@ import numpy as np
 
 from fractalport.backtest import BacktestConfig, BacktestReport
 from fractalport.errors import DataError, ParseError, ValidationError
-from fractalport.spreads import PricePanel, PriceSeries, build_panel, price_panel
+from fractalport.spreads import PricePanel, PriceSeries, build_panel
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -55,7 +55,6 @@ __all__ = [
     "read_column",
     "write_prices_wide",
     "report_to_dict",
-    "report_to_json",
     "to_json",
     "write_report_json",
     "write_equity_csv",
@@ -86,14 +85,22 @@ def ingest_prices(path) -> PricePanel:
     """
     path = Path(path)
     with _csv_file(path) as (header, fh):
-        if [h.lower() for h in header] == ["date", "symbol", "adj_close"]:
+        if (layout := _layout(header)) == "long":
             return _read_long(_row_batches(fh, 3))
-        if header and header[0].lower() == "date" and len(header) >= 2:
+        if layout == "wide":
             return _read_wide(_row_batches(fh, len(header)), header[1:])
         raise ParseError(
             f"{path}: unrecognized header {header!r}; expected "
             f"'date,symbol,adj_close' or 'date,<SYM>,...'"
         )
+
+
+def _layout(header: list[str]):
+    """The layout, "long" or "wide", that ``ingest_prices`` reads a file
+    with these stripped header cells in, or None."""
+    if [h.lower() for h in header] == ["date", "symbol", "adj_close"]:
+        return "long"
+    return "wide" if header and header[0].lower() == "date" and len(header) >= 2 else None
 
 
 def read_column(path, column: str) -> np.ndarray:
@@ -412,14 +419,52 @@ def _sorted_grid(grid: np.ndarray, syms: dict, days: dict):
 
 
 def write_prices_wide(path, series: Sequence[PriceSeries]) -> None:
-    """Emit ``price_panel(series)`` as a wide-format CSV: a blank cell where
-    a symbol has no price, floats in shortest round-trip repr."""
-    panel = price_panel(series)
+    """Write ``series`` as a wide CSV that ``ingest_prices`` reads back as
+    ``build_panel`` of them, bit for bit: symbols sorted, floats in shortest
+    round-trip repr. Nothing is written unless it would: the series share
+    one calendar of increasing ``YYYY-MM-DD`` dates, the symbols are
+    distinct, unchanged by ingest and make a wide header, and a NaN is a bad
+    price, not a gap."""
+    ordered = sorted(series, key=lambda p: p.symbol)
+    symbols = [p.symbol for p in ordered]
+    for sym in symbols:
+        if not _reads_back(_symbol, sym):
+            raise ValidationError(f"{sym!r}: symbol is empty or has surrounding whitespace")
+    if len(set(symbols)) != len(symbols):
+        raise ValidationError(f"duplicate symbols: {symbols}")
+    header = ["date", *symbols]
+    if _layout(header) != "wide":
+        raise ValidationError(f"header {header} would not read back as the wide layout")
+    first, calendar = ordered[0].symbol, tuple(ordered[0].dates)
+    for day in calendar:  # once: every series must have these dates
+        if not _reads_back(_iso_date, day):
+            raise ValidationError(f"{first}: date {day!r} is not a YYYY-MM-DD string")
+    if not all(map(str.__lt__, calendar, calendar[1:])):
+        raise ValidationError(f"{first}: dates do not increase")
+    for p in ordered:
+        if tuple(p.dates) != calendar:
+            raise ValidationError(f"{p.symbol}: dates differ from {first}'s")
+        if np.shape(p.prices) != (len(calendar),):
+            raise ValidationError(f"{p.symbol}: {len(p.dates)} dates vs {np.size(p.prices)} prices")
+    prices = np.array([p.prices for p in ordered], dtype=np.float64)
+    gaps = np.argwhere(np.isnan(prices))
+    if gaps.size:
+        k, t = gaps[0]
+        raise ValidationError(f"{symbols[k]}: price nan on {calendar[t]} is not finite and positive")
+    panel = build_panel(symbols, calendar, prices)
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["date", *panel.symbols])
+        writer.writerow(header)
         for day, column in zip(panel.dates, panel.prices.T.tolist()):
-            writer.writerow([day, *("" if math.isnan(v) else repr(v) for v in column)])
+            writer.writerow([day, *map(repr, column)])
+
+
+def _reads_back(read, raw) -> bool:
+    """Whether ingest's ``read`` (``_symbol`` or ``_iso_date``) gives ``raw``."""
+    try:
+        return read(raw) == raw
+    except (ParseError, AttributeError):  # AttributeError: not a string
+        return False
 
 
 def report_to_dict(report: BacktestReport, cfg: BacktestConfig) -> dict:
@@ -446,13 +491,9 @@ def report_to_dict(report: BacktestReport, cfg: BacktestConfig) -> dict:
     }
 
 
-def report_to_json(report: BacktestReport, cfg: BacktestConfig) -> str:
-    return to_json(report_to_dict(report, cfg))
-
-
 def write_report_json(path, report: BacktestReport, cfg: BacktestConfig) -> None:
-    """Write ``report_to_json(report, cfg)`` to ``path`` as it is encoded,
-    piece by piece, so the report's text is never held whole."""
+    """Write ``to_json(report_to_dict(report, cfg))`` to ``path`` as it is
+    encoded, piece by piece, so the report's text is never held whole."""
     with Path(path).open("w") as fh:
         _write_json(report_to_dict(report, cfg), 0, fh.write)
         fh.write("\n")

@@ -218,7 +218,7 @@ def build_generating_matrix(returns: np.ndarray, symbols, cfg: SelectionConfig) 
     h, h_err, n_scales = np.empty(chi.size), np.empty(chi.size), np.empty(chi.size, np.intp)
     for block in (slice(k, k + PAIR_BLOCK) for k in range(0, chi.size, PAIR_BLOCK)):
         spread = paths[path_i[block]] - chi[block, None] * paths[path_j[block]]
-        h[block], h_err[block], n_scales[block], _ = fbm.fit_covers(fbm.hurst_covers(spread), n_days + 1)
+        h[block], h_err[block], n_scales[block], _ = fbm.fit_hurst(spread)
     keep = (theta2 > SPREAD_VARIANCE_FLOOR * leg_var) & (n_scales >= 3)
     window, i, j, chi, mean, theta2, h, h_err = (
         c[keep] for c in (window, i, j, chi, mean, theta2, h, h_err)

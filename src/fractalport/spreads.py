@@ -14,7 +14,6 @@ and ``selection.build_generating_matrix`` forms no pair with it.
 """
 from __future__ import annotations
 
-from datetime import date
 from itertools import compress
 from typing import NamedTuple, Sequence
 
@@ -26,14 +25,13 @@ __all__ = [
     "PriceSeries",
     "PricePanel",
     "build_panel",
-    "price_panel",
     "window_returns",
     "spread_returns",
 ]
 
 
 class PriceSeries(NamedTuple):
-    """Adjusted close prices of one symbol, one per date; ``price_panel``
+    """Adjusted close prices of one symbol, one per date; ``write_prices_wide``
     checks them."""
 
     symbol: str
@@ -56,25 +54,16 @@ class PricePanel(NamedTuple):
 
 def build_panel(symbols, dates, prices: np.ndarray) -> PricePanel:
     """The panel of ``prices`` (symbols x dates, NaN for a missing cell) on
-    sorted ``symbols`` and ``dates``: dates without prices are dropped, each
-    symbol must have at least 2 prices, all finite and positive, and the
-    matrix is frozen C-contiguous.
-    """
+    sorted ``symbols`` and ``dates``: dates without prices are dropped, and
+    the matrix is frozen C-contiguous. The first symbol, in the given order,
+    with fewer than 2 prices or, failing that, with one not finite and
+    positive is a ``ValidationError``."""
     observed = ~np.isnan(prices)
     on_some = observed.any(axis=0)
     if not on_some.all():
         prices = prices.compress(on_some, axis=1)  # C-contiguous, unlike prices[:, on_some]
         observed = observed[:, on_some]
         dates = tuple(compress(dates, on_some))
-    _check_prices(symbols, dates, prices, observed)
-    prices = np.ascontiguousarray(prices, dtype=np.float64)
-    prices.flags.writeable = False
-    return PricePanel(tuple(symbols), tuple(dates), prices)
-
-
-def _check_prices(symbols, dates, prices: np.ndarray, observed: np.ndarray) -> None:
-    """Reject the first symbol, in the given order, with fewer than 2
-    ``observed`` prices or, failing that, with one not finite and positive."""
     count = observed.sum(axis=1)
     bad_cell = observed & ~(np.isfinite(prices) & (prices > 0))
     bad = (count < 2) | bad_cell.any(axis=1)
@@ -86,48 +75,9 @@ def _check_prices(symbols, dates, prices: np.ndarray, observed: np.ndarray) -> N
         raise ValidationError(
             f"{symbols[k]}: price {prices[k, t]} on {dates[t]} is not finite and positive"
         )
-
-
-def price_panel(series: Sequence[PriceSeries]) -> PricePanel:
-    """The panel holding ``series``, the same one ``ingest_prices`` reads
-    from a CSV of them, and the one check of a series: its symbol is
-    non-empty with no surrounding whitespace, its dates are ``YYYY-MM-DD``
-    strings that, in any order, match its prices one to one, and a NaN is
-    a bad price, not a gap."""
-    ordered = sorted(series, key=lambda p: p.symbol)
-    symbols = tuple(p.symbol for p in ordered)
-    for sym in symbols:
-        if not sym or sym != sym.strip():
-            raise ValidationError(f"{sym!r}: symbol is empty or has surrounding whitespace")
-    if len(set(symbols)) != len(symbols):
-        raise ValidationError(f"duplicate symbols: {list(symbols)}")
-    union = set().union(*(p.dates for p in ordered))
-    bad = {d for d in union if not _is_iso_date(d)}
-    if bad:
-        p, day = next((p, d) for p in ordered for d in p.dates if d in bad)
-        raise ValidationError(f"{p.symbol}: date {day!r} is not a YYYY-MM-DD string")
-    dates = tuple(sorted(union))
-    column = {d: t for t, d in enumerate(dates)}
-    prices = np.full((len(ordered), len(dates)), np.nan)
-    observed = np.zeros(prices.shape, dtype=bool)
-    for row, seen, p in zip(prices, observed, ordered):
-        if np.shape(p.prices) != (len(p.dates),):
-            raise ValidationError(f"{p.symbol}: {len(p.dates)} dates vs {np.size(p.prices)} prices")
-        cols = [column[d] for d in p.dates]
-        if len(set(cols)) < len(cols):
-            raise ValidationError(f"{p.symbol}: duplicate date {dates[np.bincount(cols).argmax()]}")
-        row[cols] = p.prices
-        seen[cols] = True
-    _check_prices(symbols, dates, prices, observed)
+    prices = np.ascontiguousarray(prices, dtype=np.float64)
     prices.flags.writeable = False
-    return PricePanel(symbols, dates, prices)
-
-
-def _is_iso_date(day) -> bool:
-    try:
-        return date.fromisoformat(day).isoformat() == day
-    except (TypeError, ValueError):
-        return False
+    return PricePanel(tuple(symbols), tuple(dates), prices)
 
 
 def window_returns(prices: np.ndarray) -> np.ndarray:

@@ -2,8 +2,8 @@ import pytest
 
 from fractalport.backtest import BacktestConfig, run_walk_forward
 from fractalport.io import write_prices_wide
-from fractalport.spreads import price_panel
 from fractalport.synthetic import make_synthetic_universe
+from panels import panel_of
 
 
 @pytest.fixture(scope="session")
@@ -27,4 +27,4 @@ def backtest_cfg():
 @pytest.fixture(scope="session")
 def report(universe, backtest_cfg):
     """Walk-forward report on the synthetic fixture (shared; ~19 windows)."""
-    return run_walk_forward(price_panel(universe.prices + [universe.benchmark]), backtest_cfg)
+    return run_walk_forward(panel_of(universe.prices + [universe.benchmark]), backtest_cfg)

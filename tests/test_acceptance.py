@@ -24,8 +24,9 @@ from fractalport.selection import (
     fractal_kelly_weight,
     select_spreads,
 )
-from fractalport.spreads import PriceSeries, price_panel
+from fractalport.spreads import PriceSeries
 from fbm_reference import generate_fbm
+from panels import panel_of
 
 
 def record(num, description, ok, detail=""):
@@ -220,7 +221,7 @@ def test_07_no_lookahead(universe, backtest_cfg, report):
             mutated.append(PriceSeries(symbol=sym, dates=p.dates, prices=prices))
         else:
             mutated.append(p)
-    rep2 = run_walk_forward(price_panel(mutated + [universe.benchmark]), backtest_cfg)
+    rep2 = run_walk_forward(panel_of(mutated + [universe.benchmark]), backtest_cfg)
     w1, w2 = report.windows[2], rep2.windows[2]
     identical = (
         w1.shares == w2.shares
@@ -252,7 +253,7 @@ def test_08_accounting_identity(universe, report):
 
 def test_09_synthetic_end_to_end(universe, backtest_cfg):
     t0 = time.time()
-    rep = run_walk_forward(price_panel(universe.prices + [universe.benchmark]), backtest_cfg)
+    rep = run_walk_forward(panel_of(universe.prices + [universe.benchmark]), backtest_cfg)
     elapsed = time.time() - t0
     n = len(rep.windows)
     rates = []

@@ -24,7 +24,7 @@ from fractalport.backtest import (
     run_walk_forward,
 )
 from fractalport.errors import NumericalError, ParameterError, SingularMatrixError
-from fractalport.io import report_to_json
+from fractalport.io import report_to_dict, to_json
 from fractalport.optimizer import (
     apply_leverage,
     compose_legs,
@@ -32,8 +32,9 @@ from fractalport.optimizer import (
     solve_weights,
 )
 from fractalport.selection import PAIR_BLOCK, SelectionConfig, build_generating_matrix, select_spreads
-from fractalport.spreads import PriceSeries, build_panel, price_panel, spread_returns, window_returns
+from fractalport.spreads import PriceSeries, build_panel, spread_returns, window_returns
 from fractalport.synthetic import make_synthetic_universe
+from panels import panel_of
 
 
 def dates(n, start=0):
@@ -49,7 +50,7 @@ def small_universe(n_days=630, seed=1):
 def small_run():
     u = small_universe()
     cfg = BacktestConfig(benchmark_symbol="MKT")
-    return u, cfg, run_walk_forward(price_panel(u.prices + [u.benchmark]), cfg)
+    return u, cfg, run_walk_forward(panel_of(u.prices + [u.benchmark]), cfg)
 
 
 class TestMaxDrawdown:
@@ -315,7 +316,7 @@ class TestRunWalkForward:
         # five years of 1260 days gives 9
         assert len(rep.windows) == 4
         u2 = small_universe(n_days=1260)
-        rep2 = run_walk_forward(price_panel(u2.prices + [u2.benchmark]), cfg)
+        rep2 = run_walk_forward(panel_of(u2.prices + [u2.benchmark]), cfg)
         assert len(rep2.windows) == 9
 
     def test_constant_prices_flat(self):
@@ -325,7 +326,7 @@ class TestRunWalkForward:
         ]
         bench = PriceSeries(symbol="SPY", dates=dates(300), prices=np.full(300, 100.0))
         rep = run_walk_forward(
-            price_panel(series + [bench]), BacktestConfig(benchmark_symbol="SPY")
+            panel_of(series + [bench]), BacktestConfig(benchmark_symbol="SPY")
         )
         assert rep.cumulative_return == 0.0
         assert all(not w.shares for w in rep.windows)
@@ -337,7 +338,7 @@ class TestRunWalkForward:
             for s in ("A", "SPY")
         ]
         with pytest.raises(ParameterError, match="universe needs at least 2 assets, got 1"):
-            run_walk_forward(price_panel(series), BacktestConfig(benchmark_symbol="SPY"))
+            run_walk_forward(panel_of(series), BacktestConfig(benchmark_symbol="SPY"))
 
     def test_insufficient_history(self):
         series = [
@@ -347,12 +348,12 @@ class TestRunWalkForward:
         bench = PriceSeries(symbol="SPY", dates=dates(200), prices=np.full(200, 100.0))
         with pytest.raises(ParameterError):
             run_walk_forward(
-                price_panel(series + [bench]), BacktestConfig(benchmark_symbol="SPY")
+                panel_of(series + [bench]), BacktestConfig(benchmark_symbol="SPY")
             )
 
     def test_deterministic(self, small_run):
         u, cfg, rep = small_run
-        rep2 = run_walk_forward(price_panel(u.prices + [u.benchmark]), cfg)
+        rep2 = run_walk_forward(panel_of(u.prices + [u.benchmark]), cfg)
         assert rep.single_returns == rep2.single_returns
         for w1, w2 in zip(rep.windows, rep2.windows):
             assert np.array_equal(w1.daily_equity, w2.daily_equity)
@@ -374,7 +375,7 @@ class TestRunWalkForward:
                 mutated.append(PriceSeries(symbol=sym, dates=p.dates, prices=prices))
             else:
                 mutated.append(p)
-        rep2 = run_walk_forward(price_panel(mutated + [u.benchmark]), cfg)
+        rep2 = run_walk_forward(panel_of(mutated + [u.benchmark]), cfg)
         w1, w2 = rep.windows[1], rep2.windows[1]
         assert w1.shares == w2.shares
         assert [s["weight"] for s in w1.selected] == [s["weight"] for s in w2.selected]
@@ -404,7 +405,7 @@ class TestRunWalkForward:
     def test_no_reinvest_resets_capital(self):
         u = small_universe()
         cfg = BacktestConfig(benchmark_symbol="MKT", reinvest=False)
-        rep = run_walk_forward(price_panel(u.prices + [u.benchmark]), cfg)
+        rep = run_walk_forward(panel_of(u.prices + [u.benchmark]), cfg)
         for w in rep.windows:
             assert w.daily_equity[0] == pytest.approx(100_000.0)
 
@@ -416,7 +417,7 @@ class TestRunWalkForward:
         cfg = replace(backtest_cfg, test_days=21)
         group = PAIR_BLOCK // 45
         assert group > 1
-        panel = price_panel(universe.prices + [universe.benchmark])
+        panel = panel_of(universe.prices + [universe.benchmark])
         seen = []
         select = backtest.select_spreads
 
@@ -449,7 +450,7 @@ class TestRunWalkForward:
         # selected spreads; each window's weights, scale and legs must be
         # the 2-D optimizer's on that window's spread returns built alone
         cfg = replace(backtest_cfg, test_days=21)
-        panel = price_panel(universe.prices + [universe.benchmark])
+        panel = panel_of(universe.prices + [universe.benchmark])
         rep = run_walk_forward(panel, cfg)
         traded = np.array([s != "MKT" for s in panel.symbols])
         prices = panel.prices[traded]
@@ -476,7 +477,7 @@ class TestRunWalkForward:
         # each count is the exact integer of its truncated float, past 2**63 too
         u = small_universe()
         cfg = BacktestConfig(benchmark_symbol="MKT", initial_capital=1e22, reinvest=False)
-        rep = run_walk_forward(price_panel(u.prices + [u.benchmark]), cfg)
+        rep = run_walk_forward(panel_of(u.prices + [u.benchmark]), cfg)
         price_on = {p.symbol: dict(zip(p.dates, p.prices.tolist())) for p in u.prices}
         held = [w for w in rep.windows if w.shares]
         assert held and max(abs(v) for w in held for v in w.shares.values()) > 2**63
@@ -519,7 +520,7 @@ def test_delisted_symbol_marked_at_last_close(test_days):
     # at its last close, and the later windows, which train over the
     # missing days, do not hold it
     u = small_universe()
-    panel = price_panel(u.prices + [u.benchmark])
+    panel = panel_of(u.prices + [u.benchmark])
     cfg = BacktestConfig(benchmark_symbol="MKT", test_days=test_days)
     w = 2
     stop = w * test_days + cfg.train_days + test_days // 2  # A1's first day without a close
@@ -539,7 +540,7 @@ def test_delisted_symbol_marked_at_last_close(test_days):
 @functools.cache
 def lookahead_base(test_days):
     u = small_universe()
-    panel = price_panel(u.prices + [u.benchmark])
+    panel = panel_of(u.prices + [u.benchmark])
     cfg = BacktestConfig(benchmark_symbol="MKT", test_days=test_days)
     return panel, cfg, run_walk_forward(panel, cfg)
 
@@ -574,8 +575,8 @@ def test_uninvested_windows_in_report():
     # nothing, and its report entry says so with null scalars and empty maps
     u = make_synthetic_universe(n_assets=4, n_days=400, seed=1, n_pairs=0)
     cfg = BacktestConfig(benchmark_symbol="MKT", hurst_cap=0.01)
-    rep = run_walk_forward(price_panel(u.prices + [u.benchmark]), cfg)
-    doc = json.loads(report_to_json(rep, cfg))
+    rep = run_walk_forward(panel_of(u.prices + [u.benchmark]), cfg)
+    doc = json.loads(to_json(report_to_dict(rep, cfg)))
     assert len(doc["windows"]) == 2
     for w in doc["windows"]:
         assert w["leverage"] is None and w["scale_k"] is None
@@ -600,9 +601,9 @@ def test_no_positive_weight_leaves_windows_uninvested(small_run, monkeypatch):
         return -np.ones(np.shape(mean))
 
     monkeypatch.setattr(backtest, "solve_weights", solve_weights)
-    empty = run_walk_forward(price_panel(u.prices + [u.benchmark]), cfg)
+    empty = run_walk_forward(panel_of(u.prices + [u.benchmark]), cfg)
     assert sum(shape[0] for shape in solved) == len(empty.windows) == len(rep.windows)
-    doc = json.loads(report_to_json(empty, cfg))
+    doc = json.loads(to_json(report_to_dict(empty, cfg)))
     for w in doc["windows"]:
         assert w["leverage"] is None and w["scale_k"] is None
         assert w["asset_legs"] == w["shares"] == {}
@@ -617,7 +618,7 @@ def test_group_errors_keep_window_order(monkeypatch):
     # an earlier window's exhausted capital still wins, and of two singular
     # windows the first one's error names its own spreads
     u = small_universe()
-    panel = price_panel(u.prices + [u.benchmark])
+    panel = panel_of(u.prices + [u.benchmark])
     cfg = BacktestConfig(benchmark_symbol="MKT", test_days=21)
     rep = run_walk_forward(panel, cfg)
     assert len(rep.windows) == 24 and len(rep.windows[1].selected) == len(rep.windows[3].selected)

@@ -10,9 +10,10 @@ from fractalport.backtest import BacktestConfig, run_walk_forward
 from fractalport.cli import main
 from fractalport.errors import ParseError, ValidationError
 from fractalport.fbm import estimate_hurst
-from fractalport.io import ingest_prices, report_to_json, write_prices_wide
-from fractalport.spreads import PriceSeries, price_panel
+from fractalport.io import ingest_prices, report_to_dict, to_json, write_prices_wide
+from fractalport.spreads import PriceSeries
 from fbm_reference import generate_fbm
+from panels import panel_of
 
 
 def blank_cells(src, dst, blanks):
@@ -204,7 +205,7 @@ class TestIngestWide:
         out = tmp_path / "roundtrip.csv"
         write_prices_wide(out, universe.prices)
         back = ingest_prices(out)
-        want = price_panel(universe.prices)
+        want = panel_of(universe.prices)
         assert back.symbols == want.symbols == tuple(p.symbol for p in universe.prices)
         assert back.dates == want.dates == universe.prices[0].dates
         assert back.prices.tobytes() == want.prices.tobytes()
@@ -241,12 +242,25 @@ class TestIngestWide:
             PriceSeries("B", ("2020-01-08", "2020-01-09", "2020-01-10"), np.array([1.0, 2.0, 3.0])),
             PriceSeries(symbol, dates, np.array([4.0, 5.0, 6.0])),
         ]
-        with pytest.raises(ValidationError) as exc:
-            price_panel(series)
-        assert str(exc.value) == message
         out = tmp_path / "bad.csv"
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as exc:
             write_prices_wide(out, series)
+        assert str(exc.value) == message
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "symbols", [(), ("Symbol", "adj_close")], ids=["no_series", "long_header"]
+    )
+    def test_header_that_would_not_read_as_wide_not_written(self, tmp_path, symbols):
+        # "date" alone is no layout, and "date,Symbol,adj_close" reads as
+        # the long one
+        days = ("2020-01-08", "2020-01-09", "2020-01-10")
+        series = [PriceSeries(s, days, np.array([1.0, 2.0, 3.0])) for s in symbols]
+        out = tmp_path / "bad.csv"
+        header = ["date", *symbols]
+        with pytest.raises(ValidationError) as exc:
+            write_prices_wide(out, series)
+        assert str(exc.value) == f"header {header} would not read back as the wide layout"
         assert not out.exists()
 
 
@@ -605,7 +619,7 @@ class TestCmdBacktest:
         assert main(args) == 0
         cfg = BacktestConfig(benchmark_symbol="MKT", test_days=test_days)
         report = run_walk_forward(ingest_prices(fixture_csv), cfg)
-        assert out.read_bytes() == report_to_json(report, cfg).encode()
+        assert out.read_bytes() == to_json(report_to_dict(report, cfg)).encode()
 
     def test_output_in_missing_directory_exits_3(self, fixture_csv, tmp_path, capsys):
         out = tmp_path / "missing" / "report.json"

@@ -12,11 +12,11 @@ from fractalport.errors import (
     ParameterError,
     ValidationError,
 )
+from fractalport import fbm
 from fractalport.fbm import (
     cover_amplitudes,
     estimate_hurst,
-    fit_covers,
-    hurst_covers,
+    fit_hurst,
     window_ladder,
 )
 from fractalport.selection import fractal_kelly_weight
@@ -148,7 +148,7 @@ class TestCoverAmplitudes:
 
 class TestFitHurst:
     def test_rows_match_one_row_calls(self):
-        # the cover step and the regression of a path matrix give each row
+        # the Hurst fit of a path matrix gives each row
         # the bits of the row alone, and estimate_hurst is the one-row case
         rng = np.random.default_rng(9)
         paths = np.cumsum(rng.standard_normal((40, 257)), axis=1)
@@ -156,9 +156,9 @@ class TestFitHurst:
         paths[4, :] = 0.0
         paths[4, 129] = 1.0  # odd-index spike: only d = 2 samples it
         paths[5] = np.arange(257.0)  # ramp: clamped at the top
-        h, h_err, n_scales, clamped = fit_covers(hurst_covers(paths), 257)
+        h, h_err, n_scales, clamped = fit_hurst(paths)
         for k, path in enumerate(paths):
-            one = fit_covers(hurst_covers(path[np.newaxis]), 257)
+            one = fit_hurst(path[np.newaxis])
             for batched, alone in zip((h, h_err, n_scales, clamped), one):
                 np.testing.assert_array_equal(batched[k], alone[0])
             if n_scales[k] >= 3:
@@ -174,6 +174,25 @@ class TestFitHurst:
         assert clamped[5] and h[5] == 0.99
         assert not clamped[n_scales >= 3].all()
 
+    def test_covers_go_through_the_module_global(self, monkeypatch):
+        # the fit looks cover_amplitudes up at call time, so a wrapper put
+        # on the module attribute from outside sees every cover, and the
+        # fit weighs scales by the window counts the cover returns
+        paths = np.cumsum(np.random.default_rng(3).standard_normal((5, 300)), axis=1)
+        want = fit_hurst(paths)
+        seen = []
+
+        def cover(x, sizes):
+            sums, counts = cover_amplitudes(x, sizes)
+            seen.append(counts)
+            return sums, counts
+
+        monkeypatch.setattr(fbm, "cover_amplitudes", cover)
+        for got, expected in zip(fit_hurst(paths), want):
+            np.testing.assert_array_equal(got, expected)
+        assert len(seen) == 1
+        assert seen[0].tolist() == (299 // window_ladder(300)).tolist()
+
 
 def test_screen_null_pass_rate():
     # How often the selection screen (h + h_err < 0.5 and h_err < h) passes
@@ -183,7 +202,7 @@ def test_screen_null_pass_rate():
     # the sampling s.d. of h. Pinned as a baseline for a calibrated screen.
     levels = (0.3, 0.4, 0.5, 0.6)
     paths = np.stack([generate_fbm(h, 126, rng_seed=s) for h in levels for s in range(2000)])
-    h, h_err, n_scales, _ = fit_covers(hurst_covers(paths), paths.shape[1])
+    h, h_err, n_scales, _ = fit_hurst(paths)
     assert (n_scales >= 3).all()
     passed = ((h + h_err < 0.5) & (h_err < h)).reshape(4, 2000)
     assert passed.sum(axis=1).tolist() == [1948, 1655, 772, 176]

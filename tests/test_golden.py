@@ -20,9 +20,9 @@ import pytest
 
 from fractalport.backtest import BacktestConfig, run_walk_forward
 from fractalport.cli import main
-from fractalport.io import report_to_dict, report_to_json
-from fractalport.spreads import price_panel
+from fractalport.io import report_to_dict, to_json
 from fractalport.synthetic import make_synthetic_universe
+from panels import panel_of
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_seed3.json").read_text())
 
@@ -30,7 +30,7 @@ GOLDEN = json.loads((Path(__file__).parent / "golden_seed3.json").read_text())
 @pytest.fixture(scope="module")
 def golden_report():
     u = make_synthetic_universe(seed=3)
-    panel = price_panel(u.prices + [u.benchmark])
+    panel = panel_of(u.prices + [u.benchmark])
     return run_walk_forward(panel, BacktestConfig(benchmark_symbol="MKT"))
 
 
@@ -65,7 +65,7 @@ CFG_21 = BacktestConfig(benchmark_symbol="MKT", test_days=21)
 @pytest.fixture(scope="module")
 def golden_report_21():
     u = make_synthetic_universe(seed=3)
-    return run_walk_forward(price_panel(u.prices + [u.benchmark]), CFG_21)
+    return run_walk_forward(panel_of(u.prices + [u.benchmark]), CFG_21)
 
 
 def test_windows_pinned_short_tests(golden_report_21):
@@ -75,7 +75,7 @@ def test_windows_pinned_short_tests(golden_report_21):
 def test_report_bytes_pinned_short_tests(golden_report_21):
     # every float of the report to its last bit: a numpy or BLAS build that
     # rounds the optimizer's solves differently fails here, not above
-    text = report_to_json(golden_report_21, CFG_21)
+    text = to_json(report_to_dict(golden_report_21, CFG_21))
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_21["report_sha256"]
 
 

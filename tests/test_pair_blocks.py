@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from fractalport import selection
 from fractalport.backtest import BacktestConfig, _invest_group
 from fractalport.errors import InsufficientDataError
-from fractalport.fbm import MIN_HURST_LENGTH, fit_covers, hurst_covers
+from fractalport.fbm import MIN_HURST_LENGTH, fit_hurst
 from fractalport.optimizer import (
     apply_leverage,
     compose_legs,
@@ -37,7 +37,7 @@ from fractalport.selection import (
     fractal_kelly_weight,
     select_spreads,
 )
-from fractalport.spreads import PriceSeries, price_panel, spread_returns, window_returns
+from fractalport.spreads import PriceSeries, build_panel, spread_returns, window_returns
 from pair_reference import candidates as reference_candidates
 
 EPS = np.finfo(np.float64).eps
@@ -202,9 +202,11 @@ class TestMatchesPerPairReference:
             PriceSeries(f"P{k}", dates(n_days + 1, start=int(k == 3)), row)
             for k, row in enumerate(prices)
         ]
-        panel = price_panel(series)
-        on_p0 = np.isin(panel.dates, series[0].dates)
-        window = window_returns(panel.prices.compress(on_p0, axis=1))
+        # on the union of their dates P0-P2 lack the last day, P3 the first
+        cells = np.full((4, n_days + 2), np.nan)
+        cells[:3, :-1], cells[3, 1:] = prices[:3], prices[3]
+        panel = build_panel([s.symbol for s in series], dates(n_days + 2), cells)
+        window = window_returns(panel.prices[:, :-1])
         assert np.isnan(window[3]).all()
         got = build_generating_matrix(window, panel.symbols, SelectionConfig())
         universe = [Row(s.symbol, window_returns(s.prices[None])[0], s.dates[1:]) for s in series]
@@ -267,8 +269,8 @@ def test_flip_keeps_hurst_fit():
     chi = rng.uniform(0.3, 3.0, 20)
     paths = np.zeros((20, 127))
     np.cumsum(spread_returns(returns, np.arange(20), np.arange(20, 40), chi), axis=1, out=paths[:, 1:])
-    h = fit_covers(hurst_covers(paths), 127)[0]
-    flipped = fit_covers(hurst_covers(-paths / chi[:, None]), 127)[0]
+    h = fit_hurst(paths)[0]
+    flipped = fit_hurst(-paths / chi[:, None])[0]
     assert np.all(np.abs(flipped - h) <= 1e-15)
 
 

@@ -12,7 +12,8 @@ from fractalport.selection import (
     fractal_kelly_weight,
     select_spreads,
 )
-from fractalport.spreads import price_panel, window_returns
+from fractalport.spreads import window_returns
+from panels import panel_of
 
 
 def make_candidates(rows, symbols=None):
@@ -152,7 +153,7 @@ class TestBuildGeneratingMatrix:
         # the seed-3 fixture's 19 training windows stacked as the backtest
         # stacks them, each of its 11 symbols scaled by 1e6 in turn: the
         # same rows every time, at most 5.5e-12 relative apart
-        panel = price_panel(universe.prices + [universe.benchmark])
+        panel = panel_of(universe.prices + [universe.benchmark])
         cfg = SelectionConfig()
         train, test = BacktestConfig.train_days, BacktestConfig.test_days
 

@@ -12,7 +12,8 @@ from hypothesis.extra.numpy import arrays
 
 from fractalport.errors import InsufficientDataError, ValidationError
 from fractalport.selection import SelectionConfig, build_generating_matrix
-from fractalport.spreads import PriceSeries, price_panel, window_returns
+from fractalport.io import write_prices_wide
+from fractalport.spreads import PriceSeries, build_panel, window_returns
 from fractalport.synthetic import make_synthetic_universe
 from pair_reference import hedge_ratio, oriented_spread
 
@@ -34,45 +35,52 @@ def make_returns(symbol, values):
 
 
 class TestPriceSeries:
-    """A series is a plain record; ``price_panel`` is where it is checked."""
+    """A series is a plain record; ``write_prices_wide`` is where it is
+    checked, and a refused series writes no file."""
 
-    def test_rejects_nonpositive_prices(self):
-        with pytest.raises(ValidationError):
-            price_panel([PriceSeries(symbol="X", dates=dates(2), prices=np.array([100.0, 0.0]))])
+    @staticmethod
+    def refused(tmp_path, series, message):
+        out = tmp_path / "refused.csv"
+        with pytest.raises(ValidationError, match=message):
+            write_prices_wide(out, series)
+        assert not out.exists()
+
+    def test_rejects_nonpositive_prices(self, tmp_path):
+        x = PriceSeries(symbol="X", dates=dates(2), prices=np.array([100.0, 0.0]))
+        self.refused(tmp_path, [x], "^X: price 0.0 on ")
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
-    def test_bad_price_names_symbol_and_first_date(self, bad):
-        # dates given latest first: the first bad date is the earliest, and
+    def test_bad_price_names_symbol_and_first_date(self, tmp_path, bad):
         # a NaN is a bad price, not a missing one
         good = PriceSeries(symbol="A", dates=dates(4), prices=np.full(4, 10.0))
-        prices = np.array([bad, bad, 101.0, 100.0])
-        x = PriceSeries(symbol="X", dates=dates(4)[::-1], prices=prices)
-        with pytest.raises(ValidationError, match=f"^X: price {bad} on {dates(4)[2]} "):
-            price_panel([x, good])
+        x = PriceSeries(symbol="X", dates=dates(4), prices=np.array([100.0, 101.0, bad, bad]))
+        message = f"^X: price {bad} on {dates(4)[2]} is not finite and positive$"
+        self.refused(tmp_path, [x, good], message)
 
     @pytest.mark.parametrize("n_prices", [1, 3])
-    def test_rejects_length_mismatch(self, n_prices):
+    def test_rejects_length_mismatch(self, tmp_path, n_prices):
         # one price would otherwise broadcast over every date
         x = PriceSeries(symbol="X", dates=dates(2), prices=np.full(n_prices, 1.0))
-        with pytest.raises(ValidationError, match=f"^X: 2 dates vs {n_prices} prices$"):
-            price_panel([x])
+        self.refused(tmp_path, [x], f"^X: 2 dates vs {n_prices} prices$")
 
-    def test_rejects_repeated_date(self):
-        days = ("2020-01-03", "2020-01-01", "2020-01-03")
+    def test_rejects_repeated_date(self, tmp_path):
+        days = ("2020-01-01", "2020-01-03", "2020-01-03")
         x = PriceSeries(symbol="X", dates=days, prices=[1.0, 2.0, 3.0])
-        with pytest.raises(ValidationError, match="^X: duplicate date 2020-01-03$"):
-            price_panel([x])
+        self.refused(tmp_path, [x], "^X: dates do not increase$")
 
-    def test_unsorted_dates_give_sorted_panel(self):
-        days, prices = dates(5), np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        order = [3, 0, 4, 1, 2]
-        y = PriceSeries(symbol="Y", dates=days[1:], prices=prices[1:] * 10.0)
-        shuffled = PriceSeries(symbol="X", dates=[days[k] for k in order], prices=prices[order])
-        got = price_panel([shuffled, y])
-        want = price_panel([PriceSeries(symbol="X", dates=days, prices=prices), y])
-        assert got.dates == want.dates == days
-        assert got.prices.tobytes() == want.prices.tobytes()
-        np.testing.assert_array_equal(got.prices[0], prices)
+    def test_rejects_decreasing_dates(self, tmp_path):
+        x = PriceSeries(symbol="X", dates=dates(3)[::-1], prices=[1.0, 2.0, 3.0])
+        self.refused(tmp_path, [x], "^X: dates do not increase$")
+
+    @pytest.mark.parametrize(
+        "other", [dates(3, start=1), dates(2), dates(4)], ids=["shifted", "shorter", "longer"]
+    )
+    def test_rejects_differing_calendars(self, tmp_path, other):
+        # the file has one date column: a series on other dates than the
+        # first series' would need gaps the writer does not make
+        x = PriceSeries(symbol="X", dates=dates(3), prices=[1.0, 2.0, 3.0])
+        y = PriceSeries(symbol="Y", dates=other, prices=np.ones(len(other)))
+        self.refused(tmp_path, [y, x], "^Y: dates differ from X's$")
 
     def test_prices_immutable(self):
         u = make_synthetic_universe(n_assets=2, n_days=5, n_pairs=0)
@@ -133,16 +141,14 @@ def test_window_returns_match_per_row_reference(block):
 class TestPriceMatrix:
     def test_rows_on_requested_dates(self):
         days = dates(5)
-        x = PriceSeries(symbol="X", dates=days, prices=[1.0, 2.0, 3.0, 4.0, 5.0])
-        y = PriceSeries(symbol="Y", dates=days[1:], prices=[20.0, 30.0, 40.0, 50.0])
-        panel = price_panel([y, x])
+        cells = np.array([[1.0, 2.0, 3.0, 4.0, 5.0], [np.nan, 20.0, 30.0, 40.0, 50.0]])
+        panel = build_panel(("X", "Y"), days, cells)
         assert panel.symbols == ("X", "Y") and panel.dates == days
-        np.testing.assert_array_equal(panel.prices[0], [1.0, 2.0, 3.0, 4.0, 5.0])
-        np.testing.assert_array_equal(panel.prices[1], [np.nan, 20.0, 30.0, 40.0, 50.0])
+        np.testing.assert_array_equal(panel.prices, cells)
         assert panel.prices.flags.c_contiguous
 
     def test_panel_is_read_only(self):
-        panel = price_panel([PriceSeries(symbol="X", dates=dates(2), prices=[1.0, 2.0])])
+        panel = build_panel(("X",), dates(2), np.array([[1.0, 2.0]]))
         with pytest.raises(ValueError):
             panel.prices[0, 0] = 5.0
 
@@ -254,13 +260,11 @@ class TestBuildSpread:
         rng = np.random.default_rng(6)
         market = 0.01 * rng.standard_normal(100)
         returns = [beta * market + 0.002 * rng.standard_normal(100) for beta in (1.2, 1.0, 0.8)]
-        series = [
-            PriceSeries(symbol, dates(101, start), 100.0 * np.cumprod(np.r_[1.0, 1.0 + r]))
-            for symbol, start, r in zip("ABC", (0, 2, 0), returns)
-        ]
-        panel = price_panel(series)
-        on_a = np.isin(panel.dates, series[0].dates)
-        window = window_returns(panel.prices.compress(on_a, axis=1))
+        cells = np.full((3, 103), np.nan)
+        for row, start, r in zip(cells, (0, 2, 0), returns):
+            row[start : start + 101] = 100.0 * np.cumprod(np.r_[1.0, 1.0 + r])
+        panel = build_panel(("A", "B", "C"), dates(103), cells)
+        window = window_returns(panel.prices[:, :101])
         assert np.isnan(window[1]).all()
         cands = build_generating_matrix(window, panel.symbols, SelectionConfig())
         assert len(cands) == 1
