@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from datetime import date
 from itertools import compress
 from pathlib import Path
@@ -75,15 +75,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bt = sub.add_parser("backtest", help="walk-forward out-of-sample backtest")
     p_bt.add_argument("--prices", required=True, help="price CSV (long or wide)")
-    p_bt.add_argument("--benchmark", required=True, help="benchmark symbol in the CSV")
+    p_bt.add_argument("--benchmark", dest="benchmark_symbol", metavar="BENCHMARK", required=True,
+                      help="benchmark symbol in the CSV")
     p_bt.add_argument("--train-days", type=int, default=BacktestConfig.train_days)
     p_bt.add_argument("--test-days", type=int, default=BacktestConfig.test_days)
     p_bt.add_argument("--leverage", type=float, default=BacktestConfig.leverage)
-    p_bt.add_argument("--capital", type=float, default=BacktestConfig.initial_capital)
+    p_bt.add_argument("--capital", dest="initial_capital", metavar="CAPITAL", type=float,
+                      default=BacktestConfig.initial_capital)
     p_bt.add_argument("--commission-per-share", type=float, default=BacktestConfig.commission_per_share)
-    p_bt.add_argument("--overnight-rate", type=float, default=BacktestConfig.overnight_rate_annual)
+    p_bt.add_argument("--overnight-rate", dest="overnight_rate_annual", metavar="OVERNIGHT_RATE",
+                      type=float, default=BacktestConfig.overnight_rate_annual)
     p_bt.add_argument("--hurst-cap", type=float, default=BacktestConfig.hurst_cap)
-    p_bt.add_argument("--no-reinvest", action="store_true")
+    p_bt.add_argument("--no-reinvest", dest="reinvest", action="store_false")
     p_bt.add_argument("--output", required=True, help="report JSON path")
     p_bt.add_argument("--equity-csv", default=None, help="optional daily equity CSV")
 
@@ -126,12 +129,13 @@ def _window_date(raw: str, flag: str) -> str:
         raise ParameterError(f"{flag}: bad date {raw!r}: {exc}") from None
 
 
+def _config(cls, args):
+    """``cls`` from the parsed flags, each stored under its field's name."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
+
+
 def _cmd_select(args) -> int:
-    cfg = SelectionConfig(
-        horizon_days=args.horizon_days,
-        hurst_cap=args.hurst_cap,
-        max_spreads=args.max_spreads,
-    )
+    cfg = _config(SelectionConfig, args)
     start, end = _window_date(args.start, "--start"), _window_date(args.end, "--end")
     if start > end:
         raise ParameterError(f"--start {start} is after --end {end}")
@@ -180,17 +184,7 @@ def _window(panel: PricePanel, start: str, end: str):
 
 
 def _cmd_backtest(args) -> int:
-    cfg = BacktestConfig(
-        train_days=args.train_days,
-        test_days=args.test_days,
-        leverage=args.leverage,
-        initial_capital=args.capital,
-        commission_per_share=args.commission_per_share,
-        overnight_rate_annual=args.overnight_rate,
-        benchmark_symbol=args.benchmark,
-        hurst_cap=args.hurst_cap,
-        reinvest=not args.no_reinvest,
-    )
+    cfg = _config(BacktestConfig, args)
     report = run_walk_forward(ingest_prices(args.prices), cfg)
     write_report_json(args.output, report, cfg)
     if args.equity_csv:

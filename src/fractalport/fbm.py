@@ -30,7 +30,7 @@ __all__ = [
 # is meaningless.
 MIN_HURST_LENGTH = 64
 
-# Fit results outside (0, 1) are clamped into this interval and flagged.
+# ``estimate_hurst`` clips a raw fit outside (0, 1) into this and flags it.
 _HURST_CLAMP = (0.01, 0.99)
 
 
@@ -38,8 +38,9 @@ _HURST_CLAMP = (0.01, 0.99)
 class HurstEstimate:
     """Hurst exponent with its one-sigma fit error.
 
-    ``clamped`` marks estimates whose raw fit fell outside (0, 1); such
-    series are not fractal-walk-like and downstream screens reject them.
+    ``clamped`` marks a raw fit outside (0, 1), its ``h`` clipped into
+    ``_HURST_CLAMP`` for display; such a series is not fractal-walk-like,
+    and ``build_generating_matrix`` drops a spread so fitted.
     """
 
     h: float
@@ -124,8 +125,8 @@ def fit_hurst(paths):
     result does not depend on the other rows: fitting a matrix of paths
     block by block gives each row the bits of one fit of the whole matrix.
 
-    Returns (h, h_err, n_scales, clamped), one entry per row. A fit
-    outside (0, 1) is clamped into ``_HURST_CLAMP`` and flagged. A row
+    Returns (h, h_err, n_scales), one entry per row: the raw fit, outside
+    (0, 1) for a path far from a fractal walk (a ramp fits h = 1). A row
     with fewer than 3 scales of positive amplitude is degenerate: its
     ``n_scales`` is below 3 and its ``h`` and ``h_err`` are NaN. Raises
     ``InsufficientDataError`` for a path shorter than ``MIN_HURST_LENGTH``.
@@ -138,44 +139,37 @@ def fit_hurst(paths):
     sums, counts = cover_amplitudes(paths, sizes)
     keep = sums > 0.0
     n_scales = keep.sum(axis=1)
-    fitted = n_scales >= 3
-    keep = keep[fitted]
     # Rescale complete-window totals to the full series span, so partial
     # coverage at scales that do not divide n-1 cannot tilt the fit.
-    v = sums[fitted] * ((n - 1) / (counts * sizes))
+    v = sums * ((n - 1) / (counts * sizes))
     log_d = np.log(sizes.astype(np.float64))
     log_v = np.log(np.where(keep, v, 1.0))
     wgt = np.where(keep, counts.astype(np.float64), 0.0)
-    wgt /= wgt.sum(axis=1, keepdims=True)
-    xb = np.sum(wgt * log_d, axis=1, keepdims=True)
-    yb = np.sum(wgt * log_v, axis=1, keepdims=True)
-    dx = log_d - xb
-    sxx = np.sum(wgt * dx**2, axis=1, keepdims=True)
-    slope = np.sum(wgt * (dx * (log_v - yb)), axis=1, keepdims=True) / sxx
-    resid = log_v - (yb + slope * dx)
-    se = np.sqrt(
-        np.sum(wgt * resid**2, axis=1, keepdims=True) / (n_scales[fitted, None] - 2) / sxx
-    )
-    dimension = 1.0 - slope[:, 0]
-    h_fit = 2.0 - dimension
-    clamped_fit = ~((0.0 < h_fit) & (h_fit < 1.0))
-    h = np.full(n_scales.size, np.nan)
-    h_err = np.full(n_scales.size, np.nan)
-    clamped = np.zeros(n_scales.size, dtype=bool)
-    h[fitted] = np.where(clamped_fit, np.clip(h_fit, *_HURST_CLAMP), h_fit)
-    h_err[fitted] = se[:, 0]
-    clamped[fitted] = clamped_fit
-    return h, h_err, n_scales, clamped
+    # A degenerate row's sums divide zero by zero; its fit is set NaN below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        wgt /= wgt.sum(axis=1, keepdims=True)
+        xb = np.sum(wgt * log_d, axis=1, keepdims=True)
+        yb = np.sum(wgt * log_v, axis=1, keepdims=True)
+        dx = log_d - xb
+        sxx = np.sum(wgt * dx**2, axis=1, keepdims=True)
+        slope = np.sum(wgt * (dx * (log_v - yb)), axis=1, keepdims=True) / sxx
+        resid = log_v - (yb + slope * dx)
+        h_err = np.sqrt(np.sum(wgt * resid**2, axis=1) / (n_scales - 2) / sxx[:, 0])
+    h = 2.0 - (1.0 - slope[:, 0])  # D = 1 - slope, H = 2 - D
+    h[n_scales < 3] = h_err[n_scales < 3] = np.nan
+    return h, h_err, n_scales
 
 
 def estimate_hurst(s) -> HurstEstimate:
     """Minimal-cover Hurst estimate of one sample path: ``fit_hurst`` of it,
-    with a typed error for a degenerate series."""
+    with a typed error for a degenerate series and a fit outside (0, 1)
+    clipped into ``_HURST_CLAMP`` and flagged ``clamped`` for display."""
     x = _as_path(s)
-    h, h_err, n_scales, clamped = fit_hurst(x[np.newaxis])
+    h, h_err, n_scales = fit_hurst(x[np.newaxis])
     if n_scales[0] < 3:
         raise DegenerateSeriesError("series has no amplitude variation at enough scales")
+    clamped = not 0.0 < h[0] < 1.0
     return HurstEstimate(
-        h=float(h[0]), h_err=float(h_err[0]), n_scales=int(n_scales[0]), clamped=bool(clamped[0])
+        h=float(np.clip(h[0], *_HURST_CLAMP) if clamped else h[0]), h_err=float(h_err[0]),
+        n_scales=int(n_scales[0]), clamped=clamped,
     )
-

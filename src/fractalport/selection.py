@@ -158,11 +158,11 @@ def build_generating_matrix(returns: np.ndarray, symbols, cfg: SelectionConfig) 
     and variance theta^2 = S_ii + chi^2 S_jj - 2 chi S_ij; and the
     cumulative return paths X give the spread's path X_i - chi * X_j,
     built ``PAIR_BLOCK`` rows at a time. Each block is covered and fitted
-    before the next is built, so of a row's Hurst fit only its h, h_err and
-    scale count outlive its block. The Gram matrices are einsum
-    reductions: unlike a BLAS product, each entry then has the same bits
-    whatever the other assets, so a row's values do not depend on the
-    other rows and a stack gives each window the table it gets alone.
+    before the next is built, so of a row's Hurst fit only its h and h_err
+    outlive its block. The Gram matrices are einsum reductions: unlike a
+    BLAS product, each entry then has the same bits whatever the other
+    assets, so a row's values do not depend on the other rows and a stack
+    gives each window the table it gets alone.
 
     A window's universe is the assets whose returns are all numbers: a
     pair is omitted when either leg's row holds a NaN, that symbol having
@@ -173,13 +173,14 @@ def build_generating_matrix(returns: np.ndarray, symbols, cfg: SelectionConfig) 
 
     Pairs are also omitted when j's increment variance is below
     ``HEDGE_VARIANCE_EPS`` or chi is not positive, when the path has no
-    usable Hurst fit, or when theta^2 is at most ``SPREAD_VARIANCE_FLOOR``
-    times S_ii + chi^2 S_jj: such a spread is the rounding noise of an
-    exact hedge (one asset a scaled copy of the other), whose formula
-    variance can even come out negative. A spread with negative mean is
-    reversed, long j and short chi' = 1/chi units of i, with mean -mean/chi
-    and theta/chi; the cover fit is scale-invariant, so h is that of the
-    unreversed path.
+    usable Hurst fit (under 3 scales, or a raw fit outside (0, 1), the
+    domain of the Kelly weight and of the optimizer's rescaling), or when
+    theta^2 is at most ``SPREAD_VARIANCE_FLOOR`` times S_ii + chi^2 S_jj:
+    such a spread is the rounding noise of an exact hedge (one asset a
+    scaled copy of the other), whose formula variance can even come out
+    negative. A spread with negative mean is reversed, long j and short
+    chi' = 1/chi units of i, with mean -mean/chi and theta/chi; the cover
+    fit is scale-invariant, so h is that of the unreversed path.
 
     A window too short for a Hurst fit (``fbm.MIN_HURST_LENGTH - 1``
     returns) raises ``InsufficientDataError``, whatever its pairs.
@@ -215,11 +216,11 @@ def build_generating_matrix(returns: np.ndarray, symbols, cfg: SelectionConfig) 
     np.cumsum(stack, axis=-1, out=paths[..., 1:])
     paths = paths.reshape(-1, n_days + 1)  # (windows * assets) x path
     path_i, path_j = window * n_assets + i, window * n_assets + j
-    h, h_err, n_scales = np.empty(chi.size), np.empty(chi.size), np.empty(chi.size, np.intp)
+    h, h_err = np.empty(chi.size), np.empty(chi.size)
     for block in (slice(k, k + PAIR_BLOCK) for k in range(0, chi.size, PAIR_BLOCK)):
         spread = paths[path_i[block]] - chi[block, None] * paths[path_j[block]]
-        h[block], h_err[block], n_scales[block], _ = fbm.fit_hurst(spread)
-    keep = (theta2 > SPREAD_VARIANCE_FLOOR * leg_var) & (n_scales >= 3)
+        h[block], h_err[block], _ = fbm.fit_hurst(spread)
+    keep = (theta2 > SPREAD_VARIANCE_FLOOR * leg_var) & (0.0 < h) & (h < 1.0)  # NaN: no fit
     window, i, j, chi, mean, theta2, h, h_err = (
         c[keep] for c in (window, i, j, chi, mean, theta2, h, h_err)
     )

@@ -59,7 +59,9 @@ def oriented_spread(r_i, r_j, chi: float) -> Spread:
 
 
 def hurst(x):
-    """Weighted log-log fit of the cover amplitudes of one path, or None."""
+    """Weighted log-log fit (h, h_err) of the cover amplitudes of one path,
+    or None when fewer than 3 scales have amplitude or h lies outside
+    (0, 1)."""
     n = x.size
     if n < MIN_HURST_LENGTH:
         raise InsufficientDataError(f"series has {n} samples")
@@ -80,9 +82,7 @@ def hurst(x):
     resid = log_v - (yb + slope * (log_d - xb))
     se = float(np.sqrt((wgt @ resid**2) / (int(keep.sum()) - 2) / sxx))
     h = 2.0 - (1.0 - slope)
-    if not 0.0 < h < 1.0:
-        h = min(max(h, 0.01), 0.99)
-    return h, se
+    return (h, se) if 0.0 < h < 1.0 else None
 
 
 def candidates(universe, cfg):
@@ -92,9 +92,9 @@ def candidates(universe, cfg):
     A row of fewer returns than a path needs for a Hurst fit raises
     ``InsufficientDataError`` before any pair is formed. A pair is dropped
     when its legs' returns fall on different dates, when its hedge ratio
-    is NaN or not positive, when its path has no usable fit, or when its
-    spread's variance is at most ``SPREAD_VARIANCE_FLOOR`` times its legs'
-    summed variances.
+    is NaN or not positive, when its path has no usable fit (``hurst``
+    gives None), or when its spread's variance is at most
+    ``SPREAD_VARIANCE_FLOOR`` times its legs' summed variances.
     """
     short = next((r for r in universe if r.returns.size + 1 < MIN_HURST_LENGTH), None)
     if short is not None:

@@ -155,24 +155,45 @@ class TestFitHurst:
         paths[3] = 1.5  # flat: degenerate
         paths[4, :] = 0.0
         paths[4, 129] = 1.0  # odd-index spike: only d = 2 samples it
-        paths[5] = np.arange(257.0)  # ramp: clamped at the top
-        h, h_err, n_scales, clamped = fit_hurst(paths)
+        paths[5] = np.arange(257.0)  # ramp: raw fit 1, outside (0, 1)
+        paths[6, :] = 0.0
+        paths[6, 130] = 1.0  # spike at 2 mod 4: only d = 2 and d = 4 sample it
+        h, h_err, n_scales = fit_hurst(paths)
         for k, path in enumerate(paths):
             one = fit_hurst(path[np.newaxis])
-            for batched, alone in zip((h, h_err, n_scales, clamped), one):
+            for batched, alone in zip((h, h_err, n_scales), one):
                 np.testing.assert_array_equal(batched[k], alone[0])
             if n_scales[k] >= 3:
                 est = estimate_hurst(path)
-                assert (est.h, est.h_err, est.n_scales, est.clamped) == (
-                    h[k], h_err[k], n_scales[k], clamped[k]
-                )
+                assert (est.h_err, est.n_scales) == (h_err[k], n_scales[k])
+                assert est.h == (0.99 if k == 5 else h[k])
             else:
                 with pytest.raises(DegenerateSeriesError):
                     estimate_hurst(path)
         assert n_scales[3] == 0 and np.isnan(h[3]) and np.isnan(h_err[3])
         assert n_scales[4] == 1 and np.isnan(h[4])
-        assert clamped[5] and h[5] == 0.99
-        assert not clamped[n_scales >= 3].all()
+        assert n_scales[6] == 2 and np.isnan(h[6]) and np.isnan(h_err[6])
+        assert h[5] >= 1.0 and estimate_hurst(paths[5]).clamped
+        walks = np.delete(h, [3, 4, 5, 6])
+        assert np.all((0.0 < walks) & (walks < 1.0))
+
+    def test_estimate_clips_exactly_the_fits_outside_the_unit_interval(self):
+        # white noise as a path fits h near 0, on either side; a ramp with
+        # a little noise fits h near 1, on either side; walks fit inside.
+        # Only estimate_hurst clips, and it flags exactly what it clips.
+        rng = np.random.default_rng(4)
+        noise = rng.standard_normal((60, 200))
+        ramps = np.arange(200.0) + 0.3 * noise[:20]
+        paths = np.concatenate([noise, ramps, np.cumsum(noise[:20], axis=1)])
+        h, h_err, n_scales = fit_hurst(paths)
+        assert (n_scales >= 3).all()
+        outside = ~((0.0 < h) & (h < 1.0))
+        assert (h <= 0.0).any() and (h >= 1.0).any() and not outside.all()
+        for path, raw, err, out in zip(paths, h, h_err, outside):
+            est = estimate_hurst(path)
+            assert est.clamped == out
+            assert est.h == (np.clip(raw, 0.01, 0.99) if out else raw)
+            assert est.h_err == err
 
     def test_covers_go_through_the_module_global(self, monkeypatch):
         # the fit looks cover_amplitudes up at call time, so a wrapper put
@@ -202,7 +223,7 @@ def test_screen_null_pass_rate():
     # the sampling s.d. of h. Pinned as a baseline for a calibrated screen.
     levels = (0.3, 0.4, 0.5, 0.6)
     paths = np.stack([generate_fbm(h, 126, rng_seed=s) for h in levels for s in range(2000)])
-    h, h_err, n_scales, _ = fit_hurst(paths)
+    h, h_err, n_scales = fit_hurst(paths)
     assert (n_scales >= 3).all()
     passed = ((h + h_err < 0.5) & (h_err < h)).reshape(4, 2000)
     assert passed.sum(axis=1).tolist() == [1948, 1655, 772, 176]

@@ -20,8 +20,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fractalport import selection
-from fractalport.backtest import BacktestConfig, _invest_group
+from fractalport import backtest, selection
+from fractalport.backtest import BacktestConfig, _invest_group, run_walk_forward
 from fractalport.errors import InsufficientDataError
 from fractalport.fbm import MIN_HURST_LENGTH, fit_hurst
 from fractalport.optimizer import (
@@ -38,7 +38,10 @@ from fractalport.selection import (
     select_spreads,
 )
 from fractalport.spreads import PriceSeries, build_panel, spread_returns, window_returns
+from fractalport.synthetic import make_synthetic_universe
+from panels import panel_of
 from pair_reference import candidates as reference_candidates
+from pair_reference import hedge_ratio, oriented_spread
 
 EPS = np.finfo(np.float64).eps
 
@@ -132,6 +135,54 @@ def random_returns(rng, n_assets, n_days):
     return betas[:, None] * market + drift[:, None] + 0.004 * rng.standard_normal((n_assets, n_days))
 
 
+def twin_series():
+    """Seed 5's synthetic universe with no planted pair (6 noise assets of
+    0.015 daily idiosyncratic vol on a market of 1e-4 +- 0.009 a day, the
+    benchmark MKT) and a twin pair, as two ETFs tracking one index trade:
+    IVV on the market path and SPY = 0.5 * IVV * (1 + 2e-4 * eps). The
+    hedged twin spread is price-level white noise, whose raw Hurst fit
+    lies near 0, at or below it in 10 of the 19 backtest windows. eps's
+    stream is one under which a fit clamped to 0.01 put the twin into
+    window 15's selection, with Kelly weight 458."""
+    u = make_synthetic_universe(n_assets=6, n_days=2520, seed=5, n_pairs=0)
+    ivv = u.benchmark.prices
+    eps = np.random.default_rng(94).standard_normal(ivv.size)
+    twins = [PriceSeries("IVV", u.benchmark.dates, ivv),
+             PriceSeries("SPY", u.benchmark.dates, 0.5 * ivv * (1.0 + 2e-4 * eps))]
+    return [*u.prices, u.benchmark, *twins]
+
+
+def check_matches_reference(universe, cfg):
+    """Check the engine's table of ``universe`` against the reference's, row
+    by row, and return it."""
+    matrix, got = build(universe, cfg)
+    want = reference_candidates(universe, cfg)
+    got_pairs = pairs(got)
+    assert len(got) == len(want) > 0
+    assert not any(getattr(got, f.name).flags.writeable for f in fields(got)[1:])
+    returns_of = {r.symbol: r.returns for r in universe}
+    deltas = spread_returns(matrix, got.long, got.short, got.chi)
+    for k, ref in enumerate(want):
+        long, short, _, _, _, _, h, h_err, _ = ref
+        assert got_pairs[k] == (long, short)
+        assert_near_reference(got.chi[k], got.mean[k], got.theta[k], deltas[k], ref, returns_of)
+        assert got.h[k] == pytest.approx(h, rel=1e-12)
+        assert got.h_err[k] == pytest.approx(h_err, rel=1e-12)
+    kelly = fractal_kelly_weight(got.mean, got.theta, got.h, cfg.horizon_days)
+    assert kelly.tobytes() == got.kelly.tobytes()
+    # the optimizer builds only the selected rows' deltas from their
+    # oriented legs: the same bits, for the selection and for any other
+    # subset of the rows
+    row_deltas = dict(zip(got_pairs, deltas))
+    scattered = got.take(np.arange(len(got))[::-3])
+    assert len(scattered) > 0
+    for subset in (select_spreads(got, cfg), scattered):
+        recomputed = spread_returns(matrix, subset.long, subset.short, subset.chi)
+        for pair, row in zip(pairs(subset), recomputed):
+            assert row.tobytes() == row_deltas[pair].tobytes()
+    return got
+
+
 class TestMatchesPerPairReference:
     @pytest.mark.parametrize("seed,n_assets,n_days", [(0, 30, 126), (1, 12, 200), (2, 7, 63)])
     def test_candidates_match(self, seed, n_assets, n_days):
@@ -143,38 +194,25 @@ class TestMatchesPerPairReference:
         # constant offset, exact in binary: chi = 1, a linear path, theta = 0
         returns[5] = rng.integers(-8, 9, n_days) / 1024.0
         returns[6] = returns[5] + 1.0 / 256.0
-        universe = make_universe(returns)
-        cfg = SelectionConfig()
-        matrix, got = build(universe, cfg)
-        want = reference_candidates(universe, cfg)
         if n_assets == 30:
             assert n_assets * (n_assets - 1) // 2 > PAIR_BLOCK
-        got_pairs = pairs(got)
+        got_pairs = pairs(check_matches_reference(make_universe(returns), SelectionConfig()))
         assert ("S0", "S1") not in got_pairs
         assert all("S3" not in pair for pair in got_pairs)
         assert all(set(pair) not in ({"S2", "S4"}, {"S5", "S6"}) for pair in got_pairs)
-        assert len(got) == len(want) > 0
-        assert not any(getattr(got, f.name).flags.writeable for f in fields(got)[1:])
-        returns_of = {r.symbol: r.returns for r in universe}
-        deltas = spread_returns(matrix, got.long, got.short, got.chi)
-        for k, ref in enumerate(want):
-            long, short, _, _, _, _, h, h_err, _ = ref
-            assert got_pairs[k] == (long, short)
-            assert_near_reference(got.chi[k], got.mean[k], got.theta[k], deltas[k], ref, returns_of)
-            assert got.h[k] == pytest.approx(h, rel=1e-12)
-            assert got.h_err[k] == pytest.approx(h_err, rel=1e-12)
-        kelly = fractal_kelly_weight(got.mean, got.theta, got.h, cfg.horizon_days)
-        assert kelly.tobytes() == got.kelly.tobytes()
-        # the optimizer builds only the selected rows' deltas from their
-        # oriented legs: the same bits, for the selection and for any other
-        # subset of the rows
-        row_deltas = dict(zip(got_pairs, deltas))
-        scattered = got.take(np.arange(len(got))[::-3])
-        assert len(scattered) > 0
-        for subset in (select_spreads(got, cfg), scattered):
-            recomputed = spread_returns(matrix, subset.long, subset.short, subset.chi)
-            for pair, row in zip(pairs(subset), recomputed):
-                assert row.tobytes() == row_deltas[pair].tobytes()
+
+    def test_twin_window_matches(self):
+        # window 15's training returns of the twin universe: the twin's raw
+        # fit lies below 0, and the engine drops it as the reference does
+        traded = sorted((s for s in twin_series() if s.symbol != "MKT"), key=lambda s: s.symbol)
+        days = slice(15 * 126, 16 * 126)
+        returns = window_returns(np.stack([s.prices[days] for s in traded]))
+        universe = [Row(s.symbol, r, s.dates[days][1:]) for s, r in zip(traded, returns)]
+        ivv, spy = (next(r for r in universe if r.symbol == t) for t in ("IVV", "SPY"))
+        spread = oriented_spread(ivv.returns, spy.returns, hedge_ratio(ivv.returns, spy.returns))
+        assert fit_hurst(np.cumsum(np.concatenate([[0.0], spread.deltas]))[None])[0][0] <= 0.0
+        got = check_matches_reference(universe, SelectionConfig())
+        assert all(set(pair) != {"IVV", "SPY"} for pair in pairs(got))
 
     @pytest.mark.parametrize(
         "n_days,error",
@@ -324,6 +362,29 @@ def test_scaled_copy_never_a_candidate():
     for seed in range(400):
         cands = build_generating_matrix(scaled(seed), ["S0", "S1", "S2"], cfg)
         assert ("S1", "S2") not in pairs(cands) and ("S2", "S1") not in pairs(cands)
+
+
+def test_twin_fit_outside_unit_interval_never_a_candidate():
+    # the twin's raw fit lies outside (0, 1) in 10 of the 19 windows;
+    # clamped to 0.01, it would pass the screen's h_err < h and top window
+    # 15's ranking. A fit outside (0, 1) drops the row, so no candidate
+    # holds a clamp value, and the twin is a candidate only on a fit inside
+    tables = []
+
+    def recorded(*args):
+        tables.append(build_generating_matrix(*args))
+        return tables[-1]
+
+    with mock.patch.object(backtest, "build_generating_matrix", recorded):
+        report = run_walk_forward(panel_of(twin_series()), BacktestConfig(benchmark_symbol="MKT"))
+    assert len(report.windows) == 19
+    twin = {"IVV", "SPY"}
+    assert not [s for s in report.windows[15].selected if {s["long_symbol"], s["short_symbol"]} == twin]
+    h = np.concatenate([t.h for t in tables])
+    assert not np.isin(h, [0.01, 0.99]).any()
+    assert np.all((0.0 < h) & (h < 1.0))
+    # one twin row a window, in the 9 windows whose fit lies inside (0, 1)
+    assert sum({t.symbols[a], t.symbols[b]} == twin for t in tables for a, b in zip(t.long, t.short)) == 9
 
 
 @settings(max_examples=15, deadline=None)
