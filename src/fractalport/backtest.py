@@ -18,12 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from fractalport.errors import (
-    DataError,
-    NumericalError,
-    ParameterError,
-    SingularMatrixError,
-)
+from fractalport.errors import DataError, NumericalError, ParameterError
 from fractalport.fbm import MIN_HURST_LENGTH
 from fractalport.optimizer import (
     apply_leverage,
@@ -231,36 +226,30 @@ def _invest_group(stack: np.ndarray, sel: Candidates, cfg: BacktestConfig) -> li
     and their legs (``compose_legs``) and the records of its selected
     spreads, each with its weight; the scale factor is ``None`` and the rest
     empty when nothing is invested: no spread selected, or none with a
-    positive raw weight. A window whose rescaled covariance is singular gets
-    its ``SingularMatrixError`` instead, for the walk to raise when it
-    reaches that window.
+    positive raw weight.
 
     The windows are bucketed by their number m of selected spreads, and each
     bucket goes through the covariance, rescaling, solve, leverage and legs
     as one stack of (m x days) spread returns, each window with the bits it
-    gets alone.
+    gets alone. A singular covariance raises the solve's error, naming the
+    first such window of its bucket. A group holds several windows only at
+    16 traded symbols or fewer (``PAIR_BLOCK``), so m <= 8, where the ridge
+    bounds a finite covariance's condition by 1 + m / RIDGE_LAMBDA.
     """
     bounds = np.searchsorted(sel.window, np.arange(len(stack) + 1))
     counts = np.diff(bounds)
     rows = sel.rows()
-    plans: list = [(None, np.zeros(0, dtype=np.intp), np.zeros(0), []) for _ in range(len(stack))]
+    pairs = [f"{r['long_symbol']}/{r['short_symbol']}" for r in rows]
+    plans = [(None, np.zeros(0, dtype=np.intp), np.zeros(0), []) for _ in range(len(stack))]
     for m in sorted(set(counts.tolist()) - {0}):  # not np.unique: it imports numpy.ma
         windows = np.flatnonzero(counts == m)
         starts = bounds[windows]
         idx = starts[:, None] + np.arange(m)
         long, short, chi, mean, hursts = sel.long[idx], sel.short[idx], sel.chi[idx], sel.mean[idx], sel.h[idx]
         cov = covariance_matrix(spread_returns(stack[windows], long, short, chi))
-        try:
-            raw = solve_weights(cov, hursts, mean, cfg.test_days)
-        except SingularMatrixError:  # each window alone, its error naming its pairs
-            raw = np.full(mean.shape, np.nan)
-            for k, (w, lo) in enumerate(zip(windows.tolist(), starts.tolist())):
-                labels = [f"{r['long_symbol']}/{r['short_symbol']}" for r in rows[lo : lo + m]]
-                try:
-                    raw[k] = solve_weights(cov[k], hursts[k], mean[k], cfg.test_days, labels)
-                except SingularMatrixError as exc:
-                    plans[w] = exc
-        invested = (raw > 0.0).any(axis=-1)  # NaN for a singular window
+        labels = [pairs[lo : lo + m] for lo in starts.tolist()]
+        raw = solve_weights(cov, hursts, mean, cfg.test_days, labels)
+        invested = (raw > 0.0).any(axis=-1)
         if not invested.any():
             continue
         weights, scale_k = apply_leverage(raw[invested], cfg.leverage)
@@ -296,9 +285,9 @@ def run_walk_forward(panel: PricePanel, cfg: BacktestConfig) -> BacktestReport:
     in one pass (``select_spreads`` keeps each window to itself), and their
     optimizer runs as one stack per number of selected spreads
     (``_invest_group``). Each window's rows, weights and legs depend on its
-    own returns only, and each window's error is raised in its turn, so a
-    group gives every window the result, and the run the error, of a walk
-    one window at a time.
+    own returns only, so a group gives every window the result of a walk
+    one window at a time; a singular covariance is raised before the walk
+    marks any window of its group.
 
     The walk reads its own copy of the traded symbols' closes on the
     benchmark's dates, and lets go of ``panel`` before the first window: a
@@ -341,8 +330,6 @@ def run_walk_forward(panel: PricePanel, cfg: BacktestConfig) -> BacktestReport:
             stack = np.stack([window_returns(prices[:, s : s + cfg.train_days]) for s in starts])
             cands = build_generating_matrix(stack, symbols, sel_cfg)
             plans = _invest_group(stack, select_spreads(cands, sel_cfg), cfg)
-        if isinstance(plans[k], SingularMatrixError):
-            raise plans[k]
         scale_k, held, legs, info = plans[k]
         start_capital = chain_capital if cfg.reinvest else cfg.initial_capital
         if not 0 < start_capital < math.inf:
@@ -405,6 +392,8 @@ def compute_metrics(
     reinvestment flag, so both return styles share one risk measure.
     The reinvested annual return is floored at -1 (total loss) when the
     compounded equity ends at or below zero, as ``max_drawdown`` caps at 1.
+    A cumulative or annual return that is not finite raises
+    ``NumericalError``.
     """
     if len(windows) < 1:
         raise ParameterError("need at least one backtest window")
@@ -412,12 +401,20 @@ def compute_metrics(
     bench = np.array([w.benchmark_return for w in windows], dtype=np.float64)
     n = single.size
     per_year = TRADING_DAYS_PER_YEAR / cfg.test_days
-    cumulative = float(np.prod(1.0 + single) - 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below
+        cumulative = float(np.prod(1.0 + single) - 1.0)
+        annual_single = float(per_year * single.mean())
     if 1.0 + cumulative > 0.0:
-        annual_reinvested = float((1.0 + cumulative) ** (per_year / n) - 1.0)
+        try:
+            annual_reinvested = float((1.0 + cumulative) ** (per_year / n) - 1.0)
+        except OverflowError:
+            annual_reinvested = math.inf
     else:  # no real root of a total loss, or worse
         annual_reinvested = -1.0
-    annual_single = float(per_year * single.mean())
+    returns = {"cumulative": cumulative, "reinvested annual": annual_reinvested, "single annual": annual_single}
+    for name, value in returns.items():
+        if not math.isfinite(value):
+            raise NumericalError(f"{name} return is not finite: {value}")
 
     annual_vol = sharpe = normalized_vol = corr = neutrality = None
     if n >= 2:

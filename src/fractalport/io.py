@@ -112,9 +112,9 @@ def read_column(path, column: str) -> np.ndarray:
         if column not in header:
             raise DataError(f"column {column!r} not found; available: {header}")
         k = header.index(column)
-        parts, check = [np.empty(0)], functools.partial(_price, noun="value")
+        parts = [np.empty(0)]
         for columns, lines in _row_batches(fh, len(header)):
-            values = _prices(columns[k], lines, False, check)
+            values = _prices(columns[k], lines, False, "value")
             parts.append(values[~np.isnan(values)])
     return np.concatenate(parts)
 
@@ -287,7 +287,7 @@ def _symbol(raw: str) -> str:
     return raw.strip()
 
 
-def _prices(raw, lines, gapped: bool, check=None) -> np.ndarray:
+def _prices(raw, lines, gapped: bool, noun: str = "price") -> np.ndarray:
     """Prices of a sequence of raw cells, NaN for a blank one; ``lines``
     gives each cell's line number, for the error of the first bad one.
 
@@ -296,8 +296,8 @@ def _prices(raw, lines, gapped: bool, check=None) -> np.ndarray:
     whose pass meets a blank, is converted in two passes instead, one that
     finds the blank cells and one ``float`` call over the rest. So a file
     with blanks throughout converts each batch once after its first.
-    ``check(cell, line)``, ``_price`` by default, runs only to name a
-    malformed or non-finite cell.
+    ``_price`` runs only to name a malformed or non-finite cell, as a bad
+    ``noun``.
     """
     filled = len(raw)
     try:
@@ -316,10 +316,10 @@ def _prices(raw, lines, gapped: bool, check=None) -> np.ndarray:
     except ValueError:  # a malformed cell
         pass
     for cell, line in zip(raw, lines):  # raises at the first bad cell
-        (check or _price)(cell, line)
+        _price(cell, line, noun)
 
 
-def _price(raw: str, line: int, noun: str = "price") -> None:
+def _price(raw: str, line: int, noun: str) -> None:
     """Raise ``ParseError`` for a malformed or non-finite ``noun`` cell."""
     if not raw.strip():
         return

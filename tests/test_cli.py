@@ -681,8 +681,18 @@ class TestCmdBacktest:
                 ["--capital", "1e307", "--leverage", "20"],
                 r"window 0: marked equity is not finite; largest position \w+, ",
             ),
+            # the compounded return is finite, its annualizing power is not
+            (
+                ["--train-days", "2518", "--test-days", "1", "--leverage", "100000", "--no-reinvest"],
+                "reinvested annual return is not finite: inf$",
+            ),
+            # the compounded return itself overflows
+            (
+                ["--train-days", "64", "--test-days", "1", "--leverage", "1000", "--no-reinvest"],
+                "cumulative return is not finite: inf$",
+            ),
         ],
-        ids=["sizing", "one-window-marks", "several-windows"],
+        ids=["sizing", "one-window-marks", "several-windows", "annual-return", "cumulative-return"],
     )
     def test_overflow_exits_4(self, fixture_csv, tmp_path, capsys, settings, message):
         out = tmp_path / "r.json"

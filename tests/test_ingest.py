@@ -351,9 +351,9 @@ def test_gapped_prices_convert_without_per_cell_route(tmp_path, monkeypatch, lay
     calls = []
     price = fio._price
 
-    def spy(raw, line):
+    def spy(raw, line, noun):
         calls.append(line)
-        return price(raw, line)
+        return price(raw, line, noun)
 
     monkeypatch.setattr(fio, "_price", spy)
     f = gapped_csv(tmp_path / "gapped.csv", layout)

@@ -4,7 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fractalport.errors import (
@@ -272,10 +272,11 @@ def test_stack_errors_per_matrix():
 
 
 @st.composite
-def psd_stacks(draw):
-    """A stack of sample covariances, rank-deficient when the days are fewer
-    than the spreads, with one Hurst exponent in (0, 1) per spread."""
-    k, m, n = draw(st.integers(1, 3)), draw(st.integers(1, 8)), draw(st.integers(1, 40))
+def psd_stacks(draw, min_days=1):
+    """A stack of sample covariances over ``min_days`` to 40 days,
+    rank-deficient when the days are fewer than the spreads, with one Hurst
+    exponent in (0, 1) per spread."""
+    k, m, n = draw(st.integers(1, 3)), draw(st.integers(1, 8)), draw(st.integers(min_days, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = rng.standard_normal((k, m, n)) * 10.0 ** draw(st.integers(-4, 0))
     h = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=k * m, max_size=k * m))
@@ -296,3 +297,21 @@ def test_rescaling_is_a_congruence(drawn, n_days):
     np.testing.assert_allclose(got, congruence, rtol=(3.0 * math.log(n_days) + 9.0) * EPS / 2.0, atol=0.0)
     eigs = np.linalg.eigvalsh(got)
     assert np.all(eigs[..., 0] >= -1e-12 * eigs[..., -1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(psd_stacks(min_days=2), st.integers(1, 252), st.integers(-4, 4))
+def test_ridge_bounds_the_condition(drawn, n_days, scale):
+    # a PSD matrix's largest eigenvalue is at most its trace, so the ridge
+    # lambda * trace / m is at least lambda / m of it and the condition is
+    # at most 1 + m / lambda, whatever the scale or rank: at m <= 8 far
+    # under the solve's limit, so nothing is singular
+    c, h = drawn
+    c = c * 10.0 ** (2 * scale)
+    assume(np.all(np.diagonal(c, axis1=-2, axis2=-1) > 0.0))
+    m = c.shape[-1]
+    a = rescale_covariance(c, h, n_days)
+    ridge = RIDGE_LAMBDA * np.trace(a, axis1=-2, axis2=-1) / m
+    cond = np.linalg.cond(a + ridge[..., None, None] * np.eye(m))
+    assert np.all(cond <= (1.0 + m / RIDGE_LAMBDA) * (1.0 + 1e-6)), cond
+    solve_weights(c, h, np.ones(h.shape), n_days)
