@@ -393,7 +393,8 @@ def compute_metrics(
     The reinvested annual return is floored at -1 (total loss) when the
     compounded equity ends at or below zero, as ``max_drawdown`` caps at 1.
     A cumulative or annual return that is not finite raises
-    ``NumericalError``.
+    ``NumericalError``, as does a drawdown curve that overflows when chained
+    from the initial capital.
     """
     if len(windows) < 1:
         raise ParameterError("need at least one backtest window")
@@ -432,7 +433,10 @@ def compute_metrics(
     chain = cfg.initial_capital
     segments = []
     for i, w in enumerate(windows):
-        seg = w.daily_equity * (chain / w.daily_equity[0])
+        with np.errstate(over="ignore"):  # raised below
+            seg = w.daily_equity * (chain / w.daily_equity[0])
+        if not np.isfinite(seg).all():
+            raise NumericalError(f"window {w.window_index}: compounded equity is not finite")
         segments.append(seg if i == 0 else seg[1:])
         chain = seg[-1]
     drawdown = max_drawdown(np.concatenate(segments))

@@ -453,10 +453,12 @@ def write_prices_wide(path, series: Sequence[PriceSeries]) -> None:
         raise ValidationError(f"{symbols[k]}: price nan on {calendar[t]} is not finite and positive")
     panel = build_panel(symbols, calendar, prices)
     with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for day, column in zip(panel.dates, panel.prices.T.tolist()):
-            writer.writerow([day, *map(repr, column)])
+        csv.writer(fh).writerow(header)  # quotes a symbol that needs it
+        # no row field needs quoting: an ISO date, then finite floats
+        fh.writelines(
+            f"{day},{','.join(map(repr, column))}\r\n"
+            for day, column in zip(panel.dates, panel.prices.T.tolist())
+        )
 
 
 def _reads_back(read, raw) -> bool:
@@ -550,10 +552,11 @@ def _write_json(value, depth: int, write) -> None:
 
 def write_equity_csv(path, report: BacktestReport) -> None:
     """Daily equity rows (test days only; window starts repeat the config
-    capital when reinvestment is off)."""
+    capital when reinvestment is off), as ``csv.writer`` would write them.
+    Fields are not quoted: the dates are the panel's, which ingest reads as
+    ``YYYY-MM-DD``."""
     with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "equity"])
+        fh.write("date,equity\r\n")
         for w in report.windows:
-            for day, value in zip(w.dates[1:], w.daily_equity[1:]):
-                writer.writerow([day, repr(float(value))])
+            rows = zip(w.dates[1:], w.daily_equity[1:].tolist())
+            fh.writelines(f"{day},{value!r}\r\n" for day, value in rows)

@@ -11,7 +11,8 @@ measurable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import date, timedelta
+from datetime import date
+from itertools import accumulate
 
 import numpy as np
 
@@ -53,23 +54,17 @@ class SyntheticUniverse:
 
 
 def _trading_dates(n_days: int) -> tuple[str, ...]:
-    out = []
-    day = _START
-    while len(out) < n_days:
-        if day.weekday() < 5:
-            out.append(day.isoformat())
-        day += timedelta(days=1)
-    return tuple(out)
+    """The first ``n_days`` weekdays from ``_START``, as ISO strings."""
+    days = np.busday_offset(_START, np.arange(n_days), roll="forward")
+    return tuple(days.astype(str).tolist())
 
 
 def _ou_path(rng: np.random.Generator, n: int) -> np.ndarray:
-    phi = np.exp(-_OU_KAPPA)
-    shocks = _OU_SIGMA * rng.standard_normal(n)
-    u = np.empty(n + 1)
-    u[0] = 0.0
-    for t in range(n):
-        u[t + 1] = phi * u[t] + shocks[t]
-    return np.diff(u)
+    # The AR(1) recursion on Python floats, which are cheaper than numpy
+    # scalars and give the same bits: the same IEEE multiply and add.
+    phi = float(np.exp(-_OU_KAPPA))
+    shocks = (_OU_SIGMA * rng.standard_normal(n)).tolist()
+    return np.diff(list(accumulate(shocks, lambda u, shock: phi * u + shock, initial=0.0)))
 
 
 def make_synthetic_universe(

@@ -713,6 +713,14 @@ class TestComputeMetrics:
         with pytest.raises(NumericalError, match=message):
             compute_metrics(windows, BacktestConfig(benchmark_symbol="SPY", test_days=1))
 
+    def test_overflowing_drawdown_curve_raises(self):
+        # every return is finite, but the curve chained from the initial
+        # capital passes the float range in the second window
+        windows = [fabricate_window(i, 1e5, 0.0) for i in range(2)]
+        cfg = BacktestConfig(benchmark_symbol="SPY", initial_capital=1e300)
+        with pytest.raises(NumericalError, match="^window 1: compounded equity is not finite$"):
+            compute_metrics(windows, cfg)
+
     def test_single_window_degenerate_stats(self):
         rep = compute_metrics([fabricate_window(0, 0.02, 0.01)], BacktestConfig(benchmark_symbol="SPY"))
         assert rep.annual_volatility is None

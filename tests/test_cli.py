@@ -691,8 +691,13 @@ class TestCmdBacktest:
                 ["--train-days", "64", "--test-days", "1", "--leverage", "1000", "--no-reinvest"],
                 "cumulative return is not finite: inf$",
             ),
+            # the compounded return is finite, the capital times it is not
+            (
+                ["--leverage", "1e155", "--no-reinvest", "--test-days", "1197"],
+                "window 1: compounded equity is not finite$",
+            ),
         ],
-        ids=["sizing", "one-window-marks", "several-windows", "annual-return", "cumulative-return"],
+        ids=["sizing", "one-window-marks", "several-windows", "annual-return", "cumulative-return", "drawdown-curve"],
     )
     def test_overflow_exits_4(self, fixture_csv, tmp_path, capsys, settings, message):
         out = tmp_path / "r.json"
