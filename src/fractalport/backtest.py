@@ -393,8 +393,8 @@ def compute_metrics(
     The reinvested annual return is floored at -1 (total loss) when the
     compounded equity ends at or below zero, as ``max_drawdown`` caps at 1.
     A cumulative or annual return that is not finite raises
-    ``NumericalError``, as does a drawdown curve that overflows when chained
-    from the initial capital.
+    ``NumericalError``, as do an annual volatility that is not finite and a
+    drawdown curve that overflows when chained from the initial capital.
     """
     if len(windows) < 1:
         raise ParameterError("need at least one backtest window")
@@ -419,8 +419,11 @@ def compute_metrics(
 
     annual_vol = sharpe = normalized_vol = corr = neutrality = None
     if n >= 2:
-        sd = float(np.std(single, ddof=1))
+        with np.errstate(over="ignore"):  # raised below
+            sd = float(np.std(single, ddof=1))
         annual_vol = float(math.sqrt(per_year) * sd)
+        if not math.isfinite(annual_vol):
+            raise NumericalError(f"annual volatility is not finite: {annual_vol}")
         if annual_vol > 0:
             sharpe = annual_single / annual_vol
         mean_single = float(single.mean())

@@ -17,7 +17,6 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, fields
-from datetime import date
 from itertools import compress
 from pathlib import Path
 
@@ -29,10 +28,12 @@ from fractalport.errors import (
     FractalPortError,
     NumericalError,
     ParameterError,
+    ParseError,
 )
 from fractalport.fbm import estimate_hurst
 from fractalport.io import (
     SCHEMA_VERSION,
+    _iso_date,
     ingest_prices,
     read_column,
     to_json,
@@ -122,11 +123,11 @@ def _cmd_hurst(args) -> int:
 
 
 def _window_date(raw: str, flag: str) -> str:
-    """An ISO date option in the ``YYYY-MM-DD`` form the ingested dates use."""
+    """An ISO date option, read as ingest reads the dates of a price file."""
     try:
-        return date.fromisoformat(raw.strip()).isoformat()
-    except ValueError as exc:
-        raise ParameterError(f"{flag}: bad date {raw!r}: {exc}") from None
+        return _iso_date(raw)
+    except ParseError as exc:
+        raise ParameterError(f"{flag}: {exc}") from None
 
 
 def _config(cls, args):

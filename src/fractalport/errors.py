@@ -56,7 +56,8 @@ class DegenerateVolatilityError(NumericalError):
 
 
 class SingularMatrixError(NumericalError):
-    """Covariance matrix not invertible even after regularization."""
+    """A regularized covariance holds a value that is not finite, or its
+    ridge is not positive (a zero matrix)."""
 
 
 class EmptyPortfolioError(NumericalError):

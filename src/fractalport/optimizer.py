@@ -30,8 +30,6 @@ __all__ = [
 
 # Ridge added before inversion, relative to the mean diagonal element.
 RIDGE_LAMBDA = 1e-8
-# Condition number beyond which inversion is refused even after the ridge.
-MAX_CONDITION = 1e12
 
 
 def covariance_matrix(deltas) -> np.ndarray:
@@ -84,39 +82,31 @@ def solve_weights(
     N, for each matrix of a stack and its rows of ``hursts`` and
     ``mean_deltas``.
 
-    A ridge of RIDGE_LAMBDA * trace/M is always added before inversion; if
-    a rescaled matrix is still ill-conditioned, the error names its most
-    collinear pair of spreads, from that matrix's row of ``labels``.
+    A ridge of RIDGE_LAMBDA * trace/M is always added before inversion. On
+    a PSD matrix with a positive trace it bounds the condition number by
+    1 + M/RIDGE_LAMBDA, so the solve refuses only a rescaled matrix that
+    holds a value that is not finite or whose ridge is not positive (a zero
+    matrix). The error names the first such matrix's first spread whose
+    rescaled row is not finite, or its first spread, from that matrix's row
+    of ``labels``.
     """
-    a = rescale_covariance(c, hursts, n_days)
     mu = np.asarray(mean_deltas, dtype=np.float64)
-    m = a.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        a = rescale_covariance(c, hursts, n_days)
+        m = a.shape[-1]
+        ridge = RIDGE_LAMBDA * np.trace(a, axis1=-2, axis2=-1) / m
+        reg = a + ridge[..., None, None] * np.eye(m)
     if mu.shape != a.shape[:-1]:
         raise ParameterError(f"mean returns of shape {mu.shape} for a covariance of shape {a.shape}")
-    ridge = RIDGE_LAMBDA * np.trace(a, axis1=-2, axis2=-1) / m
-    reg = a + ridge[..., None, None] * np.eye(m)
-    cond = np.linalg.cond(reg)
-    bad = ~(cond <= MAX_CONDITION)  # NaN or inf too
+    bad = ~(ridge > 0.0) | ~np.isfinite(reg).all(axis=(-2, -1))  # NaN too
     if bad.any():
         k = tuple(np.argwhere(bad)[0])  # () for one matrix
-        names = np.asarray(labels)[k] if labels is not None else [str(i) for i in range(m)]
-        worst = _most_collinear(reg[k], names)
+        spread = int(np.argmin(np.isfinite(a[k]).all(axis=1)))
+        name = np.asarray(labels)[k][spread] if labels is not None else spread
         raise SingularMatrixError(
-            f"rescaled covariance is singular (condition {cond[k]:.3e}); "
-            f"most collinear spreads: {worst[0]} and {worst[1]}"
+            f"rescaled covariance is singular or not finite at spread {name} (ridge {ridge[k]:.3g})"
         )
     return np.linalg.solve(reg, mu[..., None])[..., 0] * float(n_days)
-
-
-def _most_collinear(matrix: np.ndarray, labels: Sequence[str]) -> tuple[str, str]:
-    m = matrix.shape[0]
-    if m == 1:
-        return labels[0], labels[0]
-    d = np.sqrt(np.clip(np.diag(matrix), 1e-300, None))
-    corr = np.abs(matrix / np.outer(d, d))
-    np.fill_diagonal(corr, 0.0)
-    i, j = divmod(int(np.argmax(corr)), m)
-    return labels[i], labels[j]
 
 
 def apply_leverage(raw: Sequence[float], leverage: float) -> tuple[np.ndarray, np.ndarray]:

@@ -127,7 +127,8 @@ def fractal_kelly_weight(mean_delta, theta, h, n_days: int):
     with the horizon while the variance scales as N^(2h), so anti-persistent
     spreads (h < 0.5) gain weight as the horizon grows. At h = 0.5 this is
     the plain one-period Kelly ratio mean/theta^2 for any horizon.
-    Elementwise over arrays; scalars give a float.
+    Elementwise over arrays; scalars give a float. A denominator that
+    overflows gives a weight of 0.0, not a warning.
     """
     mean_delta, theta, h = (np.asarray(v, dtype=np.float64) for v in (mean_delta, theta, h))
     if not np.all(theta > 0.0):
@@ -137,7 +138,8 @@ def fractal_kelly_weight(mean_delta, theta, h, n_days: int):
     if n_days < 1:
         raise ParameterError(f"horizon must be at least 1 day, got {n_days}")
     n = float(n_days)
-    weight = mean_delta * n / (theta * theta * n ** (2.0 * h))
+    with np.errstate(over="ignore"):
+        weight = mean_delta * n / (theta * theta * n ** (2.0 * h))
     return weight if weight.ndim else float(weight)
 
 
@@ -209,8 +211,9 @@ def build_generating_matrix(returns: np.ndarray, symbols, cfg: SelectionConfig) 
     chi = chi[window, pair]
     i, j = first[pair], second[pair]
     mean = mu[window, i] - chi * mu[window, j]
-    leg_var = cov[window, i, i] + chi * chi * cov[window, j, j]
-    theta2 = leg_var - 2.0 * chi * cov[window, i, j]
+    with np.errstate(over="ignore"):  # an infinite leg variance fails the floor
+        leg_var = cov[window, i, i] + chi * chi * cov[window, j, j]
+        theta2 = leg_var - 2.0 * chi * cov[window, i, j]
 
     paths = np.zeros(stack.shape[:-1] + (n_days + 1,))
     np.cumsum(stack, axis=-1, out=paths[..., 1:])
@@ -239,7 +242,9 @@ def select_spreads(cands: Candidates, cfg: SelectionConfig) -> Candidates:
     each window of the table on its own.
 
     The top-weighted remaining candidate is accepted only if
-    h + h_err < hurst_cap, h_err < h and its mean return is positive;
+    h + h_err < hurst_cap, h_err < h and its Kelly weight is positive: its
+    mean return is positive and theta^2 * N^(2h) did not overflow, which
+    would leave a weight of 0.0 and a covariance the solve refuses;
     acceptance retires both of its assets, rejection discards just that
     candidate. Ties in weight break lexicographically on the (long, short)
     symbol strings, so the result is deterministic. A rejected row never
@@ -251,7 +256,7 @@ def select_spreads(cands: Candidates, cfg: SelectionConfig) -> Candidates:
     contiguous run, the rows it selects alone.
     """
     rows = np.flatnonzero(
-        (cands.h + cands.h_err < cfg.hurst_cap) & (cands.h_err < cands.h) & (cands.mean > 0.0)
+        (cands.h + cands.h_err < cfg.hurst_cap) & (cands.h_err < cands.h) & (cands.kelly > 0.0)
     )
     rank = np.empty(len(cands.symbols), dtype=np.intp)
     rank[sorted(range(rank.size), key=cands.symbols.__getitem__)] = np.arange(rank.size)

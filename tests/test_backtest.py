@@ -639,7 +639,7 @@ def test_group_errors_keep_window_order(monkeypatch):
     def named(w):
         first = rep.windows[w].selected[0]
         pair = f"{first['long_symbol']}/{first['short_symbol']}"
-        return rf"condition inf\); most collinear spreads: {pair} and {pair}$"
+        return rf"singular or not finite at spread {pair} \(ridge 0\)$"
 
     singular_at(3, 1)
     with pytest.raises(SingularMatrixError, match=named(1)):
@@ -712,6 +712,13 @@ class TestComputeMetrics:
         windows = [fabricate_window(i, r, 0.0) for i, r in enumerate(returns)]
         with pytest.raises(NumericalError, match=message):
             compute_metrics(windows, BacktestConfig(benchmark_symbol="SPY", test_days=1))
+
+    def test_overflowing_volatility_raises(self):
+        # every return is finite, but their squared deviations overflow:
+        # the volatility is not finite, and no Sharpe ratio is made of it
+        windows = [fabricate_window(0, 1e160, 0.0), fabricate_window(1, -0.5, 0.01)]
+        with pytest.raises(NumericalError, match="^annual volatility is not finite: inf$"):
+            compute_metrics(windows, BacktestConfig(benchmark_symbol="SPY"))
 
     def test_overflowing_drawdown_curve_raises(self):
         # every return is finite, but the curve chained from the initial

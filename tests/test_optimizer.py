@@ -4,7 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractalport.errors import (
@@ -137,14 +137,21 @@ class TestSolveWeights:
         assert np.all(np.isfinite(w))
         assert w[0] == pytest.approx(w[1], rel=1e-6)
 
-    def test_singular_beyond_ridge_names_offending_pair(self):
-        # an indefinite trace-cancelling matrix defeats the relative ridge;
-        # a one-day horizon leaves it as it is
-        matrix = np.array(
-            [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, -2.0 + 1e-13]]
-        )
-        with pytest.raises(SingularMatrixError, match="A/B and C/D"):
-            solve_weights(matrix, [0.5] * 3, [1e-3, 1e-3, 1e-3], 1, labels=["A/B", "C/D", "E/F"])
+    @pytest.mark.parametrize(
+        "c,named",
+        [
+            # a zero matrix has no ridge: its first spread is named
+            (np.zeros((3, 3)), r"A/B \(ridge 0\)"),
+            # a finite covariance whose rescaling at N = 126 overflows:
+            # 1e306 * 126^1.5 is 1.4e309
+            (np.diag([1e-4, 1e306, 1e-4]), r"C/D \(ridge inf\)"),
+        ],
+        ids=["zero", "overflow"],
+    )
+    def test_refuses_a_zero_or_overflowing_matrix(self, c, named):
+        message = f"^rescaled covariance is singular or not finite at spread {named}$"
+        with pytest.raises(SingularMatrixError, match=message):
+            solve_weights(c, [0.5] * 3, [1e-3, 1e-3, 1e-3], 126, labels=["A/B", "C/D", "E/F"])
 
 
 class TestApplyLeverage:
@@ -263,12 +270,16 @@ def test_stack_gives_each_matrix_its_bits_alone(m):
 
 
 def test_stack_errors_per_matrix():
-    # the first singular matrix of a stack is named by its own labels
-    singular = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, -2.0 + 1e-13]])
-    stack = np.stack([np.eye(3), singular, singular[::-1, ::-1]])
+    # the first refused matrix of a stack is named by its own labels: a
+    # zero matrix by its first spread, a matrix with a value that is not
+    # finite by its first spread whose row is not
+    zero, overflow, nan = np.zeros((3, 3)), np.diag([1e-4, 1e-4, 1e306]), np.diag([1.0, np.nan, 1.0])
     labels = [["A/B", "C/D", "E/F"], ["G/H", "I/J", "K/L"], ["M/N", "O/P", "Q/R"]]
-    with pytest.raises(SingularMatrixError, match="G/H and I/J$"):
-        solve_weights(stack, np.full((3, 3), 0.5), np.full((3, 3), 1e-3), 1, labels)
+    for bad, named in ((zero, r"G/H \(ridge 0\)"), (overflow, r"K/L \(ridge inf\)"), (nan, r"I/J \(ridge nan\)")):
+        for last in (zero, overflow, nan):
+            stack = np.stack([np.eye(3), bad, last])
+            with pytest.raises(SingularMatrixError, match=f"at spread {named}$"):
+                solve_weights(stack, np.full((3, 3), 0.5), np.full((3, 3), 1e-3), 126, labels)
 
 
 @st.composite
@@ -304,14 +315,13 @@ def test_rescaling_is_a_congruence(drawn, n_days):
 def test_ridge_bounds_the_condition(drawn, n_days, scale):
     # a PSD matrix's largest eigenvalue is at most its trace, so the ridge
     # lambda * trace / m is at least lambda / m of it and the condition is
-    # at most 1 + m / lambda, whatever the scale or rank: at m <= 8 far
-    # under the solve's limit, so nothing is singular
+    # at most 1 + m / lambda, whatever the scale or rank: so every draw, at
+    # scales 1e-8 to 1e8, solves to finite weights
     c, h = drawn
     c = c * 10.0 ** (2 * scale)
-    assume(np.all(np.diagonal(c, axis1=-2, axis2=-1) > 0.0))
     m = c.shape[-1]
     a = rescale_covariance(c, h, n_days)
     ridge = RIDGE_LAMBDA * np.trace(a, axis1=-2, axis2=-1) / m
     cond = np.linalg.cond(a + ridge[..., None, None] * np.eye(m))
     assert np.all(cond <= (1.0 + m / RIDGE_LAMBDA) * (1.0 + 1e-6)), cond
-    solve_weights(c, h, np.ones(h.shape), n_days)
+    assert np.isfinite(solve_weights(c, h, np.ones(h.shape), n_days)).all()

@@ -1,4 +1,6 @@
 """Fractal Kelly weights, the generating matrix and greedy selection."""
+from dataclasses import replace
+
 import mpmath
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from fractalport.selection import (
     select_spreads,
 )
 from fractalport.spreads import window_returns
+from fractalport.synthetic import make_synthetic_universe
 from panels import panel_of
 
 
@@ -176,6 +179,22 @@ class TestBuildGeneratingMatrix:
                     getattr(got, name), getattr(base, name), rtol=1e-9, err_msg=f"{name}, {k}"
                 )
 
+    def test_overflowing_kelly_denominator_is_not_selectable(self):
+        # A1's first close times 1e-154 scales its returns to about 1e152:
+        # chi^2 S_jj and theta^2 N^(2h) overflow without a warning, and the
+        # pairs left with a finite theta of about 1e153 get a Kelly weight of
+        # 0.0, which the screen rejects whatever their Hurst fit
+        u = make_synthetic_universe(6, 600, seed=3)
+        panel = panel_of(u.prices)
+        prices = panel.prices.copy()
+        prices[panel.symbols.index("A1"), 0] *= 1e-154
+        cands = build_generating_matrix(window_returns(prices[:, :126]), panel.symbols, SelectionConfig())
+        zero = np.flatnonzero(cands.kelly == 0.0)
+        assert len(zero) == 4 and np.all(cands.mean[zero] > 0.0)
+        assert all("A1" in pair for pair in pairs(cands.take(zero)))
+        stable = replace(cands.take(zero), h=np.full(4, 0.3), h_err=np.full(4, 0.01))
+        assert len(select_spreads(stable, SelectionConfig())) == 0
+
 
 class TestSelectSpreads:
     def test_single_candidate_accepted(self):
@@ -196,7 +215,8 @@ class TestSelectSpreads:
         assert len(select_spreads(cands, SelectionConfig())) == 0
 
     def test_mean_must_be_positive(self):
-        cands = make_candidates([("A", "B", 0.0, 0.3, 0.05, 0.0), ("A", "C", 0.0, 0.3, 0.05)])
+        # a zero mean gives a zero Kelly weight, which the screen rejects
+        cands = make_candidates([("A", "B", 0.0, 0.3, 0.05, 0.0), ("A", "C", 1.0, 0.3, 0.05)])
         assert pairs(select_spreads(cands, SelectionConfig())) == [("A", "C")]
 
     def test_asset_exclusion(self):
