@@ -19,10 +19,11 @@ not depend on the route. The date and symbol columns are then factorised
 converted by ``float`` into one numpy array (one pass over the batch, or,
 after a batch with blanks, one pass over its non-blank cells), and the
 prices are written straight into one (symbols x dates) grid at their codes.
-The grid is copied into a larger one when a new code falls outside it,
-and one reorder at the end sorts its rows and columns, so ingest memory
-follows the panel's size, not the file's row count. ``read_column`` reads
-one numeric column of any CSV through the same record reader.
+The grid's cells are one ``bytearray``, grown in place when a new code
+falls outside it and, at the end, ordered and cut to the panel in place,
+so ingest holds about one grid: its memory follows the panel's size, not
+the file's row count. ``read_column`` reads one numeric column of any CSV
+through the same record reader.
 
 Reports are emitted as JSON with a top-level ``schema_version``, through
 one writer that gives the bytes of the stdlib's ``indent=2`` pretty-printer
@@ -67,8 +68,9 @@ SCHEMA_VERSION = 1
 # cell (the benchmark files have 11 to 18), so a chunk holds fewer cells
 # than a batch. On one core of a 2-core VM (min of 5), the 17 MB long CSV
 # and the 60-symbol wide CSV read in 0.67 and 0.110 s at 1k cells, 0.58 and
-# 0.096 s at 4k and 0.66 and 0.106 s at 16k; the long file's ingest left a
-# process high-water mark of 40.1, 40.0 and 42 MB.
+# 0.096 s at 4k and 0.66 and 0.106 s at 16k; the long file's ingest alone
+# (numpy imported, one BLAS thread) left a process high-water mark of 38.5,
+# 37.9 and 39.5 MB.
 READ_BATCH_CELLS = 1 << 12
 
 
@@ -333,7 +335,7 @@ def _price(raw: str, line: int, noun: str) -> None:
 
 def _read_long(batches) -> PricePanel:
     date_codes, days, sym_codes, syms = {}, {}, {}, {}
-    grid = np.full((0, 0), np.nan)
+    cells, shape = bytearray(), (0, 0)
     gapped = False
     for (raw_dates, raw_syms, raw_prices), lines in batches:
         d = _factorise(raw_dates, lines, date_codes, days, _iso_date)
@@ -341,17 +343,18 @@ def _read_long(batches) -> PricePanel:
         v = _prices(raw_prices, lines, gapped)
         kept = np.flatnonzero(~np.isnan(v))  # a blank price drops its row
         gapped = kept.size < v.size
-        grid = _grown(grid, len(syms), len(days))
-        cell = s[kept] * grid.shape[1] + d[kept]
+        shape = _grown(cells, shape, len(syms), len(days))
+        grid = np.frombuffer(cells).reshape(shape)
+        cell = s[kept] * shape[1] + d[kept]
         row = _first_repeat(cell, ~np.isnan(grid.take(cell)))
         if row >= 0:
             k = kept[row]
             raise ValidationError(f"line {lines[k]}: duplicate ({list(days)[d[k]]}, {list(syms)[s[k]]})")
         grid.put(cell, v[kept])
+        del grid  # the next growth resizes ``cells``
     # a symbol seen only with blank prices has no observations
-    observed = ~np.isnan(grid).all(axis=1)
-    symbols, dates, prices = _sorted_grid(grid, {sym: k for sym, k in syms.items() if observed[k]}, days)
-    del grid  # before build_panel's checks
+    observed = np.fmax.reduce(np.frombuffer(cells).reshape(shape), axis=1, initial=-np.inf) > -np.inf
+    symbols, dates, prices = _sorted_grid(cells, shape, {sym: k for sym, k in syms.items() if observed[k]}, days)
     return build_panel(symbols, dates, prices)
 
 
@@ -362,13 +365,13 @@ def _read_wide(batches, header: list[str]) -> PricePanel:
         raise ParseError("empty symbol column in header")
     syms = {s: k for k, s in enumerate(header)}
     date_codes, days = {}, {}
-    grid = np.full((len(header), 0), np.nan)
+    cells, shape = bytearray(), (len(header), 0)
     gapped = False
     for columns, lines in batches:
         seen = len(days)
         d = _factorise(columns[0], lines, date_codes, days, _iso_date)
-        cells = list(chain.from_iterable(columns[1:]))
-        block = _prices(cells, chain.from_iterable(repeat(lines, len(header))), gapped)
+        raw = list(chain.from_iterable(columns[1:]))
+        block = _prices(raw, chain.from_iterable(repeat(lines, len(header))), gapped)
         gapped = bool(np.isnan(block).any())
         # new dates are coded in order of first sight, so a row whose code
         # breaks the count from ``seen`` repeats an earlier row's date
@@ -376,26 +379,36 @@ def _read_wide(batches, header: list[str]) -> PricePanel:
         if repeats.size:
             k = repeats[0]
             raise ValidationError(f"line {lines[k]}: duplicate date {list(days)[d[k]]}")
-        grid = _grown(grid, len(header), len(days))
-        grid[:, seen : len(days)] = block.reshape(len(header), len(d))
-    symbols, dates, prices = _sorted_grid(grid, syms, days)
-    del grid  # before build_panel's checks
-    return build_panel(symbols, dates, prices)
+        shape = _grown(cells, shape, len(header), len(days))
+        np.frombuffer(cells).reshape(shape)[:, seen : len(days)] = block.reshape(len(header), len(d))
+    return build_panel(*_sorted_grid(cells, shape, syms, days))
 
 
-def _grown(grid: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """``grid``, or a copy of it grown to hold at least ``rows`` x ``cols``
-    cells, the new ones NaN. An axis that must grow grows by at least a
-    quarter, so a panel read batch by batch is copied a number of times
-    logarithmic in its size, in time linear in it all told, and each axis
-    of its grid ends at most a quarter longer than the panel's.
+def _grown(cells: bytearray, shape: tuple[int, int], rows: int, cols: int) -> tuple[int, int]:
+    """The shape of the grid held in ``cells`` (float64 cells, row by row)
+    after growing it in place to at least ``rows`` x ``cols``, the new cells
+    NaN. An axis that must grow grows by at least a quarter, so a panel read
+    batch by batch is resized a number of times logarithmic in its size, in
+    time linear in it all told, and each axis of its grid ends at most a
+    quarter longer than the panel's.
+
+    When the columns grow, the rows move to the new stride, back to front
+    so that none is overwritten before it moves. ``cells`` cannot be resized
+    while a view of it is alive: that raises ``BufferError`` before any
+    cell changes.
     """
-    r, c = grid.shape
-    shape = tuple(have if n <= have else max(n, have + have // 4) for n, have in ((rows, r), (cols, c)))
-    if shape == grid.shape:
-        return grid
-    new = np.full(shape, np.nan)
-    new[:r, :c] = grid
+    r, c = shape
+    new = tuple(have if n <= have else max(n, have + have // 4) for n, have in ((rows, r), (cols, c)))
+    if new == shape:
+        return shape
+    cells.extend(bytes(8 * (new[0] * new[1] - r * c)))
+    flat = np.frombuffer(cells)
+    if new[1] > c:
+        for k in range(r - 1, 0, -1):
+            flat[k * new[1] : k * new[1] + c] = flat[k * c : k * c + c]
+    grid = flat.reshape(new)
+    grid[:r, c:] = np.nan
+    grid[r:] = np.nan
     return new
 
 
@@ -408,14 +421,48 @@ def _first_repeat(cells: np.ndarray, taken: np.ndarray) -> int:
     return int(np.argmax(hit)) if hit.any() else -1
 
 
-def _sorted_grid(grid: np.ndarray, syms: dict, days: dict):
-    """Sorted symbols, sorted dates and their prices out of ``grid``, whose
-    rows and columns are the codes of ``syms`` and ``days`` (label -> code),
-    in one reorder."""
-    symbols, dates = sorted(syms), sorted(days)
-    rows = np.array([syms[s] for s in symbols], np.intp)
+def _sorted_grid(cells: bytearray, shape: tuple[int, int], syms: dict, days: dict):
+    """Sorted symbols, the sorted dates that have a price, and their prices,
+    out of the grid of ``shape`` held in ``cells``, whose rows and columns
+    are the codes of ``syms`` and ``days`` (label -> code).
+
+    The prices are ordered in place: the rows are put in symbol order, then
+    each row's columns are gathered in date order and written to the front
+    of ``cells`` at the panel's stride, rows front to back, and ``cells`` is
+    cut to the panel. The returned prices are a view of ``cells``.
+    """
+    grid = np.frombuffer(cells).reshape(shape)
+    priced = np.fmax.reduce(grid, axis=0, initial=-np.inf) > -np.inf
+    symbols = sorted(syms)
+    dates = [d for d in sorted(days) if priced[days[d]]]
     cols = np.array([days[d] for d in dates], np.intp)
-    return tuple(symbols), tuple(dates), grid[np.ix_(rows, cols)]
+    _permute_rows(grid, [syms[s] for s in symbols])
+    flat, width = grid.reshape(-1), cols.size
+    for k in range(len(symbols)):  # row k's packed cells end before row k + 1 starts
+        flat[k * width : (k + 1) * width] = grid[k, cols]
+    del grid, flat
+    del cells[8 * len(symbols) * width :]
+    return tuple(symbols), tuple(dates), np.frombuffer(cells).reshape(len(symbols), width)
+
+
+def _permute_rows(grid: np.ndarray, rows: list[int]) -> None:
+    """Move row ``rows[k]`` of ``grid`` to row k for every k, in place.
+
+    The moves form chains and cycles. A chain starts at a row that no move
+    reads, so it is overwritten first; a cycle's first row is kept in one
+    spare row until the cycle's last move reads it.
+    """
+    todo = {k: r for k, r in enumerate(rows) if k != r}  # destination -> source
+    read = set(todo.values())
+    spare = np.empty(grid.shape[1])
+    for start in [k for k in todo if k not in read] + [k for k in todo if k in read]:
+        if start in read and start in todo:
+            spare[:] = grid[start]
+        k = start
+        while k in todo:
+            r = todo.pop(k)
+            grid[k] = spare if r == start else grid[r]
+            k = r
 
 
 def write_prices_wide(path, series: Sequence[PriceSeries]) -> None:

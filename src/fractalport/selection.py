@@ -207,23 +207,29 @@ def build_generating_matrix(returns: np.ndarray, symbols, cfg: SelectionConfig) 
         gram[:, first, second], g_jj, out=np.full(g_jj.shape, np.nan),
         where=g_jj / (n_days - 1) >= HEDGE_VARIANCE_EPS,
     )
+    del gram, g_jj
     window, pair = np.nonzero(chi > 0.0)  # NaN marks a degenerate hedge
     chi = chi[window, pair]
     i, j = first[pair], second[pair]
-    mean = mu[window, i] - chi * mu[window, j]
-    with np.errstate(over="ignore"):  # an infinite leg variance fails the floor
-        leg_var = cov[window, i, i] + chi * chi * cov[window, j, j]
-        theta2 = leg_var - 2.0 * chi * cov[window, i, j]
+    del first, second, pair  # the whole triangle's, like the NaN-filled chi
 
     paths = np.zeros(stack.shape[:-1] + (n_days + 1,))
     np.cumsum(stack, axis=-1, out=paths[..., 1:])
     paths = paths.reshape(-1, n_days + 1)  # (windows * assets) x path
-    path_i, path_j = window * n_assets + i, window * n_assets + j
     h, h_err = np.empty(chi.size), np.empty(chi.size)
     for block in (slice(k, k + PAIR_BLOCK) for k in range(0, chi.size, PAIR_BLOCK)):
-        spread = paths[path_i[block]] - chi[block, None] * paths[path_j[block]]
+        offset = window[block] * n_assets
+        spread = paths[offset + i[block]] - chi[block, None] * paths[offset + j[block]]
         h[block], h_err[block], _ = fbm.fit_hurst(spread)
-    keep = (theta2 > SPREAD_VARIANCE_FLOOR * leg_var) & (0.0 < h) & (h < 1.0)  # NaN: no fit
+        del spread
+    del paths
+    rows = np.flatnonzero((0.0 < h) & (h < 1.0))  # NaN: no fit
+    window, i, j, chi, h, h_err = (c[rows] for c in (window, i, j, chi, h, h_err))
+    mean = mu[window, i] - chi * mu[window, j]
+    with np.errstate(over="ignore"):  # an infinite leg variance fails the floor
+        leg_var = cov[window, i, i] + chi * chi * cov[window, j, j]
+        theta2 = leg_var - 2.0 * chi * cov[window, i, j]
+    keep = theta2 > SPREAD_VARIANCE_FLOOR * leg_var
     window, i, j, chi, mean, theta2, h, h_err = (
         c[keep] for c in (window, i, j, chi, mean, theta2, h, h_err)
     )

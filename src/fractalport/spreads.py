@@ -57,25 +57,34 @@ def build_panel(symbols, dates, prices: np.ndarray) -> PricePanel:
     sorted ``symbols`` and ``dates``: dates without prices are dropped, and
     the matrix is frozen C-contiguous. The first symbol, in the given order,
     with fewer than 2 prices or, failing that, with one not finite and
-    positive is a ``ValidationError``."""
-    observed = ~np.isnan(prices)
-    on_some = observed.any(axis=0)
+    positive is a ``ValidationError``.
+
+    Rows are checked by reductions, not cell masks: a row's prices are all
+    finite and positive when the least is above 0 and the greatest below
+    infinity, NaNs skipped. Only the first bad row is searched for its cell.
+    """
+    prices = np.ascontiguousarray(prices, dtype=np.float64)
+    missing = np.isnan(prices)
+    on_some = ~missing.all(axis=0)
     if not on_some.all():
         prices = prices.compress(on_some, axis=1)  # C-contiguous, unlike prices[:, on_some]
-        observed = observed[:, on_some]
+        missing = missing.compress(on_some, axis=1)
         dates = tuple(compress(dates, on_some))
-    count = observed.sum(axis=1)
-    bad_cell = observed & ~(np.isfinite(prices) & (prices > 0))
-    bad = (count < 2) | bad_cell.any(axis=1)
+    count = prices.shape[1] - np.count_nonzero(missing, axis=1)
+    del missing
+    # the initial values keep a row without prices (or a panel without
+    # dates) out of the reductions' way: its count already marks it bad
+    low = np.fmin.reduce(prices, axis=1, initial=np.inf)
+    high = np.fmax.reduce(prices, axis=1, initial=-np.inf)
+    bad = (count < 2) | (low <= 0.0) | (high == np.inf)
     if bad.any():
         k = int(np.argmax(bad))
         if count[k] < 2:
             raise ValidationError(f"{symbols[k]}: need at least 2 prices, got {count[k]}")
-        t = int(np.argmax(bad_cell[k]))
+        t = int(np.argmax((prices[k] <= 0.0) | (prices[k] == np.inf)))
         raise ValidationError(
             f"{symbols[k]}: price {prices[k, t]} on {dates[t]} is not finite and positive"
         )
-    prices = np.ascontiguousarray(prices, dtype=np.float64)
     prices.flags.writeable = False
     return PricePanel(tuple(symbols), tuple(dates), prices)
 

@@ -511,10 +511,14 @@ def test_gapped_symbols_drop_out_of_their_windows(drawn, single):
 
 
 def test_candidate_memory_follows_the_table():
-    # each block of spread paths is covered and fitted before the next is
-    # built, so the traced peak grows with the table by its columns and a
-    # few per-pair temporaries, about 220 bytes a row; one fit of all the
-    # rows' covers held (pairs x scales) temporaries too, about 480 bytes
+    # each block of spread paths is built from its rows' indices and
+    # fitted before the next, the whole upper triangle's arrays are freed
+    # once the hedged pairs are indexed, and the spread moments are taken
+    # on the fitted rows only, so the traced peak grows with the table by
+    # its columns and a few per-row temporaries, about 130 bytes a row;
+    # with those triangle arrays and moments held it was about 215 bytes,
+    # and one fit of all the rows' covers held (pairs x scales)
+    # temporaries too, about 480 bytes
     cfg = SelectionConfig()
     peaks, rows = [], []
     for n_assets in (120, 200):
@@ -533,4 +537,4 @@ def test_candidate_memory_follows_the_table():
                 tracemalloc.stop()
         rows.append(len(cands))
     per_row = (peaks[1] - peaks[0]) / (rows[1] - rows[0])
-    assert per_row <= 300, per_row
+    assert per_row <= 160, per_row
