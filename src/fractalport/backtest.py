@@ -250,8 +250,6 @@ def _invest_group(stack: np.ndarray, sel: Candidates, cfg: BacktestConfig) -> li
         labels = [pairs[lo : lo + m] for lo in starts.tolist()]
         raw = solve_weights(cov, hursts, mean, cfg.test_days, labels)
         invested = (raw > 0.0).any(axis=-1)
-        if not invested.any():
-            continue
         weights, scale_k = apply_leverage(raw[invested], cfg.leverage)
         held, legs = compose_legs(weights, long[invested], short[invested], chi[invested])
         for w, lo, k, held_w, legs_w, weights_w in zip(

@@ -25,7 +25,6 @@ import numpy as np
 from fractalport.backtest import BacktestConfig, run_walk_forward
 from fractalport.errors import (
     DataError,
-    FractalPortError,
     NumericalError,
     ParameterError,
     ParseError,
@@ -253,9 +252,6 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except FractalPortError as exc:  # base-class fallback
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -96,8 +96,6 @@ def cover_amplitudes(x, window_sizes):
         d = int(d)
         nf = n_incr // d
         counts[k] = nf
-        if nf == 0:
-            continue
         left = x[..., 0 : nf * d : d]
         mid = x[..., d // 2 : nf * d : d]
         right = x[..., d : nf * d + 1 : d]

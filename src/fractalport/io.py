@@ -219,9 +219,8 @@ def _csv_batches(records, width: int, line: int):
     while rows := list(islice(records, max(1, READ_BATCH_CELLS // width))):
         lines = range(line, line + len(rows))
         line += len(rows)
-        filled = list(map(str.strip, map("".join, rows)))
-        if not all(filled):  # blank records
-            lines, rows = list(compress(lines, filled)), list(compress(rows, filled))
+        filled = list(map(str.strip, map("".join, rows)))  # blank records are dropped
+        lines, rows = list(compress(lines, filled)), list(compress(rows, filled))
         if set(map(len, rows)) - {width}:
             n, row = next((n, row) for n, row in zip(lines, rows) if len(row) != width)
             raise ParseError(f"line {n}: expected {width} columns, got {len(row)}")
@@ -399,8 +398,6 @@ def _grown(cells: bytearray, shape: tuple[int, int], rows: int, cols: int) -> tu
     """
     r, c = shape
     new = tuple(have if n <= have else max(n, have + have // 4) for n, have in ((rows, r), (cols, c)))
-    if new == shape:
-        return shape
     cells.extend(bytes(8 * (new[0] * new[1] - r * c)))
     flat = np.frombuffer(cells)
     if new[1] > c:
@@ -429,7 +426,9 @@ def _sorted_grid(cells: bytearray, shape: tuple[int, int], syms: dict, days: dic
     The prices are ordered in place: the rows are put in symbol order, then
     each row's columns are gathered in date order and written to the front
     of ``cells`` at the panel's stride, rows front to back, and ``cells`` is
-    cut to the panel. The returned prices are a view of ``cells``.
+    cut to the panel's length. The returned prices are a view of ``cells``;
+    CPython keeps a bytearray's allocation when a cut keeps at least half
+    of it, so that buffer may still hold the grid's whole capacity.
     """
     grid = np.frombuffer(cells).reshape(shape)
     priced = np.fmax.reduce(grid, axis=0, initial=-np.inf) > -np.inf

@@ -14,7 +14,7 @@ and ``selection.build_generating_matrix`` forms no pair with it.
 """
 from __future__ import annotations
 
-from itertools import compress
+from itertools import compress, pairwise
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -43,8 +43,8 @@ class PricePanel(NamedTuple):
     """Closes of several symbols on the union of their dates.
 
     ``prices[k, t]`` is ``symbols[k]``'s close on ``dates[t]``, NaN where it
-    has none. Symbols and ISO dates are sorted, every date has at least one
-    price, and ``prices`` is a read-only C-contiguous float64 matrix.
+    has none. Symbols and ISO dates strictly increase, every date has at
+    least one price, and ``prices`` is a read-only C-contiguous float64 matrix.
     """
 
     symbols: tuple[str, ...]
@@ -55,14 +55,19 @@ class PricePanel(NamedTuple):
 def build_panel(symbols, dates, prices: np.ndarray) -> PricePanel:
     """The panel of ``prices`` (symbols x dates, NaN for a missing cell) on
     sorted ``symbols`` and ``dates``: dates without prices are dropped, and
-    the matrix is frozen C-contiguous. The first symbol, in the given order,
-    with fewer than 2 prices or, failing that, with one not finite and
-    positive is a ``ValidationError``.
+    the matrix is frozen C-contiguous. Symbols or dates that do not strictly
+    increase are a ``ValidationError`` naming the first pair out of order;
+    so is the first symbol, in the given order, with fewer than 2 prices
+    or, failing that, with one not finite and positive.
 
     Rows are checked by reductions, not cell masks: a row's prices are all
     finite and positive when the least is above 0 and the greatest below
     infinity, NaNs skipped. Only the first bad row is searched for its cell.
     """
+    for noun, labels in (("symbols", symbols), ("dates", dates)):
+        for a, b in pairwise(labels):
+            if not a < b:
+                raise ValidationError(f"{noun} are not sorted and distinct: {a!r} then {b!r}")
     prices = np.ascontiguousarray(prices, dtype=np.float64)
     missing = np.isnan(prices)
     on_some = ~missing.all(axis=0)

@@ -302,6 +302,12 @@ class TestCmdHurst:
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
 
+    def test_missing_column_exits_3_naming_the_available_ones(self, tmp_path, capsys):
+        f = tmp_path / "series.csv"
+        f.write_text("a,b\n1.0,2.0\n")
+        assert main(["hurst", "--input", str(f), "--column", "NOPE"]) == 3
+        assert capsys.readouterr().err == "data error: column 'NOPE' not found; available: ['a', 'b']\n"
+
     def test_bad_value_line_counts_blank_records(self, tmp_path, capsys):
         f = tmp_path / "series.csv"
         f.write_text("value\n1.0\n\nabc\n")
@@ -826,8 +832,13 @@ class TestCmdMakeFixture:
             ["--days", "0"],
             ["--assets", "0", "--pairs", "0"],
             ["--assets", "1", "--pairs", "0"],
+            ["--pairs", "6"],
+            ["--assets", "5", "--pairs", "3"],
         ],
-        ids=["negative-pairs", "negative-days", "zero-days", "zero-assets", "one-asset"],
+        ids=[
+            "negative-pairs", "negative-days", "zero-days", "zero-assets", "one-asset",
+            "too-many-pairs", "pairs-exceed-assets",
+        ],
     )
     def test_bad_sizes_exit_2_without_writing(self, sizes, tmp_path, capsys):
         out = tmp_path / "u.csv"

@@ -94,6 +94,19 @@ class TestRescaleCovariance:
         with pytest.raises(ParameterError):
             rescale_covariance(np.eye(2), [0.5, 1.0], 10)
 
+    @pytest.mark.parametrize(
+        "c, n_days, message",
+        [
+            (np.ones((2, 3)), 10, r"covariance must be square, got shape \(2, 3\)"),
+            (np.ones(2), 10, r"covariance must be square, got shape \(2,\)"),
+            (np.eye(2), 0, "horizon must be at least 1 day, got 0"),
+        ],
+        ids=["not_square", "one_dimensional", "no_horizon"],
+    )
+    def test_refuses_a_matrix_that_is_not_square_or_no_horizon(self, c, n_days, message):
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            rescale_covariance(c, [0.5, 0.5], n_days)
+
 
 class TestSolveWeights:
     def test_diagonal_reduces_to_independent_kelly(self):
@@ -136,6 +149,11 @@ class TestSolveWeights:
         w = solve_weights(c, [0.5] * 2, [1e-3, 1e-3], 126)
         assert np.all(np.isfinite(w))
         assert w[0] == pytest.approx(w[1], rel=1e-6)
+
+    def test_mean_shape_checked(self):
+        message = r"^mean returns of shape \(1,\) for a covariance of shape \(2, 2\)$"
+        with pytest.raises(ParameterError, match=message):
+            solve_weights(np.eye(2), [0.5, 0.5], [1e-3], 126)
 
     @pytest.mark.parametrize(
         "c,named",

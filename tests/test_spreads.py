@@ -147,6 +147,31 @@ class TestPriceMatrix:
         np.testing.assert_array_equal(panel.prices, cells)
         assert panel.prices.flags.c_contiguous
 
+    def test_drops_dates_without_prices(self):
+        days = dates(4)
+        cells = np.array([[1.0, np.nan, 3.0, np.nan], [10.0, np.nan, 30.0, 40.0]])
+        panel = build_panel(("X", "Y"), days, cells)
+        assert panel.dates == (days[0], days[2], days[3])
+        np.testing.assert_array_equal(panel.prices, cells[:, [0, 2, 3]])
+        assert panel.prices.flags.c_contiguous
+
+    @pytest.mark.parametrize(
+        "symbols, days, message",
+        [
+            (("X", "Y"), dates(3)[::-1], "dates are not sorted and distinct: '2020-01-03' then '2020-01-02'"),
+            (("X", "Y"), dates(2) + dates(1, start=1), "dates are not sorted and distinct: '2020-01-02' then '2020-01-02'"),
+            (("X", "X"), dates(3), "symbols are not sorted and distinct: 'X' then 'X'"),
+            (("Y", "X"), dates(3), "symbols are not sorted and distinct: 'Y' then 'X'"),
+        ],
+        ids=["reversed_calendar", "repeated_date", "repeated_symbol", "unsorted_symbols"],
+    )
+    def test_rejects_labels_that_do_not_increase(self, symbols, days, message):
+        # a reversed calendar would walk the history backwards, and a
+        # repeated symbol would key two rows' legs by one name
+        with pytest.raises(ValidationError) as exc:
+            build_panel(symbols, days, np.ones((2, 3)))
+        assert str(exc.value) == message
+
     def test_panel_is_read_only(self):
         panel = build_panel(("X",), dates(2), np.array([[1.0, 2.0]]))
         with pytest.raises(ValueError):
