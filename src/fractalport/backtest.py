@@ -10,7 +10,6 @@ test window can influence that window's positions.
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from itertools import compress
@@ -45,8 +44,6 @@ __all__ = [
     "run_walk_forward",
     "compute_metrics",
 ]
-
-logger = logging.getLogger(__name__)
 
 TRADING_DAYS_PER_YEAR = 252
 
@@ -372,9 +369,6 @@ def run_walk_forward(panel: PricePanel, cfg: BacktestConfig) -> BacktestReport:
             )
         )
         chain_capital *= 1.0 + window_return
-        logger.debug(
-            "window %d: %d spreads, return %.4f", w, len(info), window_return
-        )
     return compute_metrics(windows, cfg)
 
 

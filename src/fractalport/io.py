@@ -17,8 +17,9 @@ Both routes give the same fields, so the file's panel and its errors do
 not depend on the route. The date and symbol columns are then factorised
 (each distinct date string is parsed once), a batch's price cells are
 converted by ``float`` into one numpy array (one pass over the batch, or,
-after a batch with blanks, one pass over its non-blank cells), and the
-prices are written straight into one (symbols x dates) grid at their codes.
+when that pass meets a blank or malformed cell, one pass over its non-blank
+cells), and the prices are written straight into one (symbols x dates) grid
+at their codes.
 The grid's cells are one ``bytearray``, grown in place when a new code
 falls outside it and, at the end, ordered and cut to the panel in place,
 so ingest holds about one grid: its memory follows the panel's size, not
@@ -116,7 +117,7 @@ def read_column(path, column: str) -> np.ndarray:
         k = header.index(column)
         parts = [np.empty(0)]
         for columns, lines in _row_batches(fh, len(header)):
-            values = _prices(columns[k], lines, False, "value")
+            values = _prices(columns[k], lines, "value")
             parts.append(values[~np.isnan(values)])
     return np.concatenate(parts)
 
@@ -288,26 +289,20 @@ def _symbol(raw: str) -> str:
     return raw.strip()
 
 
-def _prices(raw, lines, gapped: bool, noun: str = "price") -> np.ndarray:
+def _prices(raw, lines, noun: str = "price") -> np.ndarray:
     """Prices of a sequence of raw cells, NaN for a blank one; ``lines``
     gives each cell's line number, for the error of the first bad one.
 
-    A batch goes through one ``float`` pass unless ``gapped``, which the
-    readers set when the previous batch had blanks: a gapped batch, or one
-    whose pass meets a blank, is converted in two passes instead, one that
-    finds the blank cells and one ``float`` call over the rest. So a file
-    with blanks throughout converts each batch once after its first.
-    ``_price`` runs only to name a malformed or non-finite cell, as a bad
-    ``noun``.
+    Every batch tries one ``float`` pass. A pass that meets a blank or
+    malformed cell gives way to two: one that finds the blank cells and one
+    ``float`` call over the rest. ``_price`` runs only to name a malformed
+    or non-finite cell, as a bad ``noun``.
     """
     filled = len(raw)
     try:
-        if not gapped:
-            try:
-                values = np.fromiter(map(float, raw), np.float64, filled)
-            except ValueError:  # a blank cell, or a malformed one
-                gapped = True
-        if gapped:
+        try:
+            values = np.fromiter(map(float, raw), np.float64, filled)
+        except ValueError:  # a blank cell, or a malformed one
             priced = list(map(bool, map(str.strip, raw)))
             filled = priced.count(True)
             values = np.full(len(raw), np.nan)
@@ -335,13 +330,11 @@ def _price(raw: str, line: int, noun: str) -> None:
 def _read_long(batches) -> PricePanel:
     date_codes, days, sym_codes, syms = {}, {}, {}, {}
     cells, shape = bytearray(), (0, 0)
-    gapped = False
     for (raw_dates, raw_syms, raw_prices), lines in batches:
         d = _factorise(raw_dates, lines, date_codes, days, _iso_date)
         s = _factorise(raw_syms, lines, sym_codes, syms, _symbol)
-        v = _prices(raw_prices, lines, gapped)
+        v = _prices(raw_prices, lines)
         kept = np.flatnonzero(~np.isnan(v))  # a blank price drops its row
-        gapped = kept.size < v.size
         shape = _grown(cells, shape, len(syms), len(days))
         grid = np.frombuffer(cells).reshape(shape)
         cell = s[kept] * shape[1] + d[kept]
@@ -365,13 +358,11 @@ def _read_wide(batches, header: list[str]) -> PricePanel:
     syms = {s: k for k, s in enumerate(header)}
     date_codes, days = {}, {}
     cells, shape = bytearray(), (len(header), 0)
-    gapped = False
     for columns, lines in batches:
         seen = len(days)
         d = _factorise(columns[0], lines, date_codes, days, _iso_date)
         raw = list(chain.from_iterable(columns[1:]))
-        block = _prices(raw, chain.from_iterable(repeat(lines, len(header))), gapped)
-        gapped = bool(np.isnan(block).any())
+        block = _prices(raw, chain.from_iterable(repeat(lines, len(header))))
         # new dates are coded in order of first sight, so a row whose code
         # breaks the count from ``seen`` repeats an earlier row's date
         repeats = np.flatnonzero(d != np.arange(seen, seen + len(d)))
@@ -468,16 +459,15 @@ def write_prices_wide(path, series: Sequence[PriceSeries]) -> None:
     """Write ``series`` as a wide CSV that ``ingest_prices`` reads back as
     ``build_panel`` of them, bit for bit: symbols sorted, floats in shortest
     round-trip repr. Nothing is written unless it would: the series share
-    one calendar of increasing ``YYYY-MM-DD`` dates, the symbols are
-    distinct, unchanged by ingest and make a wide header, and a NaN is a bad
-    price, not a gap."""
+    one calendar of ``YYYY-MM-DD`` dates, the symbols are unchanged by
+    ingest and make a wide header, and a NaN is a bad price, not a gap.
+    ``build_panel`` refuses the rest before the file is opened: symbols
+    that are not distinct and dates that do not increase."""
     ordered = sorted(series, key=lambda p: p.symbol)
     symbols = [p.symbol for p in ordered]
     for sym in symbols:
         if not _reads_back(_symbol, sym):
             raise ValidationError(f"{sym!r}: symbol is empty or has surrounding whitespace")
-    if len(set(symbols)) != len(symbols):
-        raise ValidationError(f"duplicate symbols: {symbols}")
     header = ["date", *symbols]
     if _layout(header) != "wide":
         raise ValidationError(f"header {header} would not read back as the wide layout")
@@ -485,8 +475,6 @@ def write_prices_wide(path, series: Sequence[PriceSeries]) -> None:
     for day in calendar:  # once: every series must have these dates
         if not _reads_back(_iso_date, day):
             raise ValidationError(f"{first}: date {day!r} is not a YYYY-MM-DD string")
-    if not all(map(str.__lt__, calendar, calendar[1:])):
-        raise ValidationError(f"{first}: dates do not increase")
     for p in ordered:
         if tuple(p.dates) != calendar:
             raise ValidationError(f"{p.symbol}: dates differ from {first}'s")

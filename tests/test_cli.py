@@ -2,10 +2,14 @@
 import csv
 import json
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fractalport
 from fractalport.backtest import BacktestConfig, run_walk_forward
 from fractalport.cli import main
 from fractalport.errors import ParseError, ValidationError
@@ -220,7 +224,7 @@ class TestIngestWide:
 
     def test_duplicate_symbols_not_written(self, tmp_path, universe):
         out = tmp_path / "dup.csv"
-        with pytest.raises(ValidationError, match="duplicate symbols"):
+        with pytest.raises(ValidationError, match="symbols are not sorted and distinct"):
             write_prices_wide(out, universe.prices[:2] + universe.prices[:1])
         assert not out.exists()
 
@@ -862,3 +866,20 @@ def test_missing_input_file_exits_3(args, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("data error:")
     assert str(missing) in err
+
+
+def test_import_loads_no_logging():
+    # the package logs nothing, so importing the CLI in a fresh interpreter
+    # leaves ``logging`` unloaded, unless numpy loaded it first
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import numpy;"
+        " before = 'logging' in sys.modules; import fractalport.cli;"
+        " print(before, 'logging' in sys.modules)"
+    )
+    src = str(Path(fractalport.__file__).parents[1])
+    before, after = subprocess.run(
+        [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
+    ).stdout.split()
+    if before == "True":
+        pytest.skip("numpy imports logging")
+    assert after == "False"

@@ -367,31 +367,6 @@ def test_gapped_prices_convert_without_per_cell_route(tmp_path, monkeypatch, lay
     assert got[1].endswith("non-finite price ' nan '") and calls
 
 
-@pytest.mark.parametrize("layout", ["long", "wide"])
-def test_gapped_file_converts_each_batch_once(tmp_path, monkeypatch, layout):
-    # every batch of this file has blanks: only the first batch tries a
-    # whole-batch ``float`` pass and meets one, every later batch goes
-    # straight to the blank-aware pass, so each priced cell is converted
-    # once after the first batch
-    monkeypatch.setattr(fio, "READ_BATCH_CELLS", 30)
-    f = gapped_csv(tmp_path / "gapped.csv", layout)
-    want = outcome(reference_ingest, f)
-    calls, blanks = [], []
-
-    def spy(cell):
-        calls.append(cell)
-        if not cell.strip():
-            blanks.append(cell)
-        return float(cell)
-
-    monkeypatch.setattr(fio, "float", spy, raising=False)
-    assert outcome(ingest_prices, f) == want
-    records = list(csv.reader(f.open()))[1:]
-    priced = sum(1 for row in records for cell in row[1 if layout == "wide" else 2 :] if cell)
-    assert len(blanks) == 1
-    assert priced < len(calls) < priced + 30
-
-
 # Traced peak over the panel's bytes, about 15% above the ratio measured
 # with the grid grown and ordered in place (2.26, 1.72, 1.90 and 1.73) and
 # below the 3.17, 2.48, 2.63 and 2.55 of a grid copied at each growth and

@@ -1,6 +1,7 @@
 """Price panels, normalized returns, and the hedge ratio and oriented
 spread of the per-pair reference (``pair_reference``) that the candidate
 engine is checked against; the engine itself where it shows them."""
+import re
 from datetime import date, timedelta
 from typing import NamedTuple
 
@@ -66,11 +67,24 @@ class TestPriceSeries:
     def test_rejects_repeated_date(self, tmp_path):
         days = ("2020-01-01", "2020-01-03", "2020-01-03")
         x = PriceSeries(symbol="X", dates=days, prices=[1.0, 2.0, 3.0])
-        self.refused(tmp_path, [x], "^X: dates do not increase$")
+        self.refused(tmp_path, [x], "^dates are not sorted and distinct: '2020-01-03' then '2020-01-03'$")
 
     def test_rejects_decreasing_dates(self, tmp_path):
         x = PriceSeries(symbol="X", dates=dates(3)[::-1], prices=[1.0, 2.0, 3.0])
-        self.refused(tmp_path, [x], "^X: dates do not increase$")
+        self.refused(tmp_path, [x], "^dates are not sorted and distinct: '2020-01-03' then '2020-01-02'$")
+
+    @pytest.mark.parametrize(
+        "symbols,days",
+        [(("X", "X"), dates(3)), (("X",), ("2020-01-01", "2020-01-03", "2020-01-03")), (("X",), dates(3)[::-1])],
+        ids=["duplicate_symbol", "repeated_date", "reversed_dates"],
+    )
+    def test_refuses_as_build_panel(self, tmp_path, symbols, days):
+        # the writer leaves these checks to the panel it builds before it
+        # opens the file: one check, so one message
+        series = [PriceSeries(s, days, np.array([1.0, 2.0, 3.0])) for s in symbols]
+        with pytest.raises(ValidationError) as want:
+            build_panel(symbols, days, np.array([p.prices for p in series]))
+        self.refused(tmp_path, series, f"^{re.escape(str(want.value))}$")
 
     @pytest.mark.parametrize(
         "other", [dates(3, start=1), dates(2), dates(4)], ids=["shifted", "shorter", "longer"]
