@@ -70,7 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_select.add_argument("--end", required=True, help="last date of the window, YYYY-MM-DD")
     p_select.add_argument("--horizon-days", type=int, default=SelectionConfig.horizon_days)
     p_select.add_argument("--hurst-cap", type=float, default=SelectionConfig.hurst_cap)
-    p_select.add_argument("--max-spreads", type=int, default=SelectionConfig.max_spreads)
     p_select.add_argument("--output", default=None, help="write JSON here instead of stdout")
 
     p_bt = sub.add_parser("backtest", help="walk-forward out-of-sample backtest")

@@ -8,12 +8,12 @@ ranked by the horizon-adjusted Kelly weight. Candidates are held as one
 column table with a row per pair. Selection repeatedly takes the
 highest-ranked remaining candidate, keeps it only if the Hurst stability
 screen passes, and on acceptance retires both of its assets so every
-symbol appears in at most one selected spread.
+symbol appears in at most one selected spread; it stops only when no
+candidate is left, with no cap on the number of spreads.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Optional
 
 import numpy as np
 
@@ -56,15 +56,12 @@ SPREAD_VARIANCE_FLOOR = 1e-10
 class SelectionConfig:
     horizon_days: int = 126
     hurst_cap: float = 0.5
-    max_spreads: Optional[int] = None
 
     def __post_init__(self):
         if self.horizon_days < 1:
             raise ParameterError(f"horizon must be at least 1 day, got {self.horizon_days}")
         if not 0.0 < self.hurst_cap <= 0.5:
             raise ParameterError(f"hurst cap must lie in (0, 0.5], got {self.hurst_cap}")
-        if self.max_spreads is not None and self.max_spreads < 1:
-            raise ParameterError(f"max spreads must be positive, got {self.max_spreads}")
 
 
 @dataclass(frozen=True)
@@ -257,9 +254,9 @@ def select_spreads(cands: Candidates, cfg: SelectionConfig) -> Candidates:
     retires an asset, so the screen is applied to all rows up front.
 
     One sort orders the rows by window first, and the greedy fill then runs
-    on each window's run of rows with its own retired assets and its own
-    count towards ``max_spreads``: each window's selected rows are one
-    contiguous run, the rows it selects alone.
+    on each window's run of rows with its own retired assets, until the
+    run is used up: each window's selected rows are one contiguous run, the
+    rows it selects alone.
     """
     rows = np.flatnonzero(
         (cands.h + cands.h_err < cfg.hurst_cap) & (cands.h_err < cands.h) & (cands.kelly > 0.0)
@@ -273,10 +270,7 @@ def select_spreads(cands: Candidates, cfg: SelectionConfig) -> Candidates:
     picked: list[int] = []
     for lo, hi in zip(cuts, cuts[1:]):  # one window's rows
         used: set[int] = set()
-        first = len(picked)
         for row, a, b in zip(rows[lo:hi], long[lo:hi], short[lo:hi]):
-            if cfg.max_spreads is not None and len(picked) - first >= cfg.max_spreads:
-                break
             if a in used or b in used:
                 continue
             picked.append(row)

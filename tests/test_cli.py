@@ -572,24 +572,6 @@ class TestCmdSelect:
         assert captured.err.startswith("configuration error:")
         assert captured.out == ""
 
-    def test_max_spreads_keeps_the_first_selected(self, fixture_csv, capsys):
-        args = ["select", "--prices", str(fixture_csv), "--start", "2015-01-02", "--end", "2015-06-30"]
-        assert main(args) == 0
-        uncapped = json.loads(capsys.readouterr().out)["spreads"]
-        assert len(uncapped) == 4
-        assert main(args + ["--max-spreads", "2"]) == 0
-        assert json.loads(capsys.readouterr().out)["spreads"] == uncapped[:2]
-
-    def test_max_spreads_zero_exits_2(self, fixture_csv, capsys):
-        args = [
-            "select", "--prices", str(fixture_csv),
-            "--start", "2015-01-02", "--end", "2015-06-30", "--max-spreads", "0",
-        ]
-        assert main(args) == 2
-        captured = capsys.readouterr()
-        assert captured.err == "configuration error: max spreads must be positive, got 0\n"
-        assert captured.out == ""
-
     def test_bad_hurst_cap_exits_2(self, fixture_csv):
         args = [
             "select", "--prices", str(fixture_csv),

@@ -232,6 +232,35 @@ def test_screen_null_pass_rate():
     assert h[at_half].std(ddof=1) == pytest.approx(0.0862, abs=5e-4)
 
 
+# (sd of h, median h_err) over 2,000 exact fBm paths (seeds 0-1999) per
+# (path length, H): the screen's error term, the standard error of the
+# log-log fit, is 2.5-3.2 times smaller than the estimator's sampling sd.
+# A 127-point random walk is left out: test_screen_null_pass_rate pins
+# the same fit on the same seeds at 126 points and H = 0.5
+H_ERR_UNDERSTATEMENT = {
+    (64, 0.2): (0.1358, 0.0540),
+    (64, 0.35): (0.1323, 0.0489),
+    (64, 0.5): (0.1302, 0.0441),
+    (127, 0.2): (0.0901, 0.0340),
+    (127, 0.35): (0.0877, 0.0305),
+    (253, 0.2): (0.0633, 0.0246),
+    (253, 0.35): (0.0611, 0.0220),
+    (253, 0.5): (0.0604, 0.0191),
+}
+
+
+@pytest.mark.parametrize("n, level", list(H_ERR_UNDERSTATEMENT))
+def test_h_err_understates_the_spread_of_h(n, level):
+    # the evidence for replacing h_err in the screen: pinned so that a
+    # change to the fit or to its error term shows in these numbers
+    paths = np.stack([generate_fbm(level, n, rng_seed=s) for s in range(2000)])
+    h, h_err, n_scales = fit_hurst(paths)
+    assert (n_scales >= 3).all()
+    sd, median = H_ERR_UNDERSTATEMENT[n, level]
+    assert h.std(ddof=1) == pytest.approx(sd, abs=5e-4)
+    assert np.median(h_err) == pytest.approx(median, abs=5e-4)
+
+
 class TestEstimateHurst:
     def test_linear_ramp_maximally_persistent(self):
         est = estimate_hurst(np.arange(1024, dtype=np.float64))

@@ -277,16 +277,6 @@ class TestSelectSpreads:
         picked = select_spreads(cands.take([0, 1, 2]), SelectionConfig())
         assert pairs(picked) == [("M", "A")]
 
-    def test_max_spreads_cap(self):
-        cands = make_candidates(
-            [
-                ("A", "B", 3.0, 0.3, 0.05),
-                ("C", "D", 2.0, 0.3, 0.05),
-            ]
-        )
-        picked = select_spreads(cands, SelectionConfig(max_spreads=1))
-        assert len(picked) == 1
-
     def test_disjoint_symbols_property(self):
         rng = np.random.default_rng(0)
         symbols = [f"S{i}" for i in range(8)]
@@ -309,11 +299,11 @@ class TestSelectSpreads:
         assert np.all(picked.h_err < picked.h)
         assert np.all(picked.mean > 0)
 
-    @pytest.mark.parametrize("max_spreads", [None, 1, 2])
-    def test_windows_select_alone(self, max_spreads):
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_windows_select_alone(self, seed):
         # a table of several windows, rows shuffled, selects in each window
         # the rows that window's table selects alone, window by window
-        rng = np.random.default_rng(max_spreads or 0)
+        rng = np.random.default_rng(seed)
         symbols = [f"S{i}" for i in range(7)]
         rows = [
             (a, b, float(rng.choice([1.0, 2.0, 3.0])), float(rng.uniform(0.1, 0.5)), 0.05)
@@ -322,7 +312,7 @@ class TestSelectSpreads:
         one = make_candidates(rows, symbols)
         cands = Candidates(**{**vars(one), "window": np.repeat(np.arange(5), len(rows) // 5)})
         cands = cands.take(rng.permutation(len(cands)))
-        cfg = SelectionConfig(max_spreads=max_spreads)
+        cfg = SelectionConfig()
         got = select_spreads(cands, cfg)
         want = [select_spreads(cands.take(cands.window == w), cfg) for w in range(5)]
         assert got.window.tolist() == [w for w, sel in enumerate(want) for _ in range(len(sel))]
