@@ -39,7 +39,9 @@ HEDGE_VARIANCE_EPS = 1e-12
 # Measured with stacked windows on per-pair spreads (perfbench run_cal
 # medians of 3 seeds, 2-core VM, 128 / 256 / 512): pairs_wide
 # 1.09 / 1.05 / 0.95 and history_long 1.19 / 1.18 / 1.16, but 512 raised
-# peak RSS by 1.3 and 0.6 MB.
+# peak RSS by 1.3 and 0.6 MB. The history_long figures moved its window
+# groups with the block, one block's rows to a group; the group is now
+# sized by ``backtest.GROUP_ROWS``, and this sizes the block alone.
 PAIR_BLOCK = 256
 
 # A spread whose variance is at most this fraction of its legs' summed
@@ -195,9 +197,11 @@ def build_generating_matrix(returns: np.ndarray, symbols, cfg: SelectionConfig) 
     incr = np.diff(stack, axis=-1)
     incr -= incr.mean(axis=-1, keepdims=True)
     gram = np.einsum("wid,wjd->wij", incr, incr)
+    del incr
     mu = stack.mean(axis=-1)
     centred = stack - mu[..., None]
     cov = np.einsum("wid,wjd->wij", centred, centred) / n_days
+    del centred
     first, second = np.triu_indices(n_assets, 1)
     g_jj = gram[:, second, second]
     chi = np.divide(
@@ -216,7 +220,11 @@ def build_generating_matrix(returns: np.ndarray, symbols, cfg: SelectionConfig) 
     h, h_err = np.empty(chi.size), np.empty(chi.size)
     for block in (slice(k, k + PAIR_BLOCK) for k in range(0, chi.size, PAIR_BLOCK)):
         offset = window[block] * n_assets
-        spread = paths[offset + i[block]] - chi[block, None] * paths[offset + j[block]]
+        spread = paths[offset + i[block]]  # built in place: two block-sized arrays at most
+        hedge = paths[offset + j[block]]
+        hedge *= chi[block, None]
+        spread -= hedge
+        del hedge
         h[block], h_err[block], _ = fbm.fit_hurst(spread)
         del spread
     del paths

@@ -415,7 +415,7 @@ class TestRunWalkForward:
         # must be its table built alone, and its selected rows that
         # table's selection alone
         cfg = replace(backtest_cfg, test_days=21)
-        group = PAIR_BLOCK // 45
+        group = backtest.GROUP_ROWS // 45
         assert group > 1
         panel = panel_of(universe.prices + [universe.benchmark])
         seen = []
@@ -613,9 +613,9 @@ def test_no_positive_weight_leaves_windows_uninvested(small_run, monkeypatch):
 
 
 def test_group_errors_keep_window_order(monkeypatch):
-    # 6 assets on 21-day tests: windows 0-16 are one group, optimized as
-    # stacks. Of two singular windows in one stack the first one's error
-    # names its own spreads
+    # 6 assets on 21-day tests: windows 0-23 are one group (of up to 68),
+    # optimized as stacks. Of two singular windows in one stack the first
+    # one's error names its own spreads
     u = small_universe()
     panel = panel_of(u.prices + [u.benchmark])
     cfg = BacktestConfig(benchmark_symbol="MKT", test_days=21)
@@ -647,6 +647,41 @@ def test_group_errors_keep_window_order(monkeypatch):
     singular_at(3)
     with pytest.raises(SingularMatrixError, match=named(3)):
         run_walk_forward(panel, cfg)
+
+
+@pytest.fixture(scope="module")
+def long_history():
+    # the shape of the history_long benchmark: 6 traded assets (15 pairs)
+    # on 21-day tests, over 140 windows
+    u = small_universe(n_days=126 + 140 * 21)
+    return panel_of(u.prices + [u.benchmark]), BacktestConfig(benchmark_symbol="MKT", test_days=21)
+
+
+def test_fifteen_pairs_walk_in_groups_of_68(long_history, monkeypatch):
+    # GROUP_ROWS fills a group with 68 windows of 15 pairs: one candidate
+    # build and one selection per 68 windows
+    panel, cfg = long_history
+    select = backtest.select_spreads
+    calls = []
+
+    def counting(cands, sel_cfg):
+        calls.append(len(cands))
+        return select(cands, sel_cfg)
+
+    monkeypatch.setattr(backtest, "select_spreads", counting)
+    rep = run_walk_forward(panel, cfg)
+    assert len(rep.windows) == 140 and len(calls) == -(-140 // 68)
+
+
+def test_report_bytes_do_not_depend_on_group_size(long_history, monkeypatch):
+    # one window per group, one PAIR_BLOCK's worth and the default group
+    # give one report, byte for byte
+    panel, cfg = long_history
+    reports = []
+    for rows in (1, PAIR_BLOCK, backtest.GROUP_ROWS):
+        monkeypatch.setattr(backtest, "GROUP_ROWS", rows)
+        reports.append(to_json(report_to_dict(run_walk_forward(panel, cfg), cfg)))
+    assert reports[0] == reports[1] == reports[2]
 
 
 def fabricate_window(idx, window_return, benchmark_return, start=100_000.0):

@@ -10,6 +10,7 @@ from a row, are checked bit for bit.
 """
 import itertools
 import tracemalloc
+from contextlib import contextmanager
 from dataclasses import fields
 from datetime import date, timedelta
 from typing import NamedTuple
@@ -510,6 +511,21 @@ def test_gapped_symbols_drop_out_of_their_windows(drawn, single):
             assert same_bits(getattr(rows, f.name), getattr(alone, f.name)), (w, f.name)
 
 
+@contextmanager
+def traced():
+    """tracemalloc tracing inside the block, its peak reset on entry; left
+    as it was found on exit."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        yield
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
 def test_candidate_memory_follows_the_table():
     # each block of spread paths is built from its rows' indices and
     # fitted before the next, the whole upper triangle's arrays are freed
@@ -524,17 +540,48 @@ def test_candidate_memory_follows_the_table():
     for n_assets in (120, 200):
         returns = random_returns(np.random.default_rng(n_assets), n_assets, 125)
         symbols = [f"S{k}" for k in range(n_assets)]
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
+        with traced():
             base = tracemalloc.get_traced_memory()[0]
             cands = build_generating_matrix(returns, symbols, cfg)
             peaks.append(tracemalloc.get_traced_memory()[1] - base)
-        finally:
-            if not tracing:
-                tracemalloc.stop()
         rows.append(len(cands))
     per_row = (peaks[1] - peaks[0]) / (rows[1] - rows[0])
     assert per_row <= 160, per_row
+
+
+def test_stacked_build_holds_one_stack_sized_array():
+    # a build makes three arrays the size of its input stack: the centred
+    # increments for the Gram matrices, the centred returns for the
+    # covariances and the cumulative paths. The first two are freed once
+    # reduced, so above its input the build's traced peak, less its
+    # table, is the paths and less than one stack more; with both held
+    # through the block loop it was three stacks
+    stack = random_returns(np.random.default_rng(0), 3000, 125).reshape(1000, 3, 125)
+    with traced():
+        base = tracemalloc.get_traced_memory()[0]
+        cands = build_generating_matrix(stack, ["S0", "S1", "S2"], SelectionConfig())
+        peak = tracemalloc.get_traced_memory()[1] - base
+    table = sum(getattr(cands, f.name).nbytes for f in fields(cands)[1:])
+    assert len(cands) > 1000
+    assert peak - table < 2 * stack.nbytes, (peak, table, stack.nbytes)
+
+
+def test_block_spread_holds_two_block_sized_arrays():
+    # a block's spread is its long legs' paths less the hedge legs' paths
+    # scaled in place, the hedge freed before the fit: between two fits the
+    # build holds at most one block-sized array beside the spread, the
+    # hedge, where the unscaled and the scaled hedge held two
+    returns = random_returns(np.random.default_rng(0), 60, 125)  # 1770 pairs, 7 blocks
+    fit = selection.fbm.fit_hurst
+    extra = []
+
+    def recording(spread):
+        current, peak = tracemalloc.get_traced_memory()
+        extra.append((peak - current) / spread.nbytes)
+        fitted = fit(spread)
+        tracemalloc.reset_peak()
+        return fitted
+
+    with traced(), mock.patch.object(selection.fbm, "fit_hurst", recording):
+        build_generating_matrix(returns, [f"S{k}" for k in range(60)], SelectionConfig())
+    assert len(extra) == 7 and max(extra) < 1.5, extra
