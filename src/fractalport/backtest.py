@@ -160,20 +160,24 @@ def position_sizing(
 
     Raises ``NumericalError`` naming the first symbol whose share count is
     not finite (a position too large for a float).
+
+    A window holds a few symbols, so the sizes are Python floats: numpy's
+    IEEE multiply and divide, without a numpy call per step or the error
+    state that would silence an overflow.
     """
     if not capital > 0:
         raise ParameterError(f"capital must be positive, got {capital}")
     if not len(legs) == len(entry_prices) == len(symbols):
         raise ParameterError(f"{len(legs)} legs for entry prices and symbols of other lengths")
-    if not (entry_prices > 0).all():
+    prices = entry_prices.tolist()
+    if not all(p > 0 for p in prices):
         k = int(np.argmin(entry_prices > 0))
         raise ParameterError(f"{symbols[k]}: entry price must be positive, got {entry_prices[k]}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        counts = np.trunc(legs * capital / entry_prices)
-    if not np.isfinite(counts).all():
-        k = int(np.argmin(np.isfinite(counts)))
-        raise NumericalError(f"{symbols[k]}: share count {counts[k]} is not finite")
-    return counts
+    sizes = [leg * capital / p for leg, p in zip(legs.tolist(), prices)]
+    if not all(map(math.isfinite, sizes)):
+        k = next(k for k, size in enumerate(sizes) if not math.isfinite(size))
+        raise NumericalError(f"{symbols[k]}: share count {sizes[k]} is not finite")
+    return np.trunc(sizes)
 
 
 def _row_dots(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -227,8 +231,9 @@ def _mark_window(
 
 
 def _invest_group(stack: np.ndarray, sel: Candidates, cfg: BacktestConfig) -> list:
-    """The positions of each window of a group, from its (assets x days)
-    training returns ``stack[w]`` and its rows of the selected table ``sel``.
+    """The positions of each window of a group, from its (windows x assets x
+    days) C-contiguous stack of training returns and its rows of the
+    selected table ``sel``.
 
     A window's entry is its leverage scale factor, its held asset indices
     and their legs (``compose_legs``) and the records of its selected
@@ -239,13 +244,18 @@ def _invest_group(stack: np.ndarray, sel: Candidates, cfg: BacktestConfig) -> li
     The windows are bucketed by their number m of selected spreads, and each
     bucket goes through the covariance, rescaling, solve, leverage and legs
     as one stack of (m x days) spread returns, each window with the bits it
-    gets alone. A singular covariance raises the solve's error, naming the
-    first such window of its bucket. A group holds several windows only at
+    gets alone. The spread returns are read from the stack viewed as one
+    (windows·assets x days) matrix, a window's legs at rows
+    ``window * assets + asset``, so no bucket copies its windows' returns.
+    A singular covariance raises the solve's error, naming the first such
+    window of its bucket. A group holds several windows only at
     32 traded symbols or fewer (``GROUP_ROWS``), so m <= 16, where the
     ridge bounds a finite covariance's condition by 1 + m / RIDGE_LAMBDA
     (1.6e9 at m = 16). A group is largest on 2 traded symbols, one pair a
     window: it stacks up to 1,024 windows.
     """
+    n_assets = stack.shape[1]
+    flat = stack.reshape(-1, stack.shape[2])  # a view: the stack is C-contiguous
     bounds = np.searchsorted(sel.window, np.arange(len(stack) + 1))
     counts = np.diff(bounds)
     rows = sel.rows()
@@ -256,7 +266,8 @@ def _invest_group(stack: np.ndarray, sel: Candidates, cfg: BacktestConfig) -> li
         starts = bounds[windows]
         idx = starts[:, None] + np.arange(m)
         long, short, chi, mean, hursts = sel.long[idx], sel.short[idx], sel.chi[idx], sel.mean[idx], sel.h[idx]
-        cov = covariance_matrix(spread_returns(stack[windows], long, short, chi))
+        rows_of = windows[:, None] * n_assets
+        cov = covariance_matrix(spread_returns(flat, rows_of + long, rows_of + short, chi))
         labels = [pairs[lo : lo + m] for lo in starts.tolist()]
         raw = solve_weights(cov, hursts, mean, cfg.test_days, labels)
         invested = (raw > 0.0).any(axis=-1)
@@ -293,10 +304,12 @@ def run_walk_forward(panel: PricePanel, cfg: BacktestConfig) -> BacktestReport:
     returns are stacked, their candidates built as one table and selected
     in one pass (``select_spreads`` keeps each window to itself), and their
     optimizer runs as one stack per number of selected spreads
-    (``_invest_group``). Each window's rows, weights and legs depend on its
-    own returns only, so a group gives every window the result of a walk
-    one window at a time; a singular covariance is raised before the walk
-    marks any window of its group.
+    (``_invest_group``). The group's returns stack comes from one pass over
+    its price span (``window_returns`` with a window length and step).
+    Each window's rows, weights and legs depend on its own returns only, so
+    a group gives every window the result of a walk one window at a time; a
+    singular covariance is raised before the walk marks any window of its
+    group.
 
     The walk reads its own copy of the traded symbols' closes on the
     benchmark's dates, and lets go of ``panel`` before the first window: a
@@ -335,8 +348,8 @@ def run_walk_forward(panel: PricePanel, cfg: BacktestConfig) -> BacktestReport:
         end = b + cfg.test_days
         k = w % group
         if k == 0:
-            starts = range(a, min(w + group, n_windows) * cfg.test_days, cfg.test_days)
-            stack = np.stack([window_returns(prices[:, s : s + cfg.train_days]) for s in starts])
+            span = prices[:, a : (min(w + group, n_windows) - 1) * cfg.test_days + cfg.train_days]
+            stack = window_returns(span, cfg.train_days, cfg.test_days)
             cands = build_generating_matrix(stack, symbols, sel_cfg)
             plans = _invest_group(stack, select_spreads(cands, sel_cfg), cfg)
         scale_k, held, legs, info = plans[k]
@@ -439,16 +452,26 @@ def compute_metrics(
             corr = float(np.corrcoef(single, bench)[0, 1])
             neutrality = 1.0 - abs(corr)
 
+    # each window's equity scaled to start where the last one ended; the
+    # factors are Python floats, numpy's IEEE divide and multiply, so every
+    # value has the bits of a window-by-window chain
     chain = cfg.initial_capital
-    segments = []
-    with np.errstate(over="ignore"):  # raised below
-        for i, w in enumerate(windows):
-            seg = w.daily_equity * (chain / w.daily_equity[0])
-            if not np.isfinite(seg).all():
-                raise NumericalError(f"window {w.window_index}: compounded equity is not finite")
-            segments.append(seg if i == 0 else seg[1:])
-            chain = seg[-1]
-    drawdown = max_drawdown(np.concatenate(segments))
+    factors = []
+    for w in windows:
+        first, last = float(w.daily_equity[0]), float(w.daily_equity[-1])
+        factors.append(chain / first if first else math.inf)  # x / 0 is not finite
+        chain = last * factors[-1]
+    lengths = [len(w.daily_equity) for w in windows]
+    ends = np.cumsum(lengths)
+    curve = np.concatenate([w.daily_equity for w in windows], dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below
+        curve *= np.repeat(factors, lengths)
+    finite = np.isfinite(curve)
+    if not finite.all():
+        k = int(np.searchsorted(ends, np.argmin(finite), side="right"))
+        raise NumericalError(f"window {windows[k].window_index}: compounded equity is not finite")
+    # a later window's first value is its entry close, the last one's end
+    drawdown = max_drawdown(np.delete(curve, ends[:-1]))
 
     max_legs = [max(abs(v) for v in w.asset_legs.values()) for w in windows if w.asset_legs]
     avg_max_weight = float(np.mean(max_legs)) if max_legs else None

@@ -542,10 +542,10 @@ def to_json(doc) -> str:
 
     The stdlib pretty-prints with its pure-Python encoder, one call per
     value. Here a scalar, an empty container and a container that holds no
-    container are each one call of the C encoder, its separator a comma, a
-    line end and the indent of the items. Any other container is written
-    item by item: each item's separator and, in a dict, its encoded key,
-    then the item by recursion.
+    container are each one call of a C encoder made once per nesting depth,
+    its separator a comma, a line end and the indent of the items. Any
+    other container is written item by item: each item's separator and, in
+    a dict, its encoded key, then the item by recursion.
     """
     parts: list[str] = []
     _write_json(doc, 0, parts.append)
@@ -557,30 +557,49 @@ _CONTAINERS = frozenset((dict, list, tuple))
 
 
 @functools.cache
-def _encoder(depth: int) -> json.JSONEncoder:
-    """The C encoder of a container at nesting ``depth``."""
-    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * (depth + 1), ": "))
+def _encoder(depth: int):
+    """``encode(value)``: the JSON text of ``value``, keys sorted, NaN and
+    infinities allowed, and the items of a container at nesting ``depth``
+    separated by a comma, a line end and their indent.
+
+    It is one C encoder made once per depth: ``JSONEncoder.encode`` makes a
+    new one for every value that is not a string. It has no markers dict
+    (circular references are not checked), because a cached one would keep
+    the ids of an encode that raised. Without the C encoder it is
+    ``JSONEncoder.encode``.
+    """
+    spec = json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * (depth + 1), ": "))
+    make = json.encoder.c_make_encoder
+    if make is None:
+        return spec.encode
+    encode = make(
+        None, spec.default, json.encoder.encode_basestring_ascii, None,
+        spec.key_separator, spec.item_separator, spec.sort_keys, spec.skipkeys, spec.allow_nan,
+    )
+    return lambda value: "".join(encode(value, 0))
 
 
 def _write_json(value, depth: int, write) -> None:
     """Pass the ``indent=2`` text of ``value``, at nesting ``depth``, to
-    ``write`` in pieces."""
-    encoder = _encoder(depth)
+    ``write`` in pieces: a scalar, a key and a container that holds no
+    container each take one call of the depth's cached encoder
+    (``_encoder``)."""
+    encode = _encoder(depth)
     if type(value) not in _CONTAINERS or not value:  # a scalar, "[]" or "{}"
-        write(encoder.encode(value))
+        write(encode(value))
         return
     indent = "  " * (depth + 1)
     is_dict = type(value) is dict
     if _CONTAINERS.isdisjoint(map(type, value.values() if is_dict else value)):
-        text = encoder.encode(value)
+        text = encode(value)
         write(f"{text[0]}\n{indent}{text[1:-1]}\n{indent[2:]}{text[-1]}")
         return
     separator = "\n" + indent
     write("{" if is_dict else "[")
     for key in sorted(value) if is_dict else range(len(value)):
-        write(f"{separator}{encoder.encode(key)}: " if is_dict else separator)
+        write(f"{separator}{encode(key)}: " if is_dict else separator)
         _write_json(value[key], depth + 1, write)
-        separator = encoder.item_separator
+        separator = ",\n" + indent
     write(f"\n{indent[2:]}{'}' if is_dict else ']'}")
 
 

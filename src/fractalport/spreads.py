@@ -18,6 +18,7 @@ from itertools import compress, pairwise
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from fractalport.errors import ValidationError
 
@@ -94,21 +95,37 @@ def build_panel(symbols, dates, prices: np.ndarray) -> PricePanel:
     return PricePanel(tuple(symbols), tuple(dates), prices)
 
 
-def window_returns(prices: np.ndarray) -> np.ndarray:
+def window_returns(prices: np.ndarray, days: int | None = None, step: int = 1) -> np.ndarray:
     """Daily returns of each row of an (assets x days) price block,
     normalized by the row's entry price: ``(p[t] - p[t-1]) / p[0]``.
 
-    The result is a new C-contiguous (assets x days-1) matrix.
+    The result is a new C-contiguous (assets x days-1) matrix. Given
+    ``days``, it is the stack of the windows of ``days`` prices that start
+    every ``step`` columns from the first, as many as fit: a new
+    C-contiguous (windows x assets x days-1) array, window k the matrix of
+    ``prices[:, k * step : k * step + days]``. Each price difference is
+    computed once for the whole block and each window divides its own by
+    its own entry price, so every value has the bits it gets alone.
     """
-    return np.diff(prices, axis=1) / prices[:, :1]
+    diffs = np.diff(prices, axis=1)
+    if days is None:
+        return diffs / prices[:, :1]
+    count = (prices.shape[1] - days) // step + 1
+    out = np.empty((count, len(prices), days - 1))
+    windows = sliding_window_view(diffs, days - 1, axis=1)[:, ::step].transpose(1, 0, 2)
+    entries = prices[:, : (count - 1) * step + 1 : step].T[:, :, None]
+    return np.divide(windows, entries, out=out)
 
 
 def spread_returns(returns: np.ndarray, long, short, chi) -> np.ndarray:
     """Daily returns of the spreads long ``long[k]`` and short ``chi[k]``
     units of ``short[k]``, one row each: ``r[long] - chi * r[short]``.
 
-    ``returns`` may be a stack of (assets x days) matrices, with one row of
-    legs and hedge ratios each; the result is then a stack of spread rows.
+    ``long`` and ``short`` are row indices into the (rows x days) matrix
+    ``returns``, of any shape, with one hedge ratio each; the result has
+    their shape with a day axis added. A stack of (assets x days) windows
+    reshaped to (windows·assets x days) takes a window's legs as
+    ``window * assets + asset``, with no copy of the stack.
     """
-    long, short, chi = (np.asarray(v)[..., None] for v in (long, short, chi))
-    return np.take_along_axis(returns, long, -2) - chi * np.take_along_axis(returns, short, -2)
+    long, short, chi = map(np.asarray, (long, short, chi))
+    return returns[long] - chi[..., None] * returns[short]

@@ -2,6 +2,7 @@
 import functools
 import json
 import math
+import sys
 from dataclasses import fields, replace
 from datetime import date, timedelta
 from itertools import compress
@@ -155,6 +156,8 @@ def test_legs_and_shares_match_symbol_keyed_reference(selection):
         assert str(exc) == want
         return
     assert not isinstance(want, str), want
+    with np.errstate(over="ignore", invalid="ignore"):  # the numpy formula, signed zeros too
+        assert counts.tobytes() == np.trunc(legs * capital / np.array(prices)[held]).tobytes()
     got_legs = dict(zip(names, legs.tolist()))
     got_shares = dict(zip(names, map(int, counts.tolist())))
     want_legs, want_shares = want
@@ -778,3 +781,43 @@ class TestComputeMetrics:
     def test_no_windows_rejected(self):
         with pytest.raises(ParameterError):
             compute_metrics([], BacktestConfig(benchmark_symbol="SPY"))
+
+
+def reference_drawdown(windows, capital):
+    """The window-by-window chain the one-multiply curve replaced: the
+    drawdown of the compounded curve, or the error naming the first window
+    whose chained equity is not finite."""
+    chain = capital
+    segments = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, w in enumerate(windows):
+            seg = w.daily_equity * (chain / w.daily_equity[0])
+            if not np.isfinite(seg).all():
+                return f"window {w.window_index}: compounded equity is not finite"
+            segments.append(seg if i == 0 else seg[1:])
+            chain = seg[-1]
+    return max_drawdown(np.concatenate(segments))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.lists(st.floats(1e2, 1e8), min_size=2, max_size=8), min_size=1, max_size=12),
+    st.sampled_from([1e5, 1e290, 1e300, 1e306, sys.float_info.max]),
+)
+# the second window's entry, 3 * (max / 3), is the first value that overflows
+@example([[1.0, 1.0], [3.0, 1.0]], sys.float_info.max)
+# the second window's entry, 1.33 * (4.43e5 / 1.33), rounds off the first one's end
+@example([[1.0, 4.428571428571429], [1.3333333333333333, 1.0]], 1e5)
+def test_compounded_curve_matches_window_chain(curves, capital):
+    windows = []
+    for k, curve in enumerate(curves):
+        w = fabricate_window(k, curve[-1] / curve[0] - 1.0, 0.0)
+        windows.append(replace(w, daily_equity=np.array(curve), dates=dates(len(curve), start=k * 10)))
+    want = reference_drawdown(windows, capital)
+    try:
+        got = compute_metrics(windows, BacktestConfig(benchmark_symbol="SPY", initial_capital=capital))
+    except NumericalError as exc:
+        assert str(exc) == want
+        return
+    assert not isinstance(want, str), want
+    assert got.max_drawdown.hex() == want.hex()

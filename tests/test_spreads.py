@@ -7,14 +7,14 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fractalport.errors import InsufficientDataError, ValidationError
 from fractalport.selection import SelectionConfig, build_generating_matrix
 from fractalport.io import write_prices_wide
-from fractalport.spreads import PriceSeries, build_panel, window_returns
+from fractalport.spreads import PriceSeries, build_panel, spread_returns, window_returns
 from fractalport.synthetic import make_synthetic_universe
 from pair_reference import hedge_ratio, oriented_spread
 
@@ -148,6 +148,62 @@ def test_window_returns_match_per_row_reference(block):
     for k in range(prices.shape[0]):
         want[k] = np.diff(prices[k, a:b]) / prices[k, a]
     assert got.flags.c_contiguous
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+PRICES = st.floats(1e-3, 1e6) | st.just(np.nan)
+
+
+@st.composite
+def price_spans(draw):
+    """A price span of ``count`` windows of ``days`` prices every ``step``
+    columns, the step below, equal to or above the window length, and a
+    tail too short for one more window."""
+    days = draw(st.integers(2, 12))
+    step = draw(st.integers(1, days - 1) | st.just(days) | st.integers(days + 1, days + 8))
+    count = draw(st.integers(1, 6))
+    n_days = (count - 1) * step + days + draw(st.integers(0, step - 1))
+    prices = draw(arrays(np.float64, (draw(st.integers(1, 5)), n_days), elements=PRICES))
+    return prices, days, step, count
+
+
+def gapped_span(n_assets, days, step, count):
+    rng = np.random.default_rng(days * 100 + step)
+    prices = 100.0 * np.cumprod(1 + 0.01 * rng.standard_normal((n_assets, (count - 1) * step + days)), axis=1)
+    prices[rng.random(prices.shape) < 0.1] = np.nan
+    return prices, days, step, count
+
+
+@settings(max_examples=150, deadline=None)
+@given(price_spans())
+@example(gapped_span(4, 126, 21, 7))  # test days below the training days
+@example(gapped_span(3, 10, 10, 4))  # equal
+@example(gapped_span(2, 8, 13, 3))  # above
+def test_window_stack_matches_one_window_calls(span):
+    """The stack case of ``window_returns`` gives each window the bits of
+    the window's own call, NaN cells included."""
+    prices, days, step, count = span
+    got = window_returns(prices, days, step)
+    want = np.stack([window_returns(prices[:, k * step : k * step + days]) for k in range(count)])
+    assert got.flags.c_contiguous
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_flat_rows_of_a_stack_match_each_window(data):
+    """Spread returns read from a (windows x assets x days) stack as flat
+    rows ``window * assets + asset`` equal each window's matrix call."""
+    n_windows, n_assets, n_spreads = (data.draw(st.integers(1, n)) for n in (5, 6, 4))
+    stack = data.draw(arrays(np.float64, (n_windows, n_assets, data.draw(st.integers(1, 9))), elements=PRICES))
+    legs = arrays(np.intp, (n_windows, n_spreads), elements=st.integers(0, n_assets - 1))
+    long, short = data.draw(legs), data.draw(legs)
+    chi = data.draw(arrays(np.float64, (n_windows, n_spreads), elements=st.floats(1e-3, 1e3)))
+    rows_of = np.arange(n_windows)[:, None] * n_assets
+    got = spread_returns(stack.reshape(n_windows * n_assets, -1), rows_of + long, rows_of + short, chi)
+    want = np.stack([spread_returns(stack[w], long[w], short[w], chi[w]) for w in range(n_windows)])
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
