@@ -8,8 +8,8 @@ ranked by the horizon-adjusted Kelly weight. Candidates are held as one
 column table with a row per pair. Selection repeatedly takes the
 highest-ranked remaining candidate, keeps it only if the Hurst stability
 screen passes, and on acceptance retires both of its assets so every
-symbol appears in at most one selected spread; it stops only when no
-candidate is left, with no cap on the number of spreads.
+symbol appears in at most one of a window's spreads; it stops only when
+no candidate is left, with no cap on the number of spreads.
 """
 from __future__ import annotations
 
@@ -126,8 +126,8 @@ def fractal_kelly_weight(mean_delta, theta, h, n_days: int):
     with the horizon while the variance scales as N^(2h), so anti-persistent
     spreads (h < 0.5) gain weight as the horizon grows. At h = 0.5 this is
     the plain one-period Kelly ratio mean/theta^2 for any horizon.
-    Elementwise over arrays; scalars give a float. A denominator that
-    overflows gives a weight of 0.0, not a warning.
+    Elementwise over arrays; scalars give an ``np.float64``, a ``float``. A
+    denominator that overflows gives a weight of 0.0, not a warning.
     """
     mean_delta, theta, h = (np.asarray(v, dtype=np.float64) for v in (mean_delta, theta, h))
     if not np.all(theta > 0.0):
@@ -139,7 +139,7 @@ def fractal_kelly_weight(mean_delta, theta, h, n_days: int):
     n = float(n_days)
     with np.errstate(over="ignore"):
         weight = mean_delta * n / (theta * theta * n ** (2.0 * h))
-    return weight if weight.ndim else float(weight)
+    return weight
 
 
 def build_generating_matrix(returns: np.ndarray, symbols, cfg: SelectionConfig) -> Candidates:
@@ -261,10 +261,10 @@ def select_spreads(cands: Candidates, cfg: SelectionConfig) -> Candidates:
     symbol strings, so the result is deterministic. A rejected row never
     retires an asset, so the screen is applied to all rows up front.
 
-    One sort orders the rows by window first, and the greedy fill then runs
-    on each window's run of rows with its own retired assets, until the
-    run is used up: each window's selected rows are one contiguous run, the
-    rows it selects alone.
+    One sort orders the rows by window first, and one greedy pass fills
+    every window, each leg keyed ``window * len(symbols) + asset``: a key
+    names one asset of one window, so each window's selected rows are one
+    contiguous run, the rows it selects alone.
     """
     rows = np.flatnonzero(
         (cands.h + cands.h_err < cfg.hurst_cap) & (cands.h_err < cands.h) & (cands.kelly > 0.0)
@@ -273,14 +273,13 @@ def select_spreads(cands: Candidates, cfg: SelectionConfig) -> Candidates:
     rank[sorted(range(rank.size), key=cands.symbols.__getitem__)] = np.arange(rank.size)
     long, short, window = cands.long[rows], cands.short[rows], cands.window[rows]
     order = np.lexsort((rank[short], rank[long], -cands.kelly[rows], window))
-    rows, long, short = rows[order].tolist(), long[order].tolist(), short[order].tolist()
-    cuts = [0, *(np.flatnonzero(np.diff(window[order])) + 1).tolist(), len(rows)]
+    key = window * rank.size  # one key per (window, asset)
+    long, short = (key + long)[order].tolist(), (key + short)[order].tolist()
     picked: list[int] = []
-    for lo, hi in zip(cuts, cuts[1:]):  # one window's rows
-        used: set[int] = set()
-        for row, a, b in zip(rows[lo:hi], long[lo:hi], short[lo:hi]):
-            if a in used or b in used:
-                continue
-            picked.append(row)
-            used.update((a, b))
+    used: set[int] = set()
+    for row, a, b in zip(rows[order].tolist(), long, short):
+        if a in used or b in used:
+            continue
+        picked.append(row)
+        used.update((a, b))
     return cands.take(np.array(picked, dtype=np.intp))

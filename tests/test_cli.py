@@ -1,6 +1,7 @@
 """CSV ingestion, report output and the command-line surface."""
 import csv
 import json
+import random
 import re
 import subprocess
 import sys
@@ -283,6 +284,16 @@ class TestCmdHurst:
         assert main(["hurst", "--input", str(f), "--column", "value"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert 0.15 < doc["h"] < 0.45
+
+    def test_column_of_white_noise_is_clipped_and_flagged(self, tmp_path, capsys):
+        # white noise read as a path fits h below 0: the candidate engine
+        # drops such a fit, and only one estimate's display clips it, flagged
+        noise = np.random.default_rng(0).standard_normal(256)
+        f = tmp_path / "noise.csv"
+        f.write_text("noise\n" + "".join(f"{v!r}\n" for v in noise.tolist()))
+        assert main(["hurst", "--input", str(f), "--column", "noise"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["clamped"] is True and doc["h"] == 0.01
 
     def test_column_after_byte_order_mark(self, tmp_path, capsys):
         text = "value\n" + "\n".join(repr(float(v)) for v in generate_fbm(0.3, 256, 1.0, 4))
@@ -831,6 +842,57 @@ class TestCmdMakeFixture:
         assert main(["make-fixture", "--out", str(out), *sizes]) == 2
         assert capsys.readouterr().err.startswith("configuration error:")
         assert not out.exists()
+
+
+def long_layout(wide, dst, layout):
+    """Write the prices of the wide CSV ``wide`` to ``dst`` as
+    (date, symbol, adj_close) records in the long ``layout``: by date with
+    ``"\r\n"`` or ``"\n"`` line ends, with quoted symbols, by symbol,
+    shuffled, or by date with each blank cell kept as a blank ``adj_close``."""
+    with open(wide, newline="") as fh:
+        reader = csv.reader(fh)
+        symbols = next(reader)[1:]
+        rows = [[row[0], sym, v] for row in reader for sym, v in zip(symbols, row[1:])]
+    if layout != "blank-rows":
+        rows = [row for row in rows if row[2]]
+    if layout == "by-symbol":
+        rows.sort(key=lambda row: row[1])
+    elif layout == "shuffled":
+        random.Random(0).shuffle(rows)
+    if layout == "quoted":
+        lines = [f'{day},"{sym}",{price}' for day, sym, price in rows]
+    else:
+        lines = [",".join(row) for row in rows]
+    end = "\r\n" if layout == "crlf" else "\n"
+    dst.write_bytes("".join(line + end for line in ["date,symbol,adj_close", *lines]).encode())
+    return dst
+
+
+@pytest.mark.parametrize(
+    "late,layout",
+    [
+        (False, "crlf"), (False, "lf"), (False, "quoted"), (False, "by-symbol"), (False, "shuffled"),
+        (True, "crlf"), (True, "blank-rows"),
+    ],
+    ids=["crlf", "lf", "quoted", "by-symbol", "shuffled", "late-crlf", "late-blank-rows"],
+)
+def test_long_layouts_give_the_wide_outputs(fixture_csv, universe, tmp_path, late, layout):
+    # one universe, wide or in any long layout, selects and backtests to the
+    # same bytes; the late variant lists N2 130 days late, a blank wide cell
+    # a missing or blank long record
+    wide = fixture_csv
+    if late:
+        dates = universe.prices[0].dates[:130]
+        wide = blank_cells(fixture_csv, tmp_path / "late.csv", {d: ["N2"] for d in dates})
+    long = long_layout(wide, tmp_path / f"long-{layout}.csv", layout)
+    window = ["--start", "2015-01-02", "--end", "2015-06-30"]
+    outputs = []
+    for prices in (wide, long):
+        select, report = tmp_path / f"select-{prices.stem}.json", tmp_path / f"report-{prices.stem}.json"
+        assert main(["select", "--prices", str(prices), *window, "--output", str(select)]) == 0
+        assert main(["backtest", "--prices", str(prices), "--benchmark", "MKT", "--output", str(report)]) == 0
+        outputs.append((select.read_bytes(), report.read_bytes()))
+    assert outputs[1] == outputs[0]
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,12 @@
 """Fractal Kelly weights, the generating matrix and greedy selection."""
+import itertools
 from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fractalport.backtest import BacktestConfig
 from fractalport.errors import DegenerateVolatilityError, ParameterError
@@ -47,6 +50,40 @@ def make_candidates(rows, symbols=None):
 
 def pairs(cands):
     return [(cands.symbols[a], cands.symbols[b]) for a, b in zip(cands.long, cands.short)]
+
+
+def seeded_windows(seed):
+    """Five windows of every pair of seven symbols, Kelly weights of three
+    levels, rows shuffled."""
+    rng = np.random.default_rng(seed)
+    symbols = [f"S{i}" for i in range(7)]
+    rows = [
+        (a, b, float(rng.choice([1.0, 2.0, 3.0])), float(rng.uniform(0.1, 0.5)), 0.05)
+        for _ in range(5) for i, a in enumerate(symbols) for b in symbols[i + 1:]
+    ]
+    one = make_candidates(rows, symbols)
+    cands = Candidates(**{**vars(one), "window": np.repeat(np.arange(5), len(rows) // 5)})
+    return cands.take(rng.permutation(len(cands)))
+
+
+@st.composite
+def window_tables(draw):
+    """One to six windows, each on its own subset of one symbol set, so
+    windows share assets; Kelly weights and Hurst fits from a few levels,
+    so weights tie and some rows fail the screen; rows shuffled."""
+    symbols = [f"S{i}" for i in range(draw(st.integers(2, 7)))]
+    rows, window = [], []
+    for w in range(draw(st.integers(1, 6))):
+        members = sorted(draw(st.sets(st.sampled_from(symbols))), key=symbols.index)
+        for a, b in itertools.combinations(members, 2):
+            if draw(st.booleans()):
+                a, b = b, a
+            kelly = draw(st.sampled_from([1.0, 2.0, 3.0]))
+            rows.append((a, b, kelly, draw(st.sampled_from([0.1, 0.3, 0.45])), 0.05))
+            window.append(w)
+    one = make_candidates(rows, symbols)
+    cands = Candidates(**{**vars(one), "window": np.array(window, dtype=np.intp)})
+    return cands.take(draw(st.permutations(range(len(cands)))))
 
 
 def build(universe, cfg):
@@ -301,17 +338,9 @@ class TestSelectSpreads:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_windows_select_alone(self, seed):
-        # a table of several windows, rows shuffled, selects in each window
+        # a table of five windows, rows shuffled, selects in each window
         # the rows that window's table selects alone, window by window
-        rng = np.random.default_rng(seed)
-        symbols = [f"S{i}" for i in range(7)]
-        rows = [
-            (a, b, float(rng.choice([1.0, 2.0, 3.0])), float(rng.uniform(0.1, 0.5)), 0.05)
-            for _ in range(5) for i, a in enumerate(symbols) for b in symbols[i + 1:]
-        ]
-        one = make_candidates(rows, symbols)
-        cands = Candidates(**{**vars(one), "window": np.repeat(np.arange(5), len(rows) // 5)})
-        cands = cands.take(rng.permutation(len(cands)))
+        cands = seeded_windows(seed)
         cfg = SelectionConfig()
         got = select_spreads(cands, cfg)
         want = [select_spreads(cands.take(cands.window == w), cfg) for w in range(5)]
@@ -319,6 +348,19 @@ class TestSelectSpreads:
         assert pairs(got) == [p for sel in want for p in pairs(sel)]
         assert got.kelly.tolist() == [k for sel in want for k in sel.kelly.tolist()]
         assert len(got) >= 5
+
+    @settings(max_examples=300, deadline=None)
+    @given(window_tables())
+    @example(seeded_windows(0))
+    def test_drawn_windows_select_alone(self, cands):
+        # the same for drawn tables: any number of windows sharing assets,
+        # tied weights, rows failing the screen
+        cfg = SelectionConfig()
+        got = select_spreads(cands, cfg)
+        want = [select_spreads(cands.take(cands.window == w), cfg) for w in np.unique(cands.window)]
+        assert got.window.tolist() == [w for sel in want for w in sel.window.tolist()]
+        assert pairs(got) == [p for sel in want for p in pairs(sel)]
+        assert got.kelly.tolist() == [k for sel in want for k in sel.kelly.tolist()]
 
     def test_deterministic(self):
         rng = np.random.default_rng(1)
