@@ -19,6 +19,29 @@ from fractalport.selection import HEDGE_VARIANCE_EPS, SPREAD_VARIANCE_FLOOR, fra
 from fractalport.spreads import spread_returns
 
 
+class Row(NamedTuple):
+    """One asset's window returns and the dates they fall on."""
+
+    symbol: str
+    returns: np.ndarray
+    dates: tuple
+
+
+class Candidate(NamedTuple):
+    """A kept pair: its oriented legs' symbols, hedge ratio, daily returns,
+    their mean and std, the Hurst fit and the Kelly weight."""
+
+    long: str
+    short: str
+    chi: float
+    deltas: np.ndarray
+    mean: float
+    theta: float
+    h: float
+    h_err: float
+    kelly: float
+
+
 class Spread(NamedTuple):
     """An oriented spread: long ``long``, short ``chi`` units of ``short``
     (0 or 1, the position of the leg in the call), and its daily returns."""
@@ -86,8 +109,7 @@ def hurst(x):
 
 
 def candidates(universe, cfg):
-    """(long, short, chi, deltas, mean, theta, h, h_err, kelly) per kept
-    pair of ``universe``, rows with ``symbol``, ``returns`` and ``dates``.
+    """A ``Candidate`` per kept pair of ``universe``, a list of ``Row``s.
 
     A row of fewer returns than a path needs for a Hurst fit raises
     ``InsufficientDataError`` before any pair is formed. A pair is dropped
@@ -115,6 +137,6 @@ def candidates(universe, cfg):
         kelly = fractal_kelly_weight(s.mean, s.theta, fit[0], cfg.horizon_days)
         symbols = (ri.symbol, rj.symbol)
         out.append(
-            (symbols[s.long], symbols[s.short], s.chi, s.deltas, s.mean, s.theta, *fit, kelly)
+            Candidate(symbols[s.long], symbols[s.short], s.chi, s.deltas, s.mean, s.theta, *fit, kelly)
         )
     return out

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from fractalport import backtest
 from fractalport.backtest import (
-    TRADING_DAYS_PER_YEAR,
     BacktestConfig,
     WindowResult,
     _mark_window,
@@ -36,6 +35,7 @@ from fractalport.selection import PAIR_BLOCK, SelectionConfig, build_generating_
 from fractalport.spreads import PriceSeries, build_panel, spread_returns, window_returns
 from fractalport.synthetic import make_synthetic_universe
 from panels import panel_of
+from walk_reference import reference_drawdown, reference_legs_and_shares, reference_mark
 
 
 def dates(n, start=0):
@@ -93,24 +93,6 @@ class TestPositionSizing:
     def test_overflow_names_symbol(self):
         with pytest.raises(NumericalError, match="X: share count inf is not finite"):
             position_sizing(np.array([0.5, 1e308]), np.array([10.0, 0.5]), 100.0, ["W", "X"])
-
-
-def reference_legs_and_shares(weights, long_symbols, short_symbols, chi, entry_prices, capital):
-    """The symbol-keyed route the array path replaced: legs added up per
-    symbol in a dict, then each symbol's share count sized in sorted order
-    in Python floats. The oracle for ``compose_legs`` and
-    ``position_sizing`` as ``run_walk_forward`` chains them."""
-    legs = {}
-    for w, long, short, c in zip(weights, long_symbols, short_symbols, chi):
-        legs[long] = legs.get(long, 0.0) + w / (1.0 + c)
-        legs[short] = legs.get(short, 0.0) - w * c / (1.0 + c)
-    shares = {}
-    for sym in sorted(legs):
-        count = legs[sym] * capital / entry_prices[sym]  # Python floats overflow to inf
-        if not math.isfinite(count):
-            raise NumericalError(f"{sym}: share count {count} is not finite")
-        shares[sym] = math.trunc(count)
-    return legs, shares
 
 
 @st.composite
@@ -201,33 +183,6 @@ class TestAccrueCosts:
         np.testing.assert_allclose(costs, expected, rtol=1e-12)
         # roughly 1% on the ~200k financed base over the year
         assert costs.sum() == pytest.approx(2000.0, rel=0.02)
-
-
-def reference_mark(share_vec, price_mat, cfg, start_equity):
-    """The per-day marking loop ``_mark_window`` replaced: the oracle for
-    its batched row dots and scalar recursion."""
-    t_days = price_mat.shape[0] - 1
-    equity = np.empty(t_days + 1, dtype=np.float64)
-    costs = np.zeros(t_days, dtype=np.float64)
-    equity[0] = start_equity
-    commission = cfg.commission_per_share * float(np.abs(share_vec).sum())
-    daily_rate = cfg.overnight_rate_annual / TRADING_DAYS_PER_YEAR
-    short_mask = share_vec < 0
-    for t in range(1, t_days + 1):
-        p_prev = price_mat[t - 1]
-        p_now = price_mat[t]
-        gross = float(np.abs(share_vec) @ p_prev)
-        short_mv = float(np.abs(share_vec[short_mask]) @ p_prev[short_mask])
-        financed = max(0.0, gross - equity[t - 1]) + short_mv
-        cost = daily_rate * financed
-        if t == 1:
-            cost += commission
-        if t == t_days:
-            cost += commission
-        pnl = float(share_vec @ (p_now - p_prev))
-        equity[t] = equity[t - 1] + pnl - cost
-        costs[t - 1] = cost
-    return equity, costs
 
 
 @st.composite
@@ -781,22 +736,6 @@ class TestComputeMetrics:
     def test_no_windows_rejected(self):
         with pytest.raises(ParameterError):
             compute_metrics([], BacktestConfig(benchmark_symbol="SPY"))
-
-
-def reference_drawdown(windows, capital):
-    """The window-by-window chain the one-multiply curve replaced: the
-    drawdown of the compounded curve, or the error naming the first window
-    whose chained equity is not finite."""
-    chain = capital
-    segments = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, w in enumerate(windows):
-            seg = w.daily_equity * (chain / w.daily_equity[0])
-            if not np.isfinite(seg).all():
-                return f"window {w.window_index}: compounded equity is not finite"
-            segments.append(seg if i == 0 else seg[1:])
-            chain = seg[-1]
-    return max_drawdown(np.concatenate(segments))
 
 
 @settings(max_examples=200, deadline=None)

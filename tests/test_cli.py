@@ -844,6 +844,19 @@ class TestCmdMakeFixture:
         assert not out.exists()
 
 
+def test_readme_library_block_runs(tmp_path, monkeypatch, capsys):
+    # the README's "Library use" block, run as written next to the seed-3
+    # fixture it reads as universe.csv
+    monkeypatch.chdir(tmp_path)
+    assert main(["make-fixture", "--out", "universe.csv", "--seed", "3"]) == 0
+    capsys.readouterr()
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    sharpe, neutrality = map(float, capsys.readouterr().out.split())
+    assert np.isfinite(sharpe) and 0.0 <= neutrality <= 1.0
+
+
 def long_layout(wide, dst, layout):
     """Write the prices of the wide CSV ``wide`` to ``dst`` as
     (date, symbol, adj_close) records in the long ``layout``: by date with

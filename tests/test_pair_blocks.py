@@ -42,7 +42,7 @@ from fractalport.spreads import PriceSeries, build_panel, spread_returns, window
 from fractalport.synthetic import make_synthetic_universe
 from panels import panel_of
 from pair_reference import candidates as reference_candidates
-from pair_reference import hedge_ratio, oriented_spread
+from pair_reference import Row, hedge_ratio, oriented_spread
 
 EPS = np.finfo(np.float64).eps
 
@@ -56,14 +56,6 @@ ROUNDING_C = 8.0
 def dates(n, start=0):
     base = date(2019, 1, 1)
     return tuple((base + timedelta(days=start + i)).isoformat() for i in range(n))
-
-
-class Row(NamedTuple):
-    """One asset's window returns and the dates they fall on."""
-
-    symbol: str
-    returns: np.ndarray
-    dates: tuple
 
 
 def make_universe(returns, start=0):
