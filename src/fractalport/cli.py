@@ -35,10 +35,10 @@ from fractalport.io import (
     _iso_date,
     ingest_prices,
     read_column,
-    to_json,
+    report_to_dict,
     write_equity_csv,
+    write_json,
     write_prices_wide,
-    write_report_json,
 )
 from fractalport.selection import SelectionConfig, build_generating_matrix, select_spreads
 from fractalport.spreads import PricePanel, window_returns
@@ -149,30 +149,30 @@ def _cmd_select(args) -> int:
         "hurst_cap": cfg.hurst_cap,
         "spreads": sel.rows(),
     }
-    text = to_json(doc)
     if args.output:
-        Path(args.output).write_text(text)
+        with Path(args.output).open("w") as fh:
+            write_json(fh, doc)
     else:
-        sys.stdout.write(text)
+        write_json(sys.stdout, doc)
     return EXIT_OK
 
 
 def _window(panel: PricePanel, start: str, end: str):
     """The returns (``window_returns``) and symbols of ``select``'s window
     of ``panel`` in [start, end]: the dates priced for more than half of the
-    symbols priced in the range. ``build_generating_matrix`` keeps the
-    symbols priced on all of them; the dates and symbols left out are named
-    on stderr."""
+    symbols priced in the range, at least 2. ``build_generating_matrix``
+    keeps the symbols priced on all of them; the dates and symbols left out
+    are named on stderr."""
     lo = np.searchsorted(panel.dates, start, "left")
     hi = np.searchsorted(panel.dates, end, "right")
-    if hi - lo < 2:
-        raise DataError(f"fewer than 2 dates have prices in [{start}, {end}]")
     observed = ~np.isnan(panel.prices[:, lo:hi])
     days = 2 * observed.sum(axis=0) > observed.any(axis=1).sum()
     if not days.all():
         dropped = ", ".join(compress(panel.dates[lo:hi], ~days))
         print(f"dropped dates (priced for at most half of the symbols in [{start}, {end}]): {dropped}",
               file=sys.stderr)
+    if days.sum() < 2:
+        raise DataError(f"fewer than 2 dates have prices in [{start}, {end}]")
     rows = observed[:, days].all(axis=1)
     if not rows.all():
         dropped = ", ".join(compress(panel.symbols, ~rows))
@@ -185,7 +185,8 @@ def _window(panel: PricePanel, start: str, end: str):
 def _cmd_backtest(args) -> int:
     cfg = _config(BacktestConfig, args)
     report = run_walk_forward(ingest_prices(args.prices), cfg)
-    write_report_json(args.output, report, cfg)
+    with Path(args.output).open("w") as fh:
+        write_json(fh, report_to_dict(report, cfg))
     if args.equity_csv:
         write_equity_csv(args.equity_csv, report)
     _print_summary(report)

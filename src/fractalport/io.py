@@ -27,10 +27,10 @@ the file's row count. ``read_column`` reads one numeric column of any CSV
 through the same record reader.
 
 Reports are emitted as JSON with a top-level ``schema_version``, through
-one writer that gives the bytes of the stdlib's ``indent=2`` pretty-printer
-from its C encoder: ``to_json`` returns them as a string, and
-``write_report_json`` streams a backtest report's to a file. Time series go
-to CSV.
+one writer, ``write_json``, that streams the bytes of the stdlib's
+``indent=2`` pretty-printer from its C encoder to an open text stream:
+``select`` and ``backtest`` both write their JSON through it, so neither
+holds its text whole. Time series go to CSV.
 """
 from __future__ import annotations
 
@@ -57,8 +57,7 @@ __all__ = [
     "read_column",
     "write_prices_wide",
     "report_to_dict",
-    "to_json",
-    "write_report_json",
+    "write_json",
     "write_equity_csv",
 ]
 
@@ -527,18 +526,11 @@ def report_to_dict(report: BacktestReport, cfg: BacktestConfig) -> dict:
     }
 
 
-def write_report_json(path, report: BacktestReport, cfg: BacktestConfig) -> None:
-    """Write ``to_json(report_to_dict(report, cfg))`` to ``path`` as it is
-    encoded, piece by piece, so the report's text is never held whole."""
-    with Path(path).open("w") as fh:
-        _write_json(report_to_dict(report, cfg), 0, fh.write)
-        fh.write("\n")
-
-
-def to_json(doc) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True)`` and a final newline,
-    through the stdlib's C encoder. Containers must be plain dicts with
-    string keys, lists and tuples.
+def write_json(fh, doc) -> None:
+    """Write ``json.dumps(doc, indent=2, sort_keys=True)`` and a final
+    newline to the open text stream ``fh`` as it is encoded, piece by piece
+    (``_write_json``), so the text is never held whole. Containers must be
+    plain dicts with string keys, lists and tuples.
 
     The stdlib pretty-prints with its pure-Python encoder, one call per
     value. Here a scalar, an empty container and a container that holds no
@@ -547,10 +539,8 @@ def to_json(doc) -> str:
     other container is written item by item: each item's separator and, in
     a dict, its encoded key, then the item by recursion.
     """
-    parts: list[str] = []
-    _write_json(doc, 0, parts.append)
-    parts.append("\n")
-    return "".join(parts)
+    _write_json(doc, 0, fh.write)
+    fh.write("\n")
 
 
 _CONTAINERS = frozenset((dict, list, tuple))

@@ -154,7 +154,8 @@ def build_generating_matrix(returns: np.ndarray, symbols, cfg: SelectionConfig) 
     No pair's daily spread is formed. Per window, the Gram matrix G of the
     assets' centred one-day return increments gives the hedge ratio
     chi = G[i, j] / G[j, j] of i over j (the OLS slope of i's increments
-    on j's, the ratio of market betas under one factor); the mean mu and
+    on j's; under one factor, the ratio of market betas shrunk toward 0 by
+    j's idiosyncratic variance); the mean mu and
     covariance S of the returns give the spread's mean mu_i - chi * mu_j
     and variance theta^2 = S_ii + chi^2 S_jj - 2 chi S_ij; and the
     cumulative return paths X give the spread's path X_i - chi * X_j,

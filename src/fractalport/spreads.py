@@ -3,8 +3,11 @@
 Returns are normalized by the price at the investment entry point, so a
 spread return of x means a P&L of x per unit of entry capital. A spread
 long asset i and short chi units of asset j has daily return
-delta(t) = r_i(t) - chi * r_j(t); with chi equal to the ratio of the two
-assets' market betas the common market term cancels.
+delta(t) = r_i(t) - chi * r_j(t), chi the OLS slope of i's centred one-day
+increments on j's. The market term cancels only when chi is the ratio of
+the market betas, and under one factor plus noise the slope's expectation
+beta_i beta_j sigma_m^2 / (beta_j^2 sigma_m^2 + sigma_j^2) is that ratio
+only when j has no idiosyncratic variance (sigma_j = 0).
 
 Prices arrive as one ``PricePanel``: every symbol's closes on the union
 of their dates, NaN where a symbol has none. A window's prices are a block
@@ -96,20 +99,21 @@ def build_panel(symbols, dates, prices: np.ndarray) -> PricePanel:
 
 
 def window_returns(prices: np.ndarray, days: int | None = None, step: int = 1) -> np.ndarray:
-    """Daily returns of each row of an (assets x days) price block,
-    normalized by the row's entry price: ``(p[t] - p[t-1]) / p[0]``.
+    """Daily returns of each row of an (assets x days) price block, days
+    >= 1, normalized by the row's entry price: ``(p[t] - p[t-1]) / p[0]``.
 
-    The result is a new C-contiguous (assets x days-1) matrix. Given
-    ``days``, it is the stack of the windows of ``days`` prices that start
-    every ``step`` columns from the first, as many as fit: a new
-    C-contiguous (windows x assets x days-1) array, window k the matrix of
-    ``prices[:, k * step : k * step + days]``. Each price difference is
-    computed once for the whole block and each window divides its own by
-    its own entry price, so every value has the bits it gets alone.
+    The result is the C-contiguous (assets x days-1) matrix of the block's
+    one-window stack. Given ``days``, it is the stack of the windows of
+    ``days`` prices that start every ``step`` columns from the first, as
+    many as fit: a new C-contiguous (windows x assets x days-1) array,
+    window k the matrix of ``prices[:, k * step : k * step + days]``. Each
+    price difference is computed once for the whole block and each window
+    divides its own by its own entry price, so every value has the bits it
+    gets alone.
     """
-    diffs = np.diff(prices, axis=1)
     if days is None:
-        return diffs / prices[:, :1]
+        return window_returns(prices, prices.shape[1])[0]
+    diffs = np.diff(prices, axis=1)
     count = (prices.shape[1] - days) // step + 1
     out = np.empty((count, len(prices), days - 1))
     windows = sliding_window_view(diffs, days - 1, axis=1)[:, ::step].transpose(1, 0, 2)

@@ -1,0 +1,151 @@
+"""Mutation check: does the tier-1 suite fail when the package is broken?
+
+Each entry of ``MUTANTS`` replaces one exact piece of source text with a
+wrong one. For each, the tree is copied to a temporary directory, the
+mutant applied there, and tier-1 run in the copy with ``-x -q``, one
+process at a time. A mutant is killed when the suite fails and survives
+when it passes. The unmutated copy runs first, so a suite that already
+fails is reported instead of every mutant counting as killed. Run from any
+directory, with the tier-1 requirements installed:
+
+    python tests/mutants.py > summary.json
+
+Every mutant runs. The JSON summary goes to stdout, progress to stderr.
+Exit status: 0 when every mutant run is killed, 1 when one survives or its
+run errs, 2 when the unmutated suite fails. The unmutated copy takes one
+whole tier-1 run; a killed mutant's run stops at its first failure.
+
+pytest does not collect this file. ``test_mutants.py`` checks in tier-1
+that each entry's source text occurs exactly once in its file, so the list
+cannot go stale unnoticed.
+"""
+from __future__ import annotations
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+TIER1 = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors"]
+COPY_IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", ".work")
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to the repository root
+    source: str  # exact text; occurs once in the file
+    replacement: str
+    reason: str
+
+
+MUTANTS = (
+    Mutant(
+        "training_span_one_day_late",
+        "src/fractalport/backtest.py",
+        "span = prices[:, a : (min(w + group, n_windows) - 1) * cfg.test_days + cfg.train_days]",
+        "span = prices[:, a + 1 : (min(w + group, n_windows) - 1) * cfg.test_days + cfg.train_days + 1]",
+        "run_walk_forward trains each window one day late, so training reads the first test day",
+    ),
+    Mutant(
+        "returns_over_second_price",
+        "src/fractalport/spreads.py",
+        "entries = prices[:, : (count - 1) * step + 1 : step]",
+        "entries = prices[:, 1 : (count - 1) * step + 2 : step]",
+        "window_returns divides each window by its second price, not its entry price",
+    ),
+    Mutant(
+        "leg_key_without_window",
+        "src/fractalport/selection.py",
+        "long, short = (key + long)[order].tolist(), (key + short)[order].tolist()",
+        "long, short = long[order].tolist(), short[order].tolist()",
+        "select_spreads keys legs by asset alone, so a window's picks retire assets in later windows",
+    ),
+    Mutant(
+        "leg_key_one_short",
+        "src/fractalport/selection.py",
+        "key = window * rank.size",
+        "key = window * (rank.size - 1)",
+        "select_spreads keys legs window * (len(symbols) - 1) + asset, so keys of adjacent windows collide",
+    ),
+    Mutant(
+        "plan_of_second_window",
+        "src/fractalport/backtest.py",
+        "scale_k, held, legs, info = plans[k]",
+        "scale_k, held, legs, info = plans[min(k, 1)]",
+        "every window after a group's second trades the second window's plan",
+    ),
+    Mutant(
+        "no_ridge",
+        "src/fractalport/optimizer.py",
+        "RIDGE_LAMBDA = 1e-8",
+        "RIDGE_LAMBDA = 0.0",
+        "solve_weights adds no ridge before the solve",
+    ),
+)
+
+
+def tier1(tree: Path) -> tuple[int, str, str, float]:
+    """Exit status, first failed test, last output line and seconds of
+    tier-1 in ``tree``."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=str(tree / "src") + (os.pathsep + path if path else ""),
+               PYTHONDONTWRITEBYTECODE="1")
+    start = time.perf_counter()
+    run = subprocess.run(TIER1, cwd=tree, env=env, capture_output=True, text=True)
+    lines = run.stdout.strip().splitlines()
+    failed = next((line for line in lines if line.startswith(("FAILED ", "ERROR "))), "")
+    return run.returncode, failed, lines[-1] if lines else "", time.perf_counter() - start
+
+
+def run_mutant(mutant: Mutant | None, work: Path) -> dict:
+    """Tier-1 on a fresh copy of the tree with ``mutant`` applied (none: as is)."""
+    tree = work / (mutant.name if mutant else "unmutated")
+    shutil.copytree(ROOT, tree, ignore=COPY_IGNORE)
+    if mutant:
+        target = tree / mutant.file
+        text = target.read_text()
+        if text.count(mutant.source) != 1:
+            raise SystemExit(f"{mutant.name}: source text does not occur once in {mutant.file}")
+        target.write_text(text.replace(mutant.source, mutant.replacement))
+    code, failed, last, seconds = tier1(tree)
+    shutil.rmtree(tree)
+    outcome = {0: "survived", 1: "killed"}.get(code, "error")
+    return {"exit_code": code, "outcome": outcome, "first_failure": failed, "last_line": last,
+            "seconds": round(seconds, 1)}
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        work = Path(tmp)
+        baseline = run_mutant(None, work)
+        print(f"unmutated: {baseline['last_line']}", file=sys.stderr)
+        results = []
+        if baseline["exit_code"] == 0:
+            for mutant in MUTANTS:
+                result = {"name": mutant.name, "file": mutant.file, "reason": mutant.reason,
+                          **run_mutant(mutant, work)}
+                print(f"{mutant.name}: {result['outcome']} ({result['last_line']})", file=sys.stderr)
+                results.append(result)
+    summary = {
+        "command": TIER1[1:],
+        "unmutated": baseline,
+        "mutants": results,
+        "killed": [r["name"] for r in results if r["outcome"] == "killed"],
+        "survived": [r["name"] for r in results if r["outcome"] == "survived"],
+        "errors": [r["name"] for r in results if r["outcome"] == "error"],
+    }
+    sys.stdout.write(json.dumps(summary, indent=2) + "\n")
+    if baseline["exit_code"] != 0:
+        return 2
+    return int(len(summary["killed"]) < len(results))
+
+
+if __name__ == "__main__":
+    sys.exit(main())

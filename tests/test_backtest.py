@@ -24,7 +24,7 @@ from fractalport.backtest import (
     run_walk_forward,
 )
 from fractalport.errors import NumericalError, ParameterError, SingularMatrixError
-from fractalport.io import report_to_dict, to_json
+from fractalport.io import report_to_dict
 from fractalport.optimizer import (
     apply_leverage,
     compose_legs,
@@ -34,6 +34,7 @@ from fractalport.optimizer import (
 from fractalport.selection import PAIR_BLOCK, SelectionConfig, build_generating_matrix, select_spreads
 from fractalport.spreads import PriceSeries, build_panel, spread_returns, window_returns
 from fractalport.synthetic import make_synthetic_universe
+from json_text import json_text
 from panels import panel_of
 from walk_reference import reference_drawdown, reference_legs_and_shares, reference_mark
 
@@ -534,7 +535,7 @@ def test_uninvested_windows_in_report():
     u = make_synthetic_universe(n_assets=4, n_days=400, seed=1, n_pairs=0)
     cfg = BacktestConfig(benchmark_symbol="MKT", hurst_cap=0.01)
     rep = run_walk_forward(panel_of(u.prices + [u.benchmark]), cfg)
-    doc = json.loads(to_json(report_to_dict(rep, cfg)))
+    doc = json.loads(json_text(report_to_dict(rep, cfg)))
     assert len(doc["windows"]) == 2
     for w in doc["windows"]:
         assert w["leverage"] is None and w["scale_k"] is None
@@ -561,7 +562,7 @@ def test_no_positive_weight_leaves_windows_uninvested(small_run, monkeypatch):
     monkeypatch.setattr(backtest, "solve_weights", solve_weights)
     empty = run_walk_forward(panel_of(u.prices + [u.benchmark]), cfg)
     assert sum(shape[0] for shape in solved) == len(empty.windows) == len(rep.windows)
-    doc = json.loads(to_json(report_to_dict(empty, cfg)))
+    doc = json.loads(json_text(report_to_dict(empty, cfg)))
     for w in doc["windows"]:
         assert w["leverage"] is None and w["scale_k"] is None
         assert w["asset_legs"] == w["shares"] == {}
@@ -638,7 +639,7 @@ def test_report_bytes_do_not_depend_on_group_size(long_history, monkeypatch):
     reports = []
     for rows in (1, PAIR_BLOCK, backtest.GROUP_ROWS):
         monkeypatch.setattr(backtest, "GROUP_ROWS", rows)
-        reports.append(to_json(report_to_dict(run_walk_forward(panel, cfg), cfg)))
+        reports.append(json_text(report_to_dict(run_walk_forward(panel, cfg), cfg)))
     assert reports[0] == reports[1] == reports[2]
 
 

@@ -15,9 +15,10 @@ from fractalport.backtest import BacktestConfig, run_walk_forward
 from fractalport.cli import main
 from fractalport.errors import ParseError, ValidationError
 from fractalport.fbm import estimate_hurst
-from fractalport.io import ingest_prices, report_to_dict, to_json, write_prices_wide
+from fractalport.io import ingest_prices, report_to_dict, write_prices_wide
 from fractalport.spreads import PriceSeries
 from fbm_reference import generate_fbm
+from json_text import json_text
 from panels import panel_of
 
 
@@ -444,6 +445,36 @@ class TestCmdSelect:
         for s in doc["spreads"]:
             assert s["hurst"] + s["hurst_err"] < 0.5
 
+    def test_output_file_has_the_stdout_bytes(self, fixture_csv, tmp_path, capsys):
+        # the seed-3 fixture: --output and stdout are one stream of writes
+        window = ["--start", "2015-01-02", "--end", "2015-06-30"]
+        assert main(["select", "--prices", str(fixture_csv), *window]) == 0
+        out = capsys.readouterr().out
+        path = tmp_path / "select.json"
+        assert main(["select", "--prices", str(fixture_csv), *window, "--output", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert json.loads(out)["spreads"]
+        assert path.read_bytes() == out.encode()
+
+    @pytest.mark.parametrize("kept", [0, 1], ids=["no-date-kept", "one-date-kept"])
+    def test_no_date_priced_by_most_symbols_exits_3(self, kept, tmp_path, capsys):
+        # each symbol is priced on its own two dates, and every symbol on the
+        # first ``kept`` dates, so all but those dates drop: fewer than 2 are
+        # left for a window
+        f = tmp_path / "disjoint.csv"
+        days = [f"2020-01-{d:02d}" for d in range(1, 9)]
+        f.write_text("date,A,B,C,D\n" + "".join(
+            f"{d}," + ",".join("1" if k == t // 2 or t < kept else "" for k in range(4)) + "\n"
+            for t, d in enumerate(days)
+        ))
+        args = ["select", "--prices", str(f), "--start", days[0], "--end", days[-1]]
+        assert main(args) == 3
+        assert capsys.readouterr().err == (
+            f"dropped dates (priced for at most half of the symbols in [{days[0]}, {days[-1]}]): "
+            f"{', '.join(days[kept:])}\n"
+            f"data error: fewer than 2 dates have prices in [{days[0]}, {days[-1]}]\n"
+        )
+
     def test_symbols_starting_on_different_days_drop_a_date_and_a_symbol(
         self, fixture_csv, tmp_path, capsys
     ):
@@ -622,7 +653,7 @@ class TestCmdBacktest:
         assert main(args) == 0
         cfg = BacktestConfig(benchmark_symbol="MKT", test_days=test_days)
         report = run_walk_forward(ingest_prices(fixture_csv), cfg)
-        assert out.read_bytes() == to_json(report_to_dict(report, cfg)).encode()
+        assert out.read_bytes() == json_text(report_to_dict(report, cfg)).encode()
 
     def test_output_in_missing_directory_exits_3(self, fixture_csv, tmp_path, capsys):
         out = tmp_path / "missing" / "report.json"

@@ -20,8 +20,9 @@ import pytest
 
 from fractalport.backtest import BacktestConfig, run_walk_forward
 from fractalport.cli import main
-from fractalport.io import report_to_dict, to_json
+from fractalport.io import report_to_dict
 from fractalport.synthetic import make_synthetic_universe
+from json_text import json_text
 from panels import panel_of
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_seed3.json").read_text())
@@ -75,7 +76,7 @@ def test_windows_pinned_short_tests(golden_report_21):
 def test_report_bytes_pinned_short_tests(golden_report_21):
     # every float of the report to its last bit: a numpy or BLAS build that
     # rounds the optimizer's solves differently fails here, not above
-    text = to_json(report_to_dict(golden_report_21, CFG_21))
+    text = json_text(report_to_dict(golden_report_21, CFG_21))
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_21["report_sha256"]
 
 

@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fractalport.backtest import BacktestConfig, run_walk_forward
-from fractalport.io import _encoder, report_to_dict, to_json, write_report_json
+from fractalport.io import _encoder, report_to_dict
+from json_text import json_text
 from panels import panel_of
 
 SCALARS = (
@@ -42,7 +43,7 @@ EDGES = {
 @example(float("nan"))
 @example("x\ny")
 def test_writer_matches_stdlib_indent(doc):
-    assert to_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert json_text(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.fixture(scope="module")
@@ -67,15 +68,15 @@ def iterencode_calls(monkeypatch):
     return calls
 
 
-def test_report_writer_makes_no_stdlib_encode(long_walk, tmp_path, iterencode_calls):
+def test_report_writer_makes_no_stdlib_encode(long_walk, iterencode_calls):
     """Each value is one call of a C encoder cached per depth: the stdlib's
     ``encode``, which makes a new one per value, is never called."""
     report, cfg = long_walk
     assert len(report.windows) > 100
-    write_report_json(tmp_path / "r.json", report, cfg)
+    doc = report_to_dict(report, cfg)
+    got = json_text(doc)
     assert iterencode_calls == []
-    want = json.dumps(report_to_dict(report, cfg), indent=2, sort_keys=True) + "\n"
-    assert (tmp_path / "r.json").read_text() == want
+    assert got == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.fixture
@@ -91,6 +92,6 @@ def no_c_encoder(monkeypatch):
 def test_writer_without_the_c_encoder(long_walk, no_c_encoder, iterencode_calls, name):
     report, cfg = long_walk
     doc = EDGES if name == "edges" else report_to_dict(report, cfg)
-    got = to_json(doc)
+    got = json_text(doc)
     assert iterencode_calls  # the stdlib's encode wrote it
     assert got == json.dumps(doc, indent=2, sort_keys=True) + "\n"
