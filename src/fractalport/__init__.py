@@ -1,4 +1,4 @@
-"""Market-neutral long-short portfolios from beta-neutral pair spreads.
+"""Market-neutral long-short portfolios from OLS-hedged pair spreads.
 
 Pipeline: window returns -> pair candidates from per-asset moments ->
 Hurst-screened fractal-Kelly selection -> horizon-rescaled covariance

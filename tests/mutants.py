@@ -32,8 +32,10 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
+# test_mutants.py is left out: every mutant removes the source text it
+# checks for, so it would fail on every mutant the rest of tier-1 misses
 TIER1 = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-         "--continue-on-collection-errors"]
+         "--continue-on-collection-errors", "--ignore=tests/test_mutants.py"]
 COPY_IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", ".work")
 
 
@@ -87,6 +89,41 @@ MUTANTS = (
         "RIDGE_LAMBDA = 1e-8",
         "RIDGE_LAMBDA = 0.0",
         "solve_weights adds no ridge before the solve",
+    ),
+    Mutant(
+        "kelly_variance_n_to_the_h",
+        "src/fractalport/selection.py",
+        "theta * theta * n ** (2.0 * h)",
+        "theta * theta * n ** h",
+        "fractal_kelly_weight scales the variance by N^h, not N^(2h)",
+    ),
+    Mutant(
+        "kelly_h_of_one_accepted",
+        "src/fractalport/selection.py",
+        "if not np.all((0.0 < h) & (h < 1.0)):",
+        "if not np.all(0.0 < h):",
+        "fractal_kelly_weight accepts a Hurst exponent of 1 or more",
+    ),
+    Mutant(
+        "no_exit_commission",
+        "src/fractalport/backtest.py",
+        "        if t == t_days - 1:\n            cost += commission\n",
+        "",
+        "_mark_window charges commission at entry only",
+    ),
+    Mutant(
+        "window_return_sd_ddof_0",
+        "src/fractalport/backtest.py",
+        "np.std(single, ddof=1)",
+        "np.std(single)",
+        "compute_metrics takes the population sd of the window returns",
+    ),
+    Mutant(
+        "screen_cap_inclusive",
+        "src/fractalport/selection.py",
+        "cands.h + cands.h_err < cfg.hurst_cap",
+        "cands.h + cands.h_err <= cfg.hurst_cap",
+        "select_spreads passes a spread whose h + h_err equals the Hurst cap",
     ),
 )
 

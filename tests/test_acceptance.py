@@ -120,7 +120,7 @@ def _random_candidates(rng, n_assets):
     return symbols, rows, Candidates(tuple(symbols), **columns)
 
 
-def _brute_force_selection(symbols, rows, cap, max_spreads=None):
+def _brute_force_selection(symbols, rows, cap):
     """Independent reimplementation: literal repeat-max scan with exclusion."""
     col = {name: k for k, name in enumerate(COLUMNS)}
     long, short, kelly = col["long"], col["short"], col["kelly"]
@@ -128,8 +128,6 @@ def _brute_force_selection(symbols, rows, cap, max_spreads=None):
     remaining = list(rows)
     chosen = []
     while remaining:
-        if max_spreads is not None and len(chosen) >= max_spreads:
-            break
         best = None
         for cand in remaining:
             if best is None:

@@ -580,15 +580,6 @@ class TestCmdSelect:
         assert captured.err == "data error: need at least 63 returns for a Hurst fit, got 39\n"
         assert captured.out == ""
 
-    def test_output_file_holds_the_stdout_bytes(self, fixture_csv, tmp_path, capsys):
-        args = ["select", "--prices", str(fixture_csv), "--start", "2015-01-02", "--end", "2015-06-30"]
-        assert main(args) == 0
-        stdout = capsys.readouterr().out
-        out = tmp_path / "select.json"
-        assert main(args + ["--output", str(out)]) == 0
-        assert capsys.readouterr().out == ""
-        assert out.read_bytes() == stdout.encode()
-
     def test_bad_range_exits_3(self, fixture_csv, capsys):
         args = [
             "select", "--prices", str(fixture_csv),
@@ -644,7 +635,7 @@ class TestCmdBacktest:
         assert len(lines) == 1 + 19 * 126
 
     @pytest.mark.parametrize("test_days", [126, 21])
-    def test_streamed_report_is_report_to_json(self, fixture_csv, tmp_path, test_days):
+    def test_output_is_json_text_of_report_to_dict(self, fixture_csv, tmp_path, test_days):
         out = tmp_path / "report.json"
         args = [
             "backtest", "--prices", str(fixture_csv), "--benchmark", "MKT",
@@ -823,18 +814,6 @@ class TestCmdBacktest:
         assert not any("N2" in w["shares"] for w in late_run[:before])
         assert late_run[:before] == without_run[:before]
         assert any("N2" in w["shares"] for w in late_run[before:])
-
-    def test_byte_identical_reports(self, fixture_csv, tmp_path):
-        outs = []
-        for name in ("a.json", "b.json"):
-            out = tmp_path / name
-            args = [
-                "backtest", "--prices", str(fixture_csv), "--benchmark", "MKT",
-                "--output", str(out),
-            ]
-            assert main(args) == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
 
 
 class TestCmdMakeFixture:

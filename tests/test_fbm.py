@@ -1,13 +1,9 @@
-"""Generator, Hurst estimator and the horizon rescaling of volatility."""
-import math
-
-import mpmath
+"""Generator and Hurst estimator."""
 import numpy as np
 import pytest
 
 from fractalport.errors import (
     DegenerateSeriesError,
-    DegenerateVolatilityError,
     InsufficientDataError,
     ParameterError,
     ValidationError,
@@ -19,7 +15,6 @@ from fractalport.fbm import (
     fit_hurst,
     window_ladder,
 )
-from fractalport.selection import fractal_kelly_weight
 from fbm_reference import generate_fbm
 
 
@@ -268,13 +263,6 @@ class TestEstimateHurst:
         assert est.h_err == pytest.approx(0.0, abs=1e-12)
         assert est.clamped  # raw fit is exactly 1, outside (0, 1)
 
-    def test_fbm_h03_monte_carlo(self):
-        hits = sum(
-            0.22 <= estimate_hurst(generate_fbm(0.3, 1024, 1.0, seed)).h <= 0.38
-            for seed in range(100)
-        )
-        assert hits >= 90
-
     def test_gaussian_walk_monte_carlo(self):
         hits = 0
         for seed in range(100):
@@ -311,44 +299,3 @@ class TestEstimateHurst:
         est_min = estimate_hurst(generate_fbm(0.5, 64, 1.0, 0))
         assert est_min.n_scales == len(window_ladder(64)) == 4
         assert est_min.n_scales >= 3
-
-
-def rescale_volatility(theta_daily, h, n_days):
-    """N-day volatility theta * N^h, read back from the fractal-Kelly weight:
-    at unit mean it is N / (theta * N^h)^2."""
-    return math.sqrt(n_days / fractal_kelly_weight(1.0, theta_daily, h, n_days))
-
-
-class TestRescaleVolatility:
-    def test_sqrt_scaling_random_walk(self):
-        assert rescale_volatility(0.01, 0.5, 4) == pytest.approx(0.02, rel=1e-12)
-
-    def test_identity_at_one_day(self):
-        for h in (0.1, 0.5, 0.9):
-            assert rescale_volatility(0.01, h, 1) == pytest.approx(0.01, rel=1e-12)
-
-    def test_general_power_high_precision(self):
-        # oracle: independent high-precision arithmetic
-        expected = float(mpmath.mpf("0.02") * mpmath.power(126, mpmath.mpf("0.4")))
-        assert rescale_volatility(0.02, 0.4, 126) == pytest.approx(expected, rel=1e-12)
-
-    def test_multiplicative_in_horizon(self):
-        theta, h = 0.013, 0.37
-        direct = rescale_volatility(theta, h, 6 * 21)
-        staged = rescale_volatility(rescale_volatility(theta, h, 6), h, 21)
-        assert staged == pytest.approx(direct, rel=1e-12)
-
-    @pytest.mark.parametrize("theta,h,n", [(-0.1, 0.5, 1), (0.1, 0.0, 1), (0.1, 1.0, 1), (0.1, 0.5, 0)])
-    def test_range_checks(self, theta, h, n):
-        error = DegenerateVolatilityError if theta < 0 else ParameterError
-        with pytest.raises(error):
-            rescale_volatility(theta, h, n)
-
-
-def test_scaling_law_slope_n4096():
-    # Invariants: mean squared increment vs lag fits L^(2h) within +-0.15
-    for h in (0.3, 0.5, 0.7):
-        path = generate_fbm(h, 4096, 1.0, 101)
-        lags = [1, 2, 4, 8, 16, 32, 64]
-        msq = [np.mean((path[k:] - path[:-k]) ** 2) for k in lags]
-        assert loglog_slope(lags, msq) == pytest.approx(2 * h, abs=0.15)

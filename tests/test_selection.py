@@ -1,8 +1,8 @@
 """Fractal Kelly weights, the generating matrix and greedy selection."""
 import itertools
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -100,21 +100,29 @@ class TestFractalKellyWeight:
         assert fractal_kelly_weight(0.0, 0.01, 0.3, 126) == 0.0
 
     def test_high_precision_oracle(self):
-        # 10 * 100^0.2 evaluated with independent high-precision arithmetic
-        expected = float(10 * mpmath.power(100, mpmath.mpf("0.2")))
+        # 10 * 100^0.2 evaluated in 50-digit decimal arithmetic
+        with localcontext() as ctx:
+            ctx.prec = 50
+            expected = float(10 * Decimal(100) ** Decimal("0.2"))
         assert fractal_kelly_weight(0.001, 0.01, 0.4, 100) == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(25.12, abs=0.005)
 
-    def test_h_half_matches_growth_grid_search(self):
-        # independent oracle: maximize w*mu - w^2 theta^2 / 2 on a grid
-        rng = np.random.default_rng(7)
-        for _ in range(5):
-            mu = float(rng.uniform(1e-4, 2e-3))
-            theta = float(rng.uniform(0.005, 0.05))
-            grid = np.arange(0.0, 5.0 * mu / theta**2, 0.01)
-            growth = grid * mu - grid**2 * theta**2 / 2.0
-            best = grid[np.argmax(growth)]
-            assert abs(fractal_kelly_weight(mu, theta, 0.5, 126) - best) <= 0.01 + 1e-12
+    def test_identity_at_one_day(self):
+        for h in (0.1, 0.9):
+            assert fractal_kelly_weight(0.001, 0.01, h, 1) == pytest.approx(10.0, rel=1e-12)
+
+    def test_multiplicative_in_horizon(self):
+        # N^(2h) is multiplicative in N: w(N1 N2) mu = w(N1) w(N2) theta^2
+        mu, theta, h = 0.001, 0.013, 0.37
+        direct = fractal_kelly_weight(mu, theta, h, 6 * 21) * mu
+        staged = fractal_kelly_weight(mu, theta, h, 6) * fractal_kelly_weight(mu, theta, h, 21) * theta**2
+        assert staged == pytest.approx(direct, rel=1e-12)
+
+    @pytest.mark.parametrize("theta,h,n", [(-0.1, 0.5, 1), (0.1, 0.0, 1), (0.1, 1.0, 1), (0.1, 0.5, 0)])
+    def test_range_checks(self, theta, h, n):
+        error = DegenerateVolatilityError if theta < 0 else ParameterError
+        with pytest.raises(error):
+            fractal_kelly_weight(0.001, theta, h, n)
 
     def test_monotone_decreasing_in_h(self):
         weights = [fractal_kelly_weight(0.001, 0.01, h, 126) for h in (0.2, 0.35, 0.5, 0.65, 0.8)]
@@ -244,8 +252,10 @@ class TestSelectSpreads:
         assert len(picked) == 0 and picked.symbols == ("A", "B")
 
     def test_single_candidate_rejected_cap(self):
-        cands = make_candidates([("A", "B", 5.0, 0.45, 0.1)])
-        assert len(select_spreads(cands, SelectionConfig())) == 0
+        # h + h_err over the cap of 0.5, then exactly on it: the bound is strict
+        for h, h_err in ((0.45, 0.1), (0.375, 0.125)):
+            cands = make_candidates([("A", "B", 5.0, h, h_err)])
+            assert len(select_spreads(cands, SelectionConfig())) == 0
 
     def test_error_must_be_below_h(self):
         cands = make_candidates([("A", "B", 5.0, 0.1, 0.2)])  # 0.3 < 0.5 but err > h
