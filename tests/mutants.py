@@ -125,6 +125,48 @@ MUTANTS = (
         "cands.h + cands.h_err <= cfg.hurst_cap",
         "select_spreads passes a spread whose h + h_err equals the Hurst cap",
     ),
+    Mutant(
+        "flip_sign",
+        "src/fractalport/selection.py",
+        "flip = mean < 0.0",
+        "flip = mean > 0.0",
+        "build_generating_matrix flips the spreads whose mean is positive, not negative",
+    ),
+    Mutant(
+        "gram_uncentred",
+        "src/fractalport/selection.py",
+        "    incr -= incr.mean(axis=-1, keepdims=True)\n",
+        "",
+        "the hedge ratio regresses increments that are not centred",
+    ),
+    Mutant(
+        "long_duplicate_unchecked",
+        "src/fractalport/io.py",
+        "row = _first_repeat(cell, ~np.isnan(grid.take(cell)))",
+        "row = -1",
+        "long ingest keeps the last of two prices of one (date, symbol)",
+    ),
+    Mutant(
+        "wide_duplicate_date_unchecked",
+        "src/fractalport/io.py",
+        "repeats = np.flatnonzero(d != np.arange(seen, seen + len(d)))",
+        "repeats = np.flatnonzero(d != d)",
+        "wide ingest does not look for a repeated date row",
+    ),
+    Mutant(
+        "one_price_symbol_accepted",
+        "src/fractalport/spreads.py",
+        "bad = (count < 2) |",
+        "bad = (count < 1) |",
+        "build_panel accepts a symbol with one price",
+    ),
+    Mutant(
+        "writer_calendar_unchecked",
+        "src/fractalport/io.py",
+        "if tuple(p.dates) != calendar:",
+        "if False:",
+        "write_prices_wide writes a series on other dates under the first series' calendar",
+    ),
 )
 
 

@@ -140,3 +140,8 @@ def candidates(universe, cfg):
             Candidate(symbols[s.long], symbols[s.short], s.chi, s.deltas, s.mean, s.theta, *fit, kelly)
         )
     return out
+
+
+def pairs(cands):
+    """The (long, short) symbols of each row of the engine's ``Candidates``."""
+    return [(cands.symbols[a], cands.symbols[b]) for a, b in zip(cands.long, cands.short)]

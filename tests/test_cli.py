@@ -1,4 +1,6 @@
-"""CSV ingestion, report output and the command-line surface."""
+"""The command-line surface: exit statuses and messages on bad CSV input,
+report output and each command; hand-picked price files, each read as the
+reference parser reads it."""
 import csv
 import json
 import random
@@ -13,13 +15,12 @@ import pytest
 import fractalport
 from fractalport.backtest import BacktestConfig, run_walk_forward
 from fractalport.cli import main
-from fractalport.errors import ParseError, ValidationError
+from fractalport.errors import ValidationError
 from fractalport.fbm import estimate_hurst
 from fractalport.io import ingest_prices, report_to_dict, write_prices_wide
-from fractalport.spreads import PriceSeries
 from fbm_reference import generate_fbm
+from ingest_reference import check_case, outcome, reference_ingest
 from json_text import json_text
-from panels import panel_of
 
 
 def blank_cells(src, dst, blanks):
@@ -101,172 +102,69 @@ def test_file_not_utf8_exits_3(fixture_csv, tmp_path, monkeypatch, capsys, kind,
 
 
 class TestIngestLong:
+    """Each file is one ``(text, fault)`` case of ``check_case``: the fault's
+    name, or ``None`` for a clean file."""
+
     def test_three_rows_one_symbol(self, tmp_path):
-        f = tmp_path / "p.csv"
-        f.write_text(
-            "date,symbol,adj_close\n"
-            "2020-01-01,SPY,100.0\n2020-01-02,SPY,101.5\n2020-01-03,SPY,99.25\n"
-        )
-        panel = ingest_prices(f)
-        assert panel.symbols == ("SPY",)
-        assert panel.dates == ("2020-01-01", "2020-01-02", "2020-01-03")
-        np.testing.assert_array_equal(panel.prices, [[100.0, 101.5, 99.25]])
+        text = "date,symbol,adj_close\n2020-01-01,SPY,100.0\n2020-01-02,SPY,101.5\n2020-01-03,SPY,99.25\n"
+        check_case(tmp_path / "p.csv", (text, None))
 
     def test_interleaved_symbols_sorted(self, tmp_path):
-        f = tmp_path / "p.csv"
-        f.write_text(
-            "date,symbol,adj_close\n"
-            "2020-01-02,B,2.0\n2020-01-01,A,1.0\n2020-01-01,B,1.9\n2020-01-02,A,1.1\n"
-        )
-        panel = ingest_prices(f)
-        assert panel.symbols == ("A", "B")
-        assert panel.dates == ("2020-01-01", "2020-01-02")
-        np.testing.assert_array_equal(panel.prices, [[1.0, 1.1], [1.9, 2.0]])
+        text = "date,symbol,adj_close\n2020-01-02,B,2.0\n2020-01-01,A,1.0\n2020-01-01,B,1.9\n2020-01-02,A,1.1\n"
+        check_case(tmp_path / "p.csv", (text, None))
 
     def test_zero_price_names_date_and_symbol(self, tmp_path):
-        f = tmp_path / "p.csv"
-        f.write_text(
-            "date,symbol,adj_close\n2020-01-01,XLF,10.0\n2020-01-02,XLF,0.0\n"
-        )
-        with pytest.raises(ValidationError, match="XLF.*2020-01-02"):
-            ingest_prices(f)
+        text = "date,symbol,adj_close\n2020-01-01,XLF,10.0\n2020-01-02,XLF,0.0\n"
+        check_case(tmp_path / "p.csv", (text, "non_positive"))
 
     def test_duplicate_observation(self, tmp_path):
-        f = tmp_path / "p.csv"
-        f.write_text(
-            "date,symbol,adj_close\n2020-01-01,A,1.0\n2020-01-01,A,1.1\n2020-01-02,A,1.2\n"
-        )
-        with pytest.raises(ValidationError, match="duplicate"):
-            ingest_prices(f)
+        text = "date,symbol,adj_close\n2020-01-01,A,1.0\n2020-01-01,A,1.1\n2020-01-02,A,1.2\n"
+        check_case(tmp_path / "p.csv", (text, "duplicate"))
 
     def test_malformed_row_names_line(self, tmp_path):
-        f = tmp_path / "p.csv"
-        f.write_text("date,symbol,adj_close\n2020-01-01,A,1.0\n2020-01-02,A,oops\n")
-        with pytest.raises(ParseError, match="line 3"):
-            ingest_prices(f)
+        text = "date,symbol,adj_close\n2020-01-01,A,1.0\n2020-01-02,A,oops\n"
+        check_case(tmp_path / "p.csv", (text, "bad_price"))
 
     def test_missing_price_dropped(self, tmp_path):
-        f = tmp_path / "p.csv"
-        f.write_text(
-            "date,symbol,adj_close\n2020-01-01,A,1.0\n2020-01-02,A,\n2020-01-03,A,1.2\n"
-        )
-        panel = ingest_prices(f)
-        assert panel.dates == ("2020-01-01", "2020-01-03")
-        np.testing.assert_array_equal(panel.prices, [[1.0, 1.2]])
+        text = "date,symbol,adj_close\n2020-01-01,A,1.0\n2020-01-02,A,\n2020-01-03,A,1.2\n"
+        check_case(tmp_path / "p.csv", (text, None))
 
     def test_single_row_symbol_rejected(self, tmp_path):
-        f = tmp_path / "p.csv"
-        f.write_text("date,symbol,adj_close\n2020-01-01,A,1.0\n")
-        with pytest.raises(ValidationError, match="A"):
-            ingest_prices(f)
+        check_case(tmp_path / "p.csv", ("date,symbol,adj_close\n2020-01-01,A,1.0\n", "few_prices"))
 
 
 class TestIngestWide:
     def test_wide_multi_symbol(self, tmp_path):
-        f = tmp_path / "w.csv"
-        f.write_text("date,AAA,BBB\n2020-01-01,1.0,2.0\n2020-01-02,1.1,2.2\n")
-        panel = ingest_prices(f)
-        assert panel.symbols == ("AAA", "BBB")
-        np.testing.assert_array_equal(panel.prices, [[1.0, 1.1], [2.0, 2.2]])
+        check_case(tmp_path / "w.csv", ("date,AAA,BBB\n2020-01-01,1.0,2.0\n2020-01-02,1.1,2.2\n", None))
 
     def test_wide_twenty_five_symbols(self, tmp_path):
-        symbols = [f"S{i:02d}" for i in range(25)]
-        rows = ["date," + ",".join(symbols)]
-        for d in ("2020-01-01", "2020-01-02", "2020-01-03"):
-            rows.append(d + "," + ",".join("10.0" for _ in symbols))
-        f = tmp_path / "w25.csv"
-        f.write_text("\n".join(rows) + "\n")
-        panel = ingest_prices(f)
-        assert panel.symbols == tuple(symbols)
-        assert panel.prices.shape == (25, 3)
+        header = "date," + ",".join(f"S{i:02d}" for i in range(25)) + "\n"
+        rows = "".join(day + ",10.0" * 25 + "\n" for day in ("2020-01-01", "2020-01-02", "2020-01-03"))
+        check_case(tmp_path / "w25.csv", (header + rows, None))
 
     def test_missing_cell_dropped_per_symbol(self, tmp_path):
-        f = tmp_path / "w.csv"
-        f.write_text(
-            "date,AAA,BBB\n2020-01-01,1.0,2.0\n2020-01-02,,2.2\n2020-01-03,1.2,2.3\n"
-        )
-        panel = ingest_prices(f)
-        assert panel.dates == ("2020-01-01", "2020-01-02", "2020-01-03")
-        np.testing.assert_array_equal(panel.prices, [[1.0, np.nan, 1.2], [2.0, 2.2, 2.3]])
+        text = "date,AAA,BBB\n2020-01-01,1.0,2.0\n2020-01-02,,2.2\n2020-01-03,1.2,2.3\n"
+        check_case(tmp_path / "w.csv", (text, None))
 
     def test_duplicate_date_rejected(self, tmp_path):
-        f = tmp_path / "w.csv"
-        f.write_text("date,AAA\n2020-01-01,1.0\n2020-01-01,1.1\n2020-01-02,1.2\n")
-        with pytest.raises(ValidationError, match="duplicate date"):
-            ingest_prices(f)
+        check_case(tmp_path / "w.csv", ("date,AAA\n2020-01-01,1.0\n2020-01-01,1.1\n2020-01-02,1.2\n", "duplicate"))
 
     def test_bad_header_rejected(self, tmp_path):
-        f = tmp_path / "w.csv"
-        f.write_text("time,AAA\n2020-01-01,1.0\n")
-        with pytest.raises(ParseError, match="header"):
-            ingest_prices(f)
+        check_case(tmp_path / "w.csv", ("time,AAA\n2020-01-01,1.0\n", "bad_header"))
 
     def test_bad_date_names_line(self, tmp_path):
-        f = tmp_path / "w.csv"
-        f.write_text("date,AAA\n2020-01-01,1.0\nnot-a-date,1.1\n")
-        with pytest.raises(ParseError, match="line 3"):
-            ingest_prices(f)
-
-    def test_round_trip_exact(self, tmp_path, universe):
-        out = tmp_path / "roundtrip.csv"
-        write_prices_wide(out, universe.prices)
-        back = ingest_prices(out)
-        want = panel_of(universe.prices)
-        assert back.symbols == want.symbols == tuple(p.symbol for p in universe.prices)
-        assert back.dates == want.dates == universe.prices[0].dates
-        assert back.prices.tobytes() == want.prices.tobytes()
+        check_case(tmp_path / "w.csv", ("date,AAA\n2020-01-01,1.0\nnot-a-date,1.1\n", "bad_date"))
 
     def test_byte_order_mark_ignored(self, fixture_csv, tmp_path):
         # spreadsheet exports often start with a UTF-8 byte-order mark
         bom = tmp_path / "bom.csv"
         bom.write_bytes(b"\xef\xbb\xbf" + fixture_csv.read_bytes())
-        got, want = ingest_prices(bom), ingest_prices(fixture_csv)
-        assert (got.symbols, got.dates) == (want.symbols, want.dates)
-        assert got.prices.tobytes() == want.prices.tobytes()
+        assert outcome(ingest_prices, bom) == outcome(ingest_prices, fixture_csv) == outcome(reference_ingest, fixture_csv)
 
     def test_duplicate_symbols_not_written(self, tmp_path, universe):
         out = tmp_path / "dup.csv"
         with pytest.raises(ValidationError, match="symbols are not sorted and distinct"):
             write_prices_wide(out, universe.prices[:2] + universe.prices[:1])
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "symbol,dates,message",
-        [
-            ("A", ("2020-1-8", "2020-1-9", "2020-1-10"), "A: date '2020-1-8' is not a YYYY-MM-DD string"),
-            ("A", ("2020-01-08", "20200109", "2020-01-10"), "A: date '20200109' is not a YYYY-MM-DD string"),
-            ("A", ("2020-01-08", None, "2020-01-10"), "A: date None is not a YYYY-MM-DD string"),
-            (" A ", ("2020-01-08", "2020-01-09", "2020-01-10"), "' A ': symbol is empty or has surrounding whitespace"),
-            ("", ("2020-01-08", "2020-01-09", "2020-01-10"), "'': symbol is empty or has surrounding whitespace"),
-        ],
-        ids=["unpadded_dates", "basic_date", "not_a_string", "padded_symbol", "empty_symbol"],
-    )
-    def test_series_that_would_not_read_back_not_written(self, tmp_path, symbol, dates, message):
-        # ingest reads dates as YYYY-MM-DD and strips symbols, so such a
-        # file would misorder its dates or not read back as written
-        series = [
-            PriceSeries("B", ("2020-01-08", "2020-01-09", "2020-01-10"), np.array([1.0, 2.0, 3.0])),
-            PriceSeries(symbol, dates, np.array([4.0, 5.0, 6.0])),
-        ]
-        out = tmp_path / "bad.csv"
-        with pytest.raises(ValidationError) as exc:
-            write_prices_wide(out, series)
-        assert str(exc.value) == message
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "symbols", [(), ("Symbol", "adj_close")], ids=["no_series", "long_header"]
-    )
-    def test_header_that_would_not_read_as_wide_not_written(self, tmp_path, symbols):
-        # "date" alone is no layout, and "date,Symbol,adj_close" reads as
-        # the long one
-        days = ("2020-01-08", "2020-01-09", "2020-01-10")
-        series = [PriceSeries(s, days, np.array([1.0, 2.0, 3.0])) for s in symbols]
-        out = tmp_path / "bad.csv"
-        header = ["date", *symbols]
-        with pytest.raises(ValidationError) as exc:
-            write_prices_wide(out, series)
-        assert str(exc.value) == f"header {header} would not read back as the wide layout"
         assert not out.exists()
 
 

@@ -42,7 +42,7 @@ from fractalport.spreads import PriceSeries, build_panel, spread_returns, window
 from fractalport.synthetic import make_synthetic_universe
 from panels import panel_of
 from pair_reference import candidates as reference_candidates
-from pair_reference import Row, hedge_ratio, oriented_spread
+from pair_reference import Row, hedge_ratio, oriented_spread, pairs
 
 EPS = np.finfo(np.float64).eps
 
@@ -74,10 +74,6 @@ def build(universe, cfg):
     """The engine on a universe of return rows, as its callers run it."""
     returns = return_rows(universe)
     return returns, build_generating_matrix(returns, [r.symbol for r in universe], cfg)
-
-
-def pairs(cands):
-    return [(cands.symbols[a], cands.symbols[b]) for a, b in zip(cands.long, cands.short)]
 
 
 class Tolerances(NamedTuple):

@@ -19,6 +19,7 @@ from fractalport.selection import (
 )
 from fractalport.spreads import window_returns
 from fractalport.synthetic import make_synthetic_universe
+from pair_reference import pairs
 from panels import panel_of
 
 
@@ -46,10 +47,6 @@ def make_candidates(rows, symbols=None):
         h_err=np.array([r[4] for r in rows], dtype=np.float64),
         kelly=np.array([r[2] for r in rows], dtype=np.float64),
     )
-
-
-def pairs(cands):
-    return [(cands.symbols[a], cands.symbols[b]) for a, b in zip(cands.long, cands.short)]
 
 
 def seeded_windows(seed):

@@ -1,7 +1,6 @@
 """Price panels, normalized returns, and the hedge ratio and oriented
 spread of the per-pair reference (``pair_reference``) that the candidate
 engine is checked against; the engine itself where it shows them."""
-import re
 from datetime import date, timedelta
 from typing import NamedTuple
 
@@ -15,7 +14,6 @@ from fractalport.errors import InsufficientDataError, ValidationError
 from fractalport.selection import SelectionConfig, build_generating_matrix
 from fractalport.io import write_prices_wide
 from fractalport.spreads import PriceSeries, build_panel, spread_returns, window_returns
-from fractalport.synthetic import make_synthetic_universe
 from pair_reference import hedge_ratio, oriented_spread
 
 
@@ -50,20 +48,6 @@ class TestPriceSeries:
         x = PriceSeries(symbol="X", dates=dates(2), prices=np.array([100.0, 0.0]))
         self.refused(tmp_path, [x], "^X: price 0.0 on ")
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
-    def test_bad_price_names_symbol_and_first_date(self, tmp_path, bad):
-        # a NaN is a bad price, not a missing one
-        good = PriceSeries(symbol="A", dates=dates(4), prices=np.full(4, 10.0))
-        x = PriceSeries(symbol="X", dates=dates(4), prices=np.array([100.0, 101.0, bad, bad]))
-        message = f"^X: price {bad} on {dates(4)[2]} is not finite and positive$"
-        self.refused(tmp_path, [x, good], message)
-
-    @pytest.mark.parametrize("n_prices", [1, 3])
-    def test_rejects_length_mismatch(self, tmp_path, n_prices):
-        # one price would otherwise broadcast over every date
-        x = PriceSeries(symbol="X", dates=dates(2), prices=np.full(n_prices, 1.0))
-        self.refused(tmp_path, [x], f"^X: 2 dates vs {n_prices} prices$")
-
     def test_rejects_repeated_date(self, tmp_path):
         days = ("2020-01-01", "2020-01-03", "2020-01-03")
         x = PriceSeries(symbol="X", dates=days, prices=[1.0, 2.0, 3.0])
@@ -72,35 +56,6 @@ class TestPriceSeries:
     def test_rejects_decreasing_dates(self, tmp_path):
         x = PriceSeries(symbol="X", dates=dates(3)[::-1], prices=[1.0, 2.0, 3.0])
         self.refused(tmp_path, [x], "^dates are not sorted and distinct: '2020-01-03' then '2020-01-02'$")
-
-    @pytest.mark.parametrize(
-        "symbols,days",
-        [(("X", "X"), dates(3)), (("X",), ("2020-01-01", "2020-01-03", "2020-01-03")), (("X",), dates(3)[::-1])],
-        ids=["duplicate_symbol", "repeated_date", "reversed_dates"],
-    )
-    def test_refuses_as_build_panel(self, tmp_path, symbols, days):
-        # the writer leaves these checks to the panel it builds before it
-        # opens the file: one check, so one message
-        series = [PriceSeries(s, days, np.array([1.0, 2.0, 3.0])) for s in symbols]
-        with pytest.raises(ValidationError) as want:
-            build_panel(symbols, days, np.array([p.prices for p in series]))
-        self.refused(tmp_path, series, f"^{re.escape(str(want.value))}$")
-
-    @pytest.mark.parametrize(
-        "other", [dates(3, start=1), dates(2), dates(4)], ids=["shifted", "shorter", "longer"]
-    )
-    def test_rejects_differing_calendars(self, tmp_path, other):
-        # the file has one date column: a series on other dates than the
-        # first series' would need gaps the writer does not make
-        x = PriceSeries(symbol="X", dates=dates(3), prices=[1.0, 2.0, 3.0])
-        y = PriceSeries(symbol="Y", dates=other, prices=np.ones(len(other)))
-        self.refused(tmp_path, [y, x], "^Y: dates differ from X's$")
-
-    def test_prices_immutable(self):
-        u = make_synthetic_universe(n_assets=2, n_days=5, n_pairs=0)
-        for p in u.prices + [u.benchmark]:
-            with pytest.raises(ValueError):
-                p.prices[0] = 5.0
 
 
 class TestWindowReturns:

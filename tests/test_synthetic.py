@@ -3,13 +3,14 @@
 The references are the obvious per-day loops: ``datetime.date`` steps for
 the trading calendar and the AR(1) recursion on numpy scalars for the OU
 component. The generator must give the same strings and the same bits.
+Its series' prices are read-only.
 """
 from datetime import timedelta
 
 import numpy as np
 import pytest
 
-from fractalport.synthetic import _OU_KAPPA, _OU_SIGMA, _START, _ou_path, _trading_dates
+from fractalport.synthetic import _OU_KAPPA, _OU_SIGMA, _START, _ou_path, _trading_dates, make_synthetic_universe
 
 
 def reference_trading_dates(n_days):
@@ -47,3 +48,10 @@ def test_ou_path_matches_numpy_scalar_loop(seed, n):
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     # the same draws consumed: the universe's later draws are unchanged
     assert rng.standard_normal() == reference_rng.standard_normal()
+
+
+def test_prices_immutable():
+    u = make_synthetic_universe(n_assets=2, n_days=5, n_pairs=0)
+    for p in u.prices + [u.benchmark]:
+        with pytest.raises(ValueError):
+            p.prices[0] = 5.0

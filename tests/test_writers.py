@@ -2,7 +2,8 @@
 
 ``write_prices_wide`` and ``write_equity_csv`` write each row as one
 string; the references write the same rows through ``csv.writer``, one
-field at a time, and the bytes must be equal.
+field at a time, and the bytes must be equal. Series the wide writer
+refuses are one table: each refusal's exact message, and no file.
 """
 import csv
 from datetime import date, timedelta
@@ -14,8 +15,10 @@ from hypothesis import strategies as st
 
 from fractalport.backtest import BacktestConfig, run_walk_forward
 from fractalport.cli import main
+from fractalport.errors import ValidationError
 from fractalport.io import ingest_prices, write_prices_wide
-from fractalport.spreads import PriceSeries
+from fractalport.spreads import PriceSeries, build_panel
+from panels import panel_of
 
 
 def reference_prices_wide(path, series):
@@ -75,6 +78,74 @@ def test_prices_wide_matches_csv_writer(out_dir, series):
     ordered = sorted(series, key=lambda p: p.symbol)
     assert back.symbols == tuple(p.symbol for p in ordered)
     assert back.prices.tobytes() == np.array([p.prices for p in ordered]).tobytes()
+
+
+def test_round_trip_exact(tmp_path, universe):
+    out = tmp_path / "roundtrip.csv"
+    write_prices_wide(out, universe.prices)
+    back = ingest_prices(out)
+    want = panel_of(universe.prices)
+    assert back.symbols == want.symbols == tuple(p.symbol for p in universe.prices)
+    assert back.dates == want.dates == universe.prices[0].dates
+    assert back.prices.tobytes() == want.prices.tobytes()
+
+
+DAYS = ("2020-01-01", "2020-01-02", "2020-01-03", "2020-01-04")
+X = ("X", DAYS[:3], [1.0, 2.0, 3.0])
+B = ("B", ("2020-01-08", "2020-01-09", "2020-01-10"), [1.0, 2.0, 3.0])
+
+# (id, (symbol, dates, prices) of each series, message); None stands for
+# build_panel's message
+REFUSALS = [
+    # a NaN is a bad price, not a missing one; the first bad date is named
+    *(
+        (f"price_{bad}", [("X", DAYS, [100.0, 101.0, bad, bad]), ("A", DAYS, [10.0] * 4)],
+         f"X: price {bad} on 2020-01-03 is not finite and positive")
+        for bad in (0.0, -1.0, np.nan, np.inf)
+    ),
+    # one price would otherwise broadcast over every date
+    ("one_price", [("X", DAYS[:2], [1.0])], "X: 2 dates vs 1 prices"),
+    ("three_prices", [("X", DAYS[:2], [1.0] * 3)], "X: 2 dates vs 3 prices"),
+    # left to the panel the writer builds before it opens the file: one
+    # check, so one message
+    ("duplicate_symbol", [X, X], None),
+    ("repeated_date", [("X", ("2020-01-01", "2020-01-03", "2020-01-03"), [1.0, 2.0, 3.0])], None),
+    ("reversed_dates", [("X", DAYS[2::-1], [1.0, 2.0, 3.0])], None),
+    # the file has one date column: a series on other dates than the first
+    # series' would need gaps the writer does not make
+    ("shifted", [("Y", DAYS[1:], [1.0] * 3), X], "Y: dates differ from X's"),
+    ("shorter", [("Y", DAYS[:2], [1.0] * 2), X], "Y: dates differ from X's"),
+    ("longer", [("Y", DAYS, [1.0] * 4), X], "Y: dates differ from X's"),
+    # ingest reads dates as YYYY-MM-DD and strips symbols, so such a file
+    # would misorder its dates or not read back as written
+    ("unpadded_dates", [B, ("A", ("2020-1-8", "2020-1-9", "2020-1-10"), [4.0, 5.0, 6.0])],
+     "A: date '2020-1-8' is not a YYYY-MM-DD string"),
+    ("basic_date", [B, ("A", ("2020-01-08", "20200109", "2020-01-10"), [4.0, 5.0, 6.0])],
+     "A: date '20200109' is not a YYYY-MM-DD string"),
+    ("not_a_string", [B, ("A", ("2020-01-08", None, "2020-01-10"), [4.0, 5.0, 6.0])],
+     "A: date None is not a YYYY-MM-DD string"),
+    ("padded_symbol", [B, (" A ", B[1], [4.0, 5.0, 6.0])], "' A ': symbol is empty or has surrounding whitespace"),
+    ("empty_symbol", [B, ("", B[1], [4.0, 5.0, 6.0])], "'': symbol is empty or has surrounding whitespace"),
+    # "date" alone is no layout, and "date,Symbol,adj_close" reads as the
+    # long one
+    ("no_series", [], "header ['date'] would not read back as the wide layout"),
+    ("long_header", [("Symbol", *X[1:]), ("adj_close", *X[1:])],
+     "header ['date', 'Symbol', 'adj_close'] would not read back as the wide layout"),
+]
+
+
+@pytest.mark.parametrize("rows,message", [pytest.param(*case, id=case_id) for case_id, *case in REFUSALS])
+def test_refused_series_write_nothing(tmp_path, rows, message):
+    refused = [PriceSeries(symbol, days, np.array(prices)) for symbol, days, prices in rows]
+    if message is None:
+        with pytest.raises(ValidationError) as want:
+            build_panel([p.symbol for p in refused], refused[0].dates, np.array([p.prices for p in refused]))
+        message = str(want.value)
+    out = tmp_path / "refused.csv"
+    with pytest.raises(ValidationError) as exc:
+        write_prices_wide(out, refused)
+    assert str(exc.value) == message
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("reinvest", [[], ["--no-reinvest"]], ids=["reinvest", "no-reinvest"])
