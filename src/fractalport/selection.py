@@ -13,6 +13,7 @@ no candidate is left, with no cap on the number of spreads.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -62,6 +63,8 @@ class SelectionConfig:
     def __post_init__(self):
         if self.horizon_days < 1:
             raise ParameterError(f"horizon must be at least 1 day, got {self.horizon_days}")
+        if self.horizon_days > sys.float_info.max:  # the Kelly weight takes it as a float
+            raise ParameterError(f"horizon must be at most {sys.float_info.max:g} days")
         if not 0.0 < self.hurst_cap <= 0.5:
             raise ParameterError(f"hurst cap must lie in (0, 0.5], got {self.hurst_cap}")
 

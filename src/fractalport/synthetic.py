@@ -85,6 +85,8 @@ def make_synthetic_universe(
         raise ParameterError(f"planted pair count must be non-negative, got {n_pairs}")
     if n_days < 1:
         raise ParameterError(f"need at least 1 day of returns, got {n_days}")
+    if seed < 0:
+        raise ParameterError(f"seed must be non-negative, got {seed}")
     if n_pairs > len(_PAIR_BETAS):
         raise ParameterError(f"at most {len(_PAIR_BETAS)} planted pairs supported")
     if n_assets < 2 * n_pairs:

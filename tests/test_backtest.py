@@ -4,7 +4,7 @@ import json
 import math
 import sys
 from dataclasses import fields, replace
-from datetime import date, timedelta
+from datetime import date
 from itertools import compress
 from unittest import mock
 
@@ -34,14 +34,13 @@ from fractalport.optimizer import (
 from fractalport.selection import PAIR_BLOCK, SelectionConfig, build_generating_matrix, select_spreads
 from fractalport.spreads import PriceSeries, build_panel, spread_returns, window_returns
 from fractalport.synthetic import make_synthetic_universe
+import panels
 from json_text import json_text
 from panels import panel_of
 from walk_reference import reference_drawdown, reference_legs_and_shares, reference_mark
 
 
-def dates(n, start=0):
-    base = date(2018, 1, 1)
-    return tuple((base + timedelta(days=start + i)).isoformat() for i in range(n))
+dates = functools.partial(panels.dates, base=date(2018, 1, 1))
 
 
 def small_universe(n_days=630, seed=1):
@@ -149,20 +148,6 @@ def test_legs_and_shares_match_symbol_keyed_reference(selection):
 
 
 class TestAccrueCosts:
-    def test_commission_per_side(self):
-        # 200 shares in and out at $0.005/share: $1 + $1
-        cfg = BacktestConfig(benchmark_symbol="SPY", overnight_rate_annual=0.0)
-        prices = np.full((6, 1), 100.0)
-        _, costs = _mark_window(np.array([200.0]), prices, cfg, 100_000.0)
-        assert costs[0] == pytest.approx(1.0)
-        assert costs[-1] == pytest.approx(1.0)
-        assert costs.sum() == pytest.approx(2.0)
-
-    def test_zero_positions_zero_costs(self):
-        cfg = BacktestConfig(benchmark_symbol="SPY")
-        _, costs = _mark_window(np.zeros(0), np.zeros((6, 0)), cfg, 100_000.0)
-        assert np.all(costs == 0.0)
-
     def test_financing_hand_accrual(self):
         # equity 100k, gross 200k at leverage 2, flat prices, 252 days:
         # financed base = short value + borrowing above equity
@@ -210,6 +195,7 @@ def held_windows(draw):
 @settings(max_examples=300, deadline=None)
 @given(held_windows())
 @example((np.array([0.0]), np.full((2, 1), 10.0), BacktestConfig(), 1e5))
+@example((np.zeros(0), np.zeros((6, 0)), BacktestConfig(), 1e5))  # nothing held
 @example(
     (
         np.arange(-143.0, 143.0) * 1000.0,  # 286 held, one of them zero

@@ -510,6 +510,14 @@ class TestCmdSelect:
         ]
         assert main(args) == 2
 
+    def test_horizon_beyond_the_float_range_exits_2(self, fixture_csv, capsys):
+        args = [
+            "select", "--prices", str(fixture_csv),
+            "--start", "2015-01-02", "--end", "2015-12-31", "--horizon-days", str(10**400),
+        ]
+        assert main(args) == 2
+        assert capsys.readouterr().err == "configuration error: horizon must be at most 1.79769e+308 days\n"
+
 
 class TestCmdBacktest:
     def test_report_written(self, fixture_csv, tmp_path, capsys):
@@ -739,10 +747,11 @@ class TestCmdMakeFixture:
             ["--assets", "1", "--pairs", "0"],
             ["--pairs", "6"],
             ["--assets", "5", "--pairs", "3"],
+            ["--seed", "-1"],
         ],
         ids=[
             "negative-pairs", "negative-days", "zero-days", "zero-assets", "one-asset",
-            "too-many-pairs", "pairs-exceed-assets",
+            "too-many-pairs", "pairs-exceed-assets", "negative-seed",
         ],
     )
     def test_bad_sizes_exit_2_without_writing(self, sizes, tmp_path, capsys):

@@ -92,32 +92,6 @@ class TestGenerateFbm:
 
 
 class TestCoverAmplitudes:
-    def test_hand_computed_single_scale(self):
-        # x spans 4 increments; d=2 -> windows {x0,x1,x2} and {x2,x3,x4}
-        x = np.array([0.0, 3.0, 1.0, -2.0, 5.0])
-        sums, counts = cover_amplitudes(x, np.array([2], dtype=np.int64))
-        assert counts.tolist() == [2]
-        # window 1: max 3, min 0 -> 3; window 2: max 5, min -2 -> 7
-        assert sums[0] == pytest.approx(10.0)
-
-    def test_partial_tail_excluded(self):
-        x = np.array([0.0, 1.0, 0.0, 10.0])  # 3 increments, d=2 -> 1 complete window
-        sums, counts = cover_amplitudes(x, np.array([2], dtype=np.int64))
-        assert counts.tolist() == [1]
-        assert sums[0] == pytest.approx(1.0)
-
-    def test_midpoint_seen(self):
-        # interior spike at the window midpoint must count
-        x = np.array([0.0, 0.0, 9.0, 0.0, 0.0])
-        sums, _ = cover_amplitudes(x, np.array([4], dtype=np.int64))
-        assert sums[0] == pytest.approx(9.0)
-
-    def test_multiple_scales_counts(self):
-        x = np.zeros(65)
-        sums, counts = cover_amplitudes(x, np.array([16, 8, 4, 2], dtype=np.int64))
-        assert counts.tolist() == [4, 8, 16, 32]
-        assert np.all(sums == 0.0)
-
     def test_matches_per_window_loop(self):
         rng = np.random.default_rng(7)
         # fixed lengths cover exact fits (65, 1025) and partial tails
@@ -263,14 +237,6 @@ class TestEstimateHurst:
         assert est.h_err == pytest.approx(0.0, abs=1e-12)
         assert est.clamped  # raw fit is exactly 1, outside (0, 1)
 
-    def test_gaussian_walk_monte_carlo(self):
-        hits = 0
-        for seed in range(100):
-            rng = np.random.default_rng(20_000 + seed)
-            walk = np.cumsum(rng.standard_normal(1024))
-            hits += 0.42 <= estimate_hurst(walk).h <= 0.58
-        assert hits >= 90
-
     def test_shift_and_scale_invariance(self):
         path = generate_fbm(0.45, 512, 1.0, 21)
         base = estimate_hurst(path)
@@ -292,6 +258,10 @@ class TestEstimateHurst:
         x[64] = np.nan
         with pytest.raises(ValidationError):
             estimate_hurst(x)
+
+    def test_matrix_rejected(self):
+        with pytest.raises(ParameterError, match="^series must be one-dimensional$"):
+            estimate_hurst(np.zeros((2, 128)))
 
     def test_n_scales_matches_ladder(self):
         est = estimate_hurst(generate_fbm(0.5, 1024, 1.0, 0))

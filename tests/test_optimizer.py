@@ -117,15 +117,6 @@ class TestSolveWeights:
         w = solve_weights(np.diag(variances), [0.5] * 3, mu, 1)
         np.testing.assert_allclose(w, mu / variances, rtol=1e-6)
 
-    def test_uniform_h_direction_invariant_in_horizon(self):
-        rng = np.random.default_rng(5)
-        x = rng.standard_normal((3, 400)) * 0.01
-        c = np.cov(x, bias=True)
-        mu = np.array([1e-3, 5e-4, 8e-4])
-        w1 = solve_weights(c, [0.4] * 3, mu, 1)
-        w126 = solve_weights(c, [0.4] * 3, mu, 126)
-        np.testing.assert_allclose(w1 / w1.sum(), w126 / w126.sum(), atol=1e-10)
-
     def test_exact_duplicates_rescued_by_ridge(self):
         # the always-on ridge keeps duplicated spreads solvable: the
         # duplicated pair shares the weight instead of blowing up
@@ -192,36 +183,6 @@ class TestApplyLeverage:
 
 
 class TestComposeLegs:
-    def test_equal_notional_pair(self):
-        w, _ = apply_leverage([1.0], 1.0)
-        held, legs = compose_legs(w, [0], [1], np.array([1.0]))
-        assert held.tolist() == [0, 1]
-        assert legs[0] == pytest.approx(0.5)
-        assert legs[1] == pytest.approx(-0.5)
-
-    def test_one_to_chi_ratio(self):
-        w, _ = apply_leverage([2.0], 2.0)
-        held, legs = compose_legs(w, [0], [1], np.array([3.0]))
-        assert legs[0] == pytest.approx(0.5)
-        assert legs[1] == pytest.approx(-1.5)
-
-    def test_disjoint_union(self):
-        # assets A, B, C, D are 0-3; the spreads C/D and A/B come in that order
-        w, _ = apply_leverage([1.0, 1.0], 2.0)
-        held, legs = compose_legs(w, [2, 0], [3, 1], np.array([2.0, 1.0]))
-        assert held.tolist() == [0, 1, 2, 3]
-        assert legs[0] == pytest.approx(0.5)
-        assert legs[1] == pytest.approx(-0.5)
-        assert legs[2] == pytest.approx(1.0 / 3.0)
-        assert legs[3] == pytest.approx(-2.0 / 3.0)
-
-    def test_gross_notional_equals_leverage(self):
-        rng = np.random.default_rng(8)
-        chi = rng.uniform(0.5, 3, 4)
-        w, _ = apply_leverage(rng.uniform(0.1, 2, 4), 2.0)
-        _, legs = compose_legs(w, np.arange(4), np.arange(4, 8), chi)
-        assert sum(abs(v) for v in legs.tolist()) == pytest.approx(2.0, rel=1e-12)
-
     def test_weight_count_checked(self):
         w, _ = apply_leverage([1.0, 1.0], 2.0)
         with pytest.raises(ParameterError):

@@ -8,11 +8,12 @@ scaled by the legs (``leg_tolerances``); a row's independence of the
 other rows and of the stack, and the spread returns the optimizer forms
 from a row, are checked bit for bit.
 """
+import functools
 import itertools
 import tracemalloc
 from contextlib import contextmanager
 from dataclasses import fields
-from datetime import date, timedelta
+from datetime import date
 from typing import NamedTuple
 from unittest import mock
 
@@ -40,6 +41,7 @@ from fractalport.selection import (
 )
 from fractalport.spreads import PriceSeries, build_panel, spread_returns, window_returns
 from fractalport.synthetic import make_synthetic_universe
+import panels
 from panels import panel_of
 from pair_reference import candidates as reference_candidates
 from pair_reference import Row, hedge_ratio, oriented_spread, pairs
@@ -53,9 +55,7 @@ EPS = np.finfo(np.float64).eps
 ROUNDING_C = 8.0
 
 
-def dates(n, start=0):
-    base = date(2019, 1, 1)
-    return tuple((base + timedelta(days=start + i)).isoformat() for i in range(n))
+dates = functools.partial(panels.dates, base=date(2019, 1, 1))
 
 
 def make_universe(returns, start=0):

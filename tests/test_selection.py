@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fractalport import selection
 from fractalport.backtest import BacktestConfig
 from fractalport.errors import DegenerateVolatilityError, ParameterError
 from fractalport.selection import (
@@ -141,37 +142,20 @@ class TestBuildGeneratingMatrix:
             out[f"S{k}"] = beta * market + idio
         return out
 
-    def test_two_assets_at_most_one_candidate(self):
-        cands = build(self._universe(2), SelectionConfig())
-        assert len(cands) <= 1
-
-    def test_pair_count_upper_bound(self):
-        # universe of 25 funds -> C(25,2) = 300 possible pairs
-        cands = build(self._universe(25), SelectionConfig())
-        assert len(cands) <= 300
-
-    def test_orientation_positive_mean(self):
-        cands = build(self._universe(6, seed=3), SelectionConfig())
-        assert cands, "expected at least one candidate"
-        assert np.all(cands.mean >= 0.0)
-
-    def test_weight_consistent_with_components(self):
-        cfg = SelectionConfig(horizon_days=126)
-        cands = build(self._universe(5, seed=4), cfg)
-        assert len(cands)
-        for mean, theta, h, kelly in zip(cands.mean, cands.theta, cands.h, cands.kelly):
-            expected = fractal_kelly_weight(float(mean), float(theta), float(h), cfg.horizon_days)
-            assert kelly == pytest.approx(expected, rel=1e-12)
-
     def test_universe_too_small(self):
         with pytest.raises(ParameterError):
             build(self._universe(1), SelectionConfig())
 
-    def test_degenerate_pairs_omitted(self):
-        universe = {**self._universe(3, seed=5), "FLAT": np.zeros(200)}
-        cands = build(universe, SelectionConfig())
-        assert all("FLAT" not in pair for pair in pairs(cands))
-
+    def test_hedge_floor_is_inclusive(self, monkeypatch):
+        # S1's increments alternate +-2^-20 about a mean of exactly 0, so
+        # their variance is exactly 2^-40: with the floor there, S0 is
+        # hedged on S1, and with the floor one ulp above it, not
+        step = 2.0**-20
+        s1 = np.tile([0.0, step], 64)[:127]
+        s0 = s1 + 0.5 * step * np.random.default_rng(0).standard_normal(127)
+        for floor, rows in ((step * step, 1), (np.nextafter(step * step, 1.0), 0)):
+            monkeypatch.setattr(selection, "HEDGE_VARIANCE_EPS", floor)
+            assert len(build({"S0": s0, "S1": s1}, SelectionConfig())) == rows
 
     def test_price_scale_free(self):
         # returns are normalized by the entry price, so HEDGE_VARIANCE_EPS

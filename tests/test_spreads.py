@@ -1,7 +1,6 @@
 """Price panels, normalized returns, and the hedge ratio and oriented
 spread of the per-pair reference (``pair_reference``) that the candidate
 engine is checked against; the engine itself where it shows them."""
-from datetime import date, timedelta
 from typing import NamedTuple
 
 import numpy as np
@@ -15,11 +14,7 @@ from fractalport.selection import SelectionConfig, build_generating_matrix
 from fractalport.io import write_prices_wide
 from fractalport.spreads import PriceSeries, build_panel, spread_returns, window_returns
 from pair_reference import hedge_ratio, oriented_spread
-
-
-def dates(n, start=0):
-    base = date(2020, 1, 1)
-    return tuple((base + timedelta(days=start + i)).isoformat() for i in range(n))
+from panels import dates
 
 
 class Row(NamedTuple):
@@ -59,19 +54,6 @@ class TestPriceSeries:
 
 
 class TestWindowReturns:
-    def test_basic_arithmetic(self):
-        r = window_returns(np.array([[100.0, 101.0, 100.0]]))
-        np.testing.assert_allclose(r, [[0.01, -0.01]])
-        assert r.shape == (1, 2)
-
-    def test_constant_prices_zero_returns(self):
-        assert np.all(window_returns(np.full((1, 5), 42.0)) == 0.0)
-
-    def test_entry_price_in_denominator(self):
-        # p0 from a different segment: 10-point move on entry price 200
-        r = window_returns(np.array([[200.0, 100.0, 110.0]]))
-        assert r[0, 1] == pytest.approx(0.05)
-
     def test_linearity_in_prices(self):
         rng = np.random.default_rng(4)
         prices = 100.0 * np.cumprod(1 + 0.01 * rng.standard_normal(40))
